@@ -26,12 +26,16 @@ from .expr import Expr, ExprVec
 from .linalg import invert_rational, solve_rational
 from .spaces import (
     DEFAULT_BUDGET,
+    ChecksCert,
     DiffSpace,
+    Obstruction,
     Plot,
     RelationPair,
     SmoothMap,
     Verdict,
+    all_hold,
     generated_space,
+    holds,
     intersection_space,
     is_smooth,
     is_subduction,
@@ -44,7 +48,6 @@ __all__ = [
     "bundle_group",
     "enumerate_elements",
     "word_name",
-    "ExactSequenceReport",
     "exact_sequence_check",
     "FiberTransport",
     "fiber_transport",
@@ -54,14 +57,12 @@ __all__ = [
     "group_diffeology",
     "aut_diffeology",
     "family_velocity",
-    "AdditivityReport",
     "g_tangent_additivity",
     "Frame",
     "frame",
     "random_frame",
     "FrameReport",
     "frame_bundle_check",
-    "QuantumReport",
     "quantum_structure_check",
 ]
 
@@ -122,7 +123,7 @@ def bundle_group(
         _, g = gen.phi.piece("")
         _, h = inv.phi.piece("")
         for outer, inner in ((g, h), (h, g)):
-            back = ExprVec([c.compose(inner.components) for c in outer.components])
+            back = outer.compose(inner)
             bad = difference_witness(bundle.total, back, ExprVec.identity(d), budget)
             if bad:
                 raise ValueError(f"generator {k} of {name} does not invert: {bad}")
@@ -158,9 +159,7 @@ def enumerate_elements(group: FinGenGroup, max_len: int) -> list[Element]:
                 if el.word and el.word[-1] == -letter:
                     continue
                 new = Element(
-                    el.word + (letter,),
-                    ExprVec([c.compose(phi.components) for c in el.phi.components]),
-                    ExprVec([c.compose(varphi.components) for c in el.varphi.components]),
+                    el.word + (letter,), el.phi.compose(phi), el.varphi.compose(varphi)
                 )
                 if new.key() in seen:
                     continue
@@ -176,76 +175,64 @@ def enumerate_elements(group: FinGenGroup, max_len: int) -> list[Element]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExactSequenceReport:
-    element_count: int
-    kernel_words: tuple[str, ...]
-    linear_words: tuple[str, ...]
-    homomorphism_failures: tuple[str, ...]
-    mismatches: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.homomorphism_failures and not self.mismatches
-
-
 def exact_sequence_check(
     bundle: PseudoBundle,
     group: FinGenGroup,
     word_length: int = 4,
     pair_length: int = 2,
     budget: int = DEFAULT_BUDGET,
-) -> ExactSequenceReport:
+) -> Verdict:
     """Both inclusions of kernel = fiberwise linear part, and
-    compatibility of the base projection with composition."""
+    compatibility of the base projection with composition.
+
+    A yes carries the kernel and linear words in a `ChecksCert`; a no
+    lists every failure in its obstruction.  An uncertified difference
+    counts as a failure.
+    """
     elements = enumerate_elements(group, word_length)
     _, proj = bundle.projection.piece("")
     d = bundle.ambient_dim
     n = bundle.base_dim
 
-    def base_of(phi: ExprVec) -> ExprVec:
-        return ExprVec([c.compose(phi.components) for c in proj.components])
-
-    hom_failures = []
+    failures = []
     short = [el for el in elements if len(el.word) <= pair_length]
     for a in short:
         for b in short:
-            phi_ab = ExprVec([c.compose(b.phi.components) for c in a.phi.components])
-            varphi_ab = ExprVec(
-                [c.compose(b.varphi.components) for c in a.varphi.components]
-            )
-            lhs = base_of(phi_ab)
-            rhs = ExprVec([c.compose(proj.components) for c in varphi_ab.components])
+            lhs = proj.compose(a.phi.compose(b.phi))
+            rhs = a.varphi.compose(b.varphi).compose(proj)
             bad = difference_witness(bundle.total, lhs, rhs, budget)
             if bad:
-                hom_failures.append(
-                    f"{word_name(a.word)} after {word_name(b.word)}: {bad}"
-                )
+                failures.append(f"{word_name(a.word)} after {word_name(b.word)}: {bad}")
 
-    kernel, linear, mismatches = [], [], []
+    kernel, linear = [], []
     for el in elements:
         in_kernel = (
             difference_witness(bundle.base, el.varphi, ExprVec.identity(n), budget)
             is None
         )
         is_linear = (
-            difference_witness(bundle.total, base_of(el.phi), proj, budget) is None
+            difference_witness(bundle.total, proj.compose(el.phi), proj, budget) is None
         )
         name = word_name(el.word)
         if in_kernel:
             kernel.append(name)
-            inv = _inverse_of(group, el.word)
-            back = ExprVec([c.compose(inv.components) for c in el.phi.components])
+            back = el.phi.compose(_inverse_of(group, el.word))
             bad = difference_witness(bundle.total, back, ExprVec.identity(d), budget)
             if bad:
-                mismatches.append(f"kernel word {name} is not invertible: {bad}")
+                failures.append(f"kernel word {name} is not invertible: {bad}")
         if is_linear:
             linear.append(name)
         if in_kernel != is_linear:
             side = "kernel without linearity" if in_kernel else "linear with moving base"
-            mismatches.append(f"{name}: {side}")
-    return ExactSequenceReport(
-        len(elements), tuple(kernel), tuple(linear), tuple(hom_failures), tuple(mismatches)
+            failures.append(f"{name}: {side}")
+    if failures:
+        return Verdict.no(Obstruction("exact-sequence", detail="; ".join(failures)))
+    return Verdict.yes(
+        ChecksCert(
+            f"{len(elements)} reduced words",
+            (("kernel", tuple(kernel)), ("linear", tuple(linear))),
+        ),
+        detail=f"kernel = linear part ({len(kernel)} words)",
     )
 
 
@@ -256,7 +243,7 @@ def _inverse_of(group: FinGenGroup, word: tuple[int, ...]) -> ExprVec:
         i = abs(letter) - 1
         m = group.inverses[i] if letter > 0 else group.generators[i]
         _, step = m.phi.piece("")
-        vec = ExprVec([c.compose(step.components) for c in vec.components])
+        vec = vec.compose(step)
     return vec
 
 
@@ -451,12 +438,7 @@ def aut_diffeology(
 def _check_family(f: ExprVec, n: int) -> None:
     if f.arity != 1 + n or len(f.components) != n:
         raise ValueError("a family maps (t, x) to a point of the same space")
-    at_zero = ExprVec(
-        [
-            c.compose([Expr.zero(n)] + [Expr.variable(n, i) for i in range(n)])
-            for c in f.components
-        ]
-    )
+    at_zero = f.compose([Expr.zero(n)] + [Expr.variable(n, i) for i in range(n)])
     if at_zero != ExprVec.identity(n):
         raise ValueError("family is not the identity at parameter 0")
 
@@ -468,39 +450,37 @@ def family_velocity(word, x) -> Point:
     vec = word[0]
     t = Expr.variable(vec.arity, 0)
     for nxt in word[1:]:
-        vec = ExprVec([c.compose([t] + list(nxt.components)) for c in vec.components])
+        vec = vec.compose((t,) + nxt.components)
     at = (Fraction(0),) + tuple(Fraction(c) for c in x)
     return tuple(c.differentiate(0).eval(at) for c in vec.components)
 
 
-@dataclass(frozen=True)
-class AdditivityReport:
-    entries: tuple[tuple[int, int, Point, Point, Point, Point, bool], ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(entry[-1] for entry in self.entries)
-
-
 def g_tangent_additivity(
     space: DiffSpace, families: Sequence[ExprVec], points: Sequence[Point]
-) -> AdditivityReport:
+) -> Verdict:
     """The velocity of a product family is the exact sum of the factor
-    velocities, in both orders."""
+    velocities, in both orders.  A yes names each (families, point)
+    entry with its point and three velocities; a no gives the first
+    entry that fails."""
     n = space.carrier.ambient_dim("")
     for f in families:
         _check_family(f, n)
     entries = []
     for i, fi in enumerate(families):
         for j, fj in enumerate(families):
-            for p in points:
+            for k, p in enumerate(points):
                 p = tuple(Fraction(c) for c in p)
                 v1 = family_velocity(fi, p)
                 v2 = family_velocity(fj, p)
                 both = family_velocity((fi, fj), p)
                 expected = tuple(a + b for a, b in zip(v1, v2))
-                entries.append((i, j, p, v1, v2, both, both == expected))
-    return AdditivityReport(tuple(entries))
+                if both != expected:
+                    return Verdict.no(Obstruction(
+                        "additivity", point=p,
+                        detail=f"families {i} then {j}: velocity {both} is not {expected}",
+                    ))
+                entries.append((f"families {i} then {j} at point {k}", (p, v1, v2, both)))
+    return Verdict.yes(ChecksCert(f"{len(entries)} velocity sums exact", tuple(entries)))
 
 
 # ---------------------------------------------------------------------------
@@ -606,21 +586,6 @@ def frame_bundle_check(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuantumReport:
-    smooth_failures: tuple[str, ...]
-    freeness_failures: tuple[str, ...]
-    projection: Verdict
-
-    @property
-    def ok(self) -> bool:
-        return (
-            not self.smooth_failures
-            and not self.freeness_failures
-            and self.projection.is_yes
-        )
-
-
 def quantum_structure_check(
     space: DiffSpace,
     actions: Sequence[SmoothMap],
@@ -628,33 +593,33 @@ def quantum_structure_check(
     points: Sequence[Point] | None = None,
     word_length: int = 4,
     budget: int = DEFAULT_BUDGET,
-) -> QuantumReport:
+) -> Verdict:
     """A right action that is smooth and free, with a subduction onto
-    the orbit quotient."""
+    the orbit quotient, folded by `all_hold` from the checks smooth-k
+    (each action, then each inverse), inverse-k, free and
+    orbit-subduction."""
     n = space.carrier.ambient_dim("")
     if points is None:
         points = space.sample_carrier_points("", 10)
     points = [tuple(Fraction(c) for c in p) for p in points]
 
-    smooth_failures = []
-    for k, m in enumerate(list(actions) + list(inverses)):
-        verdict = is_smooth(m, budget)
-        if not verdict.is_yes:
-            smooth_failures.append(f"map {k}: {verdict.detail or verdict.status}")
+    checks = [
+        (f"smooth-{k}", is_smooth(m, budget))
+        for k, m in enumerate(list(actions) + list(inverses))
+    ]
     for k, (a, b) in enumerate(zip(actions, inverses)):
         _, g = a.piece("")
         _, h = b.piece("")
-        back = ExprVec([c.compose(h.components) for c in g.components])
-        bad = difference_witness(space, back, ExprVec.identity(n), budget)
-        if bad:
-            smooth_failures.append(f"pair {k} does not invert: {bad}")
+        bad = difference_witness(space, g.compose(h), ExprVec.identity(n), budget)
+        failure = f"the pair does not invert: {bad}" if bad else None
+        checks.append((f"inverse-{k}", holds(failure)))
 
     # freely reduced words of bounded length, acting on sampled points
     letters = []
     for i, (a, b) in enumerate(zip(actions, inverses)):
         letters.append((i + 1, a.piece("")[1]))
         letters.append((-(i + 1), b.piece("")[1]))
-    freeness_failures = []
+    fixed = []
     frontier = [((), ExprVec.identity(n))]
     for _ in range(word_length):
         nxt = []
@@ -662,22 +627,19 @@ def quantum_structure_check(
             for letter, step in letters:
                 if word and word[-1] == -letter:
                     continue
-                new_vec = ExprVec(
-                    [c.compose(step.components) for c in vec.components]
-                )
+                new_vec = vec.compose(step)
                 new_word = word + (letter,)
                 nxt.append((new_word, new_vec))
                 for p in points:
                     if new_vec.eval(p) == p:
-                        freeness_failures.append(
-                            f"{word_name(new_word)} fixes {p}"
-                        )
+                        fixed.append(f"{word_name(new_word)} fixes {p}")
         frontier = nxt
+    checks.append(("free", holds("; ".join(fixed) or None)))
 
     relations = tuple(
         RelationPair("", ExprVec.identity(n), "", m.piece("")[1], Domain.full(n))
         for m in actions
     )
     _, projection = quotient_space(f"{space.name}/action", space, relations)
-    verdict = is_subduction(projection, budget)
-    return QuantumReport(tuple(smooth_failures), tuple(freeness_failures), verdict)
+    checks.append(("orbit-subduction", is_subduction(projection, budget)))
+    return all_hold("smooth free action with a subduction onto its orbits", checks)

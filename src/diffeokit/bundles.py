@@ -33,9 +33,11 @@ from .spaces import (
     RuleCert,
     SmoothMap,
     Verdict,
+    all_hold,
     compose_maps,
     conjunction,
     euclidean_space,
+    holds,
     identity_map,
     is_smooth,
     is_subduction,
@@ -63,7 +65,6 @@ __all__ = [
     "invert_isomorphism",
     "zero_bundle",
     "homotopy_to_zero",
-    "HomotopyReport",
 ]
 
 
@@ -177,15 +178,22 @@ def build_bundle(
         _as_map(base, total, zero, f"{name}.zero"),
         pairs,
     )
-    _validate(bundle, budget, sample_count)
+    verdict = _validate(bundle, budget, sample_count)
+    if verdict.is_no:
+        raise InvariantViolation(verdict.obstruction.kind, verdict.obstruction.detail)
+    if verdict.is_unknown:
+        check, _, witness = verdict.detail.partition(": ")
+        raise InvariantViolation(check, witness)
     return bundle
 
 
 def validate_bundle(
     bundle: PseudoBundle, budget: int = DEFAULT_BUDGET, sample_count: int = 6
-) -> None:
-    """Re-run the construction-time checks on a built bundle."""
-    _validate(bundle, budget, sample_count)
+) -> Verdict:
+    """Re-run the construction-time checks on a built bundle: yes when all
+    hold, otherwise the first refutation or the first check left open,
+    named as `all_hold` names it."""
+    return _validate(bundle, budget, sample_count)
 
 
 def _as_map(source: DiffSpace, target: DiffSpace, mapping, name: str) -> SmoothMap:
@@ -246,7 +254,7 @@ def _doubled_generator(g: Plot, base_dim: int) -> Plot | None:
     position = {v: m + i for i, v in enumerate(fiber_vars)}
     args = [Expr.variable(arity, position.get(i, i)) for i in range(m)]
     first = g.map.lift(arity)
-    second = ExprVec([c.compose(args) for c in g.map.components])
+    second = g.map.compose(args)
     boxes = [
         Box(b.intervals + tuple(b.intervals[v] for v in fiber_vars))
         for b in g.domain.boxes
@@ -268,23 +276,28 @@ def _used_vars(components) -> set[int]:
 # ---------------------------------------------------------------------------
 
 
-def _validate(bundle: PseudoBundle, budget: int, sample_count: int) -> None:
-    checks = [
-        ("projection-smooth", lambda: _require_yes(is_smooth(bundle.projection, budget))),
-        ("projection-subduction", lambda: _require_yes(
-            is_subduction(bundle.projection, budget, sections=(bundle.zero,)))),
-        ("zero-smooth", lambda: _require_yes(is_smooth(bundle.zero, budget))),
-        ("add-smooth", lambda: _require_yes(is_smooth(bundle.add, budget))),
-        ("scale-smooth", lambda: _require_yes(is_smooth(bundle.scale, budget))),
-    ]
-    for check, run in checks:
-        failure = run()
-        if failure:
-            raise InvariantViolation(check, failure)
+def _validate(bundle: PseudoBundle, budget: int, sample_count: int) -> Verdict:
+    return all_hold(
+        "construction checks replayed", _construction_checks(bundle, budget, sample_count)
+    )
+
+
+def _construction_checks(bundle: PseudoBundle, budget: int, sample_count: int):
+    """The construction checks in order, each run only when drawn, so a
+    refutation stops the ones after it."""
+    yield "projection-smooth", is_smooth(bundle.projection, budget)
+    yield "projection-subduction", is_subduction(
+        bundle.projection, budget, sections=(bundle.zero,)
+    )
+    yield "zero-smooth", is_smooth(bundle.zero, budget)
+    yield "add-smooth", is_smooth(bundle.add, budget)
+    yield "scale-smooth", is_smooth(bundle.scale, budget)
 
     section = compose_maps(bundle.projection, bundle.zero)
-    if not maps_equal(section, identity_map(bundle.base)):
-        raise InvariantViolation("zero-section", "projection after zero is not the identity")
+    yield "zero-section", holds(
+        None if maps_equal(section, identity_map(bundle.base))
+        else "projection after zero is not the identity"
+    )
 
     _, proj_vec = bundle.projection.piece("")
     _, add_vec = bundle.add.piece("")
@@ -293,32 +306,26 @@ def _validate(bundle: PseudoBundle, budget: int, sample_count: int) -> None:
 
     # the fiber operations stay inside the fiber where they started
     first = ExprVec([Expr.variable(2 * d, i) for i in range(d)])
-    lhs = ExprVec([c.compose(add_vec.components) for c in proj_vec.components])
-    rhs = ExprVec([c.compose(first.components) for c in proj_vec.components])
-    bad = difference_witness(bundle.pairs, lhs, rhs, budget)
-    if bad:
-        raise InvariantViolation("add-fiberwise", bad)
-
+    yield "add-fiberwise", holds(difference_witness(
+        bundle.pairs, proj_vec.compose(add_vec), proj_vec.compose(first), budget
+    ))
     carried = ExprVec([Expr.variable(1 + d, 1 + i) for i in range(d)])
-    lhs = ExprVec([c.compose(scale_vec.components) for c in proj_vec.components])
-    rhs = ExprVec([c.compose(carried.components) for c in proj_vec.components])
-    bad = difference_witness(_scalar_product(bundle.total), lhs, rhs, budget)
-    if bad:
-        raise InvariantViolation("scale-fiberwise", bad)
+    yield "scale-fiberwise", holds(difference_witness(
+        _scalar_product(bundle.total),
+        proj_vec.compose(scale_vec), proj_vec.compose(carried), budget,
+    ))
 
-    for x in bundle.base.sample_carrier_points("", sample_count):
-        chart = fiber_at(bundle, x)
-        bad = _chart_axioms(bundle, chart)
-        if bad:
-            raise InvariantViolation("fiber-axioms", f"at base point {x}: {bad}")
-
-
-def _require_yes(verdict: Verdict) -> str | None:
-    if verdict.is_yes:
-        return None
-    if verdict.obstruction is not None:
-        return str(verdict.obstruction.describe())
-    return verdict.detail or "not certified"
+    try:
+        failure = None
+        for x in bundle.base.sample_carrier_points("", sample_count):
+            bad = _chart_axioms(bundle, fiber_at(bundle, x))
+            if bad:
+                failure = f"at base point {x}: {bad}"
+                break
+    except InvariantViolation as err:  # fiber_at: no affine chart
+        yield err.check, holds(err.witness)
+    else:
+        yield "fiber-axioms", holds(failure)
 
 
 def difference_witness(
@@ -399,10 +406,10 @@ def _chart_axioms(bundle: PseudoBundle, chart: FiberChart) -> str | None:
     _, scale_vec = bundle.scale.piece("")
 
     def plus(a: ExprVec, b: ExprVec) -> ExprVec:
-        return ExprVec([c.compose(a.components + b.components) for c in add_vec.components])
+        return add_vec.compose(a.components + b.components)
 
     def times(s: Expr, a: ExprVec) -> ExprVec:
-        return ExprVec([c.compose([s] + list(a.components)) for c in scale_vec.components])
+        return scale_vec.compose((s,) + a.components)
 
     total_eqs = bundle.total.carrier.equations("")
     closure = plus(u, v)
@@ -463,33 +470,24 @@ def check_morphism(
     _, zero_src = src.zero.piece("")
     _, zero_dst = dst.zero.piece("")
 
-    def composed(outer: ExprVec, inner: ExprVec) -> ExprVec:
-        return ExprVec([c.compose(inner.components) for c in outer.components])
-
     checks = []
-    square_lhs = composed(proj_dst, phi)
-    square_rhs = composed(varphi, proj_src)
-    checks.append(("square", src.total, square_lhs, square_rhs))
+    checks.append(("square", src.total, proj_dst.compose(phi), varphi.compose(proj_src)))
 
     pr1 = ExprVec([Expr.variable(2 * d, i) for i in range(d)])
     pr2 = ExprVec([Expr.variable(2 * d, d + i) for i in range(d)])
-    phi_pair = composed(phi, pr1).concat(composed(phi, pr2))
+    phi_pair = phi.compose(pr1).concat(phi.compose(pr2))
     checks.append(
-        ("additivity", src.pairs,
-         composed(phi, add_src), composed(add_dst, phi_pair))
+        ("additivity", src.pairs, phi.compose(add_src), add_dst.compose(phi_pair))
     )
 
     lam = Expr.variable(1 + d, 0)
     point = ExprVec([Expr.variable(1 + d, 1 + i) for i in range(d)])
-    lifted = ExprVec([lam]).concat(composed(phi, point))
+    lifted = ExprVec([lam]).concat(phi.compose(point))
     checks.append(
         ("homogeneity", _scalar_product(src.total),
-         composed(phi, scale_src), composed(scale_dst, lifted))
+         phi.compose(scale_src), scale_dst.compose(lifted))
     )
-    checks.append(
-        ("zero section", src.base,
-         composed(phi, zero_src), composed(zero_dst, varphi))
-    )
+    checks.append(("zero section", src.base, phi.compose(zero_src), zero_dst.compose(varphi)))
 
     verdicts = []
     for label, space, lhs, rhs in checks:
@@ -526,8 +524,8 @@ def invert_isomorphism(
 
     _, phi = m.phi.piece("")
     _, phi_inv = supplied.phi.piece("")
-    round_src = ExprVec([c.compose(phi.components) for c in phi_inv.components])
-    round_dst = ExprVec([c.compose(phi_inv.components) for c in phi.components])
+    round_src = phi_inv.compose(phi)
+    round_dst = phi.compose(phi_inv)
     if difference_witness(src.total, round_src, ExprVec.identity(src.ambient_dim), budget):
         raise NoInverseFound("inverse fails on the source side")
     if difference_witness(dst.total, round_dst, ExprVec.identity(dst.ambient_dim), budget):
@@ -536,12 +534,7 @@ def invert_isomorphism(
     # the base inverse is the candidate restricted to the zero section
     _, zero_dst = dst.zero.piece("")
     _, proj_src = src.projection.piece("")
-    through_zero = ExprVec(
-        [c.compose(zero_dst.components) for c in phi_inv.components]
-    )
-    restricted = ExprVec(
-        [c.compose(through_zero.components) for c in proj_src.components]
-    )
+    restricted = proj_src.compose(phi_inv.compose(zero_dst))
     _, varphi_inv = supplied.varphi.piece("")
     if restricted != varphi_inv:
         raise NoInverseFound("base inverse is not the zero-section restriction")
@@ -668,26 +661,15 @@ def zero_bundle(base: DiffSpace, budget: int = DEFAULT_BUDGET) -> PseudoBundle:
     )
 
 
-@dataclass(frozen=True)
-class HomotopyReport:
-    total: DiffSpace
-    projection: SmoothMap
-    checks: tuple[tuple[str, bool, str], ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(passed for _, passed, _ in self.checks)
-
-
-def homotopy_to_zero(bundle: PseudoBundle, budget: int = DEFAULT_BUDGET) -> HomotopyReport:
+def homotopy_to_zero(bundle: PseudoBundle, budget: int = DEFAULT_BUDGET) -> Verdict:
     """Deform the bundle to the zero bundle over base x line.
 
     The deformation total space glues the whole bundle over parameter 0
-    to the cylinder base x line along the zero section.  The report
-    verifies the bundle structure of the result and the two endpoint
-    statements: at 0 the restriction collapses back to the original
-    bundle (mutually inverse smooth maps through the gluing), at 1 it is
-    the zero bundle on the nose.
+    to the cylinder base x line along the zero section.  The verdict
+    folds, with `all_hold`, the bundle structure of the result and the
+    two endpoint statements: at 0 the restriction collapses back to the
+    original bundle (mutually inverse smooth maps through the gluing,
+    checks t0-*), at 1 it is the zero bundle on the nose (checks t1-*).
     """
     if not isinstance(bundle.base.carrier, EuclideanCarrier):
         raise ValueError("the deformation needs a vector-space base")
@@ -712,21 +694,20 @@ def homotopy_to_zero(bundle: PseudoBundle, budget: int = DEFAULT_BUDGET) -> Homo
     )
     zero_h = SmoothMap(cylinder, H, (("", "xt", ExprVec.identity(n + 1)),), name="h.zero")
 
-    checks: list[tuple[str, bool, str]] = []
-
-    verdict = is_subduction(pi, budget, sections=(zero_h,))
-    checks.append(("projection-subduction", verdict.is_yes, verdict.detail))
     section = compose_maps(pi, zero_h)
-    checks.append(
-        ("zero-section", maps_equal(section, identity_map(cylinder)), "")
-    )
-
+    checks = [
+        ("projection-subduction", is_subduction(pi, budget, sections=(zero_h,))),
+        ("zero-section", holds(
+            None if maps_equal(section, identity_map(cylinder))
+            else "projection after zero is not the identity"
+        )),
+    ]
     checks.extend(_restriction_at_zero(bundle, budget))
     checks.extend(_restriction_at_one(bundle, pi, budget))
-    return HomotopyReport(H, pi, tuple(checks))
+    return all_hold("the bundle deforms to the zero bundle", checks)
 
 
-def _restriction_at_zero(bundle: PseudoBundle, budget: int):
+def _restriction_at_zero(bundle: PseudoBundle, budget: int) -> list[tuple[str, Verdict]]:
     """The parameter-0 slice: the glued union of the bundle and its base
     collapses onto the bundle via mutually inverse smooth maps."""
     E, X = bundle.total, bundle.base
@@ -742,18 +723,23 @@ def _restriction_at_zero(bundle: PseudoBundle, budget: int):
         (("e", "", ExprVec.identity(d)), ("xt", "", zero_vec)),
         name="h0.out",
     )
-    out = []
-    out.append(("t0-inclusion-smooth", is_smooth(into, budget).is_yes, ""))
-    out.append(("t0-collapse-smooth", is_smooth(onto, budget).is_yes, ""))
-    respected = _respects_relation(onto, glue)
-    out.append(("t0-collapse-welldefined", respected, ""))
+    out = [
+        ("t0-inclusion-smooth", is_smooth(into, budget)),
+        ("t0-collapse-smooth", is_smooth(onto, budget)),
+    ]
+    out.append(("t0-collapse-welldefined", holds(
+        None if _respects_relation(onto, glue) else "the collapse separates glued points"
+    )))
     round_e = compose_maps(onto, into)
-    out.append(("t0-roundtrip-on-bundle", maps_equal(round_e, identity_map(E)), ""))
+    out.append(("t0-roundtrip-on-bundle", holds(
+        None if maps_equal(round_e, identity_map(E))
+        else "collapse after inclusion is not the identity"
+    )))
     round_h = compose_maps(into, onto)
-    out.append(
-        ("t0-roundtrip-on-slice",
-         maps_equal_mod_relation(round_h, identity_map(slice0), budget), "")
-    )
+    out.append(("t0-roundtrip-on-slice", holds(
+        None if maps_equal_mod_relation(round_h, identity_map(slice0), budget)
+        else "inclusion after collapse is not the identity up to the gluing"
+    )))
     return out
 
 
@@ -762,29 +748,28 @@ def _respects_relation(f: SmoothMap, rel: RelationPair) -> bool:
     dst_r, right = f.piece(rel.right_component)
     if dst_l != dst_r:
         return False
-    via_left = ExprVec([c.compose(rel.left_map.components) for c in left.components])
-    via_right = ExprVec([c.compose(rel.right_map.components) for c in right.components])
-    return via_left == via_right
+    return left.compose(rel.left_map) == right.compose(rel.right_map)
 
 
-def _restriction_at_one(bundle: PseudoBundle, pi: SmoothMap, budget: int):
+def _restriction_at_one(
+    bundle: PseudoBundle, pi: SmoothMap, budget: int
+) -> list[tuple[str, Verdict]]:
     """The parameter-1 slice misses the glued copy entirely and is the
     zero bundle over the base, certified by an actual isomorphism."""
-    out = []
     _, e_piece = pi.piece("e")
     # the parameter coordinate of the projection is frozen at 0 on the
     # bundle part, so the slice at 1 sees only the cylinder part
     t_comp = e_piece.components[-1]
-    out.append(
-        ("t1-bundle-part-absent", t_comp.is_constant and t_comp.constant_value() == 0, "")
-    )
+    out = [("t1-bundle-part-absent", holds(
+        None if t_comp.is_constant and t_comp.constant_value() == 0
+        else "the bundle part reaches parameter 1"
+    ))]
     zb = zero_bundle(bundle.base, budget)
     ident = BundleMorphism(identity_map(zb.total), identity_map(zb.base))
-    verdict = check_morphism(ident, zb, zb, budget)
-    out.append(("t1-zero-bundle-morphism", verdict.is_yes, verdict.detail))
+    out.append(("t1-zero-bundle-morphism", check_morphism(ident, zb, zb, budget)))
     try:
         invert_isomorphism(ident, zb, zb, budget)
-        out.append(("t1-zero-bundle-inverse", True, ""))
+        out.append(("t1-zero-bundle-inverse", holds(None)))
     except NoInverseFound as err:
-        out.append(("t1-zero-bundle-inverse", False, err.reason))
+        out.append(("t1-zero-bundle-inverse", holds(err.reason)))
     return out

@@ -39,20 +39,6 @@ Key = tuple[int, ...]
 Packed = tuple[tuple[Key, ExprVec], ...]
 
 
-def _det(rows: Sequence[Sequence[Expr]], arity: int) -> Expr:
-    """Cofactor expansion; fine for the small minors that show up here."""
-    if not rows:
-        return Expr.one(arity)
-    if len(rows) == 1:
-        return rows[0][0]
-    total = Expr.zero(arity)
-    for col in range(len(rows)):
-        minor = [list(r[:col]) + list(r[col + 1 :]) for r in rows[1:]]
-        term = rows[0][col] * _det(minor, arity)
-        total = total + term if col % 2 == 0 else total - term
-    return total
-
-
 # ---------------------------------------------------------------------------
 # forms
 # ---------------------------------------------------------------------------
@@ -101,9 +87,9 @@ class PlotForm:
         total = [Expr.zero(arity) for _ in range(self.value_dim)]
         for key, value in self.coefficients(plot).items():
             minor = [[vectors[a].components[i] for i in key] for a in range(self.degree)]
-            factor = _det(minor, arity)
-            moved = [c.compose(lift) for c in value.components]
-            total = [t + factor * c for t, c in zip(total, moved)]
+            factor = Matrix(minor).det() if minor else Expr.one(arity)
+            moved = value.compose(lift)
+            total = [t + factor * c for t, c in zip(total, moved.components)]
         return ExprVec(total)
 
 
@@ -167,7 +153,8 @@ def pullback_coefficients(
     for fine_key in combinations(range(fine_dim), degree):
         acc = [Expr.zero(fine_dim) for _ in range(value_dim)]
         for coarse_key, value in coefficients.items():
-            det = _det([[jac[j][s] for s in fine_key] for j in coarse_key], fine_dim)
+            minor = [[jac[j][s] for s in fine_key] for j in coarse_key]
+            det = Matrix(minor).det() if minor else Expr.one(fine_dim)
             if det.is_zero():
                 continue
             moved = value.compose(factor)
@@ -360,7 +347,7 @@ def aut_action_on_forms(
         coeffs = _coefficients_along(form, moved)
         # the fiber action is applied over the pulled-back base points
         pad = list(moved.components) + [Expr.zero(m)] * k
-        acted = [[e.compose(pad) for e in row] for row in action.rows]
+        acted = action.compose(pad).rows
         packed = []
         for key, value in sorted(coeffs.items()):
             new = [
@@ -695,10 +682,6 @@ def _random_poly(rng: random.Random, arity: int, degree: int) -> Expr:
     return Expr(arity, terms)
 
 
-def _compose_matrix(mat: Matrix, inner: ExprVec) -> Matrix:
-    return Matrix([[e.compose(inner) for e in row] for row in mat.rows])
-
-
 def validate_covariant(
     nabla: CovariantDerivative,
     pairs: Sequence[OverlapPair] = (),
@@ -758,7 +741,7 @@ def validate_covariant(
         for s in range(fine_dim):
             want = None
             for j in range(len(pair.factor)):
-                part = _compose_matrix(coarse_mats[j], pair.factor).scale(
+                part = coarse_mats[j].compose(pair.factor).scale(
                     pair.factor.components[j].differentiate(s)
                 )
                 want = part if want is None else want + part

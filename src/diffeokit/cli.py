@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .autgroups import exact_sequence_check, frame_bundle_check, random_frame
-from .bundles import InvariantViolation, validate_bundle
+from .bundles import validate_bundle
 from .calculus import (
     affine_structure,
     check_connection_form,
@@ -79,6 +79,8 @@ def _describe_certificate(cert) -> str:
         return f"rule {cert.rule}"
     if kind == "carrier":
         return "carrier membership"
+    if kind == "checks":
+        return cert.summary
     return "certificate"
 
 
@@ -181,7 +183,7 @@ def _axioms_checks(
             factor = [_random_poly(rng, arity, 3) for _ in range(n)]
             candidate = Plot(
                 Domain.full(arity),
-                ExprVec([c.compose(factor) for c in gen.map.components]),
+                gen.map.compose(factor),
                 gen.component,
             )
             count += 1
@@ -280,17 +282,8 @@ def _cone_checks(reg, name, x, budget, probes=None) -> list[CheckResult]:
 def _bundle_check(reg, name, budget) -> list[CheckResult]:
     bundle = reg.bundle(name)
     t0 = time.perf_counter()
-    try:
-        validate_bundle(bundle, budget)
-        verdict, witnesses = "yes", ("construction checks replayed",)
-    except InvariantViolation as err:
-        verdict, witnesses = "no", (f"{err.check}: {err.witness}",)
-    return [
-        CheckResult(
-            f"bundle-validate:{name}", ANCHORS["bundle-validate"], verdict, witnesses,
-            budget, time.perf_counter() - t0,
-        )
-    ]
+    v = validate_bundle(bundle, budget)
+    return [_from_verdict(f"bundle-validate:{name}", ANCHORS["bundle-validate"], v, budget, t0)]
 
 
 def _exact_sequence_check(reg, bundle_name, group_name, budget) -> list[CheckResult]:
@@ -301,20 +294,11 @@ def _exact_sequence_check(reg, bundle_name, group_name, budget) -> list[CheckRes
             f"group {group_name!r} acts on bundle {group.bundle.name!r}, not {bundle_name!r}"
         )
     t0 = time.perf_counter()
-    report = exact_sequence_check(bundle, group, word_length=budget, budget=budget)
-    if report.ok:
-        verdict = "yes"
-        witnesses = (
-            f"{report.element_count} reduced words",
-            f"kernel = linear part ({len(report.kernel_words)} words)",
-        )
-    else:
-        verdict = "no"
-        witnesses = report.homomorphism_failures + report.mismatches
+    v = exact_sequence_check(bundle, group, word_length=budget, budget=budget)
     return [
-        CheckResult(
+        _from_verdict(
             f"exact-sequence:{bundle_name}:{group_name}", ANCHORS["exact-sequence"],
-            verdict, witnesses, budget, time.perf_counter() - t0,
+            v, budget, t0,
         )
     ]
 

@@ -340,10 +340,6 @@ def _witness_mul(a: PositivityWitness, b: PositivityWitness) -> PositivityWitnes
     return _make_witness(squares, a.constant * b.constant)
 
 
-def _witness_add(a: PositivityWitness, b: PositivityWitness) -> PositivityWitness:
-    return _make_witness(_witness_squares(a) + _witness_squares(b), a.constant + b.constant)
-
-
 def _witness_even_powers(terms: Terms) -> PositivityWitness | None:
     """Witness for a sum of even monomials with positive coefficients and a
     positive constant term, the input shape accepted from fixtures."""
@@ -1026,7 +1022,3 @@ class ExprVec:
 def parse_fraction(text: str) -> Fraction:
     """Parse 'p/q' or 'p' into an exact rational."""
     return Fraction(text.strip())
-
-
-def format_fraction(value: Fraction) -> str:
-    return str(value)

@@ -28,12 +28,12 @@ from .spaces import (
     Verdict,
     euclidean_space,
     is_smooth,
+    nonzero_sample,
     smooth_map,
 )
 
 __all__ = [
     "CurveSpace",
-    "ContourVerdict",
     "generate",
     "is_contour",
     "is_function",
@@ -42,25 +42,6 @@ __all__ = [
     "P1PinftyReport",
     "smoothness_pair",
 ]
-
-
-@dataclass(frozen=True)
-class ContourVerdict:
-    """Outcome of the curve test, with the pulled-back scalar expressions
-    as evidence on Yes and a carrier witness on No."""
-
-    status: str  # "yes" | "no" | "unknown"
-    pullbacks: tuple[Expr, ...] = ()
-    obstruction: Obstruction | None = None
-    detail: str = ""
-
-    @property
-    def is_yes(self) -> bool:
-        return self.status == "yes"
-
-    @property
-    def is_no(self) -> bool:
-        return self.status == "no"
 
 
 @dataclass(frozen=True)
@@ -95,13 +76,14 @@ def generate(name: str, carrier: Carrier, functions) -> CurveSpace:
     return CurveSpace(name, carrier, funcs)
 
 
-def is_contour(space: CurveSpace, path: ExprVec) -> ContourVerdict:
+def is_contour(space: CurveSpace, path: ExprVec) -> Verdict:
     """Test a candidate curve R -> carrier.
 
     Every generating function composes to a certified rational function
     automatically; what can fail is the image condition (a defining
     polynomial of the carrier stays nonzero) or, for discrete spaces,
-    nonconstancy.
+    nonconstancy.  A yes carries the pulled-back functions as the parts
+    of a RuleCert "contour"; a no carries a carrier witness.
     """
     if path.arity != 1:
         raise ExprError("a contour takes a single real parameter")
@@ -112,33 +94,23 @@ def is_contour(space: CurveSpace, path: ExprVec) -> ContourVerdict:
         residual = eq.compose(path.components)
         if residual.is_zero():
             continue
-        witness = _nonzero_point(residual)
-        return ContourVerdict(
-            "no",
-            obstruction=Obstruction(
+        return Verdict.no(
+            Obstruction(
                 "carrier",
-                point=witness,
+                point=nonzero_sample([residual], full, 80),
                 detail=f"{eq.to_str()} does not vanish along the curve",
-            ),
+            )
         )
     if space.discrete and not path.is_constant:
-        return ContourVerdict(
-            "no",
-            obstruction=Obstruction(
+        return Verdict.no(
+            Obstruction(
                 "discrete",
                 detail="every scalar function is smooth out of this space, "
                 "so only constant curves compose smoothly with all of them",
-            ),
+            )
         )
     pulled = tuple(f.compose(path.components) for f in space.functions)
-    return ContourVerdict("yes", pullbacks=pulled)
-
-
-def _nonzero_point(residual: Expr, count: int = 80):
-    for pt in Domain.full(residual.arity).sample_points(count):
-        if residual.eval(pt) != 0:
-            return pt
-    return None
+    return Verdict.yes(RuleCert("contour", pulled))
 
 
 # ---------------------------------------------------------------------------
@@ -264,24 +236,16 @@ def _all_functions_membership(space: CurveSpace, candidate: Plot) -> Verdict:
     for eq in space.carrier.equations(""):
         residual = eq.compose(candidate.map.components)
         if not residual.is_zero():
-            witness = _nonzero_sample_in(residual, candidate.domain)
             return Verdict.no(
                 Obstruction(
                     "carrier",
-                    point=witness,
+                    point=nonzero_sample([residual], candidate.domain, 80),
                     detail=f"{eq.to_str()} does not vanish on the image",
                 )
             )
     if space.discrete and not candidate.is_constant():
         return Verdict.no(Obstruction("discrete"))
     return Verdict.yes(RuleCert("function-pullback", ()))
-
-
-def _nonzero_sample_in(residual: Expr, domain: Domain):
-    for pt in domain.sample_points(80):
-        if residual.eval(pt) != 0:
-            return pt
-    return None
 
 
 def _single_curve_membership(
@@ -297,8 +261,7 @@ def _single_curve_membership(
         factor = _solve_scalar_factor(curve, candidate.map, budget)
         if factor is None:
             continue
-        composed = ExprVec([c.compose([factor]) for c in curve.components])
-        if composed == candidate.map:
+        if curve.compose([factor]) == candidate.map:
             return Verdict.yes(
                 RuleCert("curve-factor", (curve, factor)),
                 detail="factors through a single curve",
@@ -348,8 +311,7 @@ def smoothness_pair(
     _, vec = f.piece("")
     bad = None
     for curve in probe_contours(src):
-        pushed = ExprVec([c.compose(curve.components) for c in vec.components])
-        verdict = is_contour(dst, pushed)
+        verdict = is_contour(dst, vec.compose(curve))
         if verdict.is_no:
             bad = verdict
             break

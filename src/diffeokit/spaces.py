@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .domains import Box, Domain, image_within
 from .expr import Expr, ExprError, ExprVec
@@ -267,6 +267,17 @@ class CarrierCert:
 
 
 @dataclass(frozen=True)
+class ChecksCert:
+    """Evidence from named sub-checks that all hold; the summary says what
+    they establish together."""
+
+    summary: str
+    parts: tuple[tuple[str, object], ...]
+
+    kind = "checks"
+
+
+@dataclass(frozen=True)
 class Obstruction:
     kind: str
     component: str = ""
@@ -325,6 +336,34 @@ def conjunction(rule: str, verdicts: Sequence[Verdict]) -> Verdict:
         return Verdict.yes(RuleCert(rule, tuple(v.certificate for v in verdicts)))
     pending = next(v for v in verdicts if v.is_unknown)
     return Verdict.unknown(pending.detail or f"{rule}: subcheck inconclusive")
+
+
+def all_hold(summary: str, checks: Iterable[tuple[str, Verdict]]) -> Verdict:
+    """Named sub-checks folded by `conjunction`, drawn until the first
+    refutation.  A no carries the failed sub-check's name as its
+    obstruction kind; an unknown carries it before ': ' in its detail."""
+    names, verdicts = [], []
+    for name, v in checks:
+        if v.is_no:
+            ob = v.obstruction
+            v = Verdict.no(Obstruction(name, ob.component, ob.point, ob.detail or v.detail))
+        elif v.is_unknown:
+            v = Verdict.unknown(f"{name}: {v.detail or 'not certified'}")
+        names.append(name)
+        verdicts.append(v)
+        if v.is_no:
+            break
+    folded = conjunction(summary, verdicts)
+    if not folded.is_yes:
+        return folded
+    return Verdict.yes(ChecksCert(summary, tuple(zip(names, folded.certificate.parts))))
+
+
+def holds(failure: str | None) -> Verdict:
+    """The verdict of a direct check that reports None or what failed."""
+    if failure is None:
+        return Verdict.yes(None)
+    return Verdict.no(Obstruction("failure", detail=failure))
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +543,7 @@ def _carrier_violation(carrier: Carrier, candidate: Plot) -> Obstruction | None:
         residual = eq.compose(candidate.map.components)
         if residual.is_zero():
             continue
-        point = _nonzero_sample(residual, candidate.domain)
+        point = nonzero_sample([residual], candidate.domain, 120)
         return Obstruction(
             "carrier",
             component=candidate.component,
@@ -514,14 +553,9 @@ def _carrier_violation(carrier: Carrier, candidate: Plot) -> Obstruction | None:
     return None
 
 
-def _nonzero_sample(residual: Expr, domain: Domain, count: int = 120) -> Point | None:
-    for pt in domain.sample_points(count):
-        if residual.eval(pt) != 0:
-            return pt
-    return None
-
-
-def _all_nonzero_sample(residuals: Sequence[Expr], domain: Domain, count: int = 200) -> Point | None:
+def nonzero_sample(residuals: Sequence[Expr], domain: Domain, count: int) -> Point | None:
+    """The first of `count` sample points of the domain where no residual
+    vanishes."""
     for pt in domain.sample_points(count):
         if all(r.eval(pt) != 0 for r in residuals):
             return pt
@@ -732,7 +766,7 @@ def _refute_generated(
     for box in candidate.domain.boxes:
         dom = Domain(box.dim, (box,))
         picks = [res[0] for res in per_gen_residuals]
-        point = _all_nonzero_sample(picks, dom)
+        point = nonzero_sample(picks, dom, 200)
         if point is not None:
             return Verdict.no(
                 Obstruction(
@@ -842,37 +876,51 @@ def _left_inverse(parts: AffineParts | None):
     return rows, list(parts.offset)
 
 
-def _quotient_membership(space: DiffSpace, candidate: Plot, budget: int) -> Verdict:
-    base: DiffSpace = space.provenance[1]
-    moves, complete = _relation_rewrites(space)
-    # breadth-first over rewritten representatives
-    depth_cap = max(1, min(budget, 3))
-    seen = {(candidate.component, candidate.map.canonical_key())}
-    frontier: list[tuple[str, ExprVec]] = [(candidate.component, candidate.map)]
-    alternatives: list[tuple[str, ExprVec]] = list(frontier)
+def _rewrite_closure(
+    moves, component: str, vec: ExprVec, depth_cap: int, goal: tuple | None = None
+) -> tuple[dict[tuple, tuple[str, ExprVec]], bool]:
+    """Breadth-first closure of one representative under the relation
+    moves, at most depth_cap rewrites deep, stopping early once the key
+    `goal` is reached.
+
+    Returns the representatives by key, in the order found, and whether
+    the closure is exhaustive: False when a move could not decide a
+    representative, or when the cap cut the search off with rewrites
+    still flowing.
+    """
+    reached = {(component, vec.canonical_key()): (component, vec)}
+    frontier = [(component, vec)]
+    complete = True
     for _ in range(depth_cap):
-        new_frontier = []
-        for comp, vec in frontier:
+        nxt = []
+        for comp, cur in frontier:
             for src, dst, move in moves:
                 if src != comp:
                     continue
-                got, lossless = move(vec)
+                got, lossless = move(cur)
                 if got is None:
-                    if not lossless:
-                        complete = False
+                    complete = complete and lossless
                     continue
                 key = (dst, got.canonical_key())
-                if key in seen:
-                    continue
-                seen.add(key)
-                new_frontier.append((dst, got))
-        if not new_frontier:
+                if key not in reached:
+                    reached[key] = (dst, got)
+                    nxt.append((dst, got))
+        if not nxt or goal in reached:
             break
-        alternatives.extend(new_frontier)
-        frontier = new_frontier
+        frontier = nxt
     else:
-        # depth cap hit with rewrites still flowing: enumeration is open
         complete = False
+    return reached, complete
+
+
+def _quotient_membership(space: DiffSpace, candidate: Plot, budget: int) -> Verdict:
+    base: DiffSpace = space.provenance[1]
+    moves, complete = _relation_rewrites(space)
+    reached, closed = _rewrite_closure(
+        moves, candidate.component, candidate.map, max(1, min(budget, 3))
+    )
+    complete = complete and closed
+    alternatives = list(reached.values())
 
     unknowns = 0
     for comp, vec in alternatives:
@@ -1066,25 +1114,8 @@ def maps_equal_mod_relation(f: SmoothMap, g: SmoothMap, budget: int = DEFAULT_BU
         if dst == dst_g and vec == vec_g:
             continue
         goal = (dst_g, vec_g.canonical_key())
-        seen = {(dst, vec.canonical_key())}
-        frontier = [(dst, vec)]
-        for _ in range(3):
-            nxt = []
-            for comp, cur in frontier:
-                for s, d, move in moves:
-                    if s != comp:
-                        continue
-                    got, _lossless = move(cur)
-                    if got is None:
-                        continue
-                    key = (d, got.canonical_key())
-                    if key not in seen:
-                        seen.add(key)
-                        nxt.append((d, got))
-            if goal in seen or not nxt:
-                break
-            frontier = nxt
-        if goal not in seen:
+        reached, _ = _rewrite_closure(moves, dst, vec, 3, goal)
+        if goal not in reached:
             return False
     return True
 

@@ -40,7 +40,6 @@ __all__ = [
     "cone_at",
     "exhaustive_germ_search",
     "sign_probes",
-    "g_cone_at",
 ]
 
 
@@ -131,7 +130,7 @@ def _find_germ(space: DiffSpace, x: Point, v: Point, budget: int) -> PathGerm | 
             dom = _jet_domain(jet, u0, gen.domain)
             if dom is None:
                 continue
-            path = ExprVec([c.compose(jet.components) for c in gen.map.components])
+            path = gen.map.compose(jet)
             verdict = is_plot(space, Plot(dom, path), budget)
             if verdict.is_yes:
                 return PathGerm(path, dom, x, verdict.certificate)
@@ -390,37 +389,3 @@ def cone_at(
                 if not cone_membership(space, x, scaled, budget).is_in:
                     scaling_ok = False
     return ConeReport(x, tuple(verdicts), scaling_ok)
-
-
-# ---------------------------------------------------------------------------
-# cones carved by group actions
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GConeReport:
-    basepoint: Point
-    vectors: tuple[Point, ...]
-    additivity_ok: bool
-
-
-def g_cone_at(
-    space: DiffSpace, families, x: Point, word_length: int = 2
-) -> GConeReport:
-    """Velocity vectors of one-parameter action families and their short
-    products at the point, with exact additivity of the derivative."""
-    from .autgroups import family_velocity, g_tangent_additivity
-
-    x = tuple(Fraction(c) for c in x)
-    vectors: list[Point] = []
-    seen = set()
-    words: list[tuple] = [(f,) for f in families]
-    if word_length >= 2:
-        words += [(f, g) for f in families for g in families]
-    for word in words:
-        vel = family_velocity(word, x)
-        if vel not in seen:
-            seen.add(vel)
-            vectors.append(vel)
-    additivity = g_tangent_additivity(space, families, [x])
-    return GConeReport(x, tuple(vectors), additivity.ok)

@@ -237,10 +237,9 @@ class TestAcceptance:
         assert count == 8
 
     def test_05_deformation_endpoints_for_the_trivial_line_bundle(self, reg):
-        report = homotopy_to_zero(reg.bundle("line-bundle"))
-        failed = [name for name, passed, _ in report.checks if not passed]
-        assert not failed, failed
-        names = {name for name, _, _ in report.checks}
+        verdict = homotopy_to_zero(reg.bundle("line-bundle"))
+        assert verdict.is_yes, verdict
+        names = {name for name, _ in verdict.certificate.parts}
         assert any(name.startswith("t0-") for name in names)
         assert any(name.startswith("t1-") for name in names)
 
@@ -248,10 +247,10 @@ class TestAcceptance:
         started = time.monotonic()
         for name in ("scale-translate", "axis-swap"):
             group = reg.groups[name]
-            report = exact_sequence_check(group.bundle, group, word_length=4)
-            assert not report.homomorphism_failures
-            assert not report.mismatches
-            assert set(report.kernel_words) == set(report.linear_words)
+            verdict = exact_sequence_check(group.bundle, group, word_length=4)
+            assert verdict.is_yes, verdict.obstruction
+            words = dict(verdict.certificate.parts)
+            assert set(words["kernel"]) == set(words["linear"])
         assert time.monotonic() - started < 60.0
 
     def test_07_orbit_classes_separate_and_the_origin_isolates(self, reg):
@@ -279,7 +278,7 @@ class TestAcceptance:
 
     def test_08_velocity_additivity_on_twenty_random_flow_pairs(self, reg):
         fx = reg.flows["linear-flow"]
-        assert g_tangent_additivity(fx.space, list(fx.families), list(fx.points)).ok
+        assert g_tangent_additivity(fx.space, list(fx.families), list(fx.points)).is_yes
         rng = random.Random(8)
         for _ in range(20):
             families = []
@@ -297,8 +296,8 @@ class TestAcceptance:
             points = [
                 tuple(Fraction(rng.randint(-3, 3)) for _ in range(2)) for _ in range(2)
             ]
-            report = g_tangent_additivity(fx.space, families, points)
-            assert report.ok, report
+            verdict = g_tangent_additivity(fx.space, families, points)
+            assert verdict.is_yes, verdict
 
     def test_09_fifty_frame_pairs_in_scalar_and_matrix_fixtures(self, reg):
         rng = random.Random(9)

@@ -7,6 +7,7 @@ import pytest
 
 from diffeokit.autgroups import (
     BundleMorphism,
+    FinGenGroup,
     bundle_group,
     enumerate_elements,
     exact_sequence_check,
@@ -25,8 +26,10 @@ from diffeokit.autgroups import (
 from diffeokit.domains import Domain
 from diffeokit.expr import ExprVec
 from diffeokit.spaces import (
+    EuclideanCarrier,
     Plot,
     euclidean_space,
+    generated_space,
     identity_map,
     is_plot,
     plot,
@@ -105,29 +108,49 @@ class TestWords:
 class TestExactSequence:
     def test_scale_translate_kernel_is_the_linear_part(self):
         b = line_bundle()
-        report = exact_sequence_check(b, scale_translate_group(b), word_length=4)
-        assert report.ok
-        assert set(report.kernel_words) == set(report.linear_words)
-        assert "e" in report.kernel_words
-        assert "g0" in report.kernel_words
-        assert "g1" not in report.kernel_words
+        verdict = exact_sequence_check(b, scale_translate_group(b), word_length=4)
+        assert verdict.is_yes
+        words = dict(verdict.certificate.parts)
+        assert set(words["kernel"]) == set(words["linear"])
+        assert "e" in words["kernel"]
+        assert "g0" in words["kernel"]
+        assert "g1" not in words["kernel"]
         # a conjugated scaling stays in the kernel
-        assert "g1*g0*g1^-1" in report.kernel_words
+        assert "g1*g0*g1^-1" in words["kernel"]
 
     def test_cross_swap_kernel(self):
         b = cross_bundle()
-        report = exact_sequence_check(b, cross_swap_group(b), word_length=3)
-        assert report.ok
-        assert "g0" not in report.kernel_words
-        assert "g1" in report.kernel_words
+        verdict = exact_sequence_check(b, cross_swap_group(b), word_length=3)
+        assert verdict.is_yes
+        kernel = dict(verdict.certificate.parts)["kernel"]
+        assert "g0" not in kernel
+        assert "g1" in kernel
 
     def test_identity_only_group(self):
         b = line_bundle()
         ident = BundleMorphism(identity_map(b.total), identity_map(b.base))
         group = bundle_group("trivial", b, [(ident, ident)])
-        report = exact_sequence_check(b, group, word_length=3)
-        assert report.ok
-        assert report.kernel_words == report.linear_words == ("e",)
+        verdict = exact_sequence_check(b, group, word_length=3)
+        assert verdict.is_yes
+        words = dict(verdict.certificate.parts)
+        assert words["kernel"] == words["linear"] == ("e",)
+
+    def test_base_map_that_disagrees_with_the_total_map_is_refuted(self):
+        # phi moves the base point but varphi claims it stays put; built
+        # directly, since bundle_group would refuse the pair
+        b = line_bundle()
+        drift = BundleMorphism(
+            smooth_map(b.total, b.total, ["x0 + 1", "x1"]), identity_map(b.base)
+        )
+        back = BundleMorphism(
+            smooth_map(b.total, b.total, ["x0 - 1", "x1"]), identity_map(b.base)
+        )
+        group = FinGenGroup("drift", b, (drift,), (back,))
+        verdict = exact_sequence_check(b, group, word_length=1)
+        assert verdict.is_no
+        assert verdict.obstruction.kind == "exact-sequence"
+        assert "g0: kernel without linearity" in verdict.obstruction.detail
+        assert "e after g0: component 0 differs" in verdict.obstruction.detail
 
 
 class TestFiberTransport:
@@ -241,8 +264,9 @@ class TestAdditivity:
         f1 = ExprVec.parse(["x1 + x0*x2", "x2"], 3)
         f2 = ExprVec.parse(["x1", "x2 + x0*x1"], 3)
         points = [(Fraction(1), Fraction(2)), (Fraction(-1), Fraction(3))]
-        report = g_tangent_additivity(space, [f1, f2], points)
-        assert report.ok
+        verdict = g_tangent_additivity(space, [f1, f2], points)
+        assert verdict.is_yes
+        assert len(verdict.certificate.parts) == 8
         v = family_velocity((f1, f2), (Fraction(1), Fraction(2)))
         assert v == (Fraction(2), Fraction(1))
 
@@ -250,8 +274,8 @@ class TestAdditivity:
         space = euclidean_space(2)
         f1 = ExprVec.parse(["x1 + x0*x2", "x2"], 3)
         still = ExprVec.parse(["x1", "x2"], 3)
-        report = g_tangent_additivity(space, [f1, still], [(Fraction(1), Fraction(1))])
-        assert report.ok
+        verdict = g_tangent_additivity(space, [f1, still], [(Fraction(1), Fraction(1))])
+        assert verdict.is_yes
         assert family_velocity(still, (Fraction(1), Fraction(1))) == (0, 0)
 
     def test_families_must_pass_through_identity(self):
@@ -298,23 +322,38 @@ class TestQuantumStructure:
         double = smooth_map(space, space, ["x0", "2*x1"])
         halve = smooth_map(space, space, ["x0", "x1 / 2"])
         points = [(Fraction(0), Fraction(1)), (Fraction(1), Fraction(-2))]
-        report = quantum_structure_check(space, [double], [halve], points=points)
-        assert report.ok
+        verdict = quantum_structure_check(space, [double], [halve], points=points)
+        assert verdict.is_yes
 
     def test_trivial_action_of_a_nontrivial_group_is_not_free(self):
         space = euclidean_space(1)
         ident = identity_map(space)
-        report = quantum_structure_check(
+        verdict = quantum_structure_check(
             space, [ident], [ident], points=[(Fraction(0),)], word_length=2
         )
-        assert report.freeness_failures
-        assert not report.ok
+        assert verdict.is_no
+        assert verdict.obstruction.kind == "free"
+        assert "g0 fixes" in verdict.obstruction.detail
 
     def test_translations_act_freely(self):
         space = euclidean_space(1)
         step = smooth_map(space, space, ["x0 + 1"])
         back = smooth_map(space, space, ["x0 - 1"])
-        report = quantum_structure_check(
+        verdict = quantum_structure_check(
             space, [step], [back], points=[(Fraction(0),)], word_length=3
         )
-        assert report.ok
+        assert verdict.is_yes
+
+    def test_uncertified_smoothness_stays_unknown(self):
+        # generators not known to be complete: smoothness is left open,
+        # and the folded verdict must say unknown, not no
+        space = generated_space(
+            "open", EuclideanCarrier(1), [plot(Domain.full(1), ["x0"])], complete=False
+        )
+        step = smooth_map(space, space, ["x0 + 1"])
+        back = smooth_map(space, space, ["x0 - 1"])
+        verdict = quantum_structure_check(
+            space, [step], [back], points=[(Fraction(0),)], word_length=2
+        )
+        assert verdict.is_unknown
+        assert verdict.detail.startswith("smooth-0: ")

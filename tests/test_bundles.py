@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from diffeokit import bundles
 from diffeokit.bundles import (
     BundleMorphism,
     InvariantViolation,
@@ -13,6 +14,7 @@ from diffeokit.bundles import (
     fiber_at,
     homotopy_to_zero,
     invert_isomorphism,
+    validate_bundle,
     zero_bundle,
 )
 from diffeokit.domains import Domain
@@ -20,6 +22,7 @@ from diffeokit.expr import ExprVec
 from diffeokit.spaces import (
     AlgebraicCarrier,
     Plot,
+    Verdict,
     euclidean_space,
     generated_space,
     identity_map,
@@ -108,6 +111,27 @@ class TestConstruction:
             )
         assert err.value.check == "add-fiberwise"
 
+    def test_validation_names_every_construction_check(self):
+        verdict = validate_bundle(line_bundle())
+        assert verdict.is_yes
+        assert verdict.certificate.summary == "construction checks replayed"
+        assert [name for name, _ in verdict.certificate.parts] == [
+            "projection-smooth", "projection-subduction", "zero-smooth", "add-smooth",
+            "scale-smooth", "zero-section", "add-fiberwise", "scale-fiberwise",
+            "fiber-axioms",
+        ]
+
+    def test_open_check_is_unknown_and_still_refused(self, monkeypatch):
+        b = line_bundle()
+        monkeypatch.setattr(bundles, "is_subduction", lambda *a, **k: Verdict.unknown("planted"))
+        verdict = validate_bundle(b)
+        assert verdict.is_unknown
+        assert verdict.detail == "projection-subduction: planted"
+        with pytest.raises(InvariantViolation) as err:
+            line_bundle()
+        assert err.value.check == "projection-subduction"
+        assert err.value.witness == "planted"
+
     def test_zero_bundle_has_point_fibers(self):
         zb = zero_bundle(euclidean_space(2))
         assert fiber_at(zb, (Fraction(1), Fraction(-3))).dim == 0
@@ -181,12 +205,26 @@ class TestMorphisms:
 
 class TestHomotopy:
     def test_line_bundle_deforms_to_zero(self):
-        report = homotopy_to_zero(line_bundle())
-        assert report.ok
-        names = [name for name, _, _ in report.checks]
+        verdict = homotopy_to_zero(line_bundle())
+        assert verdict.is_yes
+        names = [name for name, _ in verdict.certificate.parts]
         assert "projection-subduction" in names
         assert "t0-roundtrip-on-slice" in names
         assert "t1-zero-bundle-inverse" in names
+
+    def test_open_subduction_leaves_the_deformation_unknown(self, monkeypatch):
+        b = line_bundle()
+        real = bundles.is_subduction
+
+        def planted(f, *args, **kwargs):
+            if f.name == "h.proj":
+                return Verdict.unknown("planted")
+            return real(f, *args, **kwargs)
+
+        monkeypatch.setattr(bundles, "is_subduction", planted)
+        verdict = homotopy_to_zero(b)
+        assert verdict.is_unknown
+        assert verdict.detail == "projection-subduction: planted"
 
     def test_base_must_be_a_vector_space(self):
         with pytest.raises(ValueError):

@@ -72,6 +72,13 @@ class TestSubcommands:
         assert code == 0
         assert "unknown" in out
 
+    def test_open_bundle_check_is_unknown_not_a_failure(self, capsys):
+        # at budget 1 the scaling map's smoothness is left open
+        code, out, _ = run(capsys, "bundle-validate", "cross-bundle", "--budget", "1")
+        assert code == 0
+        assert out.splitlines()[1].startswith("unknown  bundle-validate:cross-bundle")
+        assert "- scale-smooth: " in out
+
     def test_strict_unknown_turns_into_failure(self, capsys):
         code, _, _ = run(capsys, "subduction", "axis-inclusion", "--strict-unknown")
         assert code == 1

@@ -70,8 +70,8 @@ class TestBuiltins:
 
     def test_groups_act_on_their_bundles(self, reg):
         for name, group in reg.groups.items():
-            report = exact_sequence_check(group.bundle, group, word_length=2)
-            assert report.ok, name
+            verdict = exact_sequence_check(group.bundle, group, word_length=2)
+            assert verdict.is_yes, name
 
     def test_point_tables_reference_real_fixtures(self, reg):
         assert set(reg.cone_points) <= set(reg.spaces)

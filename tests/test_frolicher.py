@@ -44,7 +44,7 @@ class TestContours:
         space = generate("plane", EuclideanCarrier(2), ["x0", "x1"])
         verdict = is_contour(space, vec(["x0^2", "x0^3"], 1))
         assert verdict.is_yes
-        assert [p.to_str() for p in verdict.pullbacks] == ["x0^2", "x0^3"]
+        assert [p.to_str() for p in verdict.certificate.parts] == ["x0^2", "x0^3"]
 
     def test_cross_axis_curve_accepted(self):
         space = generate(
@@ -52,7 +52,7 @@ class TestContours:
         )
         verdict = is_contour(space, vec(["x0", "0"], 1))
         assert verdict.is_yes
-        assert verdict.pullbacks[0].to_str() == "x0"
+        assert verdict.certificate.parts[0].to_str() == "x0"
 
     def test_cross_diagonal_rejected_with_witness(self):
         space = generate(

@@ -9,17 +9,22 @@ from diffeokit.expr import Expr, ExprVec
 from diffeokit.spaces import (
     AlgebraicCarrier,
     CarrierCert,
+    ChecksCert,
     ConstantCert,
     EuclideanCarrier,
     FactoredCert,
     GeneratorCert,
     GlueCert,
+    Obstruction,
     Plot,
     RelationPair,
     RuleCert,
+    Verdict,
+    all_hold,
     discrete_space,
     euclidean_space,
     generated_space,
+    holds,
     identity_map,
     is_plot,
     is_smooth,
@@ -367,3 +372,34 @@ class TestMapEqualityModRelation:
         h = smooth_map(base, space, ["x0 + 1"])
         assert maps_equal_mod_relation(f, g)
         assert not maps_equal_mod_relation(f, h)
+
+
+class TestAllHold:
+    def test_names_the_refuted_check_and_draws_no_further(self):
+        drawn = []
+        off = Obstruction("carrier", point=(Fraction(1),), detail="off the carrier")
+
+        def checks():
+            for name, verdict in (
+                ("a", holds(None)), ("b", Verdict.no(off)), ("c", holds(None))
+            ):
+                drawn.append(name)
+                yield name, verdict
+
+        verdict = all_hold("all", checks())
+        assert verdict.is_no
+        assert verdict.obstruction == Obstruction(
+            "b", point=(Fraction(1),), detail="off the carrier"
+        )
+        assert drawn == ["a", "b"]
+
+    def test_unknown_beats_yes_and_loses_to_no(self):
+        pending = ("a", Verdict.unknown("budget ran out"))
+        verdict = all_hold("all", [pending, ("b", holds(None))])
+        assert verdict.is_unknown
+        assert verdict.detail == "a: budget ran out"
+        assert all_hold("all", [pending, ("b", holds("broken"))]).is_no
+
+    def test_yes_keeps_each_certificate_under_its_name(self):
+        verdict = all_hold("both", [("a", holds(None)), ("b", Verdict.yes(CarrierCert()))])
+        assert verdict.certificate == ChecksCert("both", (("a", None), ("b", CarrierCert())))
