@@ -21,7 +21,7 @@ from .bundles import (
     difference_witness,
     fiber_at,
 )
-from .domains import Domain, Point
+from .domains import Domain, Point, format_point
 from .expr import Expr, ExprVec
 from .linalg import invert_rational, solve_rational
 from .spaces import (
@@ -376,7 +376,7 @@ def typical_fiber_check(
         rep = members[0]
         dims = {fiber_at(bundle, p).dim for p in members}
         if len(dims) != 1:
-            raise ValueError(f"orbit of {rep} mixes fiber dimensions {sorted(dims)}")
+            raise ValueError(f"orbit of {format_point(rep)} mixes fiber dimensions {sorted(dims)}")
         classes.append(OrbitClass(rep, tuple(members), dims.pop()))
     classes.sort(key=lambda c: c.representative)
 
@@ -477,7 +477,8 @@ def g_tangent_additivity(
                 if both != expected:
                     return Verdict.no(Obstruction(
                         "additivity", point=p,
-                        detail=f"families {i} then {j}: velocity {both} is not {expected}",
+                        detail=f"families {i} then {j}: velocity {format_point(both)} "
+                        f"is not {format_point(expected)}",
                     ))
                 entries.append((f"families {i} then {j} at point {k}", (p, v1, v2, both)))
     return Verdict.yes(ChecksCert(f"{len(entries)} velocity sums exact", tuple(entries)))
@@ -507,7 +508,7 @@ def frame(bundle: PseudoBundle, x, rows) -> Frame:
     chart = fiber_at(bundle, x)
     rows = tuple(tuple(Fraction(v) for v in row) for row in rows)
     if len(rows) != chart.dim or any(len(r) != chart.dim for r in rows):
-        raise ValueError(f"a frame at {x} is a {chart.dim} by {chart.dim} matrix")
+        raise ValueError(f"a frame at {format_point(x)} is a {chart.dim} by {chart.dim} matrix")
     inverse = invert_rational(rows)
     if inverse is None:
         raise ValueError("a frame must be invertible")
@@ -632,7 +633,7 @@ def quantum_structure_check(
                 nxt.append((new_word, new_vec))
                 for p in points:
                     if new_vec.eval(p) == p:
-                        fixed.append(f"{word_name(new_word)} fixes {p}")
+                        fixed.append(f"{word_name(new_word)} fixes {format_point(p)}")
         frontier = nxt
     checks.append(("free", holds("; ".join(fixed) or None)))
 

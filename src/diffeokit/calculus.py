@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from typing import Callable, Mapping, Sequence
 
 from .bundles import BundleMorphism, PseudoBundle, invert_isomorphism
@@ -30,6 +30,7 @@ from .spaces import (
     euclidean_space,
     intersection_space,
     is_plot,
+    monomials_up_to,
     product_space,
     pushforward_space,
     subset_space,
@@ -662,18 +663,9 @@ def covariant_apply(
     return ExprVec(out)
 
 
-def _monomials(arity: int, degree: int):
-    for total in range(degree + 1):
-        for picks in combinations_with_replacement(range(arity), total):
-            mono = [0] * arity
-            for v in picks:
-                mono[v] += 1
-            yield tuple(mono)
-
-
 def _random_poly(rng: random.Random, arity: int, degree: int) -> Expr:
     terms = {}
-    for mono in _monomials(arity, degree):
+    for mono in monomials_up_to(arity, degree):
         c = rng.randint(-3, 3)
         if c:
             terms[mono] = Fraction(c)

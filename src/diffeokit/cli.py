@@ -19,7 +19,7 @@ from .calculus import (
     validate_covariant,
     validate_form,
 )
-from .domains import Box, Domain, Interval
+from .domains import Box, Domain, Interval, format_point
 from .expr import Expr, ExprError, ExprVec
 from .fixtures import FixtureError, FixtureRegistry, load_registry
 from .spaces import (
@@ -89,7 +89,7 @@ def _describe_obstruction(ob) -> str:
     if ob.component:
         parts.append(f"component {ob.component!r}")
     if ob.point is not None:
-        parts.append("at (" + ", ".join(str(v) for v in ob.point) + ")")
+        parts.append("at " + format_point(ob.point))
     if ob.detail:
         parts.append(ob.detail)
     return ": ".join(parts)

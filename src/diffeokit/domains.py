@@ -23,6 +23,12 @@ from .expr import Expr, ExprVec
 
 Point = tuple[Fraction, ...]
 
+
+def format_point(point: Sequence[Fraction]) -> str:
+    """A point as text, e.g. (0, 1/2)."""
+    return "(" + ", ".join(str(v) for v in point) + ")"
+
+
 # closed bounds with None meaning the side is unbounded
 Bounds = tuple[Fraction | None, Fraction | None]
 

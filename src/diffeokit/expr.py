@@ -630,6 +630,11 @@ class Expr:
         for a in args:
             if a.arity != out_arity:
                 raise ExprError("substitution arguments disagree on arity")
+        if self.is_polynomial and len(self.num) == 1:
+            ((mono, coeff),) = self.num.items()
+            if coeff == 1 and sum(mono) == 1:
+                # a bare variable x_i, as in a coordinate projection
+                return args[mono.index(1)]
         num_e = _subst_terms(self.num, args, out_arity)
         if self.is_polynomial:
             return num_e / Expr.constant(out_arity, _constant_value(self.den))

@@ -234,52 +234,86 @@ class AffineSolution:
     null_basis: list[list[Fraction]]
 
 
-def solve_affine(
-    matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Expr]
-) -> AffineSolution | None:
-    """Solve A x = rhs exactly; None when inconsistent as expressions."""
+def _eliminate(a: list[list[Fraction]], width: int) -> list[tuple[int, int]]:
+    """Gauss-Jordan elimination of the rows of `a` in place, pivoting in its
+    first `width` columns; columns past `width` ride along.  Returns the
+    (row, column) pivots, in order."""
+    pivots: list[tuple[int, int]] = []
+    row = 0
+    for col in range(width):
+        if row == len(a):
+            break
+        pivot = next((r for r in range(row, len(a)) if a[r][col] != 0), None)
+        if pivot is None:
+            continue
+        a[row], a[pivot] = a[pivot], a[row]
+        inv = 1 / a[row][col]
+        a[row] = [v * inv for v in a[row]]
+        for r in range(len(a)):
+            if r != row and a[r][col] != 0:
+                factor = a[r][col]
+                a[r] = [v - factor * w for v, w in zip(a[r], a[row])]
+        pivots.append((row, col))
+        row += 1
+    return pivots
+
+
+def _null_basis(
+    a: list[list[Fraction]], pivots: list[tuple[int, int]], width: int
+) -> list[list[Fraction]]:
+    """Kernel basis of a reduced matrix, one vector per free column."""
+    pivot_cols = {col for _, col in pivots}
+    basis: list[list[Fraction]] = []
+    for free in range(width):
+        if free in pivot_cols:
+            continue
+        vec = [Fraction(0)] * width
+        vec[free] = Fraction(1)
+        for r, col in pivots:
+            vec[col] = -a[r][free]
+        basis.append(vec)
+    return basis
+
+
+def _augmented(matrix: Sequence[Sequence[Fraction]], extra: int) -> list[list[Fraction]]:
+    """Rows of the matrix over Q, each followed by the matching row of the
+    identity of size `extra`."""
+    return [
+        list(map(Fraction, row)) + [Fraction(int(i == j)) for j in range(extra)]
+        for i, row in enumerate(matrix)
+    ]
+
+
+def _combine(coeffs: Sequence[Fraction], values: Sequence, zero):
+    """sum coeffs[k] * values[k] over the nonzero coefficients."""
+    terms = [v if c == 1 else v * c for c, v in zip(coeffs, values) if c]
+    return sum(terms[1:], terms[0]) if terms else zero
+
+
+def _solve(matrix: Sequence[Sequence[Fraction]], rhs: Sequence, zero):
+    """(particular, null basis) of A x = rhs over values that are Fractions
+    or Exprs, or None when inconsistent.  Eliminates [A | I]; the right
+    block records the row operations, applied to rhs once at the end."""
     m = len(matrix)
     if m != len(rhs):
         raise ExprError("matrix and right-hand side disagree")
     n = len(matrix[0]) if m else 0
-    arity = rhs[0].arity if rhs else 0
-    a = [list(map(Fraction, row)) for row in matrix]
-    b = list(rhs)
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(n):
-        pivot = next((r for r in range(row, m) if a[r][col] != 0), None)
-        if pivot is None:
-            continue
-        a[row], a[pivot] = a[pivot], a[row]
-        b[row], b[pivot] = b[pivot], b[row]
-        inv = 1 / a[row][col]
-        a[row] = [v * inv for v in a[row]]
-        b[row] = b[row] * inv
-        for r in range(m):
-            if r != row and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [v - factor * w for v, w in zip(a[r], a[row])]
-                b[r] = b[r] - b[row] * factor
-        pivots.append((row, col))
-        row += 1
-    for r in range(row, m):
-        if not b[r].is_zero():
-            return None
-    particular = [Expr.zero(arity) for _ in range(n)]
-    pivot_cols = {col for _, col in pivots}
+    a = _augmented(matrix, m)
+    pivots = _eliminate(a, n)
+    if any(_combine(a[r][n:], rhs, zero) != zero for r in range(len(pivots), m)):
+        return None
+    particular = [zero] * n
     for r, col in pivots:
-        particular[col] = b[r]
-    null_basis: list[list[Fraction]] = []
-    for free in range(n):
-        if free in pivot_cols:
-            continue
-        vec = [Fraction(0)] * n
-        vec[free] = Fraction(1)
-        for r, col in pivots:
-            vec[col] = -a[r][free]
-        null_basis.append(vec)
-    return AffineSolution(particular, null_basis)
+        particular[col] = _combine(a[r][n:], rhs, zero)
+    return particular, _null_basis(a, pivots, n)
+
+
+def solve_affine(
+    matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Expr]
+) -> AffineSolution | None:
+    """Solve A x = rhs exactly; None when inconsistent as expressions."""
+    solved = _solve(matrix, rhs, Expr.zero(rhs[0].arity if rhs else 0))
+    return None if solved is None else AffineSolution(*solved)
 
 
 def left_null_space(matrix: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
@@ -288,70 +322,20 @@ def left_null_space(matrix: Sequence[Sequence[Fraction]]) -> list[list[Fraction]
     if m == 0:
         return []
     n = len(matrix[0])
-    transposed = [[Fraction(matrix[i][j]) for i in range(m)] for j in range(n)]
-    a = transposed
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(m):
-        pivot = next((r for r in range(row, n) if a[r][col] != 0), None)
-        if pivot is None:
-            continue
-        a[row], a[pivot] = a[pivot], a[row]
-        inv = 1 / a[row][col]
-        a[row] = [v * inv for v in a[row]]
-        for r in range(n):
-            if r != row and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [v - factor * w for v, w in zip(a[r], a[row])]
-        pivots.append((row, col))
-        row += 1
-    pivot_cols = {col for _, col in pivots}
-    basis: list[list[Fraction]] = []
-    for free in range(m):
-        if free in pivot_cols:
-            continue
-        vec = [Fraction(0)] * m
-        vec[free] = Fraction(1)
-        for r, col in pivots:
-            vec[col] = -a[r][free]
-        basis.append(vec)
-    return basis
+    a = [[Fraction(matrix[i][j]) for i in range(m)] for j in range(n)]
+    return _null_basis(a, _eliminate(a, m), m)
 
 
 def rank(matrix: Sequence[Sequence[Fraction]]) -> int:
-    m = len(matrix)
-    if m == 0:
-        return 0
-    n = len(matrix[0])
-    a = [list(map(Fraction, row)) for row in matrix]
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, m) if a[i][col] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = 1 / a[r][col]
-        a[r] = [v * inv for v in a[r]]
-        for i in range(m):
-            if i != r and a[i][col] != 0:
-                factor = a[i][col]
-                a[i] = [v - factor * w for v, w in zip(a[i], a[r])]
-        r += 1
-        if r == m:
-            break
-    return r
+    return len(_eliminate(_augmented(matrix, 0), len(matrix[0]))) if matrix else 0
 
 
 def solve_rational(
     matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
 ) -> list[Fraction] | None:
     """One exact rational solution of A x = b, or None."""
-    arity = 0
-    rhs_exprs = [Expr.constant(arity, v) for v in rhs]
-    sol = solve_affine(matrix, rhs_exprs)
-    if sol is None:
-        return None
-    return [e.constant_value() for e in sol.particular]
+    solved = _solve(matrix, [Fraction(v) for v in rhs], Fraction(0))
+    return None if solved is None else solved[0]
 
 
 def invert_rational(
@@ -361,11 +345,7 @@ def invert_rational(
     n = len(rows)
     if any(len(r) != n for r in rows):
         return None
-    cols = []
-    for j in range(n):
-        unit = [Fraction(i == j) for i in range(n)]
-        col = solve_rational(rows, unit)
-        if col is None:
-            return None
-        cols.append(col)
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    a = _augmented(rows, n)
+    if len(_eliminate(a, n)) < n:
+        return None
+    return [row[n:] for row in a]

@@ -382,6 +382,9 @@ class DiffSpace:
     a plot.  generators_complete records whether the declared generators
     exhaust the diffeology (within the rational fragment); smoothness
     checks on maps out of the space lean on that flag.
+
+    provenance is ("generated",), ("quotient", base) or ("initial", rule,
+    parts), where parts pairs each target with a structure map's pieces.
     """
 
     def __init__(
@@ -472,52 +475,24 @@ def _is_plot_uncached(space: DiffSpace, candidate: Plot, budget: int) -> Verdict
             ConstantCert(candidate.component, candidate.constant_point())
         )
 
-    kind = space.provenance[0]
     if space.standard:
         return Verdict.yes(CarrierCert())
-    if kind == "subset":
-        base: DiffSpace = space.provenance[1]
-        sub = is_plot(base, Plot(candidate.domain, candidate.map, candidate.component), budget)
-        return _wrap(sub, "subset")
-    if kind == "pullback":
-        pieces, target = space.provenance[1], space.provenance[2]
-        composed = _apply_pieces(pieces, candidate)
-        if composed is None:
-            return Verdict.no(
-                Obstruction("component", component=candidate.component,
-                            detail="forward map undefined on this component")
-            )
-        sub = is_plot(target, composed, budget)
-        return _wrap(sub, "pullback")
-    if kind == "product":
-        left: DiffSpace = space.provenance[1]
-        right: DiffSpace = space.provenance[2]
-        n_l = left.carrier.ambient_dim("")
-        lmap = candidate.map.slice(0, n_l)
-        rmap = candidate.map.slice(n_l, len(candidate.map))
-        vl = is_plot(left, Plot(candidate.domain, lmap), budget)
-        vr = is_plot(right, Plot(candidate.domain, rmap), budget)
-        return conjunction("product", [vl, vr])
-    if kind == "intersection":
+    kind = space.provenance[0]
+    if kind == "initial":
+        _, rule, parts = space.provenance
         verdicts = []
-        for other, pieces in space.provenance[1]:
+        for target, pieces in parts:
             composed = _apply_pieces(pieces, candidate)
             if composed is None:
                 return Verdict.no(
                     Obstruction("component", component=candidate.component,
-                                detail="projection undefined on this component")
+                                detail=f"{rule} structure map undefined on this component")
                 )
-            verdicts.append(is_plot(other, composed, budget))
-        return conjunction("intersection", verdicts)
+            verdicts.append(is_plot(target, composed, budget))
+        return conjunction(rule, verdicts)
     if kind == "quotient":
         return _quotient_membership(space, candidate, budget)
     return _generated_membership(space, candidate, budget)
-
-
-def _wrap(sub: Verdict, rule: str) -> Verdict:
-    if sub.is_yes:
-        return Verdict.yes(RuleCert(rule, (sub.certificate,)))
-    return sub
 
 
 Pieces = tuple[tuple[str, str, ExprVec], ...]
@@ -1098,26 +1073,26 @@ def maps_equal(f: SmoothMap, g: SmoothMap) -> bool:
     return f.key() == g.key()
 
 
-def maps_equal_mod_relation(f: SmoothMap, g: SmoothMap, budget: int = DEFAULT_BUDGET) -> bool:
-    """Equality of maps into a quotient target, up to relation rewrites."""
-    if maps_equal(f, g):
-        return True
-    carrier = f.target.carrier
-    if not isinstance(carrier, QuotientCarrier):
-        return False
-    moves, _ = _relation_rewrites(f.target)
+def maps_equal_mod_relation(f: SmoothMap, g: SmoothMap, budget: int = DEFAULT_BUDGET) -> Verdict:
+    """Equality of maps into a quotient target, up to relation rewrites: no
+    only when every rewrite closure is complete and misses the other map."""
+    moves, complete = _relation_rewrites(f.target)
+    pending = ""
     for src, dst, vec in f.pieces:
         try:
             dst_g, vec_g = g.piece(src)
         except KeyError:
-            return False
+            return Verdict.no(Obstruction("component", component=src))
         if dst == dst_g and vec == vec_g:
             continue
         goal = (dst_g, vec_g.canonical_key())
-        reached, _ = _rewrite_closure(moves, dst, vec, 3, goal)
-        if goal not in reached:
-            return False
-    return True
+        reached, closed = _rewrite_closure(moves, dst, vec, 3, goal)
+        if goal in reached:
+            continue
+        if complete and closed:
+            return Verdict.no(Obstruction("rewrite", src, detail="no rewrite meets the other map"))
+        pending = pending or f"quotient rewrites from {src!r}: depth cap 3 hit or a move undecided"
+    return Verdict.unknown(pending) if pending else Verdict.yes(None)
 
 
 # ---------------------------------------------------------------------------
@@ -1125,7 +1100,8 @@ def maps_equal_mod_relation(f: SmoothMap, g: SmoothMap, budget: int = DEFAULT_BU
 # ---------------------------------------------------------------------------
 
 
-def _monomials_up_to(arity: int, degree: int):
+def monomials_up_to(arity: int, degree: int):
+    """Exponent tuples of total degree at most `degree`, lowest degree first."""
     if arity == 0:
         yield ()
         return
@@ -1161,7 +1137,7 @@ def vanishes_on_carrier(
     # columns: multiplier monomial per equation; rows: product monomials
     col_entries: list[dict[tuple[int, ...], Fraction]] = []
     for eq in eqs:
-        for mono in _monomials_up_to(arity, mult_degree):
+        for mono in monomials_up_to(arity, mult_degree):
             entries: dict[tuple[int, ...], Fraction] = {}
             for emono, coeff in eq.num.items():
                 key = tuple(a + b for a, b in zip(mono, emono))
@@ -1334,7 +1310,7 @@ def subset_space(
         name,
         carrier,
         generators=generators,
-        provenance=("subset", base),
+        provenance=("initial", "subset", ((base, (("", "", ExprVec.identity(ambient)),)),)),
         standard=base.standard,
         generators_complete=complete,
     )
@@ -1343,7 +1319,9 @@ def subset_space(
 def product_space(name: str, left: DiffSpace, right: DiffSpace) -> DiffSpace:
     carrier = ProductCarrier(left.carrier, right.carrier)
     n_l = left.carrier.ambient_dim("")
-    n_r = right.carrier.ambient_dim("")
+    coords = ExprVec.identity(carrier.ambient_dim(""))
+    pieces = (coords.slice(0, n_l), coords.slice(n_l, len(coords)))
+    projections = tuple((s, (("", "", p),)) for s, p in zip((left, right), pieces))
     gens = []
     for gl in left.generators:
         for gr in right.generators:
@@ -1363,7 +1341,7 @@ def product_space(name: str, left: DiffSpace, right: DiffSpace) -> DiffSpace:
         name,
         carrier,
         generators=tuple(gens),
-        provenance=("product", left, right),
+        provenance=("initial", "product", projections),
         standard=left.standard and right.standard,
         generators_complete=left.generators_complete and right.generators_complete,
     )
@@ -1401,7 +1379,7 @@ def pullback_space(
         name,
         carrier,
         generators=generators,
-        provenance=("pullback", tuple(forward), target),
+        provenance=("initial", "pullback", ((target, tuple(forward)),)),
         standard=False,
         generators_complete=complete,
     )
@@ -1441,7 +1419,7 @@ def intersection_space(
         name,
         carrier,
         generators=generators,
-        provenance=("intersection", packed),
+        provenance=("initial", "intersection", packed),
         standard=False,
         generators_complete=complete,
     )
@@ -1457,7 +1435,7 @@ def union_space(name: str, parts: Sequence[tuple[str, DiffSpace]]) -> DiffSpace:
         name,
         carrier,
         generators=tuple(gens),
-        provenance=("union", tuple(parts)),
+        provenance=("generated",),
         standard=False,
         generators_complete=all(s.generators_complete for _, s in parts),
     )

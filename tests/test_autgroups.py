@@ -150,7 +150,8 @@ class TestExactSequence:
         assert verdict.is_no
         assert verdict.obstruction.kind == "exact-sequence"
         assert "g0: kernel without linearity" in verdict.obstruction.detail
-        assert "e after g0: component 0 differs" in verdict.obstruction.detail
+        assert "e after g0: component 0 differs at (" in verdict.obstruction.detail
+        assert "Fraction(" not in verdict.obstruction.detail
 
 
 class TestFiberTransport:

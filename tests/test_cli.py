@@ -1,5 +1,6 @@
 """Command line driver: subcommands, report formats, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -148,6 +149,18 @@ class TestReports:
         _, second, _ = run(capsys, "frame-check", "cross-bundle", "--seed", "5",
                            "--format", "json")
         assert first == second
+
+    @pytest.mark.parametrize("seed, digest", [
+        ("0", "cb864d7f11b82efdd95b2dff4f0928b9fc138aae8f1a7a5f2f25f77e5096100f"),
+        ("7", "9c0e83fc2ed3602fed806703b1a175ff76e2551aef7441657ed64405df151dff"),
+    ])
+    def test_full_suite_report_bytes_are_pinned(self, capsys, seed, digest):
+        # a change that alters any verdict, witness or ordering changes the
+        # digest and has to say why
+        code, out, _ = run(capsys, "all", "--budget", "4", "--format", "json",
+                           "--seed", seed)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
     def test_out_writes_the_report_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"

@@ -4,12 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffeokit.expr import Expr, ExprError, ExprVec
 from diffeokit.linalg import (
     AffineParts,
     Matrix,
     affine_parts,
+    invert_rational,
     left_null_space,
     rank,
     solve_affine,
@@ -198,6 +201,8 @@ class TestSolveAffine:
         got = solve_rational([[_f(2), _f(1)], [_f(1), _f(-1)]], [_f(4), _f(-1)])
         assert got == [_f(1), _f(2)]
         assert solve_rational([[_f(1)], [_f(1)]], [_f(0), _f(1)]) is None
+        with pytest.raises(ExprError):
+            solve_rational([[_f(1)], [_f(1)]], [_f(0)])
 
 
 class TestNullSpaces:
@@ -216,3 +221,76 @@ class TestNullSpaces:
         assert rank([[_f(1), _f(2)], [_f(2), _f(4)]]) == 1
         assert rank([[_f(1), _f(0)], [_f(0), _f(1)]]) == 2
         assert rank([[_f(0), _f(0)]]) == 0
+
+
+# -- properties of the shared elimination --------------------------------------
+
+_entries = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def _matrices(draw, square=False):
+    m = draw(st.integers(1, 4))
+    n = m if square else draw(st.integers(1, 4))
+    return [[draw(_entries) for _ in range(n)] for _ in range(m)]
+
+
+def _times(a, x):
+    return [sum((aij * xj for aij, xj in zip(row, x)), Fraction(0)) for row in a]
+
+
+_property = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+class TestSharedElimination:
+    @_property
+    @given(_matrices(), st.data())
+    def test_solve_rational_solves_consistent_systems(self, a, data):
+        b = _times(a, [data.draw(_entries) for _ in a[0]])
+        x = solve_rational(a, b)
+        assert x is not None
+        assert _times(a, x) == b
+
+    @_property
+    @given(_matrices(square=True))
+    def test_inverse_is_a_left_inverse(self, a):
+        inv = invert_rational(a)
+        n = len(a)
+        if inv is None:
+            assert rank(a) < n
+            return
+        product = [[sum(inv[i][k] * a[k][j] for k in range(n)) for j in range(n)]
+                   for i in range(n)]
+        assert product == [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+    @_property
+    @given(_matrices())
+    def test_left_null_space_annihilates(self, a):
+        basis = left_null_space(a)
+        assert len(basis) == len(a) - rank(a)
+        for y in basis:
+            assert _times(list(zip(*a)), y) == [0] * len(a[0])
+
+    @_property
+    @given(_matrices())
+    def test_rank_plus_nullity_is_the_column_count(self, a):
+        sol = solve_affine(a, [Expr.zero(1)] * len(a))
+        assert rank(a) + len(sol.null_basis) == len(a[0])
+        for v in sol.null_basis:
+            assert _times(a, v) == [0] * len(a)
+
+    @_property
+    @given(_matrices(), st.data())
+    def test_affine_particular_solution_satisfies_the_system(self, a, data):
+        x = [
+            Expr.parse(f"({data.draw(_entries)})*x0^2 + ({data.draw(_entries)})", 1)
+            for _ in a[0]
+        ]
+        rhs = [
+            sum((v * c for c, v in zip(row, x)), Expr.zero(1)) for row in a
+        ]
+        sol = solve_affine(a, rhs)
+        assert sol is not None
+        for row, target in zip(a, rhs):
+            got = sum((v * c for c, v in zip(row, sol.particular)), Expr.zero(1))
+            assert got == target

@@ -19,6 +19,7 @@ from diffeokit.spaces import (
     Plot,
     RelationPair,
     RuleCert,
+    UnionCarrier,
     Verdict,
     all_hold,
     discrete_space,
@@ -26,12 +27,14 @@ from diffeokit.spaces import (
     generated_space,
     holds,
     identity_map,
+    intersection_space,
     is_plot,
     is_smooth,
     is_subduction,
     maps_equal_mod_relation,
     plot,
     product_space,
+    pullback_space,
     quotient_space,
     smooth_map,
     subset_space,
@@ -272,6 +275,61 @@ class TestProductAndUnion:
         assert v.is_no
 
 
+def _induced_cases():
+    """(space, candidate, [(target, composite)]) for each induced rule."""
+    cross = axes_cross()
+    r1 = euclidean_space(1)
+    ident = ExprVec.identity(2)
+    swap = ExprVec.parse(["x1", "x0"], 2)
+    first = ExprVec.parse(["x0"], 2)
+    on_axis = plot(R1, ["x0", "0"])
+    return {
+        "subset": (
+            subset_space("axis-in-cross", cross, [Expr.parse("x1", 2)]),
+            on_axis, [(cross, on_axis)],
+        ),
+        "pullback": (
+            pullback_space("swapped-cross", EuclideanCarrier(2), (("", "", swap),), cross),
+            plot(R1, ["0", "x0"]), [(cross, on_axis)],
+        ),
+        "product": (
+            product_space("cross-x-line", cross, r1),
+            plot(R1, ["x0", "0", "5*x0"]),
+            [(cross, on_axis), (r1, plot(R1, ["5*x0"]))],
+        ),
+        "intersection": (
+            intersection_space(
+                "cross-and-line", EuclideanCarrier(2),
+                [(cross, (("", "", ident),)), (r1, (("", "", first),))],
+            ),
+            on_axis, [(cross, on_axis), (r1, plot(R1, ["x0"]))],
+        ),
+    }
+
+
+class TestInducedSpaces:
+    @pytest.mark.parametrize("rule", ["subset", "pullback", "product", "intersection"])
+    def test_yes_carries_one_certificate_per_structure_map(self, rule):
+        space, candidate, parts = _induced_cases()[rule]
+        v = is_plot(space, candidate)
+        assert v.is_yes
+        assert v.certificate == RuleCert(
+            rule, tuple(is_plot(target, p).certificate for target, p in parts)
+        )
+        assert verify_certificate(space, candidate, v.certificate)
+
+    def test_pullback_undefined_on_the_component_is_refused(self):
+        carrier = UnionCarrier((("a", EuclideanCarrier(1)), ("b", EuclideanCarrier(1))))
+        only_a = (("a", "", ExprVec.identity(1)),)
+        space = pullback_space("half-defined", carrier, only_a, euclidean_space(1))
+        assert is_plot(space, plot(R1, ["x0^2"], component="a")).is_yes
+        v = is_plot(space, plot(R1, ["x0^2"], component="b"))
+        assert v.is_no
+        assert v.obstruction.kind == "component"
+        assert v.obstruction.component == "b"
+        assert "pullback" in v.obstruction.detail
+
+
 class TestSubsetSpaces:
     def test_subset_of_standard_is_carrier_checked(self):
         r2 = euclidean_space(2)
@@ -370,8 +428,19 @@ class TestMapEqualityModRelation:
         f = smooth_map(base, space, ["x0"])
         g = smooth_map(base, space, ["-x0"])
         h = smooth_map(base, space, ["x0 + 1"])
-        assert maps_equal_mod_relation(f, g)
-        assert not maps_equal_mod_relation(f, h)
+        assert maps_equal_mod_relation(f, g).is_yes
+        assert maps_equal_mod_relation(f, h).is_no
+
+    def test_capped_rewrite_search_stays_unknown(self):
+        # x ~ x + 1: x0 + 3 is three rewrites away, x0 + 4 beyond the cap
+        base = euclidean_space(1)
+        rel = RelationPair("", ExprVec.identity(1), "", ExprVec.parse(["x0 + 1"], 1), R1)
+        space, _ = quotient_space("circle", base, [rel])
+        f = smooth_map(base, space, ["x0"])
+        assert maps_equal_mod_relation(f, smooth_map(base, space, ["x0 + 3"])).is_yes
+        far = maps_equal_mod_relation(f, smooth_map(base, space, ["x0 + 4"]))
+        assert far.is_unknown
+        assert "depth cap 3" in far.detail
 
 
 class TestAllHold:
