@@ -1,9 +1,11 @@
 """Differential forms, endomorphism fields, and connections over a bundle.
 
 Forms carry one antisymmetric coefficient tensor per stored plot and extend
-to derived plots by pullback along declared factorizations.  Connection data
-follows the same pattern: coefficient matrices per plot and tangent
-direction, with the defining laws checked symbolically rather than sampled.
+to derived plots by pullback along declared factorizations.  The
+coefficients of a covariant derivative are such a form, matrix-valued and of
+degree 1, so connections share the form code for overlaps, equality and the
+affine structure; their defining laws are checked symbolically rather than
+sampled.
 """
 
 from __future__ import annotations
@@ -57,9 +59,6 @@ class PlotForm:
     degree: int
     value_dim: int
     entries: tuple[tuple[Plot, Packed], ...]
-
-    def plots(self) -> tuple[Plot, ...]:
-        return tuple(p for p, _ in self.entries)
 
     def coefficients(self, plot: Plot) -> dict[Key, ExprVec]:
         for stored, packed in self.entries:
@@ -152,35 +151,37 @@ def pullback_coefficients(
     ]
     out: dict[Key, ExprVec] = {}
     for fine_key in combinations(range(fine_dim), degree):
-        acc = [Expr.zero(fine_dim) for _ in range(value_dim)]
+        acc = None
         for coarse_key, value in coefficients.items():
             minor = [[jac[j][s] for s in fine_key] for j in coarse_key]
             det = Matrix(minor).det() if minor else Expr.one(fine_dim)
             if det.is_zero():
                 continue
-            moved = value.compose(factor)
-            acc = [a + det * v for a, v in zip(acc, moved.components)]
-        if not all(a.is_zero() for a in acc):
+            term = [det * v for v in value.compose(factor).components]
+            acc = term if acc is None else [a + t for a, t in zip(acc, term)]
+        if acc is not None and not all(a.is_zero() for a in acc):
             out[fine_key] = ExprVec(acc)
     return out
 
 
-def validate_form(form: PlotForm, pairs: Sequence[OverlapPair] = ()) -> Verdict:
-    """Check storage discipline and overlap compatibility, with witnesses."""
+def _first_difference(left: ExprVec | None, right: ExprVec | None) -> int | None:
+    """The first component where two coefficient values differ, or None;
+    a missing value (None) reads as zero."""
+    if left is None or right is None:
+        present = (left or right).components
+        return next((i for i, c in enumerate(present) if not c.is_zero()), None)
+    return next(
+        (i for i, (a, b) in enumerate(zip(left.components, right.components)) if a != b),
+        None,
+    )
+
+
+def _overlap_problems(
+    form: PlotForm, pairs: Sequence[OverlapPair], mismatch: Callable[[Key, int], str]
+) -> list[str]:
+    """Each pair's fine coefficients against the pullback of the coarse ones;
+    `mismatch` words the first differing key and component of a pair."""
     problems: list[str] = []
-    for idx, (plot, packed) in enumerate(form.entries):
-        m = plot.domain.dim
-        for key, value in packed:
-            if len(key) != form.degree:
-                problems.append(f"plot {idx}: key {key} has the wrong degree")
-            elif any(not 0 <= i < m for i in key):
-                problems.append(f"plot {idx}: key {key} leaves the domain directions")
-            elif any(a >= b for a, b in zip(key, key[1:])):
-                problems.append(f"plot {idx}: key {key} breaks antisymmetric storage")
-            if len(value) != form.value_dim:
-                problems.append(f"plot {idx}: value at {key} has the wrong length")
-            elif value.arity != m:
-                problems.append(f"plot {idx}: value at {key} has the wrong arity")
     for idx, pair in enumerate(pairs):
         if (
             pair.factor.arity != pair.fine.domain.dim
@@ -200,21 +201,42 @@ def validate_form(form: PlotForm, pairs: Sequence[OverlapPair] = ()) -> Verdict:
         expected = pullback_coefficients(
             coarse_c, pair.factor, form.degree, form.value_dim
         )
-        fine_dim = pair.fine.domain.dim
-        zero = ExprVec([Expr.zero(fine_dim)] * form.value_dim)
         for key in sorted(set(expected) | set(fine_c)):
-            want = expected.get(key, zero)
-            have = fine_c.get(key, zero)
-            for i in range(form.value_dim):
-                if want.components[i] != have.components[i]:
-                    problems.append(
-                        f"pair {idx}: pullback mismatch at key {key}, component {i}"
-                    )
-                    break
+            i = _first_difference(expected.get(key), fine_c.get(key))
+            if i is not None:
+                problems.append(f"pair {idx}: {mismatch(key, i)}")
+                break
+    return problems
+
+
+def _verdict(problems: Sequence[str], kind: str, rule: str) -> Verdict:
+    """No with the first problem and a count of the rest, or yes."""
     if problems:
         extra = f" (+{len(problems) - 1} more)" if len(problems) > 1 else ""
-        return Verdict.no(Obstruction("form", detail=problems[0] + extra))
-    return Verdict.yes(RuleCert("form-compatibility"))
+        return Verdict.no(Obstruction(kind, detail=problems[0] + extra))
+    return Verdict.yes(RuleCert(rule))
+
+
+def validate_form(form: PlotForm, pairs: Sequence[OverlapPair] = ()) -> Verdict:
+    """Check storage discipline and overlap compatibility, with witnesses."""
+    problems: list[str] = []
+    for idx, (plot, packed) in enumerate(form.entries):
+        m = plot.domain.dim
+        for key, value in packed:
+            if len(key) != form.degree:
+                problems.append(f"plot {idx}: key {key} has the wrong degree")
+            elif any(not 0 <= i < m for i in key):
+                problems.append(f"plot {idx}: key {key} leaves the domain directions")
+            elif any(a >= b for a, b in zip(key, key[1:])):
+                problems.append(f"plot {idx}: key {key} breaks antisymmetric storage")
+            if len(value) != form.value_dim:
+                problems.append(f"plot {idx}: value at {key} has the wrong length")
+            elif value.arity != m:
+                problems.append(f"plot {idx}: value at {key} has the wrong arity")
+    problems += _overlap_problems(
+        form, pairs, lambda key, i: f"pullback mismatch at key {key}, component {i}"
+    )
+    return _verdict(problems, "form", "form-compatibility")
 
 
 def form_d(form: PlotForm) -> PlotForm:
@@ -253,12 +275,38 @@ def forms_equal(left: PlotForm, right: PlotForm) -> bool:
         except KeyError:
             return False
         mine = dict(packed)
-        m = plot.domain.dim
-        zero = ExprVec([Expr.zero(m)] * left.value_dim)
         for key in set(mine) | set(other):
-            if mine.get(key, zero) != other.get(key, zero):
+            if _first_difference(mine.get(key), other.get(key)) is not None:
                 return False
     return True
+
+
+def _form_sum(left: PlotForm, right: PlotForm, sign: int, mismatch: str) -> PlotForm:
+    """left + sign · right on left's plot family, zero values dropped; both
+    forms must be stored on the same plots, else ValueError(mismatch)."""
+    if len(left.entries) != len(right.entries):
+        raise ValueError(mismatch)
+    entries = []
+    for plot, packed in left.entries:
+        try:
+            other = right.coefficients(plot)
+        except KeyError:
+            raise ValueError(mismatch)
+        values = dict(packed)
+        for key, b in other.items():
+            if sign < 0:
+                b = ExprVec([-y for y in b.components])
+            a = values.get(key)
+            values[key] = b if a is None else ExprVec(
+                [x + y for x, y in zip(a.components, b.components)]
+            )
+        summed = tuple(
+            (key, value)
+            for key, value in sorted(values.items())
+            if not all(c.is_zero() for c in value.components)
+        )
+        entries.append((plot, summed))
+    return PlotForm(left.degree, left.value_dim, tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -588,19 +636,14 @@ def diffeology_tower(
 
 @dataclass(frozen=True)
 class CovariantDerivative:
-    """Connection coefficients per plot: one fiber matrix per direction."""
+    """Connection coefficients as a matrix-valued 1-form.
+
+    The value of `form` at key (j,) is the coefficient matrix A_j of the
+    plot's direction j, flattened row by row; zero matrices are not stored.
+    """
 
     fiber_dim: int
-    entries: tuple[tuple[Plot, tuple[Matrix, ...]], ...]
-
-    def plots(self) -> tuple[Plot, ...]:
-        return tuple(p for p, _ in self.entries)
-
-    def coefficients(self, plot: Plot) -> tuple[Matrix, ...]:
-        for stored, mats in self.entries:
-            if stored.component == plot.component and stored.map == plot.map:
-                return mats
-        raise KeyError("no coefficients stored for this plot")
+    form: PlotForm
 
 
 def covariant_derivative(
@@ -608,55 +651,52 @@ def covariant_derivative(
     assignments: Sequence[tuple[Plot, Sequence[Matrix | Sequence[Sequence[str]]]]],
 ) -> CovariantDerivative:
     """Assemble a covariant derivative from per-plot coefficient matrices."""
-    entries = []
+    forms = []
     for plot, mats in assignments:
         m = plot.domain.dim
-        packed = []
-        for mat in mats:
+        coeffs = {}
+        for j, mat in enumerate(mats):
             if not isinstance(mat, Matrix):
                 mat = Matrix(
                     [[Expr.parse(text, m) for text in row] for row in mat]
                 )
             if mat.shape != (fiber_dim, fiber_dim) or mat.arity != m:
                 raise ValueError("coefficient matrix shape or arity is wrong")
-            packed.append(mat)
-        if len(packed) != m:
+            if not mat.is_zero():
+                coeffs[j] = ExprVec([e for row in mat.rows for e in row])
+        if len(mats) != m:
             raise ValueError("one coefficient matrix per domain direction")
-        entries.append((plot, tuple(packed)))
-    return CovariantDerivative(fiber_dim, tuple(entries))
+        forms.append((plot, coeffs))
+    return CovariantDerivative(fiber_dim, plot_form(1, fiber_dim * fiber_dim, forms))
 
 
 def flat_connection(fiber_dim: int, plots: Sequence[Plot]) -> CovariantDerivative:
     """All coefficients zero; every bundle fixture admits it."""
-    entries = []
-    for plot in plots:
-        m = plot.domain.dim
-        zero = Matrix(
-            [[Expr.zero(m) for _ in range(fiber_dim)] for _ in range(fiber_dim)]
-        )
-        entries.append((plot, tuple(zero for _ in range(m))))
-    return CovariantDerivative(fiber_dim, tuple(entries))
+    form = PlotForm(1, fiber_dim * fiber_dim, tuple((plot, ()) for plot in plots))
+    return CovariantDerivative(fiber_dim, form)
 
 
 def covariant_apply(
     nabla: CovariantDerivative, plot: Plot, direction: ExprVec, section: ExprVec
 ) -> ExprVec:
     """Directional derivative of the section plus the coefficient action."""
-    mats = nabla.coefficients(plot)
-    m = plot.domain.dim
+    coeffs = nabla.form.coefficients(plot)
+    m, k = plot.domain.dim, nabla.fiber_dim
     if direction.arity != m or len(direction) != m:
         raise ValueError("direction field must match the domain dimension")
-    if section.arity != m or len(section) != nabla.fiber_dim:
+    if section.arity != m or len(section) != k:
         raise ValueError("section must have one component per fiber direction")
     out = []
-    for i in range(nabla.fiber_dim):
+    for i in range(k):
         acc = Expr.zero(m)
         for j in range(m):
             acc = acc + direction.components[j] * section.components[i].differentiate(j)
-            row = mats[j].rows[i]
+            value = coeffs.get((j,))
+            if value is None:
+                continue
+            row = value.components[i * k : (i + 1) * k]
             acted = sum(
-                (row[t] * section.components[t] for t in range(nabla.fiber_dim)),
-                Expr.zero(m),
+                (row[t] * section.components[t] for t in range(k)), Expr.zero(m)
             )
             acc = acc + direction.components[j] * acted
         out.append(acc)
@@ -685,16 +725,14 @@ def validate_covariant(
 
     The function and field arguments are random polynomials of bounded
     degree, but each law is compared as a canonical identity in the domain
-    variables, not at sample points.
+    variables, not at sample points.  The reparametrization law is the
+    overlap compatibility of the coefficient form.
     """
     rng = rng or random.Random(0)
     k = nabla.fiber_dim
     problems: list[str] = []
-    for idx, (plot, mats) in enumerate(nabla.entries):
+    for idx, (plot, _) in enumerate(nabla.form.entries):
         m = plot.domain.dim
-        if len(mats) != m:
-            problems.append(f"plot {idx}: one coefficient matrix per direction")
-            continue
         for _ in range(trials):
             f = _random_poly(rng, m, degree)
             x = ExprVec([_random_poly(rng, m, degree) for _ in range(m)])
@@ -719,48 +757,16 @@ def validate_covariant(
             if any(l != w for l, w in zip(lhs.components, want)):
                 problems.append(f"plot {idx}: Leibniz fails")
                 break
-    for idx, pair in enumerate(pairs):
-        if pair.coarse.map.compose(pair.factor) != pair.fine.map:
-            problems.append(f"pair {idx}: factor does not reproduce the fine plot")
-            continue
-        try:
-            fine_mats = nabla.coefficients(pair.fine)
-            coarse_mats = nabla.coefficients(pair.coarse)
-        except KeyError:
-            problems.append(f"pair {idx}: a plot of the pair is not stored")
-            continue
-        fine_dim = pair.fine.domain.dim
-        for s in range(fine_dim):
-            want = None
-            for j in range(len(pair.factor)):
-                part = coarse_mats[j].compose(pair.factor).scale(
-                    pair.factor.components[j].differentiate(s)
-                )
-                want = part if want is None else want + part
-            if want != fine_mats[s]:
-                problems.append(
-                    f"pair {idx}: reparametrized coefficients differ in direction {s}"
-                )
-                break
-    if problems:
-        extra = f" (+{len(problems) - 1} more)" if len(problems) > 1 else ""
-        return Verdict.no(Obstruction("covariant", detail=problems[0] + extra))
-    return Verdict.yes(RuleCert("covariant-laws"))
+    problems += _overlap_problems(
+        nabla.form,
+        pairs,
+        lambda key, _: f"reparametrized coefficients differ in direction {key[0]}",
+    )
+    return _verdict(problems, "covariant", "covariant-laws")
 
 
 def connections_equal(left: CovariantDerivative, right: CovariantDerivative) -> bool:
-    if left.fiber_dim != right.fiber_dim:
-        return False
-    if len(left.entries) != len(right.entries):
-        return False
-    for plot, mats in left.entries:
-        try:
-            other = right.coefficients(plot)
-        except KeyError:
-            return False
-        if tuple(mats) != tuple(other):
-            return False
-    return True
+    return left.fiber_dim == right.fiber_dim and forms_equal(left.form, right.form)
 
 
 def affine_structure(
@@ -773,23 +779,9 @@ def affine_structure(
     """
     if first.fiber_dim != second.fiber_dim:
         raise ValueError("fiber dimensions differ")
-    if len(first.entries) != len(second.entries):
-        raise ValueError("connections are stored on different plot families")
-    k = first.fiber_dim
-    entries = []
-    for plot, mats in first.entries:
-        try:
-            other = second.coefficients(plot)
-        except KeyError:
-            raise ValueError("connections are stored on different plot families")
-        packed = []
-        for j in range(plot.domain.dim):
-            diff = mats[j] - other[j]
-            flat = [diff.rows[a][b] for a in range(k) for b in range(k)]
-            if not all(e.is_zero() for e in flat):
-                packed.append(((j,), ExprVec(flat)))
-        entries.append((plot, tuple(packed)))
-    return PlotForm(1, k * k, tuple(entries))
+    return _form_sum(
+        first.form, second.form, -1, "connections are stored on different plot families"
+    )
 
 
 def translate(nabla: CovariantDerivative, form: PlotForm) -> CovariantDerivative:
@@ -797,28 +789,8 @@ def translate(nabla: CovariantDerivative, form: PlotForm) -> CovariantDerivative
     k = nabla.fiber_dim
     if form.degree != 1 or form.value_dim != k * k:
         raise ValueError("form does not match the connection's fiber block")
-    entries = []
-    for plot, mats in nabla.entries:
-        try:
-            coeffs = form.coefficients(plot)
-        except KeyError:
-            raise ValueError("form is stored on a different plot family")
-        m = plot.domain.dim
-        packed = []
-        for j in range(m):
-            value = coeffs.get((j,))
-            if value is None:
-                packed.append(mats[j])
-                continue
-            delta = Matrix(
-                [
-                    [value.components[a * k + b] for b in range(k)]
-                    for a in range(k)
-                ]
-            )
-            packed.append(mats[j] + delta)
-        entries.append((plot, tuple(packed)))
-    return CovariantDerivative(k, tuple(entries))
+    shifted = _form_sum(nabla.form, form, 1, "form is stored on a different plot family")
+    return CovariantDerivative(k, shifted)
 
 
 # ---------------------------------------------------------------------------
@@ -867,49 +839,44 @@ def right_translate(
     frame_map: ExprVec, sample: Sequence[Sequence], base_dim: int, k: int
 ) -> ExprVec:
     """Translate a frame family by a constant invertible matrix."""
-    inverse = invert_rational([[Fraction(v) for v in row] for row in sample])
+    rows = [[Fraction(v) for v in row] for row in sample]
+    inverse = invert_rational(rows)
     if inverse is None:
         raise ValueError("sample matrix is not invertible")
-    arity = frame_map.arity
     f, h = _frame_blocks(frame_map, base_dim, k)
-    g = Matrix(
-        [[Expr.constant(arity, Fraction(v)) for v in row] for row in sample]
-    )
-    ginv = Matrix(
-        [[Expr.constant(arity, v) for v in row] for row in inverse]
-    )
-    fg = f * g
-    gh = ginv * h
+    fg = f * Matrix.from_rationals(rows, frame_map.arity)
+    gh = Matrix.from_rationals(inverse, frame_map.arity) * h
     comps = list(frame_map.components[:base_dim])
     comps += [fg.rows[i][j] for i in range(k) for j in range(k)]
     comps += [gh.rows[i][j] for i in range(k) for j in range(k)]
     return ExprVec(comps)
 
 
+def _frame_differential(
+    frame_map: ExprVec, base_dim: int, k: int
+) -> tuple[Matrix, list[Matrix]]:
+    """The recorded inverse block h and df, one matrix per direction."""
+    f, h = _frame_blocks(frame_map, base_dim, k)
+    df = [
+        Matrix([[e.differentiate(s) for e in row] for row in f.rows])
+        for s in range(frame_map.arity)
+    ]
+    return h, df
+
+
 def maurer_cartan(base_dim: int, dim_f: int) -> ConnectionOneForm:
     """θ = f⁻¹·df, using the recorded inverse block."""
 
     def rule(frame_map: ExprVec) -> tuple[Matrix, ...]:
-        f, h = _frame_blocks(frame_map, base_dim, dim_f)
-        out = []
-        for s in range(frame_map.arity):
-            df = Matrix(
-                [[e.differentiate(s) for e in row] for row in f.rows]
-            )
-            out.append(h * df)
-        return tuple(out)
+        h, df = _frame_differential(frame_map, base_dim, dim_f)
+        return tuple(h * d for d in df)
 
     return ConnectionOneForm(base_dim, dim_f, rule)
 
 
 def zero_connection_form(base_dim: int, dim_f: int) -> ConnectionOneForm:
     def rule(frame_map: ExprVec) -> tuple[Matrix, ...]:
-        zero = Matrix(
-            [
-                [Expr.zero(frame_map.arity) for _ in range(dim_f)]
-                for _ in range(dim_f)
-            ]
-        )
+        zero = Matrix.zero(dim_f, dim_f, frame_map.arity)
         return tuple(zero for _ in range(frame_map.arity))
 
     return ConnectionOneForm(base_dim, dim_f, rule)
@@ -919,11 +886,7 @@ def raw_frame_differential(base_dim: int, dim_f: int) -> ConnectionOneForm:
     """θ = df without the frame factor; fails equivariance when dim_f > 0."""
 
     def rule(frame_map: ExprVec) -> tuple[Matrix, ...]:
-        f, _ = _frame_blocks(frame_map, base_dim, dim_f)
-        return tuple(
-            Matrix([[e.differentiate(s) for e in row] for row in f.rows])
-            for s in range(frame_map.arity)
-        )
+        return tuple(_frame_differential(frame_map, base_dim, dim_f)[1])
 
     return ConnectionOneForm(base_dim, dim_f, rule)
 
@@ -962,13 +925,8 @@ def check_connection_form(
         base = theta.rule(plot.map)
         for s_idx, (rows, inverse) in enumerate(prepared):
             moved = theta.rule(right_translate(plot.map, rows, n, k))
-            arity = plot.map.arity
-            g = Matrix(
-                [[Expr.constant(arity, v) for v in row] for row in rows]
-            )
-            ginv = Matrix(
-                [[Expr.constant(arity, v) for v in row] for row in inverse]
-            )
+            g = Matrix.from_rationals(rows, plot.map.arity)
+            ginv = Matrix.from_rationals(inverse, plot.map.arity)
             for direction in range(m):
                 want = ginv * base[direction] * g
                 have = moved[direction]

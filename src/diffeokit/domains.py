@@ -198,21 +198,6 @@ class Domain:
                         return out
         return out
 
-    def shrink_around(self, point: Sequence[Fraction], tries: int = 12) -> "Box | None":
-        """A small open box centered at the point and contained in self."""
-        pt = tuple(point)
-        if not self.contains(pt):
-            return None
-        if self.dim == 0:
-            return Box(())
-        radius = Fraction(1)
-        for _ in range(tries):
-            bounds = [(v - radius, v + radius) for v in pt]
-            if self.covers_closed(bounds):
-                return Box(tuple(Interval(v - radius, v + radius) for v in pt))
-            radius /= 2
-        return None
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Domain):
             return NotImplemented

@@ -20,7 +20,6 @@ from .calculus import (
 )
 from .domains import Box, Domain, Interval
 from .expr import Expr, ExprError, ExprVec
-from .frolicher import CurveSpace, generate as frolicher_generate
 from .linalg import invert_rational
 from .spaces import (
     AlgebraicCarrier,
@@ -115,7 +114,6 @@ class FixtureRegistry:
     connections: dict[str, ConnectionFixture] = field(default_factory=dict)
     affine: dict[str, AffineFixture] = field(default_factory=dict)
     frame_models: dict[str, FrameModel] = field(default_factory=dict)
-    frolicher: dict[str, CurveSpace] = field(default_factory=dict)
     cone_points: dict[str, tuple[Point, ...]] = field(default_factory=dict)
     frame_points: dict[str, tuple[Point, ...]] = field(default_factory=dict)
 
@@ -472,8 +470,6 @@ def _load_document(reg: FixtureRegistry, doc: dict) -> None:
         carriers[name] = _parse_carrier(block, carriers)
     for block in _blocks(doc, "spaces", "space"):
         _load_space(reg, block, carriers)
-    for block in _blocks(doc, "frolicher", "frolicher"):
-        _load_frolicher(reg, block, carriers)
     for block in _blocks(doc, "maps", "map"):
         _load_map(reg, block)
     for block in _blocks(doc, "bundles", "bundle"):
@@ -489,7 +485,7 @@ def _load_document(reg: FixtureRegistry, doc: dict) -> None:
     for block in _blocks(doc, "frame_models", "frame_model"):
         _load_frame_model(reg, block)
     known = {
-        "carriers", "carrier", "spaces", "space", "frolicher", "maps", "map",
+        "carriers", "carrier", "spaces", "space", "maps", "map",
         "bundles", "bundle", "groups", "group", "forms", "form",
         "connections", "connection", "affine", "frame_models", "frame_model",
     }
@@ -533,14 +529,6 @@ def _fraction(value, where: str) -> Fraction:
         except (ValueError, ZeroDivisionError) as err:
             raise FixtureError(f"{where}: bad rational {value!r}: {err}") from err
     raise FixtureError(f"{where}: expected an integer or 'p/q' string, got {value!r}")
-
-
-def _point(value, where: str) -> Point:
-    if isinstance(value, str):
-        value = [part.strip() for part in value.split(",")]
-    if not isinstance(value, list) or not value:
-        raise FixtureError(f"{where}: expected a point as a list or 'a,b' string")
-    return tuple(_fraction(v, where) for v in value)
 
 
 def _texts(value, where: str) -> list[str]:
@@ -642,17 +630,6 @@ def _load_space(reg: FixtureRegistry, block: dict, carriers) -> None:
     except (ExprError, ValueError) as err:
         raise FixtureError(f"space {name!r}: {err}") from err
     reg._add(reg.spaces, name, space, "space")
-
-
-def _load_frolicher(reg: FixtureRegistry, block: dict, carriers) -> None:
-    name = _name_of(block, "frolicher")
-    carrier = _parse_carrier(block.get("carrier"), carriers)
-    functions = _texts(block.get("functions"), f"frolicher {name!r}")
-    try:
-        space = frolicher_generate(name, carrier, functions)
-    except ExprError as err:
-        raise FixtureError(f"frolicher {name!r}: {err}") from err
-    reg._add(reg.frolicher, name, space, "frolicher")
 
 
 def _load_map(reg: FixtureRegistry, block: dict) -> None:

@@ -891,9 +891,7 @@ def _rewrite_closure(
 def _quotient_membership(space: DiffSpace, candidate: Plot, budget: int) -> Verdict:
     base: DiffSpace = space.provenance[1]
     moves, complete = _relation_rewrites(space)
-    reached, closed = _rewrite_closure(
-        moves, candidate.component, candidate.map, max(1, min(budget, 3))
-    )
+    reached, closed = _rewrite_closure(moves, candidate.component, candidate.map, budget)
     complete = complete and closed
     alternatives = list(reached.values())
 
@@ -916,7 +914,7 @@ def _quotient_membership(space: DiffSpace, candidate: Plot, budget: int) -> Verd
             ),
             detail=f"all {len(alternatives)} representative(s) refuted",
         )
-    return Verdict.unknown("quotient rewrites inconclusive")
+    return Verdict.unknown(f"quotient rewrites inconclusive at depth cap {budget}")
 
 
 # ---------------------------------------------------------------------------
@@ -942,10 +940,6 @@ class SmoothMap:
     def compose_plot(self, p: Plot) -> Plot:
         dst, vec = self.piece(p.component)
         return Plot(p.domain, vec.compose(p.map.components), dst)
-
-    def apply_point(self, point: Point, component: str = "") -> tuple[str, Point]:
-        dst, vec = self.piece(component)
-        return dst, vec.eval(point)
 
     def key(self):
         return tuple(
@@ -1086,12 +1080,12 @@ def maps_equal_mod_relation(f: SmoothMap, g: SmoothMap, budget: int = DEFAULT_BU
         if dst == dst_g and vec == vec_g:
             continue
         goal = (dst_g, vec_g.canonical_key())
-        reached, closed = _rewrite_closure(moves, dst, vec, 3, goal)
+        reached, closed = _rewrite_closure(moves, dst, vec, budget, goal)
         if goal in reached:
             continue
         if complete and closed:
             return Verdict.no(Obstruction("rewrite", src, detail="no rewrite meets the other map"))
-        pending = pending or f"quotient rewrites from {src!r}: depth cap 3 hit or a move undecided"
+        pending = pending or f"quotient rewrites from {src!r}: depth cap {budget} hit or a move undecided"
     return Verdict.unknown(pending) if pending else Verdict.yes(None)
 
 

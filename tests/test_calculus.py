@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffeokit.bundles import BundleMorphism
 from diffeokit.calculus import (
@@ -412,6 +414,91 @@ class TestAffine:
         two = flat_connection(2, [line_plot()])
         with pytest.raises(ValueError, match="fiber dimensions"):
             affine_structure(one, two)
+
+
+_property = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+_CUBIC = ExprVec.parse(["x0^3"], 1)
+_CHAIN = Expr.parse("3*x0^2", 1)
+
+
+def _line_poly(coeffs):
+    return Expr(1, {(d,): Fraction(c) for d, c in enumerate(coeffs) if c})
+
+
+# polynomials of degree at most 3 in x0
+_line_polys = st.lists(st.integers(-3, 3), min_size=1, max_size=4).map(_line_poly)
+
+
+@st.composite
+def _coefficient_matrices(draw, k):
+    return Matrix([[draw(_line_polys) for _ in range(k)] for _ in range(k)])
+
+
+def _transported(mat):
+    """The coefficients the cubic plot must carry: 3x²·A(x³)."""
+    return mat.compose(_CUBIC).scale(_CHAIN)
+
+
+def _over_line_and_cubic(k, coarse, fine=None):
+    fine = _transported(coarse) if fine is None else fine
+    return covariant_derivative(k, [(line_plot(), [coarse]), (cubic_plot(), [fine])])
+
+
+@st.composite
+def _connections(draw, count=1):
+    """Random polynomial connections on one fiber size, on the line and
+    the cubic plot, whose cubic coefficients are transported."""
+    k = draw(st.integers(1, 2))
+    mats = [draw(_coefficient_matrices(k)) for _ in range(count)]
+    return k, mats
+
+
+class TestConnectionsAsForms:
+    @_property
+    @given(_connections(count=2))
+    def test_translating_by_the_difference_recovers_the_first(self, drawn):
+        k, (a, b) = drawn
+        first, second = _over_line_and_cubic(k, a), _over_line_and_cubic(k, b)
+        assert connections_equal(translate(second, affine_structure(first, second)), first)
+
+    @_property
+    @given(_connections())
+    def test_difference_with_itself_stores_nothing(self, drawn):
+        k, (a,) = drawn
+        nabla = _over_line_and_cubic(k, a)
+        diff = affine_structure(nabla, nabla)
+        assert [packed for _, packed in diff.entries] == [(), ()]
+
+    @_property
+    @given(_connections(), st.integers(0, 3), st.integers(1, 3))
+    def test_transport_validates_and_a_perturbed_copy_fails(self, drawn, spot, bump):
+        k, (a,) = drawn
+        pair = [cubic_pair()]
+        assert validate_covariant(_over_line_and_cubic(k, a), pair, trials=1).is_yes
+        i, j = divmod(spot % (k * k), k)
+        rows = [list(row) for row in _transported(a).rows]
+        rows[i][j] = rows[i][j] + bump
+        broken = _over_line_and_cubic(k, a, Matrix(rows))
+        verdict = validate_covariant(broken, pair, trials=1)
+        assert verdict.is_no
+        assert "reparametrized" in verdict.obstruction.detail
+
+    @_property
+    @given(st.integers(1, 2), st.data())
+    def test_explicit_zero_matrices_are_the_flat_connection(self, k, data):
+        zero = [["0"] * k for _ in range(k)]
+        plots = [line_plot(), cubic_plot()]
+        given_zeros = covariant_derivative(k, [(p, [zero]) for p in plots])
+        flat = flat_connection(k, plots)
+        assert [packed for _, packed in given_zeros.form.entries] == [(), ()]
+        assert connections_equal(given_zeros, flat)
+        assert connections_equal(flat, given_zeros)
+        direction = ExprVec([data.draw(_line_polys)])
+        section = ExprVec([data.draw(_line_polys) for _ in range(k)])
+        for plot in plots:
+            assert covariant_apply(given_zeros, plot, direction, section) == (
+                covariant_apply(flat, plot, direction, section)
+            )
 
 
 def shear_frame_plot():

@@ -432,15 +432,19 @@ class TestMapEqualityModRelation:
         assert maps_equal_mod_relation(f, h).is_no
 
     def test_capped_rewrite_search_stays_unknown(self):
-        # x ~ x + 1: x0 + 3 is three rewrites away, x0 + 4 beyond the cap
+        # x ~ x + 1: x0 + 3 is three rewrites away, x0 + 4 four; the budget
+        # is the depth cap
         base = euclidean_space(1)
         rel = RelationPair("", ExprVec.identity(1), "", ExprVec.parse(["x0 + 1"], 1), R1)
         space, _ = quotient_space("circle", base, [rel])
         f = smooth_map(base, space, ["x0"])
-        assert maps_equal_mod_relation(f, smooth_map(base, space, ["x0 + 3"])).is_yes
-        far = maps_equal_mod_relation(f, smooth_map(base, space, ["x0 + 4"]))
-        assert far.is_unknown
-        assert "depth cap 3" in far.detail
+        near = smooth_map(base, space, ["x0 + 3"])
+        far = smooth_map(base, space, ["x0 + 4"])
+        assert maps_equal_mod_relation(f, near, budget=3).is_yes
+        capped = maps_equal_mod_relation(f, far, budget=3)
+        assert capped.is_unknown
+        assert "depth cap 3" in capped.detail
+        assert maps_equal_mod_relation(f, far, budget=4).is_yes
 
 
 class TestAllHold:
