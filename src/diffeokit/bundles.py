@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .domains import Box, Domain, Point, format_point
 from .expr import Expr, ExprError, ExprVec
-from .linalg import Matrix, affine_parts, invert_rational, left_null_space
+from .linalg import Matrix, affine_parts, left_null_space
 from .spaces import (
     DEFAULT_BUDGET,
     AlgebraicCarrier,
@@ -560,19 +560,13 @@ def _solve_inverse(m: BundleMorphism, src: PseudoBundle, dst: PseudoBundle) -> B
     parts = affine_parts(ExprVec(base_block))
     if parts is None:
         raise NoInverseFound("base block is not affine")
-    square = [row[:n] for row in parts.matrix]
-    inverse_rows = invert_rational(square)
-    if inverse_rows is None:
-        raise NoInverseFound("base block is not invertible")
     dd = dst.ambient_dim
-    base_inv = []
-    for row in inverse_rows:
-        acc = Expr.zero(dd)
-        for j, c in enumerate(row):
-            if c:
-                shifted = Expr.variable(dd, j) - Expr.constant(dd, parts.offset[j])
-                acc = acc + Expr.constant(dd, c) * shifted
-        base_inv.append(acc)
+    # the fiber columns of A are zero, so the preimage of the target's base
+    # coordinates exists exactly when the base block is invertible
+    solved = parts.preimage([Expr.variable(dd, j) for j in range(dn)])
+    if solved is None:
+        raise NoInverseFound("base block is not invertible")
+    base_inv = solved.particular[:n]
 
     # fiber block: linear over the base with an invertible coefficient matrix
     fiber_inv: list[Expr] = []

@@ -19,7 +19,7 @@ from typing import Callable, Mapping, Sequence
 from .bundles import BundleMorphism, PseudoBundle, invert_isomorphism
 from .domains import Domain
 from .expr import Expr, ExprError, ExprVec
-from .linalg import Matrix, affine_parts, invert_rational, solve_affine
+from .linalg import Matrix, affine_parts, invert_rational
 from .spaces import (
     DEFAULT_BUDGET,
     AlgebraicCarrier,
@@ -65,13 +65,6 @@ class PlotForm:
             if stored.component == plot.component and stored.map == plot.map:
                 return dict(packed)
         raise KeyError("no coefficients stored for this plot")
-
-    def coefficient(self, plot: Plot, key: Key) -> ExprVec:
-        found = self.coefficients(plot).get(tuple(key))
-        if found is not None:
-            return found
-        m = plot.domain.dim
-        return ExprVec([Expr.zero(m)] * self.value_dim)
 
     def evaluate(self, plot: Plot, vectors: Sequence[ExprVec]) -> ExprVec:
         """Apply the skew-multilinear extension to tangent-vector expressions.
@@ -325,15 +318,8 @@ def _factor_map(target: ExprVec, through: ExprVec) -> ExprVec | None:
     parts = affine_parts(through)
     if parts is None:
         return None
-    rhs = [
-        c - Expr.constant(target.arity, b)
-        for c, b in zip(target.components, parts.offset)
-    ]
-    solved = solve_affine(parts.matrix, rhs)
-    if solved is None:
-        return None
-    h = ExprVec(solved.particular)
-    return h if through.compose(h) == target else None
+    solved = parts.preimage(target.components)
+    return None if solved is None else ExprVec(solved.particular)
 
 
 def _coefficients_along(form: PlotForm, target: ExprVec) -> dict[Key, ExprVec]:

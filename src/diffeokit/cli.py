@@ -339,9 +339,8 @@ def _forms_checks(reg, name, budget) -> list[CheckResult]:
         except ValueError as err:
             raise FixtureError(str(err)) from err
         return [_from_verdict(f"forms-validate:{name}", ANCHORS["frame-model"], v, budget, t0)]
-    # force the usual unknown-name diagnostic, preferring the form table
-    reg.form(name)
-    raise AssertionError("unreachable")
+    known = ", ".join(sorted([*reg.forms, *reg.frame_models])) or "none"
+    raise FixtureError(f"unknown form or frame model fixture {name!r} (available: {known})")
 
 
 def _connection_checks(reg, name, budget, seed) -> list[CheckResult]:

@@ -531,6 +531,19 @@ def _fraction(value, where: str) -> Fraction:
     raise FixtureError(f"{where}: expected an integer or 'p/q' string, got {value!r}")
 
 
+def _list(value, where: str, what: str) -> list:
+    if not isinstance(value, list):
+        raise FixtureError(f"{where}: {what} must be a list")
+    return value
+
+
+def _flag(block: dict, key: str, where: str) -> bool:
+    value = block.get(key, True)
+    if not isinstance(value, bool):
+        raise FixtureError(f"{where}: {key!r} must be true or false")
+    return value
+
+
 def _texts(value, where: str) -> list[str]:
     if not isinstance(value, list) or not value:
         raise FixtureError(f"{where}: expected a nonempty list of expression strings")
@@ -563,7 +576,7 @@ def _parse_domain(value, where: str) -> Domain:
     if raw_boxes is None:
         return Domain.full(dim)
     boxes = []
-    for raw in raw_boxes:
+    for raw in _list(raw_boxes, where, "'boxes'"):
         if not isinstance(raw, list) or len(raw) != dim:
             raise FixtureError(f"{where}: each box needs {dim} [lo, hi] pairs")
         intervals = []
@@ -621,12 +634,14 @@ def _load_space(reg: FixtureRegistry, block: dict, carriers) -> None:
         raise FixtureError(f"space {name!r}: unsupported provenance {provenance!r}")
     carrier = _parse_carrier(block.get("carrier"), carriers)
     ambient = carrier.ambient_dim("")
+    where = f"space {name!r}"
     gens = tuple(
-        _parse_plot(g, ambient, f"space {name!r}") for g in block.get("generators", [])
+        _parse_plot(g, ambient, where)
+        for g in _list(block.get("generators", []), where, "'generators'")
     )
-    complete = block.get("complete", True)
+    complete = _flag(block, "complete", where)
     try:
-        space = generated_space(name, carrier, gens, complete=bool(complete))
+        space = generated_space(name, carrier, gens, complete=complete)
     except (ExprError, ValueError) as err:
         raise FixtureError(f"space {name!r}: {err}") from err
     reg._add(reg.spaces, name, space, "space")
@@ -661,7 +676,7 @@ def _load_bundle(reg: FixtureRegistry, block: dict) -> None:
             scale=_texts(block.get("scale"), where),
             zero=_texts(block.get("zero"), where),
             projection=projection,
-            pairs_complete=bool(block.get("pairs_complete", True)),
+            pairs_complete=_flag(block, "pairs_complete", where),
         )
     except InvariantViolation as err:
         raise FixtureError(f"{where}: {err.check}: {err.witness}") from err
@@ -689,7 +704,7 @@ def _load_group(reg: FixtureRegistry, block: dict) -> None:
     bundle = reg.bundle(str(block.get("bundle")))
     where = f"group {name!r}"
     pairs = []
-    for k, gen in enumerate(block.get("generators", [])):
+    for k, gen in enumerate(_list(block.get("generators", []), where, "'generators'")):
         if not isinstance(gen, dict) or "phi" not in gen or "phi_inverse" not in gen:
             raise FixtureError(f"{where}: generator {k} needs 'phi' and 'phi_inverse'")
         forward = _morphism(bundle, gen["phi"], gen.get("varphi"), where)
@@ -699,7 +714,9 @@ def _load_group(reg: FixtureRegistry, block: dict) -> None:
         pairs.append((forward, backward))
     families = [
         _expr_vec(f, bundle.base_dim + 1, where)
-        for f in block.get("one_parameter_families", [])
+        for f in _list(
+            block.get("one_parameter_families", []), where, "'one_parameter_families'"
+        )
     ]
     try:
         group = bundle_group(name, bundle, pairs, families=families)
@@ -729,7 +746,7 @@ def _plot_family(reg: FixtureRegistry, block: dict, where: str) -> tuple[Plot, .
 
 def _parse_overlaps(block: dict, plots, where: str) -> tuple[OverlapPair, ...]:
     out = []
-    for k, raw in enumerate(block.get("overlaps", [])):
+    for k, raw in enumerate(_list(block.get("overlaps", []), where, "'overlaps'")):
         spot = f"{where}, overlap {k}"
         if not isinstance(raw, dict) or "fine" not in raw or "coarse" not in raw:
             raise FixtureError(f"{spot}: needs 'fine', 'coarse', 'factor'")
@@ -794,7 +811,10 @@ def _load_connection(reg: FixtureRegistry, block: dict) -> None:
             raise FixtureError(
                 f"{where}: expected {plot.domain.dim} direction matrices per generator"
             )
-        assignments.append((plot, mats))
+        assignments.append((plot, [
+            [_texts(row, where) for row in _list(mat, where, "each direction matrix")]
+            for mat in mats
+        ]))
     try:
         nabla = covariant_derivative(k, assignments)
     except (ValueError, ExprError) as err:
@@ -830,12 +850,12 @@ def _load_frame_model(reg: FixtureRegistry, block: dict) -> None:
         if len(p.map.components) != base_dim + 2 * k * k:
             raise FixtureError(f"{where}: frames disagree on the base dimension")
     samples = []
-    for raw in block.get("samples", []):
-        mat = tuple(
-            tuple(_fraction(v, where) for v in row) for row in raw
-        )
-        if len(mat) != k or any(len(row) != k for row in mat):
+    for raw in _list(block.get("samples", []), where, "'samples'"):
+        if not isinstance(raw, list) or len(raw) != k or any(
+            not isinstance(row, list) or len(row) != k for row in raw
+        ):
             raise FixtureError(f"{where}: samples must be {k}x{k} matrices")
+        mat = tuple(tuple(_fraction(v, where) for v in row) for row in raw)
         if invert_rational(mat) is None:
             raise FixtureError(f"{where}: sample matrix {raw!r} is singular")
         samples.append(mat)

@@ -199,6 +199,21 @@ class AffineParts:
     matrix: list[list[Fraction]]
     offset: list[Fraction]
 
+    def _shifted(self, target: Sequence) -> list:
+        return [t - b if b else t for t, b in zip(target, self.offset)]
+
+    def preimage(self, target: Sequence[Expr]) -> "AffineSolution | None":
+        """Every x with A x + b = target; None when there is none."""
+        return solve_affine(self.matrix, self._shifted(target))
+
+    def residuals(self, target: Sequence) -> list:
+        """y . (target - b) for each y in the basis `left_null_space(A)`,
+        for Expr or Fraction targets: all zero exactly when target lies in
+        the image of x -> A x + b."""
+        shifted = self._shifted(target)
+        zero = Expr.zero(shifted[0].arity) if isinstance(shifted[0], Expr) else Fraction(0)
+        return [_combine(y, shifted, zero) for y in left_null_space(self.matrix)]
+
 
 def affine_parts(vec: ExprVec) -> AffineParts | None:
     """Extract (A, b) when every component has polynomial degree <= 1."""

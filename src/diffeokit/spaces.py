@@ -27,14 +27,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .domains import Box, Domain, image_within
 from .expr import Expr, ExprError, ExprVec
-from .linalg import (
-    AffineParts,
-    Matrix,
-    affine_parts,
-    left_null_space,
-    solve_affine,
-    solve_rational,
-)
+from .linalg import AffineParts, affine_parts, rank, solve_rational
 
 Point = tuple[Fraction, ...]
 
@@ -606,11 +599,7 @@ def _factor_affine(
     parts: AffineParts, gen: Plot, candidate: Plot, budget: int
 ) -> ExprVec | None:
     arity = candidate.map.arity
-    rhs = [
-        comp - Expr.constant(arity, off)
-        for comp, off in zip(candidate.map.components, parts.offset)
-    ]
-    sol = solve_affine(parts.matrix, rhs)
+    sol = parts.preimage(candidate.map.components)
     if sol is None:
         return None
     base = ExprVec(tuple(sol.particular))
@@ -718,22 +707,12 @@ def _refute_generated(
     # affine image equations: the candidate must take values in the union
     # of the generators' affine images; a sample point missing all of them
     # refutes every local factorization at once
-    ambient = len(candidate.map)
-    arity = candidate.map.arity
     per_gen_residuals: list[list[Expr]] = []
     for _, g in gens:
         parts = affine_parts(g.map)
         if parts is None:
             return None  # a nonaffine generator blocks this refutation
-        rows = left_null_space(parts.matrix)
-        residuals = []
-        for row in rows:
-            acc = Expr.zero(arity)
-            for coeff, comp, off in zip(row, candidate.map.components, parts.offset):
-                if coeff:
-                    acc = acc + (comp - Expr.constant(arity, off)) * coeff
-            residuals.append(acc)
-        nonzero = [r for r in residuals if not r.is_zero()]
+        nonzero = [r for r in parts.residuals(candidate.map.components) if not r.is_zero()]
         if not nonzero:
             return None  # candidate lies in this generator's affine image
         per_gen_residuals.append(nonzero)
@@ -783,9 +762,9 @@ def _relation_rewrites(space: DiffSpace):
 def _moves_from_pair(rel: RelationPair):
     """Turn left(u) ~ right(u) into substitution moves.
 
-    Needs each side affine and injective in the parameters: then a map
-    landing in that side's image determines u exactly, and the move sends
-    it to the other side's map of u.
+    Needs each side affine and injective in the parameters (rank equal to
+    the arity): then a map landing in that side's image determines u
+    exactly, and the move sends it to the other side's map of u.
     """
     moves = []
     complete = True
@@ -793,36 +772,20 @@ def _moves_from_pair(rel: RelationPair):
         (rel.left_component, rel.left_map, rel.right_component, rel.right_map),
         (rel.right_component, rel.right_map, rel.left_component, rel.left_map),
     ):
-        pinv = _left_inverse(affine_parts(src_map))
-        if pinv is None:
+        parts = affine_parts(src_map)
+        # an arity-0 side has no parameters to solve for
+        if parts is None or src_map.arity == 0 or rank(parts.matrix) < src_map.arity:
             complete = False
             continue
-        rows, offset = pinv
 
-        def move(vec: ExprVec, rows=rows, offset=offset, src=src_map,
-                 dst=dst_map, dom=rel.domain):
-            arity = vec.arity
-            shifted = [
-                comp - Expr.constant(arity, off)
-                for comp, off in zip(vec.components, offset)
-            ]
-            params = []
-            for row in rows:
-                acc = Expr.zero(arity)
-                for c, comp in zip(row, shifted):
-                    if c:
-                        acc = acc + comp * c
-                params.append(acc)
-            u = ExprVec(tuple(params))
-            try:
-                back = src.compose(u.components)
-            except ExprError:
-                return None, False
-            if back != vec:
+        def move(vec: ExprVec, parts=parts, dst=dst_map, dom=rel.domain):
+            sol = parts.preimage(vec.components)
+            if sol is None:
                 # the map misses the source image except on a thin set; a
                 # rational map equal to it off that set is it
                 return None, True
-            if not image_within(u, Domain.full(arity), dom):
+            u = ExprVec(sol.particular)
+            if not image_within(u, Domain.full(vec.arity), dom):
                 return None, False
             try:
                 return dst.compose(u.components), True
@@ -831,24 +794,6 @@ def _moves_from_pair(rel: RelationPair):
 
         moves.append((src_comp, dst_comp, move))
     return moves, complete
-
-
-def _left_inverse(parts: AffineParts | None):
-    """Exact left inverse rows for a full-column-rank affine part."""
-    if parts is None:
-        return None
-    m = len(parts.matrix)
-    n = len(parts.matrix[0]) if m else 0
-    if n == 0:
-        return None
-    a = Matrix.from_rationals(parts.matrix, 0)
-    at = a.transpose()
-    gram_inv = (at * a).try_inverse()
-    if gram_inv is None:
-        return None
-    pinv = gram_inv * at
-    rows = [[e.constant_value() for e in row] for row in pinv.rows]
-    return rows, list(parts.offset)
 
 
 def _rewrite_closure(
@@ -1222,10 +1167,7 @@ def _lift_plot(
         parts = affine_parts(vec)
         if parts is None:
             continue
-        sol = solve_affine(parts.matrix, [
-            comp - Expr.constant(g.map.arity, off)
-            for comp, off in zip(g.map.components, parts.offset)
-        ])
+        sol = parts.preimage(g.map.components)
         if sol is None:
             continue
         lift_vec = ExprVec(tuple(sol.particular))

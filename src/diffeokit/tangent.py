@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .domains import Box, Domain, Interval, Point, image_within
 from .expr import Expr, ExprVec
-from .linalg import affine_parts, left_null_space, solve_rational
+from .linalg import affine_parts, solve_rational
 from .spaces import DEFAULT_BUDGET, DiffSpace, Obstruction, Plot, is_plot
 
 __all__ = [
@@ -239,14 +239,8 @@ def _generator_blocks(gen: Plot, x: Point, v: Point) -> str | None:
             if v[i] != 0:
                 return f"coordinate {i} is constant along it but v[{i}] != 0"
     parts = affine_parts(gen.map)
-    if parts is not None:
-        shifted = [xi - off for xi, off in zip(x, parts.offset)]
-        for row in left_null_space(parts.matrix):
-            residual = sum(
-                (w * s for w, s in zip(row, shifted)), Fraction(0)
-            )
-            if residual != 0:
-                return "affine image misses the basepoint"
+    if parts is not None and any(parts.residuals(x)):
+        return "affine image misses the basepoint"
     return None
 
 

@@ -121,7 +121,7 @@ class TestDifferential:
     def test_zero_form_differentiates_to_its_derivative(self):
         section = plot_form(0, 1, [(line_plot(), {(): "x0^3"})])
         d = form_d(section)
-        assert d.coefficient(line_plot(), (0,)) == ExprVec.parse(["3*x0^2"], 1)
+        assert d.coefficients(line_plot())[(0,)] == ExprVec.parse(["3*x0^2"], 1)
 
     def test_dd_vanishes_on_random_forms(self):
         rng = random.Random(11)

@@ -125,6 +125,39 @@ class TestExitCodes:
         assert code == 1
         assert "pullback mismatch" in out
 
+    def test_unknown_form_lists_frame_models(self, capsys):
+        code, _, err = run(capsys, "forms-validate", "nope")
+        assert code == 2
+        assert "line-density" in err
+        assert "frame-line" in err and "frame-plane" in err
+
+    @pytest.mark.parametrize("doc", [
+        {"space": {"name": "s", "carrier": 1, "generators": 5}},
+        {"space": {"name": "s", "carrier": 1, "complete": "no"}},
+        {"space": {"name": "s", "carrier": 1,
+                   "generators": [{"domain": {"dim": 1, "boxes": 5}, "map": ["x0"]}]}},
+        {"bundle": {"name": "b", "total": "r2", "base": "r1", "add": ["x0", "x1 + x3"],
+                    "scale": ["x1", "x0*x2"], "zero": ["x0", "0"], "pairs_complete": "no"}},
+        {"group": {"name": "g", "bundle": "line-bundle", "generators": 5}},
+        {"group": {"name": "g", "bundle": "line-bundle", "one_parameter_families": 5}},
+        {"form": {"name": "f", "space": "r1", "degree": 1,
+                  "per_generator_coefficients": [{"0": "x0"}], "overlaps": 5}},
+        *({"frame_model": {"name": "m", "dim_F": 1, "samples": samples,
+                           "frames": [{"domain": 2, "map": ["x0", "1 + x1^2", "1/(1 + x1^2)"]}]}}
+          for samples in (5, [5], [[5]])),
+        *({"connection": {"name": "c", "space": "r1", "per_generator_A": a}}
+          for a in ([[5]], [[[5]]], [[[[None]]]])),
+    ], ids=["space-generators", "space-complete", "domain-boxes", "bundle-pairs-complete",
+            "group-generators", "group-families", "form-overlaps", "frame-samples",
+            "frame-sample-matrix", "frame-sample-row", "connection-matrix",
+            "connection-row", "connection-entry"])
+    def test_malformed_fixture_fields_are_diagnosed(self, capsys, tmp_path, doc):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, _, err = run(capsys, "axioms", "cross", "--fixtures", str(path))
+        assert code == 2
+        assert any(line.startswith("fixture error:") for line in err.splitlines())
+
 
 class TestReports:
     def test_json_schema(self, capsys):

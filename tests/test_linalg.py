@@ -294,3 +294,32 @@ class TestSharedElimination:
         for row, target in zip(a, rhs):
             got = sum((v * c for c, v in zip(row, sol.particular)), Expr.zero(1))
             assert got == target
+
+    @_property
+    @given(_matrices(), st.data())
+    def test_preimage_and_residuals_decide_the_image(self, a, data):
+        parts = AffineParts(a, [data.draw(_entries) for _ in a])
+
+        def apply(x, zero):
+            return [
+                sum((v * c for c, v in zip(row, x)), zero) + b
+                for row, b in zip(a, parts.offset)
+            ]
+
+        def poly():
+            return Expr.parse(f"({data.draw(_entries)})*x0^2 + ({data.draw(_entries)})", 1)
+
+        target = apply([poly() for _ in a[0]], Expr.zero(1))
+        sol = parts.preimage(target)
+        assert sol is not None
+        assert apply(sol.particular, Expr.zero(1)) == target
+        assert all(r.is_zero() for r in parts.residuals(target))
+        anywhere = [poly() for _ in a]
+        assert all(r.is_zero() for r in parts.residuals(anywhere)) == (
+            parts.preimage(anywhere) is not None
+        )
+        point = [data.draw(_entries) for _ in a]
+        shifted = [p - b for p, b in zip(point, parts.offset)]
+        assert (not any(parts.residuals(point))) == (solve_rational(a, shifted) is not None)
+        image_point = apply([data.draw(_entries) for _ in a[0]], Fraction(0))
+        assert not any(parts.residuals(image_point))

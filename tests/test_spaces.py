@@ -246,6 +246,22 @@ class TestQuotient:
         v = is_plot(space, plot(R1, ["x0^3 + x0"]))
         assert v.is_unknown
 
+    def test_non_injective_side_leaves_the_search_incomplete(self):
+        base = discrete_space("flat", 1, [(0,)])
+        rel = RelationPair(
+            "", ExprVec.parse(["x0 + x1"], 2), "", ExprVec.parse(["-x0 - x1"], 2), R2
+        )
+        space, _ = quotient_space("flat-mod-fold", base, [rel])
+        assert is_plot(space, plot(R1, ["x0"])).is_unknown
+
+    def test_map_off_both_images_is_refuted(self):
+        base = discrete_space("flat-plane", 2, [(0, 0)])
+        rel = RelationPair(
+            "", ExprVec.parse(["x0", "0"], 1), "", ExprVec.parse(["x0", "1"], 1), R1
+        )
+        space, _ = quotient_space("flat-plane-mod-lift", base, [rel])
+        assert is_plot(space, plot(R1, ["x0", "x0"])).is_no
+
 
 class TestProductAndUnion:
     def test_product_slices(self):
