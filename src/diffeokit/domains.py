@@ -9,10 +9,15 @@ cut a target box into finitely many cells (open intervals and single
 breakpoints per axis), and every covering box either contains a whole cell
 or misses it.  So a union covers the box iff each cell's representative
 point lands in some covering box.
+
+Sampling is pure in (domain, count, max_den), and the same few keys recur
+all through a run, so the samples are memoised in a bounded module cache;
+`Domain.sample_points` hands every caller a fresh list.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -183,20 +188,11 @@ class Domain:
         )
 
     def sample_points(self, count: int, max_den: int = 8) -> list[Point]:
-        """Deterministic rational points inside the domain, simple first."""
-        if count <= 0 or self.is_empty:
-            return []
-        per_box = [_box_samples(b, count, max_den) for b in self.boxes]
-        out: list[Point] = []
-        seen: set[Point] = set()
-        for batch in itertools.zip_longest(*per_box):
-            for pt in batch:
-                if pt is not None and pt not in seen:
-                    seen.add(pt)
-                    out.append(pt)
-                    if len(out) == count:
-                        return out
-        return out
+        """Deterministic rational points inside the domain, simple first.
+
+        Memoised per (domain, count, max_den); the list is fresh on every
+        call, so a caller may change it."""
+        return list(_domain_samples(self, count, max_den))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Domain):
@@ -311,6 +307,27 @@ def _box_covered(box: Box, cover: Sequence[Box]) -> bool:
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
+
+# distinct (domain, count, max_den) keys held; a membership benchmark pass
+# at budget 6 meets 92 of them
+SAMPLE_CACHE_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=SAMPLE_CACHE_SIZE)
+def _domain_samples(domain: Domain, count: int, max_den: int) -> tuple[Point, ...]:
+    if count <= 0 or domain.is_empty:
+        return ()
+    per_box = [_box_samples(b, count, max_den) for b in domain.boxes]
+    out: list[Point] = []
+    seen: set[Point] = set()
+    for batch in itertools.zip_longest(*per_box):
+        for pt in batch:
+            if pt is not None and pt not in seen:
+                seen.add(pt)
+                out.append(pt)
+                if len(out) == count:
+                    return tuple(out)
+    return tuple(out)
 
 
 def _interval_samples(iv: Interval, count: int, max_den: int) -> list[Fraction]:

@@ -19,6 +19,11 @@ Canonical form: terms are kept reduced and compared as dictionaries, display
 order is graded lexicographic, rational functions cancel their polynomial
 gcd whenever the reduced denominator still supports a positivity witness,
 and the denominator is scaled monic.
+
+Substitution (`Expr.compose`) with polynomial arguments runs on raw term
+dictionaries (`_subst_poly`) and builds a single Expr at the end; any
+rational argument sends it through Expr arithmetic, which carries the
+positivity witnesses.
 """
 
 from __future__ import annotations
@@ -105,13 +110,20 @@ def _diff(a: Terms, index: int) -> Terms:
     return {m: c for m, c in out.items() if c}
 
 
+def _as_point(point: Sequence[Scalar]) -> list[Fraction]:
+    return [x if type(x) is Fraction else Fraction(x) for x in point]
+
+
 def _eval(a: Terms, point: Sequence[Fraction]) -> Fraction:
+    """Value at a point whose coordinates are already Fractions."""
     total = Fraction(0)
     for mono, coeff in a.items():
         term = coeff
         for value, exp in zip(point, mono):
-            if exp:
-                term *= Fraction(value) ** exp
+            if exp == 1:
+                term *= value
+            elif exp:
+                term *= value ** exp
         total += term
     return total
 
@@ -659,7 +671,9 @@ class Expr:
     def eval(self, point: Sequence[Scalar]) -> Fraction:
         if len(point) != self.arity:
             raise ExprError("evaluation point has wrong dimension")
-        pt = [Fraction(x) for x in point]
+        pt = _as_point(point)
+        if self.is_polynomial:
+            return _eval(self.num, pt)  # a polynomial's denominator is 1
         den = _eval(self.den, pt)
         if den == 0:
             raise ExprError("denominator evaluated to zero")
@@ -702,6 +716,8 @@ def _normalize(
         return {}, _const(arity, 1), None
     if _is_constant(den):
         c = _constant_value(den)
+        if c == 1:
+            return dict(num), _const(arity, 1), None
         return _scale(num, 1 / c), _const(arity, 1), None
     # prefer a positive leading denominator before looking for witnesses
     if _leading(den)[1] < 0:
@@ -739,7 +755,21 @@ def _normalize(
     return num, den, witness
 
 
+def _pow(a: Terms, k: int, arity: int) -> Terms:
+    """a**k by square-and-multiply, the same products `Expr.__pow__` forms."""
+    result = _const(arity, 1)
+    while k:
+        if k & 1:
+            result = _mul(result, a)
+        k >>= 1
+        if k:
+            a = _mul(a, a)
+    return result
+
+
 def _subst_terms(terms: Terms, args: Sequence[Expr], out_arity: int) -> Expr:
+    if all(a.is_polynomial for a in args):
+        return Expr(out_arity, _subst_poly(terms, [a.num for a in args], out_arity))
     total = Expr.zero(out_arity)
     powers: list[dict[int, Expr]] = [{} for _ in args]
 
@@ -757,6 +787,23 @@ def _subst_terms(terms: Terms, args: Sequence[Expr], out_arity: int) -> Expr:
             if e:
                 term = term * arg_power(i, e)
         total = total + term
+    return total
+
+
+def _subst_poly(terms: Terms, args: Sequence[Terms], out_arity: int) -> Terms:
+    """`_subst_terms` for polynomial arguments, on raw terms: one term dict
+    per product and partial sum, and no Expr until the caller's."""
+    total: Terms = {}
+    powers: list[dict[int, Terms]] = [{} for _ in args]
+    for mono, coeff in terms.items():
+        term = {(0,) * out_arity: coeff}
+        for i, e in enumerate(mono):
+            if e:
+                cache = powers[i]
+                if e not in cache:
+                    cache[e] = _pow(args[i], e, out_arity)
+                term = _mul(term, cache[e])
+        total = _add(total, term)
     return total
 
 
@@ -985,7 +1032,8 @@ class ExprVec:
         return ExprVec([c.compose(args) for c in self.components])
 
     def eval(self, point: Sequence[Scalar]) -> tuple[Fraction, ...]:
-        return tuple(c.eval(point) for c in self.components)
+        pt = _as_point(point)
+        return tuple(c.eval(pt) for c in self.components)
 
     def differentiate(self, index: int) -> "ExprVec":
         return ExprVec([c.differentiate(index) for c in self.components])

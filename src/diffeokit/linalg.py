@@ -202,9 +202,14 @@ class AffineParts:
     def _shifted(self, target: Sequence) -> list:
         return [t - b if b else t for t, b in zip(target, self.offset)]
 
-    def preimage(self, target: Sequence[Expr]) -> "AffineSolution | None":
-        """Every x with A x + b = target; None when there is none."""
-        return solve_affine(self.matrix, self._shifted(target))
+    def preimage(self, target: Sequence) -> "AffineSolution | list[Fraction] | None":
+        """Every x with A x + b = target, as an AffineSolution, for Expr
+        targets; one rational x for a rational point.  None when there is
+        none."""
+        shifted = self._shifted(target)
+        if shifted and not isinstance(shifted[0], Expr):
+            return solve_rational(self.matrix, shifted)
+        return solve_affine(self.matrix, shifted)
 
     def residuals(self, target: Sequence) -> list:
         """y . (target - b) for each y in the basis `left_null_space(A)`,

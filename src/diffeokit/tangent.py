@@ -141,8 +141,7 @@ def _preimages(gen: Plot, x: Point, count: int = 60) -> list[Point]:
     hits = [u for u in gen.domain.sample_points(count) if gen.map.eval(u) == x]
     parts = affine_parts(gen.map)
     if parts is not None:
-        rhs = [xi - off for xi, off in zip(x, parts.offset)]
-        solved = solve_rational(parts.matrix, rhs)
+        solved = parts.preimage(x)
         if solved is not None and gen.domain.contains(tuple(solved)):
             u = tuple(solved)
             if u not in hits:

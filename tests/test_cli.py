@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -208,6 +212,18 @@ class TestReports:
         _, out, _ = run(capsys, "axioms", "r1")
         assert out.startswith("fixture: r1")
         assert "summary:" in out
+
+    def test_package_runs_as_a_module(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+        env.pop("DIFFEO_FIXTURE_PATH", None)
+        done = subprocess.run(
+            [sys.executable, "-m", "diffeokit", "axioms", "r1", "--format", "json"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["fixture"] == "r1"
 
     def test_timings_flag_adds_elapsed(self, capsys):
         _, out, _ = run(capsys, "smooth", "line-projection", "--timings")

@@ -9,6 +9,7 @@ from diffeokit.domains import (
     Box,
     Domain,
     Interval,
+    _domain_samples,
     expr_bounds,
     image_within,
     vec_bounds,
@@ -145,6 +146,30 @@ class TestSampling:
 
     def test_dim_zero(self):
         assert Domain.full(0).sample_points(5) == [()]
+
+    @pytest.mark.parametrize("domain, count, max_den", [
+        (Domain.of((0, 1)), 3, 8),
+        (Domain.of((0, 1)), 3, 2),
+        (Domain.full(2), 8, 8),
+        (Domain.of((-2, -1)).union(Domain.of((1, 2))), 6, 8),
+        (Domain.of((None, 0), (1, None)), 10, 4),
+        (Domain.full(0), 5, 8),
+        (Domain.of((0, 1)), 0, 8),
+        (Domain(1), 4, 8),
+    ])
+    def test_memoised_samples_match_a_fresh_computation(self, domain, count, max_den):
+        first = domain.sample_points(count, max_den)
+        again = domain.sample_points(count, max_den)
+        assert first == again == list(_domain_samples.__wrapped__(domain, count, max_den))
+
+    def test_returned_lists_are_fresh(self):
+        d = Domain.of((0, 1), (0, 1))
+        pts = d.sample_points(4)
+        expected = list(pts)
+        pts.append((_f(5), _f(5)))
+        pts[0] = (_f(9), _f(9))
+        assert d.sample_points(4) == expected
+        assert d.sample_points(4) is not d.sample_points(4)
 
 
 class TestExprBounds:

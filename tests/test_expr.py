@@ -54,6 +54,12 @@ class TestCanonicalForm:
         b = E("(1/2)*x0", 1) / E("x0^2 + 1", 1)
         assert a == b
 
+    def test_constructor_keeps_its_own_terms(self):
+        terms = {(1,): Fraction(2), (0,): Fraction(1)}
+        e = Expr(1, terms)
+        terms[(2,)] = Fraction(5)
+        assert e == E("2*x0 + 1", 1)
+
     def test_canonical_string_round_trip(self):
         e = E("x0^2*x1 + 3/2 - x1^3", 2)
         assert Expr.parse(e.to_str(), 2) == e

@@ -319,7 +319,10 @@ class TestSharedElimination:
             parts.preimage(anywhere) is not None
         )
         point = [data.draw(_entries) for _ in a]
-        shifted = [p - b for p, b in zip(point, parts.offset)]
-        assert (not any(parts.residuals(point))) == (solve_rational(a, shifted) is not None)
+        solved = parts.preimage(point)
+        assert (not any(parts.residuals(point))) == (solved is not None)
+        if solved is not None:
+            assert apply(solved, Fraction(0)) == point
         image_point = apply([data.draw(_entries) for _ in a[0]], Fraction(0))
         assert not any(parts.residuals(image_point))
+        assert apply(parts.preimage(image_point), Fraction(0)) == image_point
