@@ -619,9 +619,8 @@ class Expr:
     def differentiate(self, index: int) -> "Expr":
         if not 0 <= index < self.arity:
             raise ExprError(f"variable x{index} out of range for arity {self.arity}")
-        if self.is_polynomial:
-            den = _constant_value(self.den)
-            return Expr(self.arity, _scale(_diff(self.num, index), 1 / den))
+        if self.is_polynomial:  # a polynomial's denominator is 1
+            return Expr(self.arity, _diff(self.num, index))
         num = _sub(
             _mul(_diff(self.num, index), self.den),
             _mul(self.num, _diff(self.den, index)),
@@ -648,8 +647,8 @@ class Expr:
                 # a bare variable x_i, as in a coordinate projection
                 return args[mono.index(1)]
         num_e = _subst_terms(self.num, args, out_arity)
-        if self.is_polynomial:
-            return num_e / Expr.constant(out_arity, _constant_value(self.den))
+        if self.is_polynomial:  # a polynomial's denominator is 1
+            return num_e
         den_e = _subst_terms(self.den, args, out_arity)
         if den_e.is_zero():
             raise ExprError("denominator vanished under substitution")

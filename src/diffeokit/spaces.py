@@ -277,16 +277,6 @@ class Obstruction:
     point: Point | None = None
     detail: str = ""
 
-    def describe(self) -> dict:
-        out = {"kind": self.kind}
-        if self.component:
-            out["component"] = self.component
-        if self.point is not None:
-            out["point"] = [str(v) for v in self.point]
-        if self.detail:
-            out["detail"] = self.detail
-        return out
-
 
 @dataclass(frozen=True)
 class Verdict:

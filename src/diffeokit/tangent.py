@@ -14,32 +14,28 @@ the rational ones this package can write down:
     generator near 0, so coordinates the generator keeps constant must
     have zero velocity, and generators whose image misses x are out.
 
-An independent series search double-checks refutations: expanding the
-defining polynomials along a path with unknown higher coefficients, a
-t-coefficient that is a nonzero constant rules out every polynomial
+An independent series search, `exhaustive_germ_search`, is kept for the
+tests to cross-check refutations against; no check calls it.  Expanding
+the defining polynomials along a path with unknown higher coefficients,
+a t-coefficient that is a nonzero constant rules out every polynomial
 germ of the searched degree at once.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .domains import Box, Domain, Interval, Point, image_within
 from .expr import Expr, ExprVec
 from .linalg import affine_parts, solve_rational
-from .spaces import DEFAULT_BUDGET, DiffSpace, Obstruction, Plot, is_plot
+from .spaces import DEFAULT_BUDGET, DiffSpace, Obstruction, Plot, Verdict, is_plot
 
 __all__ = [
     "PathGerm",
     "ConeVerdict",
-    "ConeReport",
-    "GermSearchReport",
     "cone_membership",
-    "cone_at",
     "exhaustive_germ_search",
-    "sign_probes",
 ]
 
 
@@ -248,26 +244,15 @@ def _generator_blocks(gen: Plot, x: Point, v: Point) -> str | None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GermSearchReport:
-    """Outcome of the unknown-coefficient expansion up to a path degree.
-
-    refuted: some t-coefficient of a defining polynomial is a nonzero
-    constant, so no polynomial path of that degree (or any other, when
-    the coefficient involves no unknowns) can stay in the carrier.
-    witness: every coefficient vanishes identically; the straight line
-    itself works.  inconclusive: coefficients involve the unknowns.
-    """
-
-    status: str  # "refuted" | "witness" | "inconclusive"
-    equation: str = ""
-    order: int | None = None
-    value: Fraction | None = None
-
-
 def exhaustive_germ_search(
     space: DiffSpace, x: Point, v, degree: int = 6
-) -> GermSearchReport:
+) -> Verdict:
+    """Expand the defining polynomials along x + v t + sum_{k=2..degree}
+    c_k t^k with unknown c_k.  A t-coefficient that is a nonzero constant
+    rules out every such path: no, with a "series" obstruction.  Otherwise
+    unknown: coefficients that involve the unknowns decide nothing, and
+    coefficients that all vanish only say that the straight line stays in
+    the carrier, which is no certified plot."""
     x = tuple(Fraction(c) for c in x)
     v = tuple(Fraction(c) for c in v)
     n = len(x)
@@ -276,7 +261,6 @@ def exhaustive_germ_search(
     def coeff_index(i: int, k: int) -> int:
         return i * (degree - 1) + (k - 2)
 
-    # path_i(t) = x_i + v_i t + sum_{k=2..degree} c_{i,k} t^k
     series = []
     for i in range(n):
         coeffs = {0: Expr.constant(unknowns, x[i]), 1: Expr.constant(unknowns, v[i])}
@@ -295,13 +279,20 @@ def exhaustive_germ_search(
                 continue
             all_zero = False
             if c.is_constant:
-                return GermSearchReport(
-                    "refuted", equation=eq.to_str(), order=order,
-                    value=c.constant_value(),
-                )
+                return Verdict.no(Obstruction(
+                    "series",
+                    point=x,
+                    detail=(
+                        f"{eq.to_str()} has t^{order} coefficient "
+                        f"{c.constant_value()} along every path of degree at most {degree}"
+                    ),
+                ))
     if all_zero:
-        return GermSearchReport("witness")
-    return GermSearchReport("inconclusive")
+        return Verdict.unknown(
+            f"germ series search: the straight line keeps every equation at 0, "
+            f"which certifies no plot (degree cap {degree})"
+        )
+    return Verdict.unknown(f"germ series search inconclusive at degree cap {degree}")
 
 
 def _series_eval(eq: Expr, series, unknowns: int) -> dict[int, Expr]:
@@ -330,55 +321,3 @@ def _series_mul(a: dict[int, Expr], b: dict[int, Expr]) -> dict[int, Expr]:
             prod = va * vb
             out[k] = out[k] + prod if k in out else prod
     return out
-
-
-# ---------------------------------------------------------------------------
-# cone descriptions over a probe set
-# ---------------------------------------------------------------------------
-
-
-def sign_probes(dim: int) -> list[Point]:
-    """All nonzero sign-pattern vectors over {-1, 0, 1}, in grid order."""
-    probes = []
-    for combo in itertools.product((-1, 0, 1), repeat=dim):
-        if any(combo):
-            probes.append(tuple(Fraction(c) for c in combo))
-    return probes
-
-
-@dataclass(frozen=True)
-class ConeReport:
-    basepoint: Point
-    verdicts: tuple[ConeVerdict, ...]
-    scaling_ok: bool
-
-    def status_of(self, vector) -> str:
-        wanted = tuple(Fraction(c) for c in vector)
-        for v in self.verdicts:
-            if v.vector == wanted:
-                return v.status
-        raise KeyError(f"probe {vector} was not tested")
-
-
-def cone_at(
-    space: DiffSpace,
-    x: Point,
-    probes=None,
-    budget: int = DEFAULT_BUDGET,
-    scales=(Fraction(1, 2), Fraction(3)),
-) -> ConeReport:
-    x = tuple(Fraction(c) for c in x)
-    if probes is None:
-        probes = sign_probes(space.carrier.ambient_dim(""))
-    verdicts = []
-    scaling_ok = True
-    for probe in probes:
-        verdict = cone_membership(space, x, probe, budget)
-        verdicts.append(verdict)
-        if verdict.is_in:
-            # positive rescaling must stay in the cone: rerun on lambda*v
-            for lam in scales:
-                scaled = tuple(lam * c for c in verdict.vector)
-                if not cone_membership(space, x, scaled, budget).is_in:
-                    scaling_ok = False
-    return ConeReport(x, tuple(verdicts), scaling_ok)

@@ -225,6 +225,21 @@ class TestReports:
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout)["fixture"] == "r1"
 
+    def test_cli_reaches_every_module(self):
+        # a module the command line never imports is reached only by tests
+        src = Path(__file__).resolve().parent.parent / "src"
+        package = src / "diffeokit"
+        expected = {f"diffeokit.{p.stem}" for p in package.glob("*.py")
+                    if p.stem not in ("__init__", "__main__")}
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, diffeokit.cli; print(' '.join(sorted(sys.modules)))"],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert expected - set(done.stdout.split()) == set()
+
     def test_timings_flag_adds_elapsed(self, capsys):
         _, out, _ = run(capsys, "smooth", "line-projection", "--timings")
         assert "s)" in out

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from diffeokit import expr
 from diffeokit.expr import Expr, ExprVec, ExprError
 
 
@@ -135,6 +136,22 @@ class TestComposeEvalDifferentiate:
         for _ in range(25):
             t = Fraction(rng.randint(-20, 20), rng.randint(1, 9))
             assert comp.eval([t]) == f.eval(g.eval([t]))
+
+    def test_polynomial_compose_and_derivative_rescale_nothing(self, monkeypatch):
+        # a polynomial's denominator is exactly 1: composing one divides by
+        # nothing and differentiating one rescales by nothing
+        f = E("x0^2*x1 - 3*x1 + 1/2", 2)
+        args = [E("x0 + 1", 1), E("2*x0^3", 1)]
+        composed = E("2*x0^5 + 4*x0^4 + 2*x0^3 - 6*x0^3 + 1/2", 1)
+        derivatives = E("2*x0*x1", 2), E("10*x0^4 + 16*x0^3 - 12*x0^2", 1)
+
+        def refuse(*_):
+            raise AssertionError("polynomial path divided or rescaled")
+
+        monkeypatch.setattr(Expr, "__truediv__", refuse)
+        monkeypatch.setattr(expr, "_scale", refuse)
+        assert f.compose(args) == composed
+        assert (f.differentiate(0), composed.differentiate(0)) == derivatives
 
     def test_derivative_quotient_rule(self):
         e = E("x0/(x0^2 + 1)", 1)

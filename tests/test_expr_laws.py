@@ -1,8 +1,9 @@
 """Algebraic laws of the expression core, checked on generated expressions.
 
 They guard the fast paths: substitution of polynomial arguments on raw term
-dictionaries, the unit-denominator shortcut in normalisation and evaluation
-at points already made of Fractions.
+dictionaries, the unit-denominator shortcut in normalisation, evaluation
+at points already made of Fractions, and compose and differentiate taking a
+polynomial's stored denominator to be exactly 1.
 """
 
 from fractions import Fraction
@@ -105,6 +106,18 @@ class TestRingAxioms:
         assert a * (b + c) == a * b + a * c
         assert (a * b) * c == a * (b * c)
         assert (a + b) ** 2 == a * a + 2 * a * b + b * b
+
+
+class TestPolynomialDenominatorIsOne:
+    @_property
+    @given(polys(), polys(), positive_polys(), st.integers(0, 3),
+           st.lists(polys(), min_size=ARITY, max_size=ARITY))
+    def test_polynomial_results_store_denominator_one(self, a, b, d, k, args):
+        one = {(0,) * ARITY: 1}
+        results = (a + b, a - b, -a, a * b, a**k, (a * d) / d, (a / d) * d,
+                   a.differentiate(0), a.compose(args))
+        for result in results:
+            assert result.den == one
 
 
 class TestEvaluationIsAHomomorphism:

@@ -1,22 +1,20 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from diffeokit.domains import Domain
 from diffeokit.expr import Expr
+from diffeokit.fixtures import load_registry
 from diffeokit.spaces import (
+    DEFAULT_BUDGET,
     AlgebraicCarrier,
     discrete_space,
     euclidean_space,
     generated_space,
     plot,
 )
-from diffeokit.tangent import (
-    cone_at,
-    cone_membership,
-    exhaustive_germ_search,
-    sign_probes,
-)
+from diffeokit.tangent import cone_membership, exhaustive_germ_search
 
 
 def axes_cross():
@@ -30,6 +28,24 @@ def axes_cross():
 
 
 F = Fraction
+
+
+def nonzero_probes(dim):
+    """Every nonzero vector over {-1, 0, 1}."""
+    return [p for p in itertools.product((-1, 0, 1), repeat=dim) if any(p)]
+
+
+def statuses(space, x, probes, budget=DEFAULT_BUDGET):
+    return {v: cone_membership(space, x, v, budget).status for v in probes}
+
+
+def stays_in_when_scaled(space, x, status, budget=DEFAULT_BUDGET):
+    """Positive rescaling by 1/2 and by 3 keeps every `in` probe in."""
+    return all(
+        cone_membership(space, x, tuple(lam * c for c in v), budget).is_in
+        for v, s in status.items() if s == "in"
+        for lam in (F(1, 2), F(3))
+    )
 
 
 class TestCrossAtOrigin:
@@ -50,28 +66,26 @@ class TestCrossAtOrigin:
     def test_diagonal_refutations_confirmed_by_series_search(self):
         space = axes_cross()
         for v in [(1, 1), (1, -1)]:
-            report = exhaustive_germ_search(space, (0, 0), v, degree=6)
-            assert report.status == "refuted"
+            verdict = exhaustive_germ_search(space, (0, 0), v, degree=6)
+            assert verdict.is_no and verdict.obstruction.kind == "series"
             # the quadratic coefficient is v0*v1, independent of all
             # higher path coefficients
-            assert report.order == 2
-            assert report.value == F(v[0]) * F(v[1])
+            assert f"t^2 coefficient {F(v[0]) * F(v[1])} " in verdict.obstruction.detail
 
     def test_witness_scaling(self):
         space = axes_cross()
-        report = cone_at(space, (0, 0), probes=[(1, 0), (1, 1)], budget=6)
-        assert report.scaling_ok
-        assert report.status_of((1, 0)) == "in"
-        assert report.status_of((1, 1)) == "out"
+        status = statuses(space, (0, 0), [(1, 0), (1, 1)], budget=6)
+        assert stays_in_when_scaled(space, (0, 0), status, budget=6)
+        assert status[(1, 0)] == "in"
+        assert status[(1, 1)] == "out"
 
 
 class TestCrossOffOrigin:
     def test_only_horizontal_probes_at_axis_point(self):
         space = axes_cross()
-        report = cone_at(space, (1, 0), budget=6)
-        for verdict in report.verdicts:
-            expected = "in" if verdict.vector[1] == 0 else "out"
-            assert verdict.status == expected, verdict.vector
+        for v, status in statuses(space, (1, 0), nonzero_probes(2), budget=6).items():
+            expected = "in" if v[1] == 0 else "out"
+            assert status == expected, v
 
     def test_horizontal_witness_is_a_translated_line(self):
         space = axes_cross()
@@ -85,8 +99,8 @@ class TestCrossOffOrigin:
         verdict = cone_membership(space, (1, 0), (0, 1), budget=6)
         assert verdict.is_out
         assert verdict.obstruction.kind == "gradient"
-        report = exhaustive_germ_search(space, (1, 0), (0, 1), degree=6)
-        assert report.status == "refuted" and report.order == 1
+        verdict = exhaustive_germ_search(space, (1, 0), (0, 1), degree=6)
+        assert verdict.is_no and "t^1 coefficient" in verdict.obstruction.detail
 
     def test_off_carrier_basepoint_rejected(self):
         space = axes_cross()
@@ -97,9 +111,9 @@ class TestCrossOffOrigin:
 class TestEuclideanAndDiscrete:
     def test_full_cone_on_the_plane(self):
         plane = euclidean_space(2)
-        report = cone_at(plane, (2, -3))
-        assert all(v.is_in for v in report.verdicts)
-        assert report.scaling_ok
+        status = statuses(plane, (2, -3), nonzero_probes(2))
+        assert all(s == "in" for s in status.values())
+        assert stays_in_when_scaled(plane, (2, -3), status)
 
     def test_zero_vector_always_in(self):
         space = axes_cross()
@@ -113,17 +127,38 @@ class TestEuclideanAndDiscrete:
         assert verdict.obstruction.kind == "annihilation"
 
 
-class TestProbeSets:
-    def test_sign_probe_count(self):
-        assert len(sign_probes(2)) == 8
-        assert len(sign_probes(3)) == 26
+class TestSeriesSearch:
+    def test_unknown_names_the_search_and_its_cap(self):
+        # every coefficient vanishes on the plane, but the straight line is
+        # no certificate, so the search stays unknown rather than yes
+        plane = exhaustive_germ_search(euclidean_space(2), (2, -3), (1, 1), degree=5)
+        assert plane.is_unknown and "degree cap 5" in plane.detail
+        # along the axis, the t^2 coefficient involves the unknown c_{1,2}
+        cross = exhaustive_germ_search(axes_cross(), (0, 0), (1, 0), degree=4)
+        assert cross.is_unknown
+        assert cross.detail == "germ series search inconclusive at degree cap 4"
 
-    def test_probe_order_is_deterministic(self):
-        assert sign_probes(2)[:3] == [
-            (F(-1), F(-1)),
-            (F(-1), F(0)),
-            (F(-1), F(1)),
-        ]
+    def test_series_refutations_agree_with_the_cone(self):
+        """Every built-in cone point against every nonzero {-1, 0, 1} probe:
+        a series refutation means the cone says out, so no cone `in` meets
+        one; and on these points every cone `out` is a series refutation."""
+        reg = load_registry()
+        cases, outs, refuted = 0, set(), set()
+        for name, points in sorted(reg.cone_points.items()):
+            space = reg.space(name)
+            for x in points:
+                for v in nonzero_probes(len(x)):
+                    cone = cone_membership(space, x, v)
+                    series = exhaustive_germ_search(space, x, v, degree=6)
+                    where = (name, x, v)
+                    if series.is_no:
+                        refuted.add(where)
+                        assert cone.is_out, where
+                    if cone.is_out:
+                        outs.add(where)
+                    cases += 1
+        assert cases == 28
+        assert outs == refuted
 
 
 class TestGeneratorJets:
