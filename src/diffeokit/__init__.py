@@ -2,9 +2,9 @@
 
 The package verifies, with rational-arithmetic certificates, the standard
 constructions on diffeological spaces (plots, pullbacks, pushforwards,
-subductions, quotients, functional diffeologies), vector pseudo-bundles and
-their morphisms, automorphism groups and frame bundles, internal tangent
-cones, and plot-indexed differential forms with covariant derivatives.
+subductions, quotients), vector pseudo-bundles and their morphisms,
+automorphism groups and frame bundles, internal tangent cones, and
+plot-indexed differential forms with covariant derivatives.
 
 Every verdict is three-valued: Yes with a replayable certificate, No with a
 concrete obstruction, or Unknown when the bounded search was exhausted.

@@ -17,6 +17,7 @@ from typing import Sequence
 from .bundles import (
     BundleMorphism,
     PseudoBundle,
+    _difference_verdict,
     check_morphism,
     difference_witness,
     fiber_at,
@@ -119,7 +120,9 @@ def bundle_group(
         for label, m in (("generator", gen), ("inverse", inv)):
             verdict = check_morphism(m, bundle, bundle, budget)
             if not verdict.is_yes:
-                raise ValueError(f"{label} {k} of {name}: {verdict.detail}")
+                ob = verdict.obstruction
+                reason = verdict.detail or f"{ob.kind}: {ob.detail}"
+                raise ValueError(f"{label} {k} of {name}: {reason}")
         _, g = gen.phi.piece("")
         _, h = inv.phi.piece("")
         for outer, inner in ((g, h), (h, g)):
@@ -179,11 +182,11 @@ def exact_sequence_check(
     bundle: PseudoBundle,
     group: FinGenGroup,
     word_length: int = 4,
-    pair_length: int = 2,
     budget: int = DEFAULT_BUDGET,
 ) -> Verdict:
     """Both inclusions of kernel = fiberwise linear part, and
-    compatibility of the base projection with composition.
+    compatibility of the base projection with composition on every pair
+    of words of length at most 2.
 
     A yes carries the kernel and linear words in a `ChecksCert`; a no
     lists every failure in its obstruction.  An uncertified difference
@@ -195,7 +198,7 @@ def exact_sequence_check(
     n = bundle.base_dim
 
     failures = []
-    short = [el for el in elements if len(el.word) <= pair_length]
+    short = [el for el in elements if len(el.word) <= 2]
     for a in short:
         for b in short:
             lhs = proj.compose(a.phi.compose(b.phi))
@@ -611,9 +614,10 @@ def quantum_structure_check(
     for k, (a, b) in enumerate(zip(actions, inverses)):
         _, g = a.piece("")
         _, h = b.piece("")
-        bad = difference_witness(space, g.compose(h), ExprVec.identity(n), budget)
-        failure = f"the pair does not invert: {bad}" if bad else None
-        checks.append((f"inverse-{k}", holds(failure)))
+        v = _difference_verdict(space, g.compose(h), ExprVec.identity(n), budget)
+        if v.is_no:
+            v = holds(f"the pair does not invert: {v.obstruction.detail}")
+        checks.append((f"inverse-{k}", v))
 
     # freely reduced words of bounded length, acting on sampled points
     letters = []

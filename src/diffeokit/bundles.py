@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .domains import Box, Domain, Point, format_point
 from .expr import Expr, ExprError, ExprVec
@@ -150,7 +149,6 @@ def build_bundle(
     scale,
     zero,
     projection=None,
-    pair_generators: Sequence[Plot] | None = None,
     pairs_complete: bool = True,
     budget: int = DEFAULT_BUDGET,
     sample_count: int = 6,
@@ -166,7 +164,7 @@ def build_bundle(
     if projection is None:
         projection = [f"x{i}" for i in range(n)]
     proj = _as_map(total, base, projection, f"{name}.proj")
-    pairs = fibered_pairs(name, total, proj, n, pair_generators, pairs_complete)
+    pairs = fibered_pairs(name, total, proj, n, pairs_complete)
     bundle = PseudoBundle(
         name,
         total,
@@ -211,11 +209,11 @@ def fibered_pairs(
     total: DiffSpace,
     projection: SmoothMap,
     base_dim: int,
-    generators: Sequence[Plot] | None = None,
     complete: bool = True,
 ) -> DiffSpace:
     """The space of pairs in a common fiber, as a pullback inside the
-    product of the total space with itself."""
+    product of the total space with itself, generated by the total
+    space's generators with their fiber parameters doubled."""
     d = total.carrier.ambient_dim("")
     eqs = list(total.carrier.equations(""))
     doubled = [eq.lift(2 * d) for eq in eqs] + [eq.lift(2 * d, d) for eq in eqs]
@@ -223,16 +221,15 @@ def fibered_pairs(
     for comp in proj_vec.components:
         doubled.append(comp.lift(2 * d) - comp.lift(2 * d, d))
     carrier = AlgebraicCarrier(2 * d, tuple(doubled))
-    if generators is None:
-        generators = []
-        for g in total.generators:
-            doubled_gen = _doubled_generator(g, base_dim)
-            if doubled_gen is None:
-                raise ExprError(
-                    f"cannot synthesize pair generators for {g.to_str()}; "
-                    "pass them explicitly"
-                )
-            generators.append(doubled_gen)
+    generators = []
+    for g in total.generators:
+        doubled_gen = _doubled_generator(g, base_dim)
+        if doubled_gen is None:
+            raise ExprError(
+                f"cannot synthesize pair generators for {g.to_str()}: its base "
+                "and fiber blocks share parameters"
+            )
+        generators.append(doubled_gen)
     both = product_space(f"{total.name}^2", total, total)
     forward = (("", "", ExprVec.identity(2 * d)),)
     return pullback_space(
@@ -306,14 +303,14 @@ def _construction_checks(bundle: PseudoBundle, budget: int, sample_count: int):
 
     # the fiber operations stay inside the fiber where they started
     first = ExprVec([Expr.variable(2 * d, i) for i in range(d)])
-    yield "add-fiberwise", holds(difference_witness(
+    yield "add-fiberwise", _difference_verdict(
         bundle.pairs, proj_vec.compose(add_vec), proj_vec.compose(first), budget
-    ))
+    )
     carried = ExprVec([Expr.variable(1 + d, 1 + i) for i in range(d)])
-    yield "scale-fiberwise", holds(difference_witness(
+    yield "scale-fiberwise", _difference_verdict(
         _scalar_product(bundle.total),
         proj_vec.compose(scale_vec), proj_vec.compose(carried), budget,
-    ))
+    )
 
     try:
         failure = None
@@ -352,6 +349,20 @@ def difference_witness(
             if diff.eval(pt) != 0:
                 return f"component {i} differs at {format_point(pt)}"
     return f"component {pending[0][0]} not certified equal"
+
+
+def _difference_verdict(
+    space: DiffSpace, lhs: ExprVec, rhs: ExprVec, budget: int
+) -> Verdict:
+    """`difference_witness` as a verdict: yes when the sides agree, no at a
+    separating sample point, unknown when the difference is neither
+    certified zero nor separated."""
+    bad = difference_witness(space, lhs, rhs, budget)
+    if bad is None:
+        return Verdict.yes(None)
+    if "not certified" in bad:
+        return Verdict.unknown(bad)
+    return holds(bad)
 
 
 def fiber_at(bundle: PseudoBundle, x) -> FiberChart:
@@ -492,15 +503,15 @@ def check_morphism(
 
     verdicts = []
     for label, space, lhs, rhs in checks:
-        bad = difference_witness(space, lhs, rhs, budget)
-        if bad is None:
-            verdicts.append(Verdict.yes(RuleCert(label, ())))
-        elif "not certified" in bad:
-            verdicts.append(Verdict.unknown(f"{label}: {bad}"))
-        else:
+        v = _difference_verdict(space, lhs, rhs, budget)
+        if v.is_no:
             return Verdict.no(
-                Obstruction("morphism", detail=f"{label}: {bad}")
+                Obstruction("morphism", detail=f"{label}: {v.obstruction.detail}")
             )
+        verdicts.append(
+            Verdict.yes(RuleCert(label, ())) if v.is_yes
+            else Verdict.unknown(f"{label}: {v.detail}")
+        )
     return conjunction("bundle-morphism", verdicts)
 
 

@@ -16,25 +16,18 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Mapping, Sequence
 
-from .bundles import BundleMorphism, PseudoBundle, invert_isomorphism
-from .domains import Domain
-from .expr import Expr, ExprError, ExprVec
-from .linalg import Matrix, affine_parts, invert_rational
+from .bundles import PseudoBundle
+from .expr import Expr, ExprVec
+from .linalg import Matrix, invert_rational
 from .spaces import (
-    DEFAULT_BUDGET,
-    AlgebraicCarrier,
     DiffSpace,
-    EuclideanCarrier,
     Obstruction,
     Plot,
     RuleCert,
     Verdict,
     euclidean_space,
-    intersection_space,
     is_plot,
     monomials_up_to,
-    product_space,
-    pushforward_space,
     subset_space,
 )
 
@@ -65,25 +58,6 @@ class PlotForm:
             if stored.component == plot.component and stored.map == plot.map:
                 return dict(packed)
         raise KeyError("no coefficients stored for this plot")
-
-    def evaluate(self, plot: Plot, vectors: Sequence[ExprVec]) -> ExprVec:
-        """Apply the skew-multilinear extension to tangent-vector expressions.
-
-        Vector arities may exceed the plot's domain dimension; extra
-        variables are treated as symbolic parameters.
-        """
-        if len(vectors) != self.degree:
-            raise ValueError("argument count does not match the degree")
-        m = plot.domain.dim
-        arity = max([m] + [v.arity for v in vectors])
-        lift = [Expr.variable(arity, t) for t in range(m)]
-        total = [Expr.zero(arity) for _ in range(self.value_dim)]
-        for key, value in self.coefficients(plot).items():
-            minor = [[vectors[a].components[i] for i in key] for a in range(self.degree)]
-            factor = Matrix(minor).det() if minor else Expr.one(arity)
-            moved = value.compose(lift)
-            total = [t + factor * c for t, c in zip(total, moved.components)]
-        return ExprVec(total)
 
 
 @dataclass(frozen=True)
@@ -303,102 +277,6 @@ def _form_sum(left: PlotForm, right: PlotForm, sign: int, mismatch: str) -> Plot
 
 
 # ---------------------------------------------------------------------------
-# the automorphism action on forms
-# ---------------------------------------------------------------------------
-
-
-def _factor_map(target: ExprVec, through: ExprVec) -> ExprVec | None:
-    """Solve through ∘ h = target for h; affine through maps only."""
-    if len(through) != len(target):
-        return None
-    if through.arity == len(through) and through == ExprVec.identity(through.arity):
-        return target
-    if through.arity == target.arity and through == target:
-        return ExprVec.identity(target.arity)
-    parts = affine_parts(through)
-    if parts is None:
-        return None
-    solved = parts.preimage(target.components)
-    return None if solved is None else ExprVec(solved.particular)
-
-
-def _coefficients_along(form: PlotForm, target: ExprVec) -> dict[Key, ExprVec]:
-    """Coefficients at a derived plot, through a stored factorization."""
-    for stored, packed in form.entries:
-        if stored.map == target:
-            return dict(packed)
-    for stored, packed in form.entries:
-        h = _factor_map(target, stored.map)
-        if h is not None:
-            return pullback_coefficients(
-                dict(packed), h, form.degree, form.value_dim
-            )
-    raise ExprError("transported plot has no certificate through stored plots")
-
-
-def _fiber_action(bundle: PseudoBundle, phi: ExprVec) -> Matrix:
-    """Linear part of an automorphism on fiber coordinates, over base vars."""
-    n, d, k = bundle.base_dim, bundle.ambient_dim, bundle.fiber_block
-    rows = []
-    for i in range(k):
-        comp = phi.components[n + i]
-        row = [comp.differentiate(n + j) for j in range(k)]
-        recon = Expr.zero(d)
-        for j, entry in enumerate(row):
-            if any(not entry.differentiate(n + t).is_zero() for t in range(k)):
-                raise ExprError("fiber action is not linear over the base")
-            recon = recon + entry * Expr.variable(d, n + j)
-        if not (comp - recon).is_zero():
-            raise ExprError("fiber action is not linear over the base")
-        rows.append(row)
-    return Matrix(rows)
-
-
-def aut_action_on_forms(
-    bundle: PseudoBundle,
-    aut: BundleMorphism,
-    form: PlotForm,
-    inverse: BundleMorphism | None = None,
-    budget: int = DEFAULT_BUDGET,
-) -> PlotForm:
-    """Transport a form along a bundle automorphism.
-
-    The result at a stored plot reads the source form at the plot pulled
-    back through the inverse base map, then pushes values through the
-    fiber action over that plot.
-    """
-    if form.value_dim != bundle.fiber_block:
-        raise ValueError("form values do not match the bundle's fiber block")
-    if inverse is None:
-        inverse = invert_isomorphism(aut, bundle, bundle, budget=budget)
-    _, phi = aut.phi.piece("")
-    _, back = inverse.varphi.piece("")
-    action = _fiber_action(bundle, phi)
-    n, k = bundle.base_dim, bundle.fiber_block
-    entries = []
-    for plot, _ in form.entries:
-        m = plot.domain.dim
-        moved = back.compose(plot.map)
-        coeffs = _coefficients_along(form, moved)
-        # the fiber action is applied over the pulled-back base points
-        pad = list(moved.components) + [Expr.zero(m)] * k
-        acted = action.compose(pad).rows
-        packed = []
-        for key, value in sorted(coeffs.items()):
-            new = [
-                sum(
-                    (acted[i][j] * value.components[j] for j in range(k)),
-                    Expr.zero(m),
-                )
-                for i in range(k)
-            ]
-            if not all(c.is_zero() for c in new):
-                packed.append((key, ExprVec(new)))
-        entries.append((plot, tuple(packed)))
-    return PlotForm(form.degree, form.value_dim, tuple(entries))
-
-
-# ---------------------------------------------------------------------------
 # endomorphism fields
 # ---------------------------------------------------------------------------
 
@@ -472,27 +350,8 @@ def end_field_ops(first: EndField, second: EndField) -> EndFieldOps:
 
 
 # ---------------------------------------------------------------------------
-# the endomorphism diffeologies
+# frames with recorded inverses
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DiffeologyTower:
-    """Three diffeologies on endomorphism families over one bundle.
-
-    pair_space: vector-endomorphism pairs whose evaluation and vector
-    projections are both plots of the total space.
-    family_space: endomorphism families, the image of the pair projection.
-    conjugation_space: families reached as frame · rep · frame⁻¹.
-    """
-
-    pair_space: DiffSpace
-    family_space: DiffSpace
-    conjugation_space: DiffSpace
-    frame_space: DiffSpace
-    evaluation: ExprVec
-    vector_projection: ExprVec
-    family_projection: ExprVec
 
 
 def _matrix_of_variables(arity: int, k: int, offset: int) -> Matrix:
@@ -528,91 +387,6 @@ def frame_space(bundle: PseudoBundle, plots: Sequence[Plot] = ()) -> DiffSpace:
         if not verdict.is_yes:
             raise ValueError("a declared frame family leaves the frame carrier")
     return space
-
-
-def diffeology_tower(
-    bundle: PseudoBundle, frame_plots: Sequence[Plot] = ()
-) -> DiffeologyTower:
-    """Build the pair, family, and conjugation diffeologies over a bundle."""
-    n, d, k = bundle.base_dim, bundle.ambient_dim, bundle.fiber_block
-    pair_dim = d + k * k
-
-    ev = ExprVec(
-        [Expr.variable(pair_dim, i) for i in range(n)]
-        + [
-            sum(
-                (
-                    Expr.variable(pair_dim, d + i * k + j)
-                    * Expr.variable(pair_dim, n + j)
-                    for j in range(k)
-                ),
-                Expr.zero(pair_dim),
-            )
-            for i in range(k)
-        ]
-    )
-    vector = ExprVec([Expr.variable(pair_dim, i) for i in range(d)])
-    family = ExprVec(
-        [Expr.variable(pair_dim, i) for i in range(n)]
-        + [Expr.variable(pair_dim, d + t) for t in range(k * k)]
-    )
-
-    lifted = tuple(
-        eq.compose([Expr.variable(pair_dim, i) for i in range(d)])
-        for eq in bundle.total.carrier.equations("")
-    )
-    carrier = (
-        AlgebraicCarrier(pair_dim, lifted) if lifted else EuclideanCarrier(pair_dim)
-    )
-    # the identity chart generates exactly when both projections certify
-    ident = Plot(Domain.full(pair_dim), ExprVec.identity(pair_dim))
-    generates = all(
-        is_plot(bundle.total, Plot(ident.domain, vec)).is_yes for vec in (ev, vector)
-    )
-    pair_space = intersection_space(
-        f"{bundle.name}-end-pairs",
-        carrier,
-        parts=[
-            (bundle.total, (("", "", ev),)),
-            (bundle.total, (("", "", vector),)),
-        ],
-        generators=(ident,) if generates else (),
-    )
-    family_space = pushforward_space(
-        f"{bundle.name}-end-families",
-        EuclideanCarrier(n + k * k),
-        pair_space,
-        (("", "", family),),
-    )
-
-    frames = frame_space(bundle, frame_plots)
-    source = product_space(
-        f"{frames.name}*reps", frames, euclidean_space(k * k)
-    )
-    src_dim = n + 3 * k * k
-    mf = _matrix_of_variables(src_dim, k, n)
-    mh = _matrix_of_variables(src_dim, k, n + k * k)
-    ml = _matrix_of_variables(src_dim, k, n + 2 * k * k)
-    conjugated = mf * ml * mh
-    ref = ExprVec(
-        [Expr.variable(src_dim, i) for i in range(n)]
-        + [conjugated.rows[i][j] for i in range(k) for j in range(k)]
-    )
-    conjugation_space = pushforward_space(
-        f"{bundle.name}-conjugations",
-        EuclideanCarrier(n + k * k),
-        source,
-        (("", "", ref),),
-    )
-    return DiffeologyTower(
-        pair_space,
-        family_space,
-        conjugation_space,
-        frames,
-        ev,
-        vector,
-        family,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -822,16 +596,13 @@ def _frame_blocks(frame_map: ExprVec, base_dim: int, k: int) -> tuple[Matrix, Ma
 
 
 def right_translate(
-    frame_map: ExprVec, sample: Sequence[Sequence], base_dim: int, k: int
+    frame_map: ExprVec, g: Matrix, g_inverse: Matrix, base_dim: int, k: int
 ) -> ExprVec:
-    """Translate a frame family by a constant invertible matrix."""
-    rows = [[Fraction(v) for v in row] for row in sample]
-    inverse = invert_rational(rows)
-    if inverse is None:
-        raise ValueError("sample matrix is not invertible")
+    """Translate a frame family (x, f, h) to (x, f·g, g⁻¹·h) by a constant
+    matrix g given with its inverse."""
     f, h = _frame_blocks(frame_map, base_dim, k)
-    fg = f * Matrix.from_rationals(rows, frame_map.arity)
-    gh = Matrix.from_rationals(inverse, frame_map.arity) * h
+    fg = f * g
+    gh = g_inverse * h
     comps = list(frame_map.components[:base_dim])
     comps += [fg.rows[i][j] for i in range(k) for j in range(k)]
     comps += [gh.rows[i][j] for i in range(k) for j in range(k)]
@@ -856,14 +627,6 @@ def maurer_cartan(base_dim: int, dim_f: int) -> ConnectionOneForm:
     def rule(frame_map: ExprVec) -> tuple[Matrix, ...]:
         h, df = _frame_differential(frame_map, base_dim, dim_f)
         return tuple(h * d for d in df)
-
-    return ConnectionOneForm(base_dim, dim_f, rule)
-
-
-def zero_connection_form(base_dim: int, dim_f: int) -> ConnectionOneForm:
-    def rule(frame_map: ExprVec) -> tuple[Matrix, ...]:
-        zero = Matrix.zero(dim_f, dim_f, frame_map.arity)
-        return tuple(zero for _ in range(frame_map.arity))
 
     return ConnectionOneForm(base_dim, dim_f, rule)
 
@@ -910,9 +673,9 @@ def check_connection_form(
             )
         base = theta.rule(plot.map)
         for s_idx, (rows, inverse) in enumerate(prepared):
-            moved = theta.rule(right_translate(plot.map, rows, n, k))
             g = Matrix.from_rationals(rows, plot.map.arity)
             ginv = Matrix.from_rationals(inverse, plot.map.arity)
+            moved = theta.rule(right_translate(plot.map, g, ginv, n, k))
             for direction in range(m):
                 want = ginv * base[direction] * g
                 have = moved[direction]

@@ -112,6 +112,21 @@ def _from_verdict(check_id: str, anchor: str, v: Verdict, budget: int, t0: float
     )
 
 
+def _tally(
+    check_id: str, anchor: str, failures, passed, budget: int, t0: float
+) -> CheckResult:
+    """A check made of sub-checks.  `failures` pairs the status of each
+    sub-check that did not hold ("no" or "unknown") with its witness: the
+    check is no when one failed, otherwise unknown when one is still open,
+    otherwise yes with the `passed` witnesses."""
+    statuses = {status for status, _ in failures}
+    verdict = "no" if "no" in statuses else ("unknown" if statuses else "yes")
+    witnesses = tuple(text for _, text in failures) or tuple(passed)
+    return CheckResult(
+        check_id, anchor, verdict, witnesses, budget, time.perf_counter() - t0
+    )
+
+
 def _parse_point(text: str) -> tuple[Fraction, ...]:
     try:
         return tuple(Fraction(part.strip()) for part in text.split(","))
@@ -162,13 +177,13 @@ def _axioms_checks(
             count += 1
             v = is_plot(space, candidate, budget)
             if not v.is_yes:
-                failures.append(f"constant at ({_fmt_point(value)}) -> {v.status}")
-    verdict = "no" if failures else "yes"
-    witnesses = tuple(failures) or (f"{count} constant parametrisations certified",)
+                failures.append(
+                    (v.status, f"constant at ({_fmt_point(value)}) -> {v.status}")
+                )
     out.append(
-        CheckResult(
-            f"axioms:{name}:covering", ANCHORS["axioms"], verdict, witnesses,
-            budget, time.perf_counter() - t0,
+        _tally(
+            f"axioms:{name}:covering", ANCHORS["axioms"], failures,
+            (f"{count} constant parametrisations certified",), budget, t0,
         )
     )
 
@@ -191,14 +206,12 @@ def _axioms_checks(
             if not v.is_yes:
                 factor_text = ", ".join(f.to_str() for f in factor)
                 failures.append(
-                    f"generator {idx} after ({factor_text}) -> {v.status}"
+                    (v.status, f"generator {idx} after ({factor_text}) -> {v.status}")
                 )
-    verdict = "no" if failures else "yes"
-    witnesses = tuple(failures) or (f"{count} random precompositions certified",)
     out.append(
-        CheckResult(
-            f"axioms:{name}:precompose", ANCHORS["axioms"], verdict, witnesses,
-            budget, time.perf_counter() - t0,
+        _tally(
+            f"axioms:{name}:precompose", ANCHORS["axioms"], failures,
+            (f"{count} random precompositions certified",), budget, t0,
         )
     )
 
@@ -214,15 +227,15 @@ def _axioms_checks(
         count += 1
         v = is_plot(space, candidate, budget)
         if not v.is_yes:
-            failures.append(f"restriction of generator {idx} -> {v.status}")
+            failures.append((v.status, f"restriction of generator {idx} -> {v.status}"))
         elif not verify_certificate(space, candidate, v.certificate, budget):
-            failures.append(f"restriction of generator {idx}: certificate replay failed")
-    verdict = "no" if failures else "yes"
-    witnesses = tuple(failures) or (f"{count} restrictions certified and replayed",)
+            failures.append(
+                ("no", f"restriction of generator {idx}: certificate replay failed")
+            )
     out.append(
-        CheckResult(
-            f"axioms:{name}:locality", ANCHORS["axioms"], verdict, witnesses,
-            budget, time.perf_counter() - t0,
+        _tally(
+            f"axioms:{name}:locality", ANCHORS["axioms"], failures,
+            (f"{count} restrictions certified and replayed",), budget, t0,
         )
     )
     return out
@@ -253,10 +266,10 @@ def _default_probes(dim: int) -> list[tuple[Fraction, ...]]:
     return probes
 
 
-def _cone_checks(reg, name, x, budget, probes=None) -> list[CheckResult]:
+def _cone_checks(reg, name, x, budget) -> list[CheckResult]:
     space = reg.space(name)
     out = []
-    for v in probes or _default_probes(len(x)):
+    for v in _default_probes(len(x)):
         t0 = time.perf_counter()
         try:
             cv = cone_membership(space, x, v, budget)
@@ -303,7 +316,7 @@ def _exact_sequence_check(reg, bundle_name, group_name, budget) -> list[CheckRes
     ]
 
 
-def _frame_checks(reg, name, budget, seed, pairs_per_point: int = 10) -> list[CheckResult]:
+def _frame_checks(reg, name, budget, seed) -> list[CheckResult]:
     bundle = reg.bundle(name)
     points = reg.frame_points.get(name)
     if not points:
@@ -312,15 +325,14 @@ def _frame_checks(reg, name, budget, seed, pairs_per_point: int = 10) -> list[Ch
     t0 = time.perf_counter()
     pairs = []
     for x in points:
-        for _ in range(pairs_per_point):
+        for _ in range(10):
             pairs.append((random_frame(bundle, x, rng), random_frame(bundle, x, rng)))
     report = frame_bundle_check(bundle, pairs)
-    verdict = "yes" if report.ok else "no"
-    witnesses = report.failures or (f"{report.pairs} frame pairs free and transitive",)
     return [
-        CheckResult(
-            f"frame-check:{name}", ANCHORS["frame-check"], verdict, tuple(witnesses),
-            budget, time.perf_counter() - t0,
+        _tally(
+            f"frame-check:{name}", ANCHORS["frame-check"],
+            [("no", failure) for failure in report.failures],
+            (f"{report.pairs} frame pairs free and transitive",), budget, t0,
         )
     ]
 
@@ -366,7 +378,9 @@ def _affine_checks(reg, name, budget, seed) -> list[CheckResult]:
         if v.is_yes:
             witnesses.append(f"{label} connection satisfies the derivative laws")
         else:
-            failures.append(f"{label} connection: " + "; ".join(_verdict_witnesses(v)))
+            failures.append(
+                (v.status, f"{label} connection: " + "; ".join(_verdict_witnesses(v)))
+            )
 
     try:
         diff = affine_structure(fx.first, fx.second)
@@ -376,23 +390,21 @@ def _affine_checks(reg, name, budget, seed) -> list[CheckResult]:
     if v.is_yes:
         witnesses.append("difference is a compatible matrix-valued 1-form")
     else:
-        failures.append("difference form: " + "; ".join(_verdict_witnesses(v)))
+        failures.append((v.status, "difference form: " + "; ".join(_verdict_witnesses(v))))
 
     if connections_equal(translate(fx.second, diff), fx.first):
         witnesses.append("translating the second by the difference recovers the first")
     else:
-        failures.append("translation by the difference misses the first connection")
+        failures.append(("no", "translation by the difference misses the first connection"))
     back = affine_structure(fx.second, fx.first)
     if connections_equal(translate(fx.first, back), fx.second):
         witnesses.append("reverse translation recovers the second")
     else:
-        failures.append("reverse translation misses the second connection")
-
-    verdict = "no" if failures else "yes"
+        failures.append(("no", "reverse translation misses the second connection"))
     return [
-        CheckResult(
-            f"affine-check:{name}", ANCHORS["affine-check"], verdict,
-            tuple(failures) or tuple(witnesses), budget, time.perf_counter() - t0,
+        _tally(
+            f"affine-check:{name}", ANCHORS["affine-check"], failures, witnesses,
+            budget, t0,
         )
     ]
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from diffeokit import bundles
 from diffeokit.autgroups import (
     BundleMorphism,
     FinGenGroup,
@@ -344,6 +345,21 @@ class TestQuantumStructure:
             space, [step], [back], points=[(Fraction(0),)], word_length=3
         )
         assert verdict.is_yes
+
+    def test_uncertified_inverse_stays_unknown(self, monkeypatch):
+        # an inverse pair neither certified nor separated at a sample point
+        # leaves inverse-0 open; the folded verdict must not say no
+        monkeypatch.setattr(
+            bundles, "difference_witness",
+            lambda *a, **k: "component 0 not certified equal",
+        )
+        space = euclidean_space(2, "fr")
+        double = smooth_map(space, space, ["x0", "2*x1"])
+        halve = smooth_map(space, space, ["x0", "x1 / 2"])
+        points = [(Fraction(0), Fraction(1)), (Fraction(1), Fraction(-2))]
+        verdict = quantum_structure_check(space, [double], [halve], points=points)
+        assert verdict.is_unknown
+        assert verdict.detail == "inverse-0: component 0 not certified equal"
 
     def test_uncertified_smoothness_stays_unknown(self):
         # generators not known to be complete: smoothness is left open,

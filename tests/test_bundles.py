@@ -132,6 +132,18 @@ class TestConstruction:
         assert err.value.check == "projection-subduction"
         assert err.value.witness == "planted"
 
+    def test_uncertified_difference_is_unknown(self, monkeypatch):
+        # a difference neither certified zero nor separated at a sample
+        # point leaves the fiberwise check open, not refuted
+        b = line_bundle()
+        monkeypatch.setattr(
+            bundles, "difference_witness",
+            lambda *a, **k: "component 0 not certified equal",
+        )
+        verdict = validate_bundle(b)
+        assert verdict.is_unknown
+        assert verdict.detail == "add-fiberwise: component 0 not certified equal"
+
     def test_zero_bundle_has_point_fibers(self):
         zb = zero_bundle(euclidean_space(2))
         assert fiber_at(zb, (Fraction(1), Fraction(-3))).dim == 0

@@ -7,34 +7,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffeokit.bundles import BundleMorphism
 from diffeokit.calculus import (
     OverlapPair,
     PlotForm,
     affine_structure,
-    aut_action_on_forms,
     check_connection_form,
     connections_equal,
     covariant_apply,
     covariant_derivative,
-    diffeology_tower,
     end_field,
     end_field_ops,
     flat_connection,
     form_d,
     forms_equal,
+    frame_space,
     maurer_cartan,
     plot_form,
     raw_frame_differential,
     translate,
     validate_covariant,
     validate_form,
-    zero_connection_form,
 )
 from diffeokit.domains import Domain
-from diffeokit.expr import Expr, ExprError, ExprVec
+from diffeokit.expr import Expr, ExprVec
 from diffeokit.linalg import Matrix
-from diffeokit.spaces import Plot, identity_map, is_plot, smooth_map
+from diffeokit.spaces import Plot, is_plot, verify_certificate
 
 from test_bundles import cross_bundle, line_bundle
 
@@ -86,17 +83,6 @@ class TestForms:
         verdict = validate_form(form, [cubic_pair()])
         assert verdict.is_no
         assert "pullback mismatch" in verdict.obstruction.detail
-
-    def test_degree_two_evaluation_is_antisymmetric(self):
-        plane = Plot(Domain.full(2), ExprVec.identity(2))
-        form = plot_form(2, 1, [(plane, {(0, 1): "x0*x1"})])
-        first = ExprVec([Expr.variable(6, 2), Expr.variable(6, 3)])
-        second = ExprVec([Expr.variable(6, 4), Expr.variable(6, 5)])
-        straight = form.evaluate(plane, [first, second])
-        flipped = form.evaluate(plane, [second, first])
-        assert straight.components[0] == -flipped.components[0]
-        repeated = form.evaluate(plane, [first, first])
-        assert repeated.components[0].is_zero()
 
     def test_unsorted_coefficient_keys_are_rejected(self):
         plane = Plot(Domain.full(2), ExprVec.identity(2))
@@ -153,72 +139,6 @@ class TestDifferential:
         assert validate_form(form_d(section), [pair]).is_yes
 
 
-class TestAutAction:
-    def one_form(self):
-        return plot_form(1, 1, [(line_plot(), {0: "x0^2"})])
-
-    def test_identity_acts_trivially(self):
-        b = line_bundle()
-        ident = BundleMorphism(identity_map(b.total), identity_map(b.base))
-        moved = aut_action_on_forms(b, ident, self.one_form())
-        assert forms_equal(moved, self.one_form())
-
-    def test_fiber_scaling_doubles_coefficients(self):
-        b = line_bundle()
-        double = BundleMorphism(
-            smooth_map(b.total, b.total, ["x0", "2*x1"]),
-            identity_map(b.base),
-        )
-        moved = aut_action_on_forms(b, double, self.one_form())
-        assert forms_equal(
-            moved, plot_form(1, 1, [(line_plot(), {0: "2*x0^2"})])
-        )
-
-    def test_base_translation_reparametrizes(self):
-        b = line_bundle()
-        shift = BundleMorphism(
-            smooth_map(b.total, b.total, ["x0 + 1", "x1"]),
-            smooth_map(b.base, b.base, ["x0 + 1"]),
-        )
-        moved = aut_action_on_forms(b, shift, self.one_form())
-        assert forms_equal(
-            moved, plot_form(1, 1, [(line_plot(), {0: "(x0 - 1)^2"})])
-        )
-
-    def test_action_is_functorial(self):
-        b = line_bundle()
-        double = BundleMorphism(
-            smooth_map(b.total, b.total, ["x0", "2*x1"]),
-            identity_map(b.base),
-        )
-        shift = BundleMorphism(
-            smooth_map(b.total, b.total, ["x0 + 1", "x1"]),
-            smooth_map(b.base, b.base, ["x0 + 1"]),
-        )
-        _, phi_d = double.phi.piece("")
-        _, phi_s = shift.phi.piece("")
-        _, var_s = shift.varphi.piece("")
-        composed = BundleMorphism(
-            smooth_map(b.total, b.total, phi_d.compose(phi_s)),
-            smooth_map(b.base, b.base, var_s),
-        )
-        at_once = aut_action_on_forms(b, composed, self.one_form())
-        stepwise = aut_action_on_forms(
-            b, double, aut_action_on_forms(b, shift, self.one_form())
-        )
-        assert forms_equal(at_once, stepwise)
-
-    def test_unreachable_plot_has_no_certificate(self):
-        b = line_bundle()
-        shift = BundleMorphism(
-            smooth_map(b.total, b.total, ["x0 + 1", "x1"]),
-            smooth_map(b.base, b.base, ["x0 + 1"]),
-        )
-        lonely = plot_form(1, 1, [(cubic_plot(), {0: "x0"})])
-        with pytest.raises(ExprError, match="no certificate"):
-            aut_action_on_forms(b, shift, lonely)
-
-
 class TestEndFields:
     def test_identity_representations_multiply_to_identity(self):
         frame = Matrix([[Expr.parse("x0^2 + 1", 1)]])
@@ -265,41 +185,17 @@ def line_frame_plot():
     )
 
 
-class TestTower:
-    def test_constant_fields_are_plots_everywhere(self):
-        tower = diffeology_tower(line_bundle(), [line_frame_plot()])
-        pair_const = Plot(Domain.full(1), ExprVec.parse(["1", "2", "3"], 1))
-        flat_const = Plot(Domain.full(1), ExprVec.parse(["1", "2"], 1))
-        assert is_plot(tower.pair_space, pair_const).is_yes
-        assert is_plot(tower.family_space, flat_const).is_yes
-        assert is_plot(tower.conjugation_space, flat_const).is_yes
-
-    def test_scaling_family_certifies_in_pairs(self):
-        tower = diffeology_tower(line_bundle(), [line_frame_plot()])
-        family = Plot(Domain.full(1), ExprVec.parse(["x0", "1", "x0"], 1))
-        verdict = is_plot(tower.pair_space, family)
+class TestFrameSpace:
+    def test_declared_family_is_a_plot(self):
+        frames = frame_space(line_bundle(), [line_frame_plot()])
+        verdict = is_plot(frames, line_frame_plot())
         assert verdict.is_yes
-
-    def test_family_and_conjugation_projections_certify(self):
-        tower = diffeology_tower(line_bundle(), [line_frame_plot()])
-        family = Plot(Domain.full(1), ExprVec.parse(["x0", "x0^2"], 1))
-        assert is_plot(tower.family_space, family).is_yes
-        assert is_plot(tower.conjugation_space, family).is_yes
-
-    def test_evaluation_leaving_the_carrier_is_refused(self):
-        tower = diffeology_tower(cross_bundle())
-        candidate = Plot(
-            Domain.full(1),
-            ExprVec.parse(["1", "0", "x0", "0", "0", "0", "1", "0"], 1),
-        )
-        verdict = is_plot(tower.pair_space, candidate)
-        assert verdict.is_no
-        assert verdict.obstruction is not None
+        assert verify_certificate(frames, line_frame_plot(), verdict.certificate)
 
     def test_bad_frame_family_is_rejected(self):
         plot = Plot(Domain.full(1), ExprVec.parse(["x0", "2", "3"], 1))
         with pytest.raises(ValueError, match="frame carrier"):
-            diffeology_tower(line_bundle(), [plot])
+            frame_space(line_bundle(), [plot])
 
 
 class TestCovariant:
@@ -514,12 +410,6 @@ class TestConnectionForm:
         )
         assert verdict.is_yes
         assert "component" in verdict.detail
-
-    def test_zero_form_is_equivariant(self):
-        theta = zero_connection_form(1, 1)
-        assert check_connection_form(
-            theta, [line_frame_plot()], [[[5]]]
-        ).is_yes
 
     def test_matrix_frame_derivative_is_equivariant(self):
         theta = maurer_cartan(1, 2)

@@ -84,6 +84,17 @@ class TestSubcommands:
         assert out.splitlines()[1].startswith("unknown  bundle-validate:cross-bundle")
         assert "- scale-smooth: " in out
 
+    @pytest.mark.parametrize("budget", ["1", "2"])
+    def test_open_precompositions_are_unknown_not_failures(self, capsys, budget):
+        # at small budgets the factor search gives up on some random
+        # precompositions; an open sub-check leaves the check unknown
+        code, out, _ = run(capsys, "all", "--budget", budget, "--format", "json")
+        assert code == 0
+        verdicts = {c["id"]: c["verdict"] for c in json.loads(out)["checks"]}
+        assert "no" not in verdicts.values()
+        assert verdicts["axioms:cross:precompose"] == "unknown"
+        assert verdicts["axioms:product-cross-line:precompose"] == "unknown"
+
     def test_strict_unknown_turns_into_failure(self, capsys):
         code, _, _ = run(capsys, "subduction", "axis-inclusion", "--strict-unknown")
         assert code == 1
@@ -128,6 +139,19 @@ class TestExitCodes:
         )
         assert code == 1
         assert "pullback mismatch" in out
+
+    def test_refused_group_names_the_failed_law(self, capsys, tmp_path):
+        # x0 + x1 moves the base point with the fiber coordinate, so the
+        # projection square fails, e.g. at (0, -1)
+        doc = {"group": {"name": "bad", "bundle": "line-bundle", "generators": [
+            {"phi": ["x0 + x1", "x1"], "phi_inverse": ["x0 - x1", "x1"]}]}}
+        path = tmp_path / "group.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, _, err = run(capsys, "axioms", "r1", "--fixtures", str(path))
+        assert code == 2
+        assert "generator 0 of bad: " in err
+        assert "square" in err
+        assert "(0, -1)" in err
 
     def test_unknown_form_lists_frame_models(self, capsys):
         code, _, err = run(capsys, "forms-validate", "nope")

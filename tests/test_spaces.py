@@ -35,6 +35,7 @@ from diffeokit.spaces import (
     plot,
     product_space,
     pullback_space,
+    pushforward_space,
     quotient_space,
     smooth_map,
     subset_space,
@@ -344,6 +345,22 @@ class TestInducedSpaces:
         assert v.obstruction.kind == "component"
         assert v.obstruction.component == "b"
         assert "pullback" in v.obstruction.detail
+
+    def test_pushforward_along_a_parabola(self):
+        # the line pushed forward along x -> (x, x^2) into the plane: the
+        # forward map itself and a plot factored through it certify; the
+        # carrier is the whole plane, so (x0, x0^3), which leaves the
+        # parabola, is not refuted but only left without a factorization
+        r1 = euclidean_space(1)
+        forward = (("", "", ExprVec.parse(["x0", "x0^2"], 1)),)
+        space = pushforward_space("parabola", EuclideanCarrier(2), r1, forward)
+        for texts, kind in ((["x0", "x0^2"], "generator"), (["x0^3", "x0^6"], "factored")):
+            candidate = plot(R1, texts)
+            v = is_plot(space, candidate)
+            assert v.is_yes
+            assert v.certificate.kind == kind
+            assert verify_certificate(space, candidate, v.certificate)
+        assert is_plot(space, plot(R1, ["x0", "x0^3"])).is_unknown
 
 
 class TestSubsetSpaces:
