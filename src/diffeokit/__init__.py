@@ -10,14 +10,13 @@ Every verdict is three-valued: Yes with a replayable certificate, No with a
 concrete obstruction, or Unknown when the bounded search was exhausted.
 """
 
-from .expr import Expr, ExprVec, ExprError, PositivityWitness, parse_fraction
+from .expr import Expr, ExprVec, ExprError, PositivityWitness
 
 __all__ = [
     "Expr",
     "ExprVec",
     "ExprError",
     "PositivityWitness",
-    "parse_fraction",
 ]
 
 __version__ = "0.1.0"

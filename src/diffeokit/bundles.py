@@ -356,7 +356,8 @@ def _difference_verdict(
 ) -> Verdict:
     """`difference_witness` as a verdict: yes when the sides agree, no at a
     separating sample point, unknown when the difference is neither
-    certified zero nor separated."""
+    certified zero nor separated.  Every check reads a difference through
+    here and nowhere else."""
     bad = difference_witness(space, lhs, rhs, budget)
     if bad is None:
         return Verdict.yes(None)
@@ -536,12 +537,16 @@ def invert_isomorphism(
 
     _, phi = m.phi.piece("")
     _, phi_inv = supplied.phi.piece("")
-    round_src = phi_inv.compose(phi)
-    round_dst = phi.compose(phi_inv)
-    if difference_witness(src.total, round_src, ExprVec.identity(src.ambient_dim), budget):
-        raise NoInverseFound("inverse fails on the source side")
-    if difference_witness(dst.total, round_dst, ExprVec.identity(dst.ambient_dim), budget):
-        raise NoInverseFound("inverse fails on the target side")
+    for side, bundle, round_trip in (
+        ("source", src, phi_inv.compose(phi)), ("target", dst, phi.compose(phi_inv))
+    ):
+        v = _difference_verdict(
+            bundle.total, round_trip, ExprVec.identity(bundle.ambient_dim), budget
+        )
+        if v.is_no:
+            raise NoInverseFound(f"inverse fails on the {side} side")
+        if v.is_unknown:
+            raise NoInverseFound(f"inverse not certified on the {side} side")
 
     # the base inverse is the candidate restricted to the zero section
     _, zero_dst = dst.zero.piece("")

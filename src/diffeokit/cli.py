@@ -307,7 +307,7 @@ def _exact_sequence_check(reg, bundle_name, group_name, budget) -> list[CheckRes
             f"group {group_name!r} acts on bundle {group.bundle.name!r}, not {bundle_name!r}"
         )
     t0 = time.perf_counter()
-    v = exact_sequence_check(bundle, group, word_length=budget, budget=budget)
+    v = exact_sequence_check(bundle, group, budget)
     return [
         _from_verdict(
             f"exact-sequence:{bundle_name}:{group_name}", ANCHORS["exact-sequence"],
@@ -591,7 +591,11 @@ def main(argv=None) -> int:
     else:
         report = render_text(fixture, args.budget, args.seed, checks, args.timings)
     if args.out is not None:
-        args.out.write_text(report, encoding="utf-8")
+        try:
+            args.out.write_text(report, encoding="utf-8")
+        except OSError as err:
+            print(f"cannot write {args.out}: {err.strerror or err}", file=sys.stderr)
+            return 2
         failed_count = sum(1 for c in checks if c.verdict == "no")
         print(f"wrote {args.out} ({len(checks)} checks, {failed_count} failed)")
     else:

@@ -187,12 +187,13 @@ class Domain:
             self.boxes,
         )
 
-    def sample_points(self, count: int, max_den: int = 8) -> list[Point]:
-        """Deterministic rational points inside the domain, simple first.
+    def sample_points(self, count: int) -> list[Point]:
+        """Deterministic rational points inside the domain, simple first,
+        with denominators up to `SAMPLE_MAX_DEN`.
 
-        Memoised per (domain, count, max_den); the list is fresh on every
-        call, so a caller may change it."""
-        return list(_domain_samples(self, count, max_den))
+        Memoised per (domain, count); the list is fresh on every call, so a
+        caller may change it."""
+        return list(_domain_samples(self, count, SAMPLE_MAX_DEN))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Domain):
@@ -311,6 +312,8 @@ def _box_covered(box: Box, cover: Sequence[Box]) -> bool:
 # distinct (domain, count, max_den) keys held; a membership benchmark pass
 # at budget 6 meets 92 of them
 SAMPLE_CACHE_SIZE = 1024
+# largest denominator of a sample coordinate
+SAMPLE_MAX_DEN = 8
 
 
 @functools.lru_cache(maxsize=SAMPLE_CACHE_SIZE)

@@ -1069,8 +1069,3 @@ class ExprVec:
 
     def __repr__(self) -> str:
         return f"ExprVec({self.to_str()!r})"
-
-
-def parse_fraction(text: str) -> Fraction:
-    """Parse 'p/q' or 'p' into an exact rational."""
-    return Fraction(text.strip())

@@ -129,9 +129,6 @@ class FixtureRegistry:
     def group(self, name: str) -> FinGenGroup:
         return self._get(self.groups, name, "group")
 
-    def flow(self, name: str) -> FlowFixture:
-        return self._get(self.flows, name, "flow")
-
     def form(self, name: str) -> FormFixture:
         return self._get(self.forms, name, "form")
 

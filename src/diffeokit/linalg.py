@@ -49,10 +49,6 @@ class Matrix:
         )
 
     @staticmethod
-    def zero(n: int, m: int, arity: int) -> "Matrix":
-        return Matrix([[Expr.zero(arity) for _ in range(m)] for _ in range(n)])
-
-    @staticmethod
     def from_rationals(rows: Sequence[Sequence[Fraction | int]], arity: int) -> "Matrix":
         return Matrix([[Expr.constant(arity, v) for v in row] for row in rows])
 
@@ -99,10 +95,6 @@ class Matrix:
 
     def scale(self, factor: Expr | Fraction | int) -> "Matrix":
         return Matrix([[a * factor for a in row] for row in self.rows])
-
-    def transpose(self) -> "Matrix":
-        n, m = self.shape
-        return Matrix([[self.rows[i][j] for i in range(n)] for j in range(m)])
 
     def apply(self, vec: Sequence[Expr]) -> tuple[Expr, ...]:
         if len(vec) != self.shape[1]:

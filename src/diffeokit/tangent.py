@@ -74,6 +74,11 @@ def cone_membership(
 ) -> ConeVerdict:
     x = tuple(Fraction(c) for c in x)
     v = tuple(Fraction(c) for c in v)
+    n = space.carrier.ambient_dim("")
+    if len(x) != n:
+        raise ValueError(
+            f"basepoint has {len(x)} coordinates but the carrier lies in dimension {n}"
+        )
     eqs = space.carrier.equations("")
     if any(eq.eval(x) != 0 for eq in eqs):
         raise ValueError("basepoint does not lie on the carrier")

@@ -247,7 +247,7 @@ class TestAcceptance:
         started = time.monotonic()
         for name in ("scale-translate", "axis-swap"):
             group = reg.groups[name]
-            verdict = exact_sequence_check(group.bundle, group, word_length=4)
+            verdict = exact_sequence_check(group.bundle, group, budget=4)
             assert verdict.is_yes, verdict.obstruction
             words = dict(verdict.certificate.parts)
             assert set(words["kernel"]) == set(words["linear"])

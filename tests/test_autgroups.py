@@ -1,11 +1,10 @@
-"""Word groups acting on bundles: exactness, orbits, frames, actions."""
+"""Word groups acting on bundles: exactness, orbits, families, frames."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from diffeokit import bundles
 from diffeokit.autgroups import (
     BundleMorphism,
     FinGenGroup,
@@ -13,13 +12,11 @@ from diffeokit.autgroups import (
     enumerate_elements,
     exact_sequence_check,
     family_velocity,
-    fiber_transport,
     frame,
     frame_bundle_check,
     g_tangent_additivity,
     aut_diffeology,
     group_diffeology,
-    quantum_structure_check,
     random_frame,
     typical_fiber_check,
     word_name,
@@ -27,17 +24,14 @@ from diffeokit.autgroups import (
 from diffeokit.domains import Domain
 from diffeokit.expr import ExprVec
 from diffeokit.spaces import (
-    EuclideanCarrier,
-    Plot,
     euclidean_space,
-    generated_space,
     identity_map,
     is_plot,
     plot,
     smooth_map,
 )
 
-from test_bundles import cross_bundle, line_bundle
+from test_bundles import cross_bundle, line_bundle, plant_uncertified
 
 
 def scale_translate_group(b):
@@ -105,11 +99,23 @@ class TestWords:
         with pytest.raises(ValueError, match="does not invert"):
             bundle_group("bad", b, [(gen, wrong)])
 
+    def test_uncertified_inverse_is_refused_as_not_certified(self, monkeypatch):
+        b = line_bundle()
+        gen = BundleMorphism(
+            smooth_map(b.total, b.total, ["x0", "2*x1"]), identity_map(b.base)
+        )
+        wrong = BundleMorphism(
+            smooth_map(b.total, b.total, ["x0", "x1"]), identity_map(b.base)
+        )
+        plant_uncertified(monkeypatch)
+        with pytest.raises(ValueError, match="generator 0 of bad: inverse not certified"):
+            bundle_group("bad", b, [(gen, wrong)])
+
 
 class TestExactSequence:
     def test_scale_translate_kernel_is_the_linear_part(self):
         b = line_bundle()
-        verdict = exact_sequence_check(b, scale_translate_group(b), word_length=4)
+        verdict = exact_sequence_check(b, scale_translate_group(b), budget=4)
         assert verdict.is_yes
         words = dict(verdict.certificate.parts)
         assert set(words["kernel"]) == set(words["linear"])
@@ -121,7 +127,7 @@ class TestExactSequence:
 
     def test_cross_swap_kernel(self):
         b = cross_bundle()
-        verdict = exact_sequence_check(b, cross_swap_group(b), word_length=3)
+        verdict = exact_sequence_check(b, cross_swap_group(b), budget=3)
         assert verdict.is_yes
         kernel = dict(verdict.certificate.parts)["kernel"]
         assert "g0" not in kernel
@@ -131,7 +137,7 @@ class TestExactSequence:
         b = line_bundle()
         ident = BundleMorphism(identity_map(b.total), identity_map(b.base))
         group = bundle_group("trivial", b, [(ident, ident)])
-        verdict = exact_sequence_check(b, group, word_length=3)
+        verdict = exact_sequence_check(b, group, budget=3)
         assert verdict.is_yes
         words = dict(verdict.certificate.parts)
         assert words["kernel"] == words["linear"] == ("e",)
@@ -147,7 +153,7 @@ class TestExactSequence:
             smooth_map(b.total, b.total, ["x0 - 1", "x1"]), identity_map(b.base)
         )
         group = FinGenGroup("drift", b, (drift,), (back,))
-        verdict = exact_sequence_check(b, group, word_length=1)
+        verdict = exact_sequence_check(b, group, budget=1)
         assert verdict.is_no
         assert verdict.obstruction.kind == "exact-sequence"
         assert "g0: kernel without linearity" in verdict.obstruction.detail
@@ -155,34 +161,30 @@ class TestExactSequence:
         assert "Fraction(" not in verdict.obstruction.detail
 
 
-class TestFiberTransport:
-    def test_scaling_acts_by_five_at_two(self):
+    def test_uncertified_differences_leave_the_sequence_unknown(self, monkeypatch):
+        # separated differences turned uncertified: translations are then
+        # neither known to move the base nor known to fix it
         b = line_bundle()
         group = scale_translate_group(b)
-        t = fiber_transport(b, group.generators[0], (Fraction(2),))
-        assert t.matrix == ((Fraction(5),),)
-        assert t.inverse == ((Fraction(1, 5),),)
+        plant_uncertified(monkeypatch)
+        verdict = exact_sequence_check(b, group, budget=2)
+        assert verdict.is_unknown
+        assert verdict.detail.startswith("g1: kernel test: component 0 not certified equal")
 
-    def test_swap_carries_the_horizontal_fiber_to_the_vertical(self):
-        b = cross_bundle()
-        group = cross_swap_group(b)
-        t = fiber_transport(b, group.generators[0], (Fraction(1), Fraction(0)))
-        assert t.target == (Fraction(0), Fraction(1))
-        assert t.matrix == ((Fraction(1),),)
-
-    def test_transport_respects_composition(self):
+    def test_uncertified_drift_is_unknown_not_refuted(self, monkeypatch):
         b = line_bundle()
-        group = scale_translate_group(b)
-        sigma, tau = group.generators
-        x = (Fraction(1),)
-        composite = BundleMorphism(
-            smooth_map(b.total, b.total, ["x0 + 1", "(x0^2 + 1)*x1"]),
-            smooth_map(b.base, b.base, ["x0 + 1"]),
+        drift = BundleMorphism(
+            smooth_map(b.total, b.total, ["x0 + 1", "x1"]), identity_map(b.base)
         )
-        t_sigma = fiber_transport(b, sigma, x)
-        t_tau = fiber_transport(b, tau, t_sigma.target)
-        t_both = fiber_transport(b, composite, x)
-        assert t_both.matrix[0][0] == t_tau.matrix[0][0] * t_sigma.matrix[0][0]
+        back = BundleMorphism(
+            smooth_map(b.total, b.total, ["x0 - 1", "x1"]), identity_map(b.base)
+        )
+        group = FinGenGroup("drift", b, (drift,), (back,))
+        plant_uncertified(monkeypatch)
+        verdict = exact_sequence_check(b, group, budget=1)
+        assert verdict.is_unknown
+        assert "e after g0: component 0 not certified equal" in verdict.detail
+        assert "g0: linearity test: component 0 not certified equal" in verdict.detail
 
 
 class TestOrbits:
@@ -316,61 +318,3 @@ class TestFrames:
         f2 = frame(b, (Fraction(1),), [[1]])
         report = frame_bundle_check(b, [(f1, f2)])
         assert not report.ok
-
-
-class TestQuantumStructure:
-    def test_scaling_frames_freely(self):
-        space = euclidean_space(2, "fr")
-        double = smooth_map(space, space, ["x0", "2*x1"])
-        halve = smooth_map(space, space, ["x0", "x1 / 2"])
-        points = [(Fraction(0), Fraction(1)), (Fraction(1), Fraction(-2))]
-        verdict = quantum_structure_check(space, [double], [halve], points=points)
-        assert verdict.is_yes
-
-    def test_trivial_action_of_a_nontrivial_group_is_not_free(self):
-        space = euclidean_space(1)
-        ident = identity_map(space)
-        verdict = quantum_structure_check(
-            space, [ident], [ident], points=[(Fraction(0),)], word_length=2
-        )
-        assert verdict.is_no
-        assert verdict.obstruction.kind == "free"
-        assert "g0 fixes" in verdict.obstruction.detail
-
-    def test_translations_act_freely(self):
-        space = euclidean_space(1)
-        step = smooth_map(space, space, ["x0 + 1"])
-        back = smooth_map(space, space, ["x0 - 1"])
-        verdict = quantum_structure_check(
-            space, [step], [back], points=[(Fraction(0),)], word_length=3
-        )
-        assert verdict.is_yes
-
-    def test_uncertified_inverse_stays_unknown(self, monkeypatch):
-        # an inverse pair neither certified nor separated at a sample point
-        # leaves inverse-0 open; the folded verdict must not say no
-        monkeypatch.setattr(
-            bundles, "difference_witness",
-            lambda *a, **k: "component 0 not certified equal",
-        )
-        space = euclidean_space(2, "fr")
-        double = smooth_map(space, space, ["x0", "2*x1"])
-        halve = smooth_map(space, space, ["x0", "x1 / 2"])
-        points = [(Fraction(0), Fraction(1)), (Fraction(1), Fraction(-2))]
-        verdict = quantum_structure_check(space, [double], [halve], points=points)
-        assert verdict.is_unknown
-        assert verdict.detail == "inverse-0: component 0 not certified equal"
-
-    def test_uncertified_smoothness_stays_unknown(self):
-        # generators not known to be complete: smoothness is left open,
-        # and the folded verdict must say unknown, not no
-        space = generated_space(
-            "open", EuclideanCarrier(1), [plot(Domain.full(1), ["x0"])], complete=False
-        )
-        step = smooth_map(space, space, ["x0 + 1"])
-        back = smooth_map(space, space, ["x0 - 1"])
-        verdict = quantum_structure_check(
-            space, [step], [back], points=[(Fraction(0),)], word_length=2
-        )
-        assert verdict.is_unknown
-        assert verdict.detail.startswith("smooth-0: ")

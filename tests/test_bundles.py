@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from diffeokit import bundles
+from diffeokit import autgroups, bundles
 from diffeokit.bundles import (
     BundleMorphism,
     InvariantViolation,
@@ -28,6 +28,22 @@ from diffeokit.spaces import (
     identity_map,
     smooth_map,
 )
+
+
+def plant_uncertified(monkeypatch):
+    """Turn every separated difference into an uncertified one, leaving
+    certified agreements alone; a difference the check cannot decide must
+    never read as a definite answer."""
+    real = bundles.difference_witness
+
+    def planted(*args, **kwargs):
+        bad = real(*args, **kwargs)
+        return None if bad is None else "component 0 not certified equal"
+
+    # any module that imported the name holds its own binding
+    for module in (bundles, autgroups):
+        if hasattr(module, "difference_witness"):
+            monkeypatch.setattr(module, "difference_witness", planted)
 
 
 def line_bundle():
@@ -213,6 +229,21 @@ class TestMorphisms:
         )
         with pytest.raises(NoInverseFound):
             invert_isomorphism(stretch, b, b, supplied=wrong)
+
+    def test_uncertified_round_trip_is_not_an_inverse(self, monkeypatch):
+        b = line_bundle()
+        stretch = BundleMorphism(
+            smooth_map(b.total, b.total, ["x0", "(x0^2 + 1)*x1"]),
+            identity_map(b.base),
+        )
+        wrong = BundleMorphism(
+            smooth_map(b.total, b.total, ["x0", "x1"]),
+            identity_map(b.base),
+        )
+        plant_uncertified(monkeypatch)
+        with pytest.raises(NoInverseFound) as err:
+            invert_isomorphism(stretch, b, b, supplied=wrong)
+        assert err.value.reason == "inverse not certified on the source side"
 
 
 class TestHomotopy:

@@ -70,7 +70,7 @@ class TestBuiltins:
 
     def test_groups_act_on_their_bundles(self, reg):
         for name, group in reg.groups.items():
-            verdict = exact_sequence_check(group.bundle, group, word_length=2)
+            verdict = exact_sequence_check(group.bundle, group, budget=2)
             assert verdict.is_yes, name
 
     def test_point_tables_reference_real_fixtures(self, reg):
