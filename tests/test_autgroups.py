@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from diffeokit import expr
 from diffeokit.autgroups import (
     BundleMorphism,
     FinGenGroup,
@@ -23,6 +24,7 @@ from diffeokit.autgroups import (
 )
 from diffeokit.domains import Domain
 from diffeokit.expr import ExprVec
+from diffeokit.fixtures import load_registry
 from diffeokit.spaces import (
     euclidean_space,
     identity_map,
@@ -185,6 +187,34 @@ class TestExactSequence:
         assert verdict.is_unknown
         assert "e after g0: component 0 not certified equal" in verdict.detail
         assert "g0: linearity test: component 0 not certified equal" in verdict.detail
+
+
+class TestExactSequenceMemos:
+    MEMOS = (expr._gcd_of_items, expr._witness_expansion, expr._compose_rational)
+
+    def test_cold_warm_and_after_another_group_give_one_verdict(self):
+        reg = load_registry()
+
+        def run(bundle, group):
+            return exact_sequence_check(reg.bundle(bundle), reg.group(group), budget=4)
+
+        for memo in self.MEMOS:
+            memo.cache_clear()
+        cold = run("line-bundle", "scale-translate")
+        hits = sum(memo.cache_info().hits for memo in self.MEMOS)
+        warm = run("line-bundle", "scale-translate")
+        assert sum(memo.cache_info().hits for memo in self.MEMOS) > hits
+        assert run("cross-bundle", "axis-swap").is_yes
+        after_other = run("line-bundle", "scale-translate")
+
+        assert cold.is_yes
+        words = dict(cold.certificate.parts)
+        assert cold.certificate.summary == "153 reduced words"
+        assert len(words["kernel"]) == len(words["linear"]) == 25
+        for verdict in (warm, after_other):
+            assert verdict == cold
+            assert verdict.certificate.summary == cold.certificate.summary
+            assert dict(verdict.certificate.parts) == words
 
 
 class TestOrbits:

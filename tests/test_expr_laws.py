@@ -2,16 +2,33 @@
 
 They guard the fast paths: substitution of polynomial arguments on raw term
 dictionaries, the unit-denominator shortcut in normalisation, evaluation
-at points already made of Fractions, and compose and differentiate taking a
-polynomial's stored denominator to be exactly 1.
+at points already made of Fractions, compose and differentiate taking a
+polynomial's stored denominator to be exactly 1, and the memos of rational
+arithmetic (a hit equals a fresh result, and nothing a caller holds can
+change a later hit).
 """
 
+import re
 from fractions import Fraction
+from unittest import mock
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from diffeokit.expr import Expr, _div_exact, _gcd, _mul
+from diffeokit import expr
+from diffeokit.expr import (
+    Expr,
+    ExprError,
+    PositivityWitness,
+    _compose_rational,
+    _div_exact,
+    _gcd,
+    _gcd_of_items,
+    _memo_gcd,
+    _mul,
+    _witness_expansion,
+)
 
 ARITY = 2
 
@@ -46,6 +63,26 @@ def positive_polys(draw, arity=ARITY):
 @st.composite
 def rationals(draw, arity=ARITY):
     return draw(polys(arity)) / draw(positive_polys(arity))
+
+
+def quadratic_dens(arity=ARITY):
+    """(x0 + k)^2 + c with c > 0: univariate, so its gcds stay small (the PRS
+    gcd blows up on bivariate denominators), and witnessed by completing
+    the square."""
+    def den(k, c):
+        pad = (0,) * (arity - 1)
+        terms = {(2,) + pad: Fraction(1), (1,) + pad: 2 * k, (0,) * arity: k * k + c}
+        return Expr(arity, {m: v for m, v in terms.items() if v})
+
+    return st.builds(den, _coeffs, _positive)
+
+
+@st.composite
+def witnessed_rationals(draw, arity=ARITY):
+    """A rational function whose denominator does not cancel away."""
+    value = draw(polys(arity)) / draw(quadratic_dens(arity))
+    assume(not value.is_polynomial)
+    return value
 
 
 def exprs(arity=ARITY):
@@ -182,3 +219,91 @@ class TestGcd:
         assume(c.num and (a.num or b.num))
         g = _gcd(_mul(a.num, c.num), _mul(b.num, c.num), ARITY)
         assert _div_exact(g, c.num) is not None
+
+
+def _split_witness(e: Expr) -> Expr:
+    """e with a second witness for the same denominator: each square is
+    written as two halves, so the terms agree and the witnesses do not."""
+    w = e.den_witness
+    halves = tuple(sq for weight, key in w.squares for sq in [(weight / 2, key)] * 2)
+    return Expr(e.arity, dict(e.num), dict(e.den), PositivityWitness(halves, w.constant))
+
+
+def _fresh_compose(fn: Expr, args) -> tuple:
+    """(canonical key, witness) of fn(args) with the compose memo bypassed."""
+    return _compose_rational.__wrapped__(
+        (fn.canonical_key(), fn.den_witness),
+        tuple((a.canonical_key(), a.den_witness) for a in args),
+    )
+
+
+class TestRationalMemos:
+    @_property
+    @given(witnessed_rationals(), st.lists(st.one_of(polys(1), witnessed_rationals(1)),
+                                           min_size=ARITY, max_size=ARITY))
+    def test_memoised_compose_equals_a_fresh_compose(self, fn, args):
+        _compose_rational.cache_clear()
+        try:
+            cold = fn.compose(args)
+        except ExprError as err:
+            # a rational of rationals may have no certified denominator;
+            # failures are not memoised, so it fails the same way again
+            with pytest.raises(ExprError, match=re.escape(str(err))):
+                fn.compose(args)
+            return
+        warm = fn.compose(args)
+        assert _compose_rational.cache_info().hits == 1
+        fresh_key, fresh_witness = _fresh_compose(fn, args)
+        for result in (cold, warm):
+            assert result.canonical_key() == fresh_key
+            assert result.den_witness == fresh_witness
+        assert warm.num is not cold.num and warm.den is not cold.den
+
+    @_property
+    @given(witnessed_rationals(), st.lists(polys(1), min_size=ARITY, max_size=ARITY),
+           st.lists(polys(1), min_size=ARITY, max_size=ARITY))
+    def test_compose_memo_keys_on_every_argument_and_witness(self, fn, args, other_args):
+        split = _split_witness(fn)
+        assert split.canonical_key() == fn.canonical_key()
+        assert split.den_witness != fn.den_witness
+        for f, a in ((fn, args), (split, args), (fn, other_args), (split, other_args)):
+            result = f.compose(a)
+            assert (result.canonical_key(), result.den_witness) == _fresh_compose(f, a)
+
+    @_property
+    @given(polys(), polys(), quadratic_dens(), polys(1))
+    def test_gcd_memo_equals_the_uncached_gcd(self, p, q, d, factor):
+        # a shared factor in x0 makes most of these gcds non-trivial
+        common = factor.lift(ARITY).num
+        a = _mul(p.num, common)
+        for b in (_mul(d.num, common), _mul(q.num, common), d.num):
+            assert _memo_gcd(a, b, ARITY) == _gcd(a, b, ARITY)
+
+    @_property
+    @given(polys(), quadratic_dens())
+    def test_a_mutated_gcd_result_leaves_the_next_hit_unchanged(self, p, d):
+        _gcd_of_items.cache_clear()
+        first = _memo_gcd(p.num, d.num, ARITY)
+        expected = dict(first)
+        first[(5, 5)] = Fraction(7)
+        first.pop((0, 0), None)
+        assert _memo_gcd(p.num, d.num, ARITY) == expected == _gcd(p.num, d.num, ARITY)
+        assert _gcd_of_items.cache_info().hits == 1
+
+    @_property
+    @given(polys(), quadratic_dens())
+    def test_wrong_witness_fails_to_replay_with_the_memo_warm(self, p, d):
+        good = p / d
+        assume(not good.is_polynomial)
+        witness = good.den_witness
+        wrong = PositivityWitness(witness.squares, witness.constant + 1)
+        # warm the memo with both witnesses, each on the polynomial it expands to
+        assert witness.verify(good.den, ARITY)
+        expansion = _witness_expansion(wrong, ARITY)
+        assert wrong.verify(dict(expansion), ARITY)
+        with pytest.raises(TypeError):
+            expansion[(0, 0)] = Fraction(0)  # read-only: no caller can change a hit
+        assert not wrong.verify(good.den, ARITY)
+        with mock.patch.object(expr, "derive_witness", lambda terms, arity, hints=None: wrong):
+            with pytest.raises(ExprError, match="positivity certificate failed to replay"):
+                Expr(ARITY, dict(good.num), dict(good.den))
