@@ -20,6 +20,14 @@ order is graded lexicographic, rational functions cancel their polynomial
 gcd whenever the reduced denominator still supports a positivity witness,
 and the denominator is scaled monic.
 
+When both factors of a product lie in Z[x] (every denominator is 1), `_mul`
+sums the coefficient products as plain ints and wraps each nonzero total in
+one `Fraction`, which runs no gcd.  Other products keep the Fraction loop:
+scaling rational factors to one common denominator would make every output
+term pay a gcd with that denominator, on much larger integers.  An `Expr`
+built from a numerator alone is a polynomial; it stores its terms without
+zeros and the denominator 1, and skips normalisation.
+
 Substitution (`Expr.compose`) of polynomial arguments into a polynomial runs
 on raw term dictionaries (`_subst_poly`) and builds a single Expr at the end,
 as does a polynomial's `**`; a rational function or argument sends it
@@ -43,6 +51,7 @@ caller could mutate (term dicts are copied out, expansions are read-only).
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -59,6 +68,10 @@ Scalar = Union[int, Fraction]
 GCD_CACHE_SIZE = 4096
 WITNESS_CACHE_SIZE = 1024
 COMPOSE_CACHE_SIZE = 4096
+
+# Fractions are immutable, so one instance serves every term dict
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class ExprError(ValueError):
@@ -87,7 +100,7 @@ def _var(arity: int, index: int) -> Terms:
 def _add(a: Terms, b: Terms) -> Terms:
     out = dict(a)
     for mono, coeff in b.items():
-        total = out.get(mono, Fraction(0)) + coeff
+        total = out.get(mono, _ZERO) + coeff
         if total:
             out[mono] = total
         else:
@@ -111,11 +124,23 @@ def _scale(a: Terms, c: Scalar) -> Terms:
 
 
 def _mul(a: Terms, b: Terms) -> Terms:
+    if all(c.denominator == 1 for c in a.values()) and all(
+        c.denominator == 1 for c in b.values()
+    ):
+        # both in Z[x]: sum plain ints, then one gcd-free Fraction per term
+        acc: dict[Monomial, int] = {}
+        b_ints = [(mb, cb.numerator) for mb, cb in b.items()]
+        for ma, ca in a.items():
+            na = ca.numerator
+            for mb, nb in b_ints:
+                mono = tuple(map(operator.add, ma, mb))
+                acc[mono] = acc.get(mono, 0) + na * nb
+        return {mono: Fraction(v) for mono, v in acc.items() if v}
     out: Terms = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
-            mono = tuple(x + y for x, y in zip(ma, mb))
-            total = out.get(mono, Fraction(0)) + ca * cb
+            mono = tuple(map(operator.add, ma, mb))
+            total = out.get(mono, _ZERO) + ca * cb
             if total:
                 out[mono] = total
             else:
@@ -130,7 +155,7 @@ def _diff(a: Terms, index: int) -> Terms:
         if e == 0:
             continue
         lowered = mono[:index] + (e - 1,) + mono[index + 1 :]
-        out[lowered] = out.get(lowered, Fraction(0)) + coeff * e
+        out[lowered] = out.get(lowered, _ZERO) + coeff * e
     return {m: c for m, c in out.items() if c}
 
 
@@ -219,7 +244,7 @@ def _div_exact(a: Terms, d: Terms) -> Terms | None:
             return None
         qm = tuple(x - y for x, y in zip(m, lead_m))
         qc = c / lead_c
-        quot[qm] = quot.get(qm, Fraction(0)) + qc
+        quot[qm] = quot.get(qm, _ZERO) + qc
         rem = _sub(rem, _mul({qm: qc}, d))
     return {m: c for m, c in quot.items() if c}
 
@@ -474,19 +499,24 @@ class Expr:
         for mono in num:
             if len(mono) != arity:
                 raise ExprError("numerator monomial does not match arity")
-        if den is None:
-            den = _const(arity, 1)
-        for mono in den:
-            if len(mono) != arity:
-                raise ExprError("denominator monomial does not match arity")
-        if not den:
-            raise ExprError("zero denominator")
-
-        all_hints: dict[tuple, PositivityWitness] = dict(hints or {})
-        if den_witness is not None:
-            all_hints[_terms_key(den)] = den_witness
-
-        num, den, witness = _normalize(arity, num, den, all_hints)
+        num = {mono: c for mono, c in num.items() if c}
+        if den is None and den_witness is None:
+            # a polynomial: its denominator is 1, so there is nothing to cancel
+            den = {(0,) * arity: _ONE}
+            witness = None
+        else:
+            if den is None:
+                den = _const(arity, 1)
+            for mono in den:
+                if len(mono) != arity:
+                    raise ExprError("denominator monomial does not match arity")
+            den = {mono: c for mono, c in den.items() if c}
+            if not den:
+                raise ExprError("zero denominator")
+            all_hints: dict[tuple, PositivityWitness] = dict(hints or {})
+            if den_witness is not None:
+                all_hints[_terms_key(den)] = den_witness
+            num, den, witness = _normalize(arity, num, den, all_hints)
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
@@ -759,7 +789,7 @@ def _normalize(
     if _is_constant(den):
         c = _constant_value(den)
         if c == 1:
-            return dict(num), _const(arity, 1), None
+            return num, _const(arity, 1), None
         return _scale(num, 1 / c), _const(arity, 1), None
     # prefer a positive leading denominator before looking for witnesses
     if _leading(den)[1] < 0:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diffeokit import calculus
 from diffeokit.calculus import (
     OverlapPair,
     PlotForm,
@@ -235,6 +236,24 @@ class TestCovariant:
         verdict = validate_covariant(nabla, [cubic_pair()])
         assert verdict.is_no
         assert "reparametrized" in verdict.obstruction.detail
+
+    def test_random_trials_catch_an_operator_not_tensorial(self, monkeypatch):
+        # the laws are checked on random fields, and only those trials see an
+        # operator that drops its coefficient action on a scaled direction:
+        # with degree-1 fields, a direction of degree 2 is f times a field
+        nabla = covariant_derivative(1, [(line_plot(), [[["x0"]]])])
+        flat = flat_connection(1, [line_plot()])
+        real = calculus.covariant_apply
+
+        def drop_action_when_scaled(operator, plot, direction, section):
+            scaled = direction.degree() > 1
+            return real(flat if scaled else operator, plot, direction, section)
+
+        monkeypatch.setattr(calculus, "covariant_apply", drop_action_when_scaled)
+        verdict = validate_covariant(nabla, rng=random.Random(5), trials=3, degree=1)
+        assert verdict.is_no
+        assert "not tensorial" in verdict.obstruction.detail
+        assert validate_covariant(nabla, rng=random.Random(5), trials=0, degree=1).is_yes
 
     def test_every_fixture_base_admits_a_flat_connection(self):
         for bundle in (line_bundle(), cross_bundle()):

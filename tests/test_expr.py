@@ -21,6 +21,18 @@ class TestCanonicalForm:
         assert E("0*x0 + 3", 1) == Expr.constant(1, 3)
         assert E("x0 - x0", 1) == Expr.zero(1)
 
+    def test_given_zero_coefficients_are_not_stored(self):
+        e = Expr(1, {(1,): Fraction(0)})
+        assert e.is_zero()
+        assert e == Expr.zero(1)
+        assert Expr(1, {(1,): Fraction(0), (0,): Fraction(2)}).num == {(0,): Fraction(2)}
+
+    def test_zero_term_in_a_given_denominator_is_dropped(self):
+        num = {(1,): Fraction(1)}
+        den = {(2,): Fraction(1), (1,): Fraction(0), (0,): Fraction(1, 3)}
+        cleaned = {(2,): Fraction(1), (0,): Fraction(1, 3)}
+        assert Expr(1, num, den) == Expr(1, num, cleaned) == E("x0/(x0^2 + 1/3)", 1)
+
     def test_coefficients_stay_reduced(self):
         e = E("2/4", 1) if False else Expr.constant(1, Fraction(2, 4))
         assert e.constant_value() == Fraction(1, 2)

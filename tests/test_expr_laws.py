@@ -3,7 +3,8 @@
 They guard the fast paths: substitution of polynomial arguments on raw term
 dictionaries, the unit-denominator shortcut in normalisation, evaluation
 at points already made of Fractions, compose and differentiate taking a
-polynomial's stored denominator to be exactly 1, and the memos of rational
+polynomial's stored denominator to be exactly 1, multiplication on plain
+ints when both factors have integer coefficients, and the memos of rational
 arithmetic (a hit equals a fresh result, and nothing a caller holds can
 change a later hit).
 """
@@ -219,6 +220,50 @@ class TestGcd:
         assume(c.num and (a.num or b.num))
         g = _gcd(_mul(a.num, c.num), _mul(b.num, c.num), ARITY)
         assert _div_exact(g, c.num) is not None
+
+
+def _reference_mul(a, b):
+    """The product term by term in Fraction arithmetic: the reference for
+    `_mul`, which sums plain ints when both factors lie in Z[x]."""
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            mono = tuple(x + y for x, y in zip(ma, mb))
+            total = out.get(mono, Fraction(0)) + ca * cb
+            if total:
+                out[mono] = total
+            else:
+                out.pop(mono, None)
+    return out
+
+
+_integral = st.integers(-4, 4).filter(bool).map(Fraction)
+_rational = _coeffs.filter(bool)
+
+
+@st.composite
+def factor_pairs(draw):
+    """Two term dicts of one arity in 1..3, each integral or rational, half
+    of them of the shape (p + q)(p - q), whose cross terms cancel."""
+    arity = draw(st.integers(1, 3))
+    kinds = draw(st.tuples(*[st.sampled_from([_integral, _rational])] * 2))
+    if draw(st.booleans()):
+        m1, m2 = draw(st.lists(_monomials(arity), min_size=2, max_size=2, unique=True))
+        p, q = draw(kinds[0]), draw(kinds[1])
+        return {m1: p, m2: q}, {m1: p, m2: -q}
+    return tuple(
+        draw(st.dictionaries(_monomials(arity), kind, max_size=4)) for kind in kinds
+    )
+
+
+class TestIntegerMultiplication:
+    @_property
+    @given(factor_pairs())
+    def test_mul_equals_the_fraction_product(self, pair):
+        a, b = pair
+        product = _mul(a, b)
+        assert product == _reference_mul(a, b)
+        assert all(type(c) is Fraction and c for c in product.values())
 
 
 def _split_witness(e: Expr) -> Expr:
