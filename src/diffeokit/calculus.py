@@ -4,13 +4,19 @@ Forms carry one antisymmetric coefficient tensor per stored plot and extend
 to derived plots by pullback along declared factorizations.  The
 coefficients of a covariant derivative are such a form, matrix-valued and of
 degree 1, so connections share the form code for overlaps, equality and the
-affine structure; their defining laws are checked symbolically rather than
-sampled.
+affine structure.
+
+Only what the representation leaves open is checked at run time.  A
+`PlotForm` refuses malformed storage when it is built, so validation is the
+overlap (reparametrization) law alone, compared as canonical identities.  A
+covariant derivative is stored as ∇ = d + A and applied as
+Σ_j X_j (∂_j s + A_j s), which is C^∞-linear in the direction X and obeys
+Leibniz in the section s for every coefficient form A; those two laws are
+property tests of `covariant_apply`, not run-time checks.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -27,7 +33,6 @@ from .spaces import (
     Verdict,
     euclidean_space,
     is_plot,
-    monomials_up_to,
     subset_space,
 )
 
@@ -46,12 +51,30 @@ class PlotForm:
 
     Coefficients are keyed by strictly increasing index tuples into the
     plot's domain directions; values are expression vectors in the domain
-    variables, of a fixed length shared by all plots.
+    variables, of a fixed length shared by all plots.  Construction raises
+    ValueError on storage that breaks this.
     """
 
     degree: int
     value_dim: int
     entries: tuple[tuple[Plot, Packed], ...]
+
+    def __post_init__(self) -> None:
+        for plot, packed in self.entries:
+            m = plot.domain.dim
+            for key, value in packed:
+                if len(key) != self.degree:
+                    raise ValueError(
+                        f"coefficient key {key} does not have degree {self.degree}"
+                    )
+                if any(not 0 <= i < m for i in key) or any(
+                    a >= b for a, b in zip(key, key[1:])
+                ):
+                    raise ValueError(f"coefficient key {key} is not strictly increasing")
+                if len(value) != self.value_dim:
+                    raise ValueError("coefficient value has the wrong length")
+                if value.arity != m:
+                    raise ValueError("coefficient value has the wrong arity")
 
     def coefficients(self, plot: Plot) -> dict[Key, ExprVec]:
         for stored, packed in self.entries:
@@ -81,24 +104,13 @@ def plot_form(
     """
     entries = []
     for plot, coeffs in assignments:
-        m = plot.domain.dim
         packed = {}
         for key, value in coeffs.items():
-            if isinstance(key, int):
-                key = (key,)
-            key = tuple(key)
-            if len(key) != degree:
-                raise ValueError(f"coefficient key {key} does not have degree {degree}")
-            if any(not 0 <= i < m for i in key) or any(
-                a >= b for a, b in zip(key, key[1:])
-            ):
-                raise ValueError(f"coefficient key {key} is not strictly increasing")
+            key = (key,) if isinstance(key, int) else tuple(key)
             if isinstance(value, str):
                 value = (value,)
             if not isinstance(value, ExprVec):
-                value = ExprVec.parse(list(value), m)
-            if len(value) != value_dim:
-                raise ValueError("coefficient value has the wrong length")
+                value = ExprVec.parse(list(value), plot.domain.dim)
             packed[key] = value
         entries.append((plot, tuple(sorted(packed.items()))))
     return PlotForm(degree, value_dim, tuple(entries))
@@ -185,22 +197,9 @@ def _verdict(problems: Sequence[str], kind: str, rule: str) -> Verdict:
 
 
 def validate_form(form: PlotForm, pairs: Sequence[OverlapPair] = ()) -> Verdict:
-    """Check storage discipline and overlap compatibility, with witnesses."""
-    problems: list[str] = []
-    for idx, (plot, packed) in enumerate(form.entries):
-        m = plot.domain.dim
-        for key, value in packed:
-            if len(key) != form.degree:
-                problems.append(f"plot {idx}: key {key} has the wrong degree")
-            elif any(not 0 <= i < m for i in key):
-                problems.append(f"plot {idx}: key {key} leaves the domain directions")
-            elif any(a >= b for a, b in zip(key, key[1:])):
-                problems.append(f"plot {idx}: key {key} breaks antisymmetric storage")
-            if len(value) != form.value_dim:
-                problems.append(f"plot {idx}: value at {key} has the wrong length")
-            elif value.arity != m:
-                problems.append(f"plot {idx}: value at {key} has the wrong arity")
-    problems += _overlap_problems(
+    """Overlap compatibility, with witnesses; storage is checked when the
+    form is built."""
+    problems = _overlap_problems(
         form, pairs, lambda key, i: f"pullback mismatch at key {key}, component {i}"
     )
     return _verdict(problems, "form", "form-compatibility")
@@ -463,61 +462,29 @@ def covariant_apply(
     return ExprVec(out)
 
 
-def _random_poly(rng: random.Random, arity: int, degree: int) -> Expr:
-    terms = {}
-    for mono in monomials_up_to(arity, degree):
-        c = rng.randint(-3, 3)
-        if c:
-            terms[mono] = Fraction(c)
-    if not terms:
-        terms[(0,) * arity] = Fraction(1)
-    return Expr(arity, terms)
-
-
 def validate_covariant(
     nabla: CovariantDerivative,
     pairs: Sequence[OverlapPair] = (),
-    rng: random.Random | None = None,
-    trials: int = 3,
-    degree: int = 3,
+    *,
+    rng: object = None,
+    trials: object = None,
 ) -> Verdict:
-    """Tensoriality, Leibniz, and the reparametrization law, symbolically.
+    """The reparametrization law: overlap compatibility of the coefficient
+    form, compared as canonical identities in the domain variables.
 
-    The function and field arguments are random polynomials of bounded
-    degree, but each law is compared as a canonical identity in the domain
-    variables, not at sample points.  The reparametrization law is the
-    overlap compatibility of the coefficient form.
+    Tensoriality and Leibniz need no run-time check.  `covariant_apply`
+    computes Σ_j X_j (∂_j s + A_j s): every term is X_j times a value that
+    does not depend on X, so it is C^∞-linear in X, and since
+    ∂_j(f s) = (∂_j f) s + f ∂_j s while A_j(f s) = f A_j s, it obeys
+    Leibniz in s, for every coefficient form A.  Only a fault in `Expr`
+    arithmetic could break either law, and the property tests of
+    `covariant_apply` guard that.
+
+    `rng` and `trials` are ignored.  They fed random law trials that are
+    gone, and are accepted only so callers that still pass them, such as
+    the benchmark worker, keep working.
     """
-    rng = rng or random.Random(0)
-    k = nabla.fiber_dim
-    problems: list[str] = []
-    for idx, (plot, _) in enumerate(nabla.form.entries):
-        m = plot.domain.dim
-        for _ in range(trials):
-            f = _random_poly(rng, m, degree)
-            x = ExprVec([_random_poly(rng, m, degree) for _ in range(m)])
-            y = ExprVec([_random_poly(rng, m, degree) for _ in range(k)])
-            fx = ExprVec([f * c for c in x.components])
-            lhs = covariant_apply(nabla, plot, fx, y)
-            rhs = covariant_apply(nabla, plot, x, y)
-            if any(
-                l != f * r for l, r in zip(lhs.components, rhs.components)
-            ):
-                problems.append(f"plot {idx}: not tensorial in the direction")
-                break
-            fy = ExprVec([f * c for c in y.components])
-            lhs = covariant_apply(nabla, plot, x, fy)
-            xf = sum(
-                (x.components[j] * f.differentiate(j) for j in range(m)),
-                Expr.zero(m),
-            )
-            want = [
-                xf * y.components[i] + f * rhs.components[i] for i in range(k)
-            ]
-            if any(l != w for l, w in zip(lhs.components, want)):
-                problems.append(f"plot {idx}: Leibniz fails")
-                break
-    problems += _overlap_problems(
+    problems = _overlap_problems(
         nabla.form,
         pairs,
         lambda key, _: f"reparametrized coefficients differ in direction {key[0]}",

@@ -355,11 +355,10 @@ def _forms_checks(reg, name, budget) -> list[CheckResult]:
     raise FixtureError(f"unknown form or frame model fixture {name!r} (available: {known})")
 
 
-def _connection_checks(reg, name, budget, seed) -> list[CheckResult]:
+def _connection_checks(reg, name, budget) -> list[CheckResult]:
     fx = reg.connection(name)
-    rng = random.Random(f"{seed}:connection-validate:{name}")
     t0 = time.perf_counter()
-    v = validate_covariant(fx.nabla, fx.overlaps, rng=rng)
+    v = validate_covariant(fx.nabla, fx.overlaps)
     return [
         _from_verdict(
             f"connection-validate:{name}", ANCHORS["connection-validate"], v, budget, t0
@@ -367,14 +366,13 @@ def _connection_checks(reg, name, budget, seed) -> list[CheckResult]:
     ]
 
 
-def _affine_checks(reg, name, budget, seed) -> list[CheckResult]:
+def _affine_checks(reg, name, budget) -> list[CheckResult]:
     fx = reg.affine_pair(name)
-    rng = random.Random(f"{seed}:affine-check:{name}")
     t0 = time.perf_counter()
     witnesses, failures = [], []
 
     for label, nabla in (("first", fx.first), ("second", fx.second)):
-        v = validate_covariant(nabla, fx.overlaps, rng=rng)
+        v = validate_covariant(nabla, fx.overlaps)
         if v.is_yes:
             witnesses.append(f"{label} connection satisfies the derivative laws")
         else:
@@ -432,9 +430,9 @@ def _all_checks(reg, budget, seed) -> list[CheckResult]:
     for name in sorted(reg.frame_models):
         out.extend(_forms_checks(reg, name, budget))
     for name in sorted(reg.connections):
-        out.extend(_connection_checks(reg, name, budget, seed))
+        out.extend(_connection_checks(reg, name, budget))
     for name in sorted(reg.affine):
-        out.extend(_affine_checks(reg, name, budget, seed))
+        out.extend(_affine_checks(reg, name, budget))
     return out
 
 
@@ -564,9 +562,9 @@ def _dispatch(args, reg: FixtureRegistry) -> tuple[str, list[CheckResult]]:
     if args.command == "forms-validate":
         return args.fixture, _forms_checks(reg, args.fixture, budget)
     if args.command == "connection-validate":
-        return args.fixture, _connection_checks(reg, args.fixture, budget, seed)
+        return args.fixture, _connection_checks(reg, args.fixture, budget)
     if args.command == "affine-check":
-        return args.fixture, _affine_checks(reg, args.fixture, budget, seed)
+        return args.fixture, _affine_checks(reg, args.fixture, budget)
     return "all", _all_checks(reg, budget, seed)
 
 

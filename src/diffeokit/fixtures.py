@@ -747,11 +747,13 @@ def _parse_overlaps(block: dict, plots, where: str) -> tuple[OverlapPair, ...]:
         spot = f"{where}, overlap {k}"
         if not isinstance(raw, dict) or "fine" not in raw or "coarse" not in raw:
             raise FixtureError(f"{spot}: needs 'fine', 'coarse', 'factor'")
-        try:
-            fine = plots[raw["fine"]]
-            coarse = plots[raw["coarse"]]
-        except (TypeError, IndexError) as err:
-            raise FixtureError(f"{spot}: generator index out of range") from err
+        indices = (raw["fine"], raw["coarse"])
+        if any(
+            isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < len(plots)
+            for i in indices
+        ):
+            raise FixtureError(f"{spot}: generator index out of range")
+        fine, coarse = (plots[i] for i in indices)
         factor = _expr_vec(raw.get("factor"), fine.domain.dim, spot)
         if len(factor.components) != coarse.domain.dim:
             raise FixtureError(f"{spot}: factor must have {coarse.domain.dim} components")

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffeokit import calculus
 from diffeokit.calculus import (
     OverlapPair,
     PlotForm,
@@ -90,10 +89,10 @@ class TestForms:
         with pytest.raises(ValueError, match="strictly increasing"):
             plot_form(2, 1, [(plane, {(1, 0): "x0"})])
         value = ExprVec.parse(["x0"], 2)
-        mangled = PlotForm(2, 1, ((plane, (((1, 0), value),)),))
-        verdict = validate_form(mangled)
-        assert verdict.is_no
-        assert "antisymmetric storage" in verdict.obstruction.detail
+        with pytest.raises(ValueError, match="strictly increasing"):
+            PlotForm(2, 1, ((plane, (((1, 0), value),)),))
+        with pytest.raises(ValueError, match="wrong arity"):
+            plot_form(1, 1, [(line_plot(), {0: ExprVec.parse(["x1"], 2)})])
 
     def test_degree_mismatch_is_rejected(self):
         with pytest.raises(ValueError, match="degree"):
@@ -237,24 +236,6 @@ class TestCovariant:
         assert verdict.is_no
         assert "reparametrized" in verdict.obstruction.detail
 
-    def test_random_trials_catch_an_operator_not_tensorial(self, monkeypatch):
-        # the laws are checked on random fields, and only those trials see an
-        # operator that drops its coefficient action on a scaled direction:
-        # with degree-1 fields, a direction of degree 2 is f times a field
-        nabla = covariant_derivative(1, [(line_plot(), [[["x0"]]])])
-        flat = flat_connection(1, [line_plot()])
-        real = calculus.covariant_apply
-
-        def drop_action_when_scaled(operator, plot, direction, section):
-            scaled = direction.degree() > 1
-            return real(flat if scaled else operator, plot, direction, section)
-
-        monkeypatch.setattr(calculus, "covariant_apply", drop_action_when_scaled)
-        verdict = validate_covariant(nabla, rng=random.Random(5), trials=3, degree=1)
-        assert verdict.is_no
-        assert "not tensorial" in verdict.obstruction.detail
-        assert validate_covariant(nabla, rng=random.Random(5), trials=0, degree=1).is_yes
-
     def test_every_fixture_base_admits_a_flat_connection(self):
         for bundle in (line_bundle(), cross_bundle()):
             k = bundle.fiber_block
@@ -305,25 +286,6 @@ class TestAffine:
         diff = affine_structure(first, second)
         assert validate_form(diff, [pair]).is_yes
 
-    def test_difference_is_tensorial_in_the_section(self):
-        rng = random.Random(5)
-        plot = line_plot()
-        first = covariant_derivative(1, [(plot, [[["x0^2"]]])])
-        second = covariant_derivative(1, [(plot, [[["x0 - 2"]]])])
-        f = random_poly(rng, 1)
-        x = ExprVec([random_poly(rng, 1)])
-        y = ExprVec([random_poly(rng, 1)])
-        fy = ExprVec([f * y.components[0]])
-        scaled_gap = (
-            covariant_apply(first, plot, x, fy).components[0]
-            - covariant_apply(second, plot, x, fy).components[0]
-        )
-        plain_gap = (
-            covariant_apply(first, plot, x, y).components[0]
-            - covariant_apply(second, plot, x, y).components[0]
-        )
-        assert scaled_gap == f * plain_gap
-
     def test_fiber_mismatch_is_an_error(self):
         one = flat_connection(1, [line_plot()])
         two = flat_connection(2, [line_plot()])
@@ -331,7 +293,7 @@ class TestAffine:
             affine_structure(one, two)
 
 
-_property = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+_property = settings(max_examples=25)
 _CUBIC = ExprVec.parse(["x0^3"], 1)
 _CHAIN = Expr.parse("3*x0^2", 1)
 
@@ -389,12 +351,12 @@ class TestConnectionsAsForms:
     def test_transport_validates_and_a_perturbed_copy_fails(self, drawn, spot, bump):
         k, (a,) = drawn
         pair = [cubic_pair()]
-        assert validate_covariant(_over_line_and_cubic(k, a), pair, trials=1).is_yes
+        assert validate_covariant(_over_line_and_cubic(k, a), pair).is_yes
         i, j = divmod(spot % (k * k), k)
         rows = [list(row) for row in _transported(a).rows]
         rows[i][j] = rows[i][j] + bump
         broken = _over_line_and_cubic(k, a, Matrix(rows))
-        verdict = validate_covariant(broken, pair, trials=1)
+        verdict = validate_covariant(broken, pair)
         assert verdict.is_no
         assert "reparametrized" in verdict.obstruction.detail
 
@@ -415,6 +377,75 @@ class TestConnectionsAsForms:
                 covariant_apply(flat, plot, direction, section)
             )
 
+
+def _apply_on_both_plots(nabla, direction, section):
+    return [covariant_apply(nabla, p, direction, section) for p in (line_plot(), cubic_plot())]
+
+
+def _scaled(f, vec):
+    return ExprVec([f * c for c in vec.components])
+
+
+def _plus(left, right):
+    return ExprVec([a + b for a, b in zip(left.components, right.components)])
+
+
+@st.composite
+def _law_inputs(draw, count=1):
+    """Connections on the line and cubic plots, a function f, a direction
+    x and a section s of the drawn fiber size."""
+    k, mats = draw(_connections(count))
+    f = draw(_line_polys)
+    x = ExprVec([draw(_line_polys)])
+    s = ExprVec([draw(_line_polys) for _ in range(k)])
+    return [_over_line_and_cubic(k, a) for a in mats], f, x, s
+
+
+class TestCovariantLaws:
+    """The laws ∇ = d + A satisfies by its form, for any coefficients:
+    C^∞-linear in the direction, Leibniz in the section, and a difference
+    of two connections C^∞-linear in the section."""
+
+    @_property
+    @given(_law_inputs())
+    def test_linear_over_functions_in_the_direction(self, drawn):
+        (nabla,), f, x, s = drawn
+        scaled = _apply_on_both_plots(nabla, _scaled(f, x), s)
+        assert scaled == [_scaled(f, out) for out in _apply_on_both_plots(nabla, x, s)]
+
+    @_property
+    @given(_law_inputs(), _line_polys)
+    def test_additive_in_the_direction(self, drawn, other):
+        (nabla,), _, x, s = drawn
+        y = ExprVec([other])
+        summed = _apply_on_both_plots(nabla, _plus(x, y), s)
+        parts = zip(_apply_on_both_plots(nabla, x, s), _apply_on_both_plots(nabla, y, s))
+        assert summed == [_plus(p, q) for p, q in parts]
+
+    @_property
+    @given(_law_inputs())
+    def test_leibniz_in_the_section(self, drawn):
+        (nabla,), f, x, s = drawn
+        xf = x.components[0] * f.differentiate(0)
+        want = [
+            _plus(_scaled(xf, s), _scaled(f, out))
+            for out in _apply_on_both_plots(nabla, x, s)
+        ]
+        assert _apply_on_both_plots(nabla, x, _scaled(f, s)) == want
+
+    @_property
+    @given(_law_inputs(count=2))
+    def test_difference_is_linear_over_functions_in_the_section(self, drawn):
+        (first, second), f, x, s = drawn
+
+        def gap(section):
+            pairs = zip(
+                _apply_on_both_plots(first, x, section),
+                _apply_on_both_plots(second, x, section),
+            )
+            return [ExprVec([u - v for u, v in zip(p, q)]) for p, q in pairs]
+
+        assert gap(_scaled(f, s)) == [_scaled(f, g) for g in gap(s)]
 
 def shear_frame_plot():
     comps = ["x0", "1", "x1", "0", "1", "1", "-x1", "0", "1"]

@@ -33,7 +33,7 @@ from diffeokit.expr import (
 
 ARITY = 2
 
-_property = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+_property = settings(max_examples=60)
 
 _coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 _positive = st.fractions(min_value=Fraction(1, 3), max_value=3, max_denominator=3)

@@ -1,7 +1,6 @@
 """Built-in fixture registry and the JSON fixture file loader."""
 
 import json
-import random
 from fractions import Fraction
 
 import pytest
@@ -44,9 +43,8 @@ class TestBuiltins:
             assert validate_form(fx.form, fx.overlaps).is_yes, name
 
     def test_every_connection_fixture_validates(self, reg):
-        rng = random.Random(17)
         for name, fx in reg.connections.items():
-            assert validate_covariant(fx.nabla, fx.overlaps, rng=rng).is_yes, name
+            assert validate_covariant(fx.nabla, fx.overlaps).is_yes, name
 
     def test_every_affine_fixture_round_trips(self, reg):
         for name, fx in reg.affine.items():
@@ -209,6 +207,23 @@ class TestJsonLoading:
     def test_bad_rational_is_diagnosed(self, tmp_path):
         doc = {"frame_model": dict(SAMPLE["frame_model"], samples=[[["zebra"]]])}
         with pytest.raises(FixtureError, match="bad rational"):
+            load_file(builtin_registry(), write(tmp_path, doc))
+
+    @pytest.mark.parametrize(
+        "fine, coarse", [(-1, 0), (True, False)], ids=["negative", "bool"]
+    )
+    def test_overlap_indices_must_name_a_generator(self, tmp_path, fine, coarse):
+        # -1 must not wrap to the last generator, nor true/false read as 1/0
+        doc = {
+            "spaces": [{"name": "twin", "carrier": 1,
+                        "generators": [{"domain": 1, "map": ["x0"]},
+                                       {"domain": 1, "map": ["x0^3"]}]}],
+            "connection": {"name": "twin-conn", "space": "twin",
+                           "per_generator_A": [[[["x0"]]], [[["3*x0^5"]]]],
+                           "overlaps": [{"fine": fine, "coarse": coarse,
+                                         "factor": ["x0^3"]}]},
+        }
+        with pytest.raises(FixtureError, match="generator index out of range"):
             load_file(builtin_registry(), write(tmp_path, doc))
 
     def test_loaded_law_violations_stay_check_failures(self, tmp_path):

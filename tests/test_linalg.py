@@ -239,7 +239,7 @@ def _times(a, x):
     return [sum((aij * xj for aij, xj in zip(row, x)), Fraction(0)) for row in a]
 
 
-_property = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+_property = settings(max_examples=60)
 
 
 class TestSharedElimination:
