@@ -33,6 +33,19 @@ on raw term dictionaries (`_subst_poly`) and builds a single Expr at the end,
 as does a polynomial's `**`; a rational function or argument sends it
 through Expr arithmetic, which carries the positivity witnesses.
 
+The gcd that `_normalize` cancels is tried first by the heuristic gcd
+(`_heu_gcd`; GCDHEU, Char, Geddes and Gonnet, 1989): both inputs are cleared
+to primitive Z[x] polynomials, x0 is evaluated at a large integer, the gcd
+of the images is taken one variable down (`math.gcd` at the bottom), and the
+candidate rebuilt from its symmetric digits is accepted only when exact
+trial division on ints shows that it divides both inputs, which by the
+GCDHEU theorem makes it the gcd.  When HEU_GCD_MAX evaluation points fail at
+any level, the whole gcd goes to the primitive pseudo-remainder sequence
+(`_gcd_prs`).  The PRS stays because it always answers, where the heuristic
+may not; it is far slower on bivariate inputs, and on the inputs the
+commands meet the heuristic has not been seen to fail.  Both return the same
+monic polynomial over Q, so which one answered changes no result.
+
 Three steps of rational arithmetic are pure and recur with the same inputs,
 so each is memoised in a bounded `functools.lru_cache`:
 
@@ -51,6 +64,7 @@ caller could mutate (term dicts are copied out, expansions are read-only).
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -68,6 +82,10 @@ Scalar = Union[int, Fraction]
 GCD_CACHE_SIZE = 4096
 WITNESS_CACHE_SIZE = 1024
 COMPOSE_CACHE_SIZE = 4096
+
+# evaluation points the heuristic gcd tries per variable before it gives
+# the whole gcd to the PRS
+HEU_GCD_MAX = 6
 
 # Fractions are immutable, so one instance serves every term dict
 _ZERO = Fraction(0)
@@ -100,7 +118,14 @@ def _var(arity: int, index: int) -> Terms:
 def _add(a: Terms, b: Terms) -> Terms:
     out = dict(a)
     for mono, coeff in b.items():
-        total = out.get(mono, _ZERO) + coeff
+        prev = out.get(mono)
+        if prev is None:
+            total = coeff
+        elif prev.denominator == 1 == coeff.denominator:
+            # two integers: a plain int sum and one gcd-free Fraction
+            total = Fraction(prev.numerator + coeff.numerator)
+        else:
+            total = prev + coeff
         if total:
             out[mono] = total
         else:
@@ -274,7 +299,7 @@ def _content_in(a: Terms, v: int, arity: int) -> Terms:
     for k in range(_deg_in(a, v) + 1):
         c = _coeff_in(a, v, k)
         if c:
-            content = _gcd(content, c, arity)
+            content = _gcd_prs(content, c, arity)
     return content
 
 
@@ -314,6 +339,117 @@ def _gcd_of_items(a: tuple, b: tuple, arity: int) -> tuple:
 
 
 def _gcd(a: Terms, b: Terms, arity: int) -> Terms:
+    """Monic gcd over Q: the heuristic gcd on the integer primitive parts,
+    and the primitive PRS (`_gcd_prs`) only when that fails."""
+    if not a:
+        return _monic(b)
+    if not b:
+        return _monic(a)
+    if _is_constant(a) or _is_constant(b):
+        return _const(arity, 1)
+    h = _heu_gcd(_primitive_z(a), _primitive_z(b))
+    if h is None:
+        return _gcd_prs(a, b, arity)
+    return _monic({mono: Fraction(c) for mono, c in h.items()})
+
+
+def _primitive_z(a: Terms) -> dict[Monomial, int]:
+    """a cleared to Z[x] by the lcm of its denominators, less its content."""
+    scale = math.lcm(*(c.denominator for c in a.values()))
+    ints = {mono: c.numerator * (scale // c.denominator) for mono, c in a.items()}
+    content = math.gcd(*ints.values())
+    return {mono: v // content for mono, v in ints.items()}
+
+
+def _heu_gcd(f: dict[Monomial, int], g: dict[Monomial, int]) -> dict[Monomial, int] | None:
+    """gcd of two nonzero Z[x] polynomials by GCDHEU (Char, Geddes and
+    Gonnet, J. Symbolic Comput. 7, 1989), or None when HEU_GCD_MAX
+    evaluation points fail here or in the recursion.
+
+    x0 is evaluated at an integer xi >= 2*min(|f|, |g|) + 2 (max norms of
+    the primitive parts), the gcd of the images is taken one variable down
+    (`math.gcd` once no variable is left), and the candidate is rebuilt
+    from it by symmetric xi-adic digits.  By the GCDHEU theorem a primitive
+    candidate that divides both inputs is their primitive gcd."""
+    if () in f:  # no variables left: two integers
+        return {(): math.gcd(f[()], g[()])}
+    cf, cg = math.gcd(*f.values()), math.gcd(*g.values())
+    f = {mono: v // cf for mono, v in f.items()}
+    g = {mono: v // cg for mono, v in g.items()}
+    # + 29 rather than + 2, as sympy starts: room for a spurious integer
+    # factor of the image gcd when the norms are small
+    xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 29
+    for _ in range(HEU_GCD_MAX):
+        ff, gg = _eval_first(f, xi), _eval_first(g, xi)
+        if ff and gg:
+            gamma = _heu_gcd(ff, gg)
+            if gamma is None:
+                return None
+            h = _interpolate_first(gamma, xi)
+            content = math.gcd(*h.values())
+            h = {mono: v // content for mono, v in h.items()}
+            if _divides_z(h, f) and _divides_z(h, g):
+                c = math.gcd(cf, cg)
+                return {mono: c * v for mono, v in h.items()}
+        xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
+    return None
+
+
+def _eval_first(f: dict[Monomial, int], xi: int) -> dict[Monomial, int]:
+    """f with x0 = xi, over the remaining variables."""
+    out: dict[Monomial, int] = {}
+    for mono, v in f.items():
+        rest = mono[1:]
+        out[rest] = out.get(rest, 0) + v * xi ** mono[0]
+    return {mono: v for mono, v in out.items() if v}
+
+
+def _interpolate_first(gamma: dict[Monomial, int], xi: int) -> dict[Monomial, int]:
+    """The polynomial in x0 whose value at xi is gamma, with every
+    coefficient a symmetric residue mod xi."""
+    half = xi // 2
+    out: dict[Monomial, int] = {}
+    for mono, v in gamma.items():
+        k = 0
+        while v:
+            digit = v % xi
+            if digit > half:
+                digit -= xi
+            if digit:
+                out[(k,) + mono] = digit
+            v = (v - digit) // xi
+            k += 1
+    return out
+
+
+def _divides_z(d: dict[Monomial, int], a: dict[Monomial, int]) -> bool:
+    """Whether the primitive d divides a in Z[x]: exact division in lex
+    order, on ints.  Every remainder term of an exact division keeps within
+    a's degree in each variable, so one that leaves it stops the division."""
+    lead = max(d)
+    if not any(lead):  # a primitive constant is a unit
+        return True
+    lead_c = d[lead]
+    rest = [(mono, c) for mono, c in d.items() if mono != lead]
+    bounds = [max(degs) for degs in zip(*a)]
+    rem = dict(a)
+    while rem:
+        mono = max(rem)
+        q, r = divmod(rem.pop(mono), lead_c)
+        qm = tuple(map(operator.sub, mono, lead))
+        if r or min(qm) < 0 or any(map(operator.gt, mono, bounds)):
+            return False
+        for md, c in rest:
+            m = tuple(map(operator.add, qm, md))
+            v = rem.get(m, 0) - q * c
+            if v:
+                rem[m] = v
+            else:
+                rem.pop(m, None)
+    return True
+
+
+def _gcd_prs(a: Terms, b: Terms, arity: int) -> Terms:
     """Monic gcd over Q, by the primitive pseudo-remainder sequence."""
     if not a:
         return _monic(b)
@@ -325,7 +461,7 @@ def _gcd(a: Terms, b: Terms, arity: int) -> Terms:
     v = min(used, key=lambda i: max(_deg_in(a, i), _deg_in(b, i)))
     ca = _content_in(a, v, arity)
     cb = _content_in(b, v, arity)
-    c = _gcd(ca, cb, arity)
+    c = _gcd_prs(ca, cb, arity)
     pa = _div_exact(a, ca)
     pb = _div_exact(b, cb)
     assert pa is not None and pb is not None

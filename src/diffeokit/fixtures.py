@@ -779,8 +779,15 @@ def _load_form(reg: FixtureRegistry, block: dict) -> None:
         if not isinstance(table, dict):
             raise FixtureError(f"{where}: coefficients must be an object per generator")
         parsed = {}
+        raw_keys = {}
         for raw_key, raw_value in table.items():
             key = _coefficient_key(raw_key, where)
+            if key in raw_keys:
+                raise FixtureError(
+                    f"{where}: coefficient keys {raw_keys[key]!r} and {raw_key!r} "
+                    f"name the same coefficient"
+                )
+            raw_keys[key] = raw_key
             if isinstance(raw_value, list):
                 parsed[key] = _texts(raw_value, where)
             else:

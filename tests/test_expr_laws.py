@@ -4,9 +4,10 @@ They guard the fast paths: substitution of polynomial arguments on raw term
 dictionaries, the unit-denominator shortcut in normalisation, evaluation
 at points already made of Fractions, compose and differentiate taking a
 polynomial's stored denominator to be exactly 1, multiplication on plain
-ints when both factors have integer coefficients, and the memos of rational
-arithmetic (a hit equals a fresh result, and nothing a caller holds can
-change a later hit).
+ints when both factors have integer coefficients, addition of two integer
+coefficients on plain ints, the heuristic gcd (equal to the PRS gcd, which
+stays as its fallback), and the memos of rational arithmetic (a hit equals
+a fresh result, and nothing a caller holds can change a later hit).
 """
 
 import re
@@ -22,12 +23,18 @@ from diffeokit.expr import (
     Expr,
     ExprError,
     PositivityWitness,
+    _add,
     _compose_rational,
     _div_exact,
+    _divides_z,
     _gcd,
     _gcd_of_items,
+    _gcd_prs,
+    _heu_gcd,
     _memo_gcd,
     _mul,
+    _primitive_z,
+    _terms_key,
     _witness_expansion,
 )
 
@@ -67,15 +74,22 @@ def rationals(draw, arity=ARITY):
 
 
 def quadratic_dens(arity=ARITY):
-    """(x0 + k)^2 + c with c > 0: univariate, so its gcds stay small (the PRS
-    gcd blows up on bivariate denominators), and witnessed by completing
-    the square."""
-    def den(k, c):
+    """Witnessed quadratic denominators with c > 0: (x0 + k)^2 + c in one
+    variable (witnessed by completing the square) and, from arity 2,
+    a*x0^2 + b*x1^2 + c in two (witnessed as a sum of even powers)."""
+    def shifted(k, c):
         pad = (0,) * (arity - 1)
         terms = {(2,) + pad: Fraction(1), (1,) + pad: 2 * k, (0,) * arity: k * k + c}
         return Expr(arity, {m: v for m, v in terms.items() if v})
 
-    return st.builds(den, _coeffs, _positive)
+    def even(a, b, c):
+        pad = (0,) * (arity - 2)
+        return Expr(arity, {(2, 0) + pad: a, (0, 2) + pad: b, (0,) * arity: c})
+
+    dens = st.builds(shifted, _coeffs, _positive)
+    if arity >= 2:
+        dens = st.one_of(dens, st.builds(even, _positive, _positive, _positive))
+    return dens
 
 
 @st.composite
@@ -222,6 +236,99 @@ class TestGcd:
         assert _div_exact(g, c.num) is not None
 
 
+@st.composite
+def gcd_pairs(draw):
+    """Two nonzero term dicts of arity 2 or 3 with rational coefficients of
+    either sign, half of them sharing a planted factor in x0 and x1."""
+    arity = draw(st.sampled_from([2, 3]))
+    a, b = draw(polys(arity)).num, draw(polys(arity)).num
+    if draw(st.booleans()):
+        pad = (0,) * (arity - 2)
+        factor = {(draw(st.integers(1, 2)), 0) + pad: draw(_rational),
+                  (0, draw(st.integers(1, 2))) + pad: draw(_rational),
+                  (1, 1) + pad: draw(_coeffs), (0,) * arity: draw(_coeffs)}
+        factor = {m: c for m, c in factor.items() if c}
+        a, b = _mul(a, factor), _mul(b, factor)
+    assume(a and b)
+    return arity, a, b
+
+
+@st.composite
+def monomial_and_octic(draw):
+    """c*x0^i*x1^j against a univariate octic in x0 (arity 2), the
+    commonest pair the suite's normalisations meet."""
+    mono = {(draw(st.integers(0, 8)), draw(st.integers(0, 2))): draw(_rational)}
+    octic = {(k, 0): draw(_coeffs) for k in range(8)}
+    octic[(8, 0)] = draw(_rational)
+    return mono, {m: c for m, c in octic.items() if c}
+
+
+class TestHeuristicGcd:
+    @_property
+    @given(gcd_pairs())
+    def test_heuristic_equals_prs(self, pair):
+        arity, a, b = pair
+        assert _heu_gcd(_primitive_z(a), _primitive_z(b)) is not None
+        assert _gcd(a, b, arity) == _gcd_prs(a, b, arity)
+
+    @_property
+    @given(gcd_pairs())
+    def test_trial_division_agrees_with_division_over_q(self, pair):
+        # the acceptance test of a candidate; the products make half the
+        # cases divisible
+        arity, a, b = pair
+        for d, x in ((b, a), (a, b), (b, _mul(a, b)), (a, _mul(a, _mul(a, b)))):
+            divides = _div_exact(x, d) is not None
+            assert _divides_z(_primitive_z(d), _primitive_z(x)) == divides
+
+    @_property
+    @given(monomial_and_octic())
+    def test_monomial_against_an_octic(self, pair):
+        mono, octic = pair
+        assert _heu_gcd(_primitive_z(mono), _primitive_z(octic)) is not None
+        assert _gcd(mono, octic, ARITY) == _gcd_prs(mono, octic, ARITY)
+
+    def test_failed_heuristic_returns_the_prs_answer(self):
+        x0, x1 = Expr.variable(ARITY, 0), Expr.variable(ARITY, 1)
+        a = ((x0 + x1 / 2) * (x0 - 2)).num
+        b = ((x0 + x1 / 2) * (3 * x1 + 1)).num
+        expected = _gcd_prs(a, b, ARITY)
+        assert expected == (x0 + x1 / 2).num
+        with mock.patch.object(expr, "HEU_GCD_MAX", 0), \
+                mock.patch.object(expr, "_gcd_prs", wraps=_gcd_prs) as prs:
+            assert _heu_gcd(_primitive_z(a), _primitive_z(b)) is None
+            assert _gcd(a, b, ARITY) == expected
+        # the whole gcd went to the PRS (which then recurses on contents)
+        assert prs.call_args_list[0] == mock.call(a, b, ARITY)
+
+    def test_bivariate_product_is_answered_without_prs(self):
+        # the PRS takes seconds on this product; the gcd of numerator and
+        # denominator is 1, so nothing cancels
+        a = Expr.parse("(x0^2*x1 - x0/2 + 3)/(x0^2 + 8/3*x1^2 + 4/3)", ARITY)
+        b = Expr.parse("(x0^2*x1 - 3*x0 + 3)/(x0^2 + 8/3*x1^2 + 4/3)", ARITY)
+        _gcd_of_items.cache_clear()
+        with mock.patch.object(expr, "_gcd_prs", side_effect=AssertionError("PRS ran")):
+            product = a * b
+        assert product.canonical_key() == (
+            ARITY, _terms_key(_mul(a.num, b.num)), _terms_key(_mul(a.den, b.den)))
+        assert product.to_str() == (
+            "(x0^4*x1^2 - 7/2*x0^3*x1 + 6*x0^2*x1 + 3/2*x0^2 - 21/2*x0 + 9)"
+            "/(x0^4 + 16/3*x0^2*x1^2 + 64/9*x1^4 + 8/3*x0^2 + 64/9*x1^2 + 16/9)")
+
+
+def _reference_add(a, b):
+    """The sum term by term in Fraction arithmetic: the reference for
+    `_add`, which adds two integer coefficients as plain ints."""
+    out = dict(a)
+    for mono, coeff in b.items():
+        total = out.get(mono, Fraction(0)) + coeff
+        if total:
+            out[mono] = total
+        else:
+            out.pop(mono, None)
+    return out
+
+
 def _reference_mul(a, b):
     """The product term by term in Fraction arithmetic: the reference for
     `_mul`, which sums plain ints when both factors lie in Z[x]."""
@@ -266,6 +373,17 @@ class TestIntegerMultiplication:
         assert all(type(c) is Fraction and c for c in product.values())
 
 
+class TestIntegerAddition:
+    @_property
+    @given(factor_pairs())
+    def test_add_equals_the_fraction_sum(self, pair):
+        a, b = pair
+        total = _add(a, b)
+        assert total == _reference_add(a, b)
+        assert list(total) == list(_reference_add(a, b))
+        assert all(type(c) is Fraction and c for c in total.values())
+
+
 def _split_witness(e: Expr) -> Expr:
     """e with a second witness for the same denominator: each square is
     written as two halves, so the terms agree and the witnesses do not."""
@@ -284,7 +402,7 @@ def _fresh_compose(fn: Expr, args) -> tuple:
 
 class TestRationalMemos:
     @_property
-    @given(witnessed_rationals(), st.lists(st.one_of(polys(1), witnessed_rationals(1)),
+    @given(witnessed_rationals(), st.lists(st.one_of(polys(), witnessed_rationals()),
                                            min_size=ARITY, max_size=ARITY))
     def test_memoised_compose_equals_a_fresh_compose(self, fn, args):
         _compose_rational.cache_clear()
@@ -305,8 +423,8 @@ class TestRationalMemos:
         assert warm.num is not cold.num and warm.den is not cold.den
 
     @_property
-    @given(witnessed_rationals(), st.lists(polys(1), min_size=ARITY, max_size=ARITY),
-           st.lists(polys(1), min_size=ARITY, max_size=ARITY))
+    @given(witnessed_rationals(), st.lists(polys(), min_size=ARITY, max_size=ARITY),
+           st.lists(polys(), min_size=ARITY, max_size=ARITY))
     def test_compose_memo_keys_on_every_argument_and_witness(self, fn, args, other_args):
         split = _split_witness(fn)
         assert split.canonical_key() == fn.canonical_key()
@@ -316,10 +434,10 @@ class TestRationalMemos:
             assert (result.canonical_key(), result.den_witness) == _fresh_compose(f, a)
 
     @_property
-    @given(polys(), polys(), quadratic_dens(), polys(1))
+    @given(polys(), polys(), quadratic_dens(), polys())
     def test_gcd_memo_equals_the_uncached_gcd(self, p, q, d, factor):
-        # a shared factor in x0 makes most of these gcds non-trivial
-        common = factor.lift(ARITY).num
+        # a shared factor makes most of these gcds non-trivial
+        common = factor.num
         a = _mul(p.num, common)
         for b in (_mul(d.num, common), _mul(q.num, common), d.num):
             assert _memo_gcd(a, b, ARITY) == _gcd(a, b, ARITY)

@@ -199,6 +199,13 @@ class TestJsonLoading:
         with pytest.raises(FixtureError, match="fiber-axioms"):
             load_file(builtin_registry(), write(tmp_path, doc))
 
+    def test_repeated_coefficient_key_is_rejected(self, tmp_path):
+        # " 0" parses to the same key as "0"; neither value may be dropped
+        doc = {"form": {"name": "twice", "space": "r1", "degree": 1,
+                        "per_generator_coefficients": [{"0": "x0", " 0": "x0^2"}]}}
+        with pytest.raises(FixtureError, match="coefficient keys '0' and ' 0' name the same"):
+            load_file(builtin_registry(), write(tmp_path, doc))
+
     def test_singular_frame_sample_is_rejected(self, tmp_path):
         doc = dict(SAMPLE["frame_model"], samples=[[["0"]]])
         with pytest.raises(FixtureError, match="singular"):
