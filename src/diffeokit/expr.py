@@ -28,6 +28,16 @@ term pay a gcd with that denominator, on much larger integers.  An `Expr`
 built from a numerator alone is a polynomial; it stores its terms without
 zeros and the denominator 1, and skips normalisation.
 
+`Expr.parse` tokenises its text in one pass of one regular expression
+(ASCII digits only) and folds the tokens on raw term dictionaries whose
+integer coefficients are plain ints: each step is the `_add`, `_neg`, `_mul`
+or `_pow` an Expr operator runs on a polynomial, and a division by a constant
+is the `_scale` normalisation runs, so the terms and their dict order are
+those of the Expr fold.  Only a division by a non-constant falls back to Expr
+arithmetic.  `Expr.eval` brings the point over one common denominator d and
+the coefficients over the lcm c of theirs, sums each term as an int scaled
+by d^(deg - |m|), and builds one Fraction, total / (c * d^deg).
+
 Substitution (`Expr.compose`) of polynomial arguments into a polynomial runs
 on raw term dictionaries (`_subst_poly`) and builds a single Expr at the end,
 as does a polynomial's `**`; a rational function or argument sends it
@@ -66,6 +76,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -115,7 +126,9 @@ def _var(arity: int, index: int) -> Terms:
     return {mono: Fraction(1)}
 
 
-def _add(a: Terms, b: Terms) -> Terms:
+def _add(a: Terms, b: Terms, integral: type = Fraction) -> Terms:
+    """a + b.  `integral` is what an integer total is stored as: a Fraction
+    in Terms, an int in the parser's raw terms (see `_parse_expr`)."""
     out = dict(a)
     for mono, coeff in b.items():
         prev = out.get(mono)
@@ -123,7 +136,7 @@ def _add(a: Terms, b: Terms) -> Terms:
             total = coeff
         elif prev.denominator == 1 == coeff.denominator:
             # two integers: a plain int sum and one gcd-free Fraction
-            total = Fraction(prev.numerator + coeff.numerator)
+            total = integral(prev.numerator + coeff.numerator)
         else:
             total = prev + coeff
         if total:
@@ -148,7 +161,8 @@ def _scale(a: Terms, c: Scalar) -> Terms:
     return {mono: coeff * c for mono, coeff in a.items()}
 
 
-def _mul(a: Terms, b: Terms) -> Terms:
+def _mul(a: Terms, b: Terms, integral: type = Fraction) -> Terms:
+    """a * b; `integral` as in `_add`."""
     if all(c.denominator == 1 for c in a.values()) and all(
         c.denominator == 1 for c in b.values()
     ):
@@ -160,7 +174,7 @@ def _mul(a: Terms, b: Terms) -> Terms:
             for mb, nb in b_ints:
                 mono = tuple(map(operator.add, ma, mb))
                 acc[mono] = acc.get(mono, 0) + na * nb
-        return {mono: Fraction(v) for mono, v in acc.items() if v}
+        return {mono: integral(v) for mono, v in acc.items() if v}
     out: Terms = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
@@ -184,22 +198,35 @@ def _diff(a: Terms, index: int) -> Terms:
     return {m: c for m, c in out.items() if c}
 
 
-def _as_point(point: Sequence[Scalar]) -> list[Fraction]:
-    return [x if type(x) is Fraction else Fraction(x) for x in point]
+def _common_denominator(point: Sequence[Scalar]) -> tuple[list[int], int]:
+    """(ints, d) with point[i] == ints[i] / d, for d the lcm of the
+    coordinates' denominators."""
+    d = math.lcm(*[x.denominator for x in point])
+    if d == 1:
+        return [x.numerator for x in point], 1
+    return [x.numerator * (d // x.denominator) for x in point], d
 
 
-def _eval(a: Terms, point: Sequence[Fraction]) -> Fraction:
-    """Value at a point whose coordinates are already Fractions."""
-    total = Fraction(0)
+def _eval(a: Terms, ints: Sequence[int], d: int) -> tuple[int, int]:
+    """(total, scale) with a(ints / d) == total / scale, on plain ints.
+
+    With c the lcm of a's coefficient denominators and deg its total degree,
+    each term c*coeff * prod(ints^m) * d^(deg - |m|) is an int, and the sum
+    over them is the value times c * d^deg."""
+    c = math.lcm(*[coeff.denominator for coeff in a.values()])
+    deg = max(map(sum, a), default=0) if d != 1 else 0  # powers of 1 scale nothing
+    total = 0
     for mono, coeff in a.items():
-        term = coeff
-        for value, exp in zip(point, mono):
+        term = coeff.numerator if c == 1 else coeff.numerator * (c // coeff.denominator)
+        for value, exp in zip(ints, mono):
             if exp == 1:
                 term *= value
             elif exp:
                 term *= value ** exp
+        if deg:
+            term *= d ** (deg - sum(mono))
         total += term
-    return total
+    return total, c * d ** deg
 
 
 def _lift(a: Terms, old_arity: int, new_arity: int, offset: int) -> Terms:
@@ -684,7 +711,8 @@ class Expr:
 
     @property
     def is_polynomial(self) -> bool:
-        return _is_constant(self.den)
+        # normalisation leaves a non-constant denominator only with a witness
+        return self.den_witness is None
 
     @property
     def is_constant(self) -> bool:
@@ -879,13 +907,16 @@ class Expr:
     def eval(self, point: Sequence[Scalar]) -> Fraction:
         if len(point) != self.arity:
             raise ExprError("evaluation point has wrong dimension")
-        pt = _as_point(point)
-        if self.is_polynomial:
-            return _eval(self.num, pt)  # a polynomial's denominator is 1
-        den = _eval(self.den, pt)
+        if not self.num:  # about half the evaluations of a membership pass
+            return _ZERO
+        ints, d = _common_denominator(point)
+        num, num_scale = _eval(self.num, ints, d)
+        if self.is_polynomial:  # a polynomial's denominator is 1
+            return Fraction(num, num_scale)
+        den, den_scale = _eval(self.den, ints, d)
         if den == 0:
             raise ExprError("denominator evaluated to zero")
-        return _eval(self.num, pt) / den
+        return Fraction(num * den_scale, den * num_scale)
 
     def lift(self, new_arity: int, offset: int = 0) -> "Expr":
         """View this expression in a larger ring, x_i -> x_{i+offset}."""
@@ -963,16 +994,16 @@ def _normalize(
     return num, den, witness
 
 
-def _pow(a: Terms, k: int, arity: int) -> Terms:
+def _pow(a: Terms, k: int, arity: int, integral: type = Fraction) -> Terms:
     """a**k by square-and-multiply; `Expr.__pow__` forms the same products
-    for a rational base."""
-    result = _const(arity, 1)
+    for a rational base.  `integral` as in `_add`."""
+    result = {(0,) * arity: integral(1)}
     while k:
         if k & 1:
-            result = _mul(result, a)
+            result = _mul(result, a, integral)
         k >>= 1
         if k:
-            a = _mul(a, a)
+            a = _mul(a, a, integral)
     return result
 
 
@@ -1106,108 +1137,122 @@ def _format_terms(terms: Terms, arity: int, names: Sequence[str] | None) -> str:
     return " ".join(pieces)
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+# one token: an integer literal, a variable's index, an operator, or any
+# other character, which is an error; whitespace matches nothing.  Digits
+# are ASCII only.
+_TOKEN = re.compile(r"([0-9]+)|x([0-9]+)|([-+*/^()])|(\S)")
 
-    def peek(self) -> str | None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        if self.pos >= len(self.text):
-            return None
-        ch = self.text[self.pos]
-        if ch.isdigit():
-            j = self.pos
-            while j < len(self.text) and self.text[j].isdigit():
-                j += 1
-            return self.text[self.pos : j]
-        if ch == "x":
-            j = self.pos + 1
-            while j < len(self.text) and self.text[j].isdigit():
-                j += 1
-            if j == self.pos + 1:
-                raise ExprError(f"bad variable name at {self.pos} in {self.text!r}")
-            return self.text[self.pos : j]
-        if ch in "+-*/^()":
-            return ch
-        raise ExprError(f"unexpected character {ch!r} in {self.text!r}")
 
-    def take(self) -> str | None:
-        tok = self.peek()
-        if tok is not None:
-            self.pos += len(tok)
-        return tok
+def _tokens(text: str, arity: int) -> list:
+    """The tokens of text in one pass: an int literal, the monomial of a
+    variable, or an operator character; None marks the end."""
+    out: list = []
+    for number, var, op, other in _TOKEN.findall(text):
+        if op:
+            out.append(op)
+        elif number:
+            out.append(int(number))
+        elif var:
+            index = int(var)
+            if index >= arity:
+                raise ExprError(f"variable x{var} out of range for arity {arity}")
+            out.append((0,) * index + (1,) + (0,) * (arity - index - 1))
+        else:
+            raise ExprError(f"unexpected character {other!r} in {text!r}")
+    out.append(None)
+    return out
+
+
+_EXPR_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 def _parse_expr(text: str, arity: int) -> Expr:
-    toks = _Tokenizer(text)
+    """Recursive descent on raw term dicts whose integer coefficients are
+    plain ints.  Each step is the `_add`/`_neg`/`_mul`/`_pow` that the Expr
+    operator would run on a polynomial, and a division by a constant is the
+    `_scale` that normalisation would run, so the terms (and their order)
+    are those of the Expr fold.  A division by a non-constant is done in
+    Expr arithmetic, as is every later step that takes its result."""
+    toks = _tokens(text, arity)
+    pos = 0
 
-    def parse_sum() -> Expr:
+    def expr(value) -> Expr:
+        if type(value) is Expr:
+            return value
+        return Expr(arity, {m: c if type(c) is Fraction else Fraction(c) for m, c in value.items()})
+
+    def combine(op: str, a, b):
+        if type(a) is dict and type(b) is dict:
+            if op == "+":
+                return _add(a, b, int)
+            if op == "-":
+                return _add(a, _neg(b), int)
+            if op == "*":
+                return _mul(a, b, int)
+            if _is_constant(b):
+                if not b:
+                    raise ExprError("division by zero")
+                c = _constant_value(b)
+                return a if c == 1 else _scale(a, Fraction(c.denominator, c.numerator))
+        return _EXPR_OPS[op](expr(a), expr(b))
+
+    def parse_sum():
+        nonlocal pos
         value = parse_product()
-        while True:
-            tok = toks.peek()
-            if tok == "+":
-                toks.take()
-                value = value + parse_product()
-            elif tok == "-":
-                toks.take()
-                value = value - parse_product()
-            else:
-                return value
+        while toks[pos] in ("+", "-"):
+            pos += 1
+            value = combine(toks[pos - 1], value, parse_product())
+        return value
 
-    def parse_product() -> Expr:
+    def parse_product():
+        nonlocal pos
         value = parse_factor()
-        while True:
-            tok = toks.peek()
-            if tok == "*":
-                toks.take()
-                value = value * parse_factor()
-            elif tok == "/":
-                toks.take()
-                value = value / parse_factor()
-            else:
-                return value
+        while toks[pos] in ("*", "/"):
+            pos += 1
+            value = combine(toks[pos - 1], value, parse_factor())
+        return value
 
-    def parse_factor() -> Expr:
-        tok = toks.peek()
-        if tok == "-":
-            toks.take()
-            return -parse_factor()
+    def parse_factor():
+        nonlocal pos
+        if toks[pos] == "-":
+            pos += 1
+            value = parse_factor()
+            return _neg(value) if type(value) is dict else -value
         return parse_power()
 
-    def parse_power() -> Expr:
+    def parse_power():
+        nonlocal pos
         base = parse_atom()
-        if toks.peek() == "^":
-            toks.take()
-            exp = toks.take()
-            if exp is None or not exp.isdigit():
-                raise ExprError(f"expected integer exponent in {text!r}")
-            return base ** int(exp)
-        return base
+        if toks[pos] != "^":
+            return base
+        exp = toks[pos + 1]
+        if type(exp) is not int:
+            raise ExprError(f"expected integer exponent in {text!r}")
+        pos += 2
+        return _pow(base, exp, arity, int) if type(base) is dict else base ** exp
 
-    def parse_atom() -> Expr:
-        tok = toks.take()
+    def parse_atom():
+        nonlocal pos
+        tok = toks[pos]
         if tok is None:
             raise ExprError(f"unexpected end of input in {text!r}")
+        pos += 1
         if tok == "(":
             value = parse_sum()
-            if toks.take() != ")":
+            if toks[pos] != ")":
                 raise ExprError(f"missing closing parenthesis in {text!r}")
+            pos += 1
             return value
-        if tok.isdigit():
-            return Expr.constant(arity, int(tok))
-        if tok.startswith("x"):
-            index = int(tok[1:])
-            if index >= arity:
-                raise ExprError(f"variable {tok} out of range for arity {arity}")
-            return Expr.variable(arity, index)
+        if type(tok) is int:
+            return {(0,) * arity: tok} if tok else {}
+        if type(tok) is tuple:
+            return {tok: 1}
         raise ExprError(f"unexpected token {tok!r} in {text!r}")
 
     value = parse_sum()
-    if toks.peek() is not None:
+    if toks[pos] is not None:
         raise ExprError(f"trailing input after expression in {text!r}")
-    return value
+    return expr(value)
 
 
 # ---------------------------------------------------------------------------
@@ -1273,8 +1318,7 @@ class ExprVec:
         return ExprVec([c.compose(args) for c in self.components])
 
     def eval(self, point: Sequence[Scalar]) -> tuple[Fraction, ...]:
-        pt = _as_point(point)
-        return tuple(c.eval(pt) for c in self.components)
+        return tuple(c.eval(point) for c in self.components)
 
     def differentiate(self, index: int) -> "ExprVec":
         return ExprVec([c.differentiate(index) for c in self.components])

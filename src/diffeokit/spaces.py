@@ -386,6 +386,7 @@ class DiffSpace:
         self.standard = standard
         self.generators_complete = generators_complete
         self._memo: dict = {}
+        self._carrier_samples: dict[tuple[str, int], tuple[Point, ...]] = {}
         for g in self.generators:
             if g.component not in carrier.components():
                 raise ExprError(f"generator component {g.component!r} not in carrier")
@@ -399,7 +400,17 @@ class DiffSpace:
         return [(i, g) for i, g in enumerate(self.generators) if g.component == component]
 
     def sample_carrier_points(self, component: str = "", count: int = 12) -> list[Point]:
-        """Points guaranteed to lie on the carrier, via generator images."""
+        """Points guaranteed to lie on the carrier, via generator images.
+
+        Memoised per space by (component, count); each call gets its own list."""
+        key = (component, count)
+        points = self._carrier_samples.get(key)
+        if points is None:
+            points = self._carrier_samples[key] = tuple(self._carrier_points(component, count))
+        return list(points)
+
+    def _carrier_points(self, component: str, count: int) -> list[Point]:
+        """`sample_carrier_points` without the memo."""
         eqs = self.carrier.equations(component)
         out: list[Point] = []
         seen: set[Point] = set()

@@ -249,6 +249,15 @@ class TestReports:
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
+    def test_exact_sequence_report_bytes_are_pinned(self, capsys):
+        # the rational group words: every gcd, witness and compose memo of
+        # the expression core shows up in these bytes
+        code, out, _ = run(capsys, "exact-sequence", "line-bundle", "scale-translate",
+                           "--budget", "4")
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "8e59a39b5b0632d681f7376f0ef4abd860897ac1e1062ee4b1ec0d2fae3a7087")
+
     def test_out_writes_the_report_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         code, out, _ = run(capsys, "axioms", "r1", "--format", "json",

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 import random
+import re
 
 import pytest
 
@@ -257,6 +258,12 @@ class TestParser:
     def test_bad_input(self):
         for text in ["x0 +", "x9", "x0^(2)", "y0", "(x0", "x0 x0"]:
             with pytest.raises(ExprError):
+                E(text, 1)
+        # the grammar's digits are ASCII: other Unicode digits are refused
+        # by name rather than read as numbers or passed to int()
+        for text, char in [("x0\u00b2", "\u00b2"), ("x0^\u00b2", "\u00b2"),
+                           ("\u0663*x0", "\u0663"), ("x\u0663", "x")]:
+            with pytest.raises(ExprError, match=re.escape(repr(char))):
                 E(text, 1)
 
     def test_negative_denominator_flips(self):

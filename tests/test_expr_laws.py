@@ -2,7 +2,9 @@
 
 They guard the fast paths: substitution of polynomial arguments on raw term
 dictionaries, the unit-denominator shortcut in normalisation, evaluation
-at points already made of Fractions, compose and differentiate taking a
+on ints over one common denominator, parsing on raw terms with int
+coefficients (equal, in dict order too, to the Expr-operator fold it
+replaced), compose and differentiate taking a
 polynomial's stored denominator to be exactly 1, multiplication on plain
 ints when both factors have integer coefficients, addition of two integer
 coefficients on plain ints, the heuristic gcd (equal to the PRS gcd, which
@@ -10,12 +12,13 @@ stays as its fallback), and the memos of rational arithmetic (a hit equals
 a fresh result, and nothing a caller holds can change a later hit).
 """
 
+import operator
 import re
 from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from diffeokit import expr
@@ -24,9 +27,11 @@ from diffeokit.expr import (
     ExprError,
     PositivityWitness,
     _add,
+    _common_denominator,
     _compose_rational,
     _div_exact,
     _divides_z,
+    _eval,
     _gcd,
     _gcd_of_items,
     _gcd_prs,
@@ -470,3 +475,181 @@ class TestRationalMemos:
         with mock.patch.object(expr, "derive_witness", lambda terms, arity, hints=None: wrong):
             with pytest.raises(ExprError, match="positivity certificate failed to replay"):
                 Expr(ARITY, dict(good.num), dict(good.den))
+
+
+# term trees: ("num", n), ("var", i), ("neg", t), (op, left, right) for op in
+# add/sub/mul/div, and ("pow", t, k)
+_PRECEDENCE = {"num": 5, "var": 5, "pow": 4, "neg": 3, "mul": 2, "div": 2, "add": 1, "sub": 1}
+_SYMBOL = {"add": " + ", "sub": " - ", "mul": "*", "div": "/"}
+
+
+def _render(tree) -> str:
+    """The text of a term tree with only the parentheses its shape needs:
+    binary operators associate to the left, `-` binds looser than `^`, and
+    a power's base is an atom."""
+    def wrap(t, level):
+        text = _render(t)
+        return text if _PRECEDENCE[t[0]] >= level else f"({text})"
+
+    kind = tree[0]
+    if kind == "num":
+        return str(tree[1])
+    if kind == "var":
+        return f"x{tree[1]}"
+    if kind == "neg":
+        return "-" + wrap(tree[1], 3)
+    if kind == "pow":
+        return f"{wrap(tree[1], 5)}^{tree[2]}"
+    level = _PRECEDENCE[kind]
+    return wrap(tree[1], level) + _SYMBOL[kind] + wrap(tree[2], level + 1)
+
+
+def _fold(tree, arity) -> Expr:
+    """The tree folded with Expr operators in parse order: what the parser
+    built before it ran on raw terms, and the reference for it now."""
+    kind = tree[0]
+    if kind == "num":
+        return Expr.constant(arity, tree[1])
+    if kind == "var":
+        return Expr.variable(arity, tree[1])
+    if kind == "neg":
+        return -_fold(tree[1], arity)
+    if kind == "pow":
+        return _fold(tree[1], arity) ** tree[2]
+    left, right = _fold(tree[1], arity), _fold(tree[2], arity)
+    return {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+            "div": operator.truediv}[kind](left, right)
+
+
+@st.composite
+def term_trees(draw):
+    """(arity, tree) over + - * ^, division by constants (which may be zero
+    or a constant subexpression) and by witnessed denominators, at arity 1..3."""
+    arity = draw(st.integers(1, 3))
+    nums = st.integers(0, 5).map(lambda n: ("num", n))
+    variables = st.integers(0, arity - 1).map(lambda i: ("var", i))
+    constants = st.recursive(
+        nums, lambda c: st.tuples(st.sampled_from(["add", "sub", "mul"]), c, c), max_leaves=3)
+    square = st.builds(lambda v, k: ("pow", v, k), variables, st.sampled_from([2, 4]))
+    dens = st.builds(lambda sq, rest, n: ("add", ("add", sq, rest) if rest else sq, ("num", n)),
+                     square, st.none() | square, st.integers(1, 4))
+
+    def extend(children):
+        sums = st.tuples(st.sampled_from(["add", "sub"]), children, children)
+        return st.one_of(
+            st.tuples(st.just("neg"), children),
+            st.tuples(st.sampled_from(["add", "sub", "mul"]), children, children),
+            st.tuples(st.just("pow"), children, st.integers(0, 3)),
+            st.tuples(st.just("div"), sums | children, constants),
+            st.tuples(st.just("div"), sums | children, dens),
+            # (a + b)*(a - b): cross terms that cancel inside one product
+            st.builds(lambda a, b: ("mul", ("add", a, b), ("sub", a, b)), children, children),
+        )
+
+    return arity, draw(st.recursive(nums | variables, extend, max_leaves=8))
+
+
+_X0, _X1 = ("var", 0), ("var", 1)
+
+# (x0 + x1 + x0*x1 + 1/2)*(x1 - x0 + 1): the x0*x1 total of the product
+# cancels to zero and comes back, so it moves to the end of the dict in the
+# Fraction loop of `_mul` (rational factors) and not in its int loop
+_CANCEL_AND_RETURN = (2, ("mul",
+    ("add", ("add", ("add", _X0, _X1), ("mul", _X0, _X1)), ("div", ("num", 1), ("num", 2))),
+    ("add", ("sub", _X1, _X0), ("num", 1))))
+
+
+class TestRawTermParser:
+    @settings(max_examples=150)
+    @given(term_trees())
+    @example(_CANCEL_AND_RETURN)
+    def test_parse_equals_the_expr_operator_fold(self, arity_tree):
+        arity, tree = arity_tree
+        text = _render(tree)
+        try:
+            reference = _fold(tree, arity)
+        except ExprError:
+            # division by zero or an uncertified denominator fails both ways
+            with pytest.raises(ExprError):
+                Expr.parse(text, arity)
+            return
+        parsed = Expr.parse(text, arity)
+        assert parsed.canonical_key() == reference.canonical_key()
+        # dict order too: it keys the gcd memo and orders later sums
+        assert list(parsed.num.items()) == list(reference.num.items())
+        assert list(parsed.den.items()) == list(reference.den.items())
+        assert parsed.den_witness == reference.den_witness
+        for terms in (parsed.num, parsed.den):
+            assert all(type(c) is Fraction and c for c in terms.values())
+
+    def test_rendering_keeps_the_tree(self):
+        tree = ("sub", ("var", 0), ("neg", ("pow", ("add", ("var", 0), ("num", 1)), 2)))
+        assert _render(tree) == "x0 - -(x0 + 1)^2"
+        assert _render(("div", ("num", 1), ("mul", ("num", 2), ("var", 0)))) == "1/(2*x0)"
+        assert _render(_CANCEL_AND_RETURN[1]) == "(x0 + x1 + x0*x1 + 1/2)*(x1 - x0 + 1)"
+
+
+def _reference_eval(terms, point) -> Fraction:
+    """The value term by term in Fraction arithmetic: the reference for
+    `_eval`, which sums plain ints over one common denominator."""
+    total = Fraction(0)
+    for mono, coeff in terms.items():
+        term = coeff
+        for value, exp in zip(point, mono):
+            term *= Fraction(value) ** exp
+        total += term
+    return total
+
+
+@st.composite
+def eval_cases(draw):
+    """(terms, point) at arity 0..3: integer or rational coefficients (or
+    none), and coordinates that are ints, zero, negative or Fractions with
+    coprime denominators."""
+    arity = draw(st.integers(0, 3))
+    kind = draw(st.sampled_from([_integral, _rational]))
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * arity), kind, max_size=5))
+    coordinate = st.one_of(
+        st.integers(-3, 3),
+        st.fractions(min_value=-3, max_value=3, max_denominator=7),
+        st.sampled_from([Fraction(1, 2), Fraction(-2, 3), Fraction(4, 5), Fraction(-6, 7)]),
+    )
+    return terms, draw(st.lists(coordinate, min_size=arity, max_size=arity))
+
+
+class TestCommonDenominatorEval:
+    @_property
+    @given(eval_cases())
+    def test_eval_equals_the_fraction_loop(self, case):
+        terms, point = case
+        expected = _reference_eval(terms, point)
+        ints, d = _common_denominator(point)
+        total, scale = _eval(terms, ints, d)
+        assert Fraction(total, scale) == expected
+        value = Expr(len(point), terms).eval(point)
+        assert type(value) is Fraction and value == expected
+
+    @_property
+    @given(rationals(), points())
+    def test_rational_eval_equals_the_quotient_of_loops(self, e, pt):
+        expected = _reference_eval(e.num, pt) / _reference_eval(e.den, pt)
+        assert e.eval(pt) == expected
+        assert e.eval([Fraction(v) for v in pt]) == expected
+
+    def test_edge_points(self):
+        x0, x1 = Expr.variable(2, 0), Expr.variable(2, 1)
+        e = (x0**3 - Fraction(1, 2) * x0 * x1 + 3) / (x1**2 + Fraction(1, 3))
+        for pt in ([0, 0], [-1, 2], [Fraction(1, 2), Fraction(1, 3)],
+                   [Fraction(-3, 4), Fraction(5, 9)], [Fraction(2, 7), 0]):
+            assert e.eval(pt) == _reference_eval(e.num, pt) / _reference_eval(e.den, pt)
+        assert Expr.zero(0).eval([]) == 0 and Expr.constant(0, Fraction(5, 3)).eval(()) == Fraction(5, 3)
+        assert _eval({}, [], 1) == (0, 1)
+
+    def test_a_vanishing_denominator_is_refused(self):
+        # no witnessed denominator vanishes on R^n; a key that bypasses the
+        # witness check shows that eval still refuses to divide by zero
+        x0 = Expr.variable(1, 0)
+        bogus = Expr._from_key((1, _terms_key(x0.num), _terms_key(x0.num)),
+                               (1 / (x0**2 + 1)).den_witness)
+        with pytest.raises(ExprError, match="denominator evaluated to zero"):
+            bogus.eval([0])

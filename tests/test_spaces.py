@@ -509,3 +509,24 @@ class TestAllHold:
     def test_yes_keeps_each_certificate_under_its_name(self):
         verdict = all_hold("both", [("a", holds(None)), ("b", Verdict.yes(CarrierCert()))])
         assert verdict.certificate == ChecksCert("both", (("a", None), ("b", CarrierCert())))
+
+
+class TestCarrierSamples:
+    @pytest.mark.parametrize("count", [1, 4, 12, 24])
+    def test_memoised_samples_equal_an_uncached_computation(self, count):
+        cross = axes_cross()
+        first = cross.sample_carrier_points("", count)
+        assert first and first == cross._carrier_points("", count)
+        assert cross.sample_carrier_points("", count) == first
+        r2 = euclidean_space(2)
+        assert r2.sample_carrier_points("", count) == r2._carrier_points("", count)
+
+    def test_a_mutated_result_leaves_the_next_call_unchanged(self):
+        cross = axes_cross()
+        first = cross.sample_carrier_points("", 8)
+        expected = list(first)
+        first.clear()
+        second = cross.sample_carrier_points("", 8)
+        assert second == expected
+        second.append((Fraction(5), Fraction(5)))
+        assert cross.sample_carrier_points("", 8) == expected
