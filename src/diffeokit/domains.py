@@ -12,7 +12,11 @@ point lands in some covering box.
 
 Sampling is pure in (domain, count, max_den), and the same few keys recur
 all through a run, so the samples are memoised in a bounded module cache;
-`Domain.sample_points` hands every caller a fresh list.
+`Domain.sample_points` hands every caller a fresh list.  Each axis walks
+integer numerators outward from 0 and stops at the last value it keeps,
+so the cost of sampling does not depend on the width of the interval.
+Interval bounds multiply finite endpoints directly, and track signed
+infinities only when a side is unbounded.
 """
 
 from __future__ import annotations
@@ -25,6 +29,18 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .expr import Expr, ExprVec
+
+__all__ = [
+    "Point",
+    "Bounds",
+    "format_point",
+    "Interval",
+    "Box",
+    "Domain",
+    "expr_bounds",
+    "vec_bounds",
+    "image_within",
+]
 
 Point = tuple[Fraction, ...]
 
@@ -334,6 +350,13 @@ def _domain_samples(domain: Domain, count: int, max_den: int) -> tuple[Point, ..
 
 
 def _interval_samples(iv: Interval, count: int, max_den: int) -> list[Fraction]:
+    """The first max(count, 1) rationals inside the interval with
+    denominator at most max_den, in (denominator, abs, value) order.
+
+    Each denominator walks its integer numerators outward from the one
+    nearest 0 and keeps those coprime to it, so every rational comes once
+    and the walk stops at the last value kept: the cost does not grow with
+    the interval's width."""
     # clip unbounded sides to a window of width 4 for sampling purposes
     if iv.lo is None and iv.hi is None:
         lo, hi = Fraction(-2), Fraction(2)
@@ -343,22 +366,33 @@ def _interval_samples(iv: Interval, count: int, max_den: int) -> list[Fraction]:
         lo, hi = iv.lo, iv.lo + 4
     else:
         lo, hi = iv.lo, iv.hi
+    want = max(count, 1)
     found: list[Fraction] = []
-    seen: set[Fraction] = set()
     for den in range(1, max_den + 1):
-        start = lo * den
-        stop = hi * den
-        num = math.floor(start) + 1
-        while num < stop:
-            v = Fraction(num, den)
-            if v not in seen and v > lo and v < hi:
-                seen.add(v)
-                found.append(v)
-            num += 1
-        if len(found) >= count * 4:
-            break
-    found.sort(key=lambda v: (v.denominator, abs(v), v))
-    return found[: max(count, 1)]
+        # the numerators strictly between lo*den and hi*den
+        first = lo.numerator * den // lo.denominator + 1
+        last = -(-hi.numerator * den // hi.denominator) - 1
+        for num in _outward(first, last):
+            if math.gcd(num, den) == 1:
+                found.append(Fraction(num, den))
+                if len(found) == want:
+                    return found
+    return found
+
+
+def _outward(first: int, last: int) -> Iterable[int]:
+    """The integers of [first, last] in (abs, value) order."""
+    if first > 0:
+        yield from range(first, last + 1)
+    elif last < 0:
+        yield from range(last, first - 1, -1)
+    else:
+        yield 0
+        for k in range(1, max(-first, last) + 1):
+            if -k >= first:
+                yield -k
+            if k <= last:
+                yield k
 
 
 def _box_samples(box: Box, count: int, max_den: int) -> list[Point]:
@@ -431,10 +465,15 @@ def _ext_mul(x, sx, y, sy):
 
 
 def _b_mul(a: Bounds, b: Bounds) -> Bounds:
+    a_lo, a_hi = a
+    b_lo, b_hi = b
+    if a_lo is not None and a_hi is not None and b_lo is not None and b_hi is not None:
+        p = (a_lo * b_lo, a_lo * b_hi, a_hi * b_lo, a_hi * b_hi)
+        return (min(p), max(p))
     # candidates: products of endpoints, with infinities tracked by sign
     cands = []
-    for x, sx in ((a[0], -1), (a[1], 1)):
-        for y, sy in ((b[0], -1), (b[1], 1)):
+    for x, sx in ((a_lo, -1), (a_hi, 1)):
+        for y, sy in ((b_lo, -1), (b_hi, 1)):
             cands.append(_ext_mul(x, sx, y, sy))
     lo: Fraction | None = None
     hi: Fraction | None = None
@@ -480,11 +519,12 @@ def _terms_bounds(terms, var_bounds: list[Bounds]) -> Bounds:
 
     total: Bounds = (Fraction(0), Fraction(0))
     for mono, coeff in terms.items():
-        part: Bounds = (Fraction(1), Fraction(1))
+        part: Bounds | None = None
         for i, k in enumerate(mono):
             if k:
-                part = _b_mul(part, var_power(i, k))
-        total = _b_add(total, _b_scale(part, coeff))
+                power = var_power(i, k)
+                part = power if part is None else _b_mul(part, power)
+        total = _b_add(total, (coeff, coeff) if part is None else _b_scale(part, coeff))
     return total
 
 

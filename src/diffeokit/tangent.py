@@ -23,6 +23,7 @@ germ of the searched degree at once.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,6 +38,13 @@ __all__ = [
     "cone_membership",
     "exhaustive_germ_search",
 ]
+
+# radii 1, 1/2, ... of the straight-line search
+LINE_STEPS = 4
+# generator sample points searched for preimages of the basepoint
+PREIMAGE_SAMPLES = 60
+# distinct generator image tables held
+PREIMAGE_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -100,7 +108,14 @@ def cone_membership(
         blocked = _annihilation_obstruction(space, x, v)
     if blocked is not None:
         return ConeVerdict(v, "out", obstruction=blocked)
-    return ConeVerdict(v, "unknown", detail="no witness and no obstruction in budget")
+    found = sum(len(_preimages(gen, x)) for _, gen in space.component_generators(""))
+    return ConeVerdict(v, "unknown", detail=(
+        f"no witness and no obstruction in budget: the line search found no plot "
+        f"on radii 1 to 1/{2 ** (LINE_STEPS - 1)} at budget {budget}; the jet search "
+        f"found no plot through the basepoint's generator preimages ({found} from "
+        f"{PREIMAGE_SAMPLES} samples per generator and the affine solves); "
+        f"the gradient, vanishing-order and annihilation obstructions do not apply"
+    ))
 
 
 def _interval_domain(radius: Fraction) -> Domain:
@@ -117,7 +132,7 @@ def _find_germ(space: DiffSpace, x: Point, v: Point, budget: int) -> PathGerm | 
         [Expr.constant(1, a) + Expr.constant(1, b) * Expr.variable(1, 0)
          for a, b in zip(x, v)]
     )
-    for exponent in range(4):
+    for exponent in range(LINE_STEPS):
         dom = _interval_domain(Fraction(1, 2**exponent))
         verdict = is_plot(space, Plot(dom, line), budget)
         if verdict.is_yes:
@@ -128,7 +143,7 @@ def _find_germ(space: DiffSpace, x: Point, v: Point, budget: int) -> PathGerm | 
             jet = _jet_through(gen, u0, v)
             if jet is None:
                 continue
-            dom = _jet_domain(jet, u0, gen.domain)
+            dom = _jet_domain(jet, gen.domain)
             if dom is None:
                 continue
             path = gen.map.compose(jet)
@@ -138,8 +153,11 @@ def _find_germ(space: DiffSpace, x: Point, v: Point, budget: int) -> PathGerm | 
     return None
 
 
-def _preimages(gen: Plot, x: Point, count: int = 60) -> list[Point]:
-    hits = [u for u in gen.domain.sample_points(count) if gen.map.eval(u) == x]
+def _preimages(gen: Plot, x: Point) -> list[Point]:
+    """The generator's sample points that map to x, in sample order, then
+    the affine solve for x when the map is affine and that point is new.
+    The list is the caller's own."""
+    hits = list(_image_table(gen).get(x, ()))
     parts = affine_parts(gen.map)
     if parts is not None:
         solved = parts.preimage(x)
@@ -148,6 +166,17 @@ def _preimages(gen: Plot, x: Point, count: int = 60) -> list[Point]:
             if u not in hits:
                 hits.append(u)
     return hits
+
+
+@functools.lru_cache(maxsize=PREIMAGE_CACHE_SIZE)
+def _image_table(gen: Plot) -> dict[Point, tuple[Point, ...]]:
+    """Each image of the generator's first PREIMAGE_SAMPLES sample points,
+    with the sample points that map to it in sample order.  Read-only: the
+    values are tuples, and `_preimages` copies the one it reads."""
+    table: dict[Point, list[Point]] = {}
+    for u in gen.domain.sample_points(PREIMAGE_SAMPLES):
+        table.setdefault(gen.map.eval(u), []).append(u)
+    return {x: tuple(us) for x, us in table.items()}
 
 
 def _jet_through(gen: Plot, u0: Point, v: Point) -> ExprVec | None:
@@ -163,7 +192,7 @@ def _jet_through(gen: Plot, u0: Point, v: Point) -> ExprVec | None:
     )
 
 
-def _jet_domain(jet: ExprVec, u0: Point, target: Domain) -> Domain | None:
+def _jet_domain(jet: ExprVec, target: Domain) -> Domain | None:
     for exponent in range(10):
         dom = _interval_domain(Fraction(1, 2**exponent))
         if image_within(jet, dom, target):

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import diffeokit
-from diffeokit import autgroups, bundles, tangent
+from diffeokit import autgroups, bundles, domains, tangent
 from diffeokit.cli import main
 
 
@@ -248,6 +248,9 @@ class TestReports:
                            "--seed", seed)
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+        cones = [c for c in json.loads(out)["checks"] if c["id"].startswith("tangent-cone:")]
+        assert len(cones) == 22
+        assert all(c["verdict"] != "unknown" for c in cones)
 
     def test_exact_sequence_report_bytes_are_pinned(self, capsys):
         # the rational group words: every gcd, witness and compose memo of
@@ -306,7 +309,7 @@ class TestReports:
         # unreached
         root = Path(__file__).resolve().parent.parent
         checked = {
-            name for module in (diffeokit, autgroups, bundles, tangent)
+            name for module in (diffeokit, autgroups, bundles, domains, tangent)
             for name in module.__all__
         }
         # the top-level definitions each name occurs in; None is module level

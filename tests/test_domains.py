@@ -3,14 +3,21 @@
 import random
 from fractions import Fraction
 
+import math
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from diffeokit.domains import (
     Box,
     Domain,
     Interval,
     SAMPLE_MAX_DEN,
+    _b_mul,
     _domain_samples,
+    _ext_mul,
+    _interval_samples,
     expr_bounds,
     image_within,
     vec_bounds,
@@ -124,7 +131,80 @@ class TestCoverage:
                 assert seam_missed
 
 
+def _reference_interval_samples(iv, count, max_den):
+    """The Fraction loop that `_interval_samples` replaced: every candidate
+    up to the denominator where enough were found, sorted by (denominator,
+    abs, value) and truncated.  Its cost grows with the interval's width."""
+    if iv.lo is None and iv.hi is None:
+        lo, hi = _f(-2), _f(2)
+    elif iv.lo is None:
+        lo, hi = iv.hi - 4, iv.hi
+    elif iv.hi is None:
+        lo, hi = iv.lo, iv.lo + 4
+    else:
+        lo, hi = iv.lo, iv.hi
+    found, seen = [], set()
+    for den in range(1, max_den + 1):
+        stop = hi * den
+        num = math.floor(lo * den) + 1
+        while num < stop:
+            v = Fraction(num, den)
+            if v not in seen and lo < v < hi:
+                seen.add(v)
+                found.append(v)
+            num += 1
+        if len(found) >= count * 4:
+            break
+    found.sort(key=lambda v: (v.denominator, abs(v), v))
+    return found[: max(count, 1)]
+
+
+_endpoints = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+_widths = st.fractions(min_value=Fraction(1, 12), max_value=60, max_denominator=12)
+
+
+@st.composite
+def intervals(draw):
+    """Bounded, half-bounded and unbounded intervals; some lie on one side
+    of 0 and some are narrower than one step at small denominators."""
+    lo = draw(_endpoints)
+    shape = draw(st.sampled_from(["bounded", "narrow", "positive", "negative",
+                                  "below", "above", "full"]))
+    if shape == "narrow":
+        return Interval(lo, lo + draw(st.fractions(
+            min_value=Fraction(1, 100), max_value=Fraction(1, 2), max_denominator=100)))
+    if shape == "positive":
+        lo = abs(lo)
+    if shape == "negative":
+        hi = -abs(lo)
+        return Interval(hi - draw(_widths), hi)
+    if shape == "below":
+        return Interval(None, lo)
+    if shape == "above":
+        return Interval(lo, None)
+    if shape == "full":
+        return Interval(None, None)
+    return Interval(lo, lo + draw(_widths))
+
+
 class TestSampling:
+    @settings(max_examples=300)
+    @given(intervals(), st.integers(1, 300), st.integers(1, 8))
+    @example(Interval(_f(1, 3), _f(2, 5)), 5, 8)   # no integer, one step at den 3
+    @example(Interval(_f(-1, 7), _f(1, 9)), 1, 1)   # only 0
+    @example(Interval(_f(-7, 2), _f(-1, 3)), 300, 8)  # runs out of candidates
+    @example(Interval(_f(0), None), 1, 8)
+    def test_interval_samples_equal_the_fraction_loop(self, iv, count, max_den):
+        assert _interval_samples(iv, count, max_den) == _reference_interval_samples(
+            iv, count, max_den)
+
+    def test_wide_interval_samples_the_integers_nearest_zero(self):
+        # at the old O(width) loop this call did not finish
+        pts = Domain.of((-10**12, 10**12)).sample_points(120)
+        ints = [0] + [s * k for k in range(1, 61) for s in (-1, 1)]
+        assert pts == [(_f(k),) for k in ints[:120]]
+        assert pts[-3:] == [(_f(-59),), (_f(59),), (_f(-60),)]
+
     def test_simple_points_first(self):
         pts = Domain.of((0, 1)).sample_points(3)
         assert pts[0] == (_f(1, 2),)
@@ -224,3 +304,105 @@ class TestExprBounds:
         got = vec_bounds(vec, Box.of((0, 1), (0, 1)))
         assert got[0] == (_f(0), _f(2))
         assert got[1] == (_f(0), _f(1))
+
+
+def _reference_b_mul(a, b):
+    """Interval product through `_ext_mul` on every pair of endpoints."""
+    cands = [_ext_mul(x, sx, y, sy)
+             for x, sx in ((a[0], -1), (a[1], 1))
+             for y, sy in ((b[0], -1), (b[1], 1))]
+    nums = [v for kind, v in cands if kind == "num"]
+    lo = None if ("inf", -1) in cands else min(nums)
+    hi = None if ("inf", 1) in cands else max(nums)
+    return (lo, hi)
+
+
+_small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def bounds(draw, finite=False):
+    """Closed bounds lo <= hi; lo or hi None (unbounded) unless finite."""
+    lo = draw(st.one_of(st.just(_f(0)), _small))
+    hi = lo + draw(st.one_of(st.just(_f(0)), st.fractions(
+        min_value=0, max_value=4, max_denominator=4)))
+    if finite:
+        return (lo, hi)
+    side = draw(st.sampled_from(["both", "both", "lo", "hi", "none"]))
+    return (lo if side in ("both", "lo") else None, hi if side in ("both", "hi") else None)
+
+
+@st.composite
+def open_boxes(draw, arity):
+    """Boxes whose endpoints are often 0 and whose sides may be unbounded."""
+    sides = []
+    for _ in range(arity):
+        lo, hi = draw(bounds())
+        if lo is not None and hi is not None and lo == hi:
+            hi = lo + 1
+        sides.append((lo, hi))
+    return Box.of(*sides)
+
+
+@st.composite
+def bounded_exprs(draw, arity):
+    """Polynomials of degree up to 3 per variable, some over a witnessed
+    denominator sum of even powers plus a constant."""
+    terms = draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 3)] * arity), _small.filter(bool), max_size=4))
+    e = Expr(arity, terms)
+    if draw(st.booleans()):
+        den = Expr.constant(arity, draw(st.sampled_from([_f(1, 2), _f(1), _f(3)])))
+        for i in range(arity):
+            x = Expr.variable(arity, i)
+            den = den + x * x
+        e = e / den
+    return e
+
+
+def _within(value, b):
+    return (b[0] is None or b[0] <= value) and (b[1] is None or value <= b[1])
+
+
+class TestBoundsSoundness:
+    """expr_bounds and image_within against sampling: a bound holds at every
+    sample point, and a yes of image_within holds at every sample."""
+
+    @settings(max_examples=150)
+    @given(st.data(), st.integers(1, 2))
+    def test_every_sample_value_lies_within_the_bounds(self, data, arity):
+        e = data.draw(bounded_exprs(arity))
+        box = data.draw(open_boxes(arity))
+        b = expr_bounds(e, box)
+        for pt in Domain(arity, [box]).sample_points(40):
+            assert _within(e.eval(pt), b), (e.to_str(), pt, b)
+
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_image_within_holds_at_every_sample(self, data):
+        vec = ExprVec([data.draw(bounded_exprs(1)) for _ in range(2)])
+        source = Domain(1, [data.draw(open_boxes(1))])
+        # a target widened around the bounds must be certified, a drawn one may be
+        widened = [(None if lo is None else lo - 1, None if hi is None else hi + 1)
+                   for lo, hi in vec_bounds(vec, source.boxes[0])]
+        drawn = data.draw(open_boxes(2))
+        targets = [(Domain.of(*widened), True), (Domain(2, [drawn]), None)]
+        for target, expected in targets:
+            got = image_within(vec, source, target)
+            if expected is not None:
+                assert got == expected
+            if got:
+                for pt in source.sample_points(40):
+                    assert target.contains(vec.eval(pt)), (vec.to_str(), pt)
+
+    @settings(max_examples=300)
+    @given(bounds(finite=True), bounds(finite=True))
+    @example((_f(-1), _f(2)), (_f(-3), _f(-1, 2)))
+    @example((_f(0), _f(0)), (_f(-1), _f(1)))
+    def test_finite_product_equals_the_extended_path(self, a, b):
+        assert _b_mul(a, b) == _reference_b_mul(a, b)
+
+    @settings(max_examples=300)
+    @given(bounds(), bounds())
+    def test_product_with_unbounded_sides_equals_the_extended_path(self, a, b):
+        assert _b_mul(a, b) == _reference_b_mul(a, b)

@@ -14,7 +14,14 @@ from diffeokit.spaces import (
     generated_space,
     plot,
 )
-from diffeokit.tangent import cone_membership, exhaustive_germ_search
+from diffeokit.linalg import affine_parts
+from diffeokit.tangent import (
+    PREIMAGE_SAMPLES,
+    _image_table,
+    _preimages,
+    cone_membership,
+    exhaustive_germ_search,
+)
 
 
 def axes_cross():
@@ -177,3 +184,65 @@ class TestGeneratorJets:
         miss = cone_membership(space, (1, 1), (1, 1), budget=4)
         assert miss.is_out
         assert miss.obstruction.kind == "gradient"
+
+
+def _scanned_preimages(gen, x):
+    """The sample scan the preimage table replaced, then the affine solve."""
+    hits = [u for u in gen.domain.sample_points(PREIMAGE_SAMPLES) if gen.map.eval(u) == x]
+    parts = affine_parts(gen.map)
+    if parts is not None:
+        solved = parts.preimage(x)
+        if solved is not None and gen.domain.contains(tuple(solved)):
+            if tuple(solved) not in hits:
+                hits.append(tuple(solved))
+    return hits
+
+
+class TestPreimageTable:
+    def test_table_equals_the_sample_scan_on_every_builtin_generator(self):
+        reg = load_registry()
+        # maps that send several samples to one point, which no built-in does
+        folds = [plot(Domain.full(1), ["x0^2"]), plot(Domain.full(2), ["x0*x1", "x0^2"])]
+        checked = 0
+        for name, gens in [(n, sp.generators) for n, sp in sorted(reg.spaces.items())] + [
+                ("folds", folds)]:
+            extra = list(reg.cone_points.get(name, ()))
+            for gen in gens:
+                images = [gen.map.eval(u) for u in gen.domain.sample_points(PREIMAGE_SAMPLES)]
+                miss = tuple(F(1, 997) for _ in range(len(gen.map)))
+                for x in dict.fromkeys(images + extra + [miss]):
+                    if len(x) != len(gen.map):
+                        continue
+                    assert _preimages(gen, x) == _scanned_preimages(gen, x), (name, x)
+                    checked += 1
+        assert checked > 100
+        assert _preimages(folds[0], (F(1),)) == [(F(-1),), (F(1),)]
+
+    def test_solved_preimage_off_the_samples_does_not_enter_the_table(self):
+        gen = plot(Domain.full(1), ["x0", "2*x0 + 1"])
+        x = (F(1, 1000), F(501, 500))
+        table = _image_table(gen)
+        before = {k: v for k, v in table.items()}
+        first = _preimages(gen, x)
+        assert first == [(F(1, 1000),)]
+        first.append((F(9),))
+        second = _preimages(gen, x)
+        assert second == [(F(1, 1000),)]
+        assert _image_table(gen) is table
+        assert table == before and x not in table
+        # a sample hit that the affine solve finds again is listed once
+        assert _preimages(gen, (F(1), F(3))) == [(F(1),)]
+
+
+class TestUnknownDetail:
+    def test_cusp_unknown_names_each_search_and_its_cap(self):
+        eq = Expr.parse("x0^3 - x1^2", 2)
+        cusp = generated_space(
+            "cusp", AlgebraicCarrier(2, (eq,)), (plot(Domain.full(1), ["x0^2", "x0^3"]),))
+        for v in [(1, 0), (0, 1), (1, 1)]:
+            verdict = cone_membership(cusp, (0, 0), v)
+            assert verdict.status == "unknown", v
+            assert "line search found no plot on radii 1 to 1/8 at budget 4" in verdict.detail
+            assert f"(1 from {PREIMAGE_SAMPLES} samples per generator" in verdict.detail
+            assert ("gradient, vanishing-order and annihilation obstructions do not apply"
+                    in verdict.detail)
