@@ -202,11 +202,24 @@ def exact_sequence_check(
 
     short = [el for el in elements if len(el.word) <= 2]
     for a in short:
+        # proj.(a.b) as (proj.a).b: the fibre part of a.b is never built
+        proj_a = proj.compose(a.phi)
         for b in short:
-            lhs = proj.compose(a.phi.compose(b.phi))
+            lhs = proj_a.compose(b.phi)
             rhs = a.varphi.compose(b.varphi).compose(proj)
             pair = f"{word_name(a.word)} after {word_name(b.word)}"
             read(bundle.total, lhs, rhs, pair, pair)
+
+    # inverse of a word w = v + (g,): g^-1 after the inverse of v
+    inverses = {(): ExprVec.identity(d)}
+
+    def inverse(word: tuple[int, ...]) -> ExprVec:
+        vec = inverses.get(word)
+        if vec is None:
+            i = abs(word[-1]) - 1
+            m = group.inverses[i] if word[-1] > 0 else group.generators[i]
+            vec = inverses[word] = m.phi.piece("")[1].compose(inverse(word[:-1]))
+        return vec
 
     kernel, linear = [], []
     for el in elements:
@@ -219,7 +232,7 @@ def exact_sequence_check(
         )
         if in_kernel.is_yes:
             kernel.append(name)
-            back = el.phi.compose(_inverse_of(group, el.word))
+            back = el.phi.compose(inverse(el.word))
             read(bundle.total, back, ExprVec.identity(d), f"kernel word {name}: inverse",
                  f"kernel word {name} is not invertible")
         if is_linear.is_yes:
@@ -239,17 +252,6 @@ def exact_sequence_check(
         ),
         detail=f"kernel = linear part ({len(kernel)} words)",
     )
-
-
-def _inverse_of(group: FinGenGroup, word: tuple[int, ...]) -> ExprVec:
-    d = group.bundle.ambient_dim
-    vec = ExprVec.identity(d)
-    for letter in reversed(word):
-        i = abs(letter) - 1
-        m = group.inverses[i] if letter > 0 else group.generators[i]
-        _, step = m.phi.piece("")
-        vec = vec.compose(step)
-    return vec
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,9 @@ def format_point(point: Sequence[Fraction]) -> str:
 # closed bounds with None meaning the side is unbounded
 Bounds = tuple[Fraction | None, Fraction | None]
 
+# the value in an unbounded side's sort key: its flag alone orders it
+_NO_BOUND = Fraction(0)
+
 
 @dataclass(frozen=True)
 class Interval:
@@ -80,8 +83,8 @@ class Interval:
         return Interval(lo, hi)
 
     def _key(self):
-        lo_key = (0, Fraction(0)) if self.lo is None else (1, self.lo)
-        hi_key = (1, Fraction(0)) if self.hi is None else (0, self.hi)
+        lo_key = (0, _NO_BOUND) if self.lo is None else (1, self.lo)
+        hi_key = (1, _NO_BOUND) if self.hi is None else (0, self.hi)
         return (lo_key, hi_key)
 
 
@@ -336,6 +339,9 @@ SAMPLE_MAX_DEN = 8
 def _domain_samples(domain: Domain, count: int, max_den: int) -> tuple[Point, ...]:
     if count <= 0 or domain.is_empty:
         return ()
+    if len(domain.boxes) == 1:
+        # one box's points are distinct by construction
+        return tuple(_box_samples(domain.boxes[0], count, max_den))
     per_box = [_box_samples(b, count, max_den) for b in domain.boxes]
     out: list[Point] = []
     seen: set[Point] = set()

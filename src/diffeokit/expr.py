@@ -38,10 +38,21 @@ arithmetic.  `Expr.eval` brings the point over one common denominator d and
 the coefficients over the lcm c of theirs, sums each term as an int scaled
 by d^(deg - |m|), and builds one Fraction, total / (c * d^deg).
 
-Substitution (`Expr.compose`) of polynomial arguments into a polynomial runs
-on raw term dictionaries (`_subst_poly`) and builds a single Expr at the end,
-as does a polynomial's `**`; a rational function or argument sends it
-through Expr arithmetic, which carries the positivity witnesses.
+Substitution (`Expr.compose`) into a polynomial runs on raw term
+dictionaries (`_subst_poly`) and builds a single Expr at the end, as does a
+polynomial's `**`, whenever every argument the polynomial reads is a
+polynomial; an argument it does not read may be rational.  Otherwise
+`_compose_rational` substitutes into numerator and denominator with
+`_subst_terms`, which puts the substitution over one common denominator
+(Geddes, Czapor and Labahn, *Algorithms for Computer Algebra*, 1992): with
+argument i equal to n_i/q_i and D_i the top power of x_i in the terms, the
+numerator sum_m c_m * prod_i n_i^m_i * q_i^(D_i - m_i) is summed on raw
+terms, the denominator is prod_i q_i^D_i with the product of the argument
+witnesses as its witness, and the one Expr built from them is normalised
+once.  An Expr-arithmetic fold would normalise every product and partial
+sum and could keep a larger denominator where the cancelled one has no
+witness it can find, so a canonical key depends on the arithmetic that
+built it.
 
 The gcd that `_normalize` cancels is tried first by the heuristic gcd
 (`_heu_gcd`; GCDHEU, Char, Geddes and Gonnet, 1989): both inputs are cleared
@@ -883,7 +894,10 @@ class Expr:
             if coeff == 1 and sum(mono) == 1:
                 # a bare variable x_i, as in a coordinate projection
                 return args[mono.index(1)]
-        if self.is_polynomial and all(a.is_polynomial for a in args):
+        if self.is_polynomial and all(
+            a.is_polynomial or not any(m[i] for m in self.num) for i, a in enumerate(args)
+        ):
+            # every argument the polynomial reads is a polynomial
             return Expr(out_arity, _subst_poly(self.num, [a.num for a in args], out_arity))
         key, witness = _compose_rational(
             (self.canonical_key(), self.den_witness),
@@ -1008,43 +1022,96 @@ def _pow(a: Terms, k: int, arity: int, integral: type = Fraction) -> Terms:
 
 
 def _subst_terms(terms: Terms, args: Sequence[Expr], out_arity: int) -> Expr:
-    if all(a.is_polynomial for a in args):
-        return Expr(out_arity, _subst_poly(terms, [a.num for a in args], out_arity))
-    total = Expr.zero(out_arity)
-    powers: list[dict[int, Expr]] = [{} for _ in args]
+    """terms(args) as one Expr over one common denominator, normalised once.
 
-    def arg_power(i: int, k: int) -> Expr:
-        if k == 0:
-            return Expr.one(out_arity)
-        cache = powers[i]
-        if k not in cache:
-            cache[k] = args[i] ** k
-        return cache[k]
+    With args[i] = n_i/q_i and D_i the top power of x_i in terms, the value
+    is sum_m c_m * prod_i n_i^m_i * q_i^(D_i - m_i) over Q = prod_i q_i^D_i.
+    Q's witness multiplies the argument witnesses, each raised to D_i as
+    `Expr.__pow__` raises it, and each partial product of Q is a hint for
+    the denominator that normalisation keeps after cancelling."""
+    dens: list[tuple[Terms, int, Terms] | None] = [None] * len(args)
+    den: Terms | None = None
+    witness: PositivityWitness | None = None
+    hints: dict[tuple, PositivityWitness] = {}
+    for i, a in enumerate(args):
+        if a.is_polynomial:
+            continue
+        top = max((m[i] for m in terms), default=0)
+        if not top:
+            continue
+        power = _pow(a.den, top, out_arity)
+        power_witness = _witness_pow(a.den_witness, top)
+        hints[_terms_key(power)] = power_witness
+        dens[i] = (a.den, top, power)
+        if den is None:
+            den, witness = power, power_witness
+        else:
+            den = _mul(den, power)
+            witness = _witness_mul(witness, power_witness)
+            hints[_terms_key(den)] = witness
+    num = _subst_poly(terms, [a.num for a in args], out_arity, dens)
+    if den is None:
+        return Expr(out_arity, num)
+    return Expr(out_arity, num, den, witness, hints)
 
-    for mono, coeff in terms.items():
-        term = Expr.constant(out_arity, coeff)
-        for i, e in enumerate(mono):
-            if e:
-                term = term * arg_power(i, e)
-        total = total + term
-    return total
+
+def _witness_pow(w: PositivityWitness, k: int) -> PositivityWitness:
+    """Witness for the k-th power (k >= 1), by the square-and-multiply of
+    `Expr.__pow__`."""
+    result = None
+    while k:
+        if k & 1:
+            result = w if result is None else _witness_mul(result, w)
+        k >>= 1
+        if k:
+            w = _witness_mul(w, w)
+    return result
 
 
-def _subst_poly(terms: Terms, args: Sequence[Terms], out_arity: int) -> Terms:
-    """`_subst_terms` for polynomial arguments, on raw terms: one term dict
-    per product and partial sum, and no Expr until the caller's."""
+def _subst_poly(
+    terms: Terms,
+    args: Sequence[Terms],
+    out_arity: int,
+    dens: Sequence[tuple[Terms, int, Terms] | None] = (),
+) -> Terms:
+    """`_subst_terms`' numerator on raw terms: one term dict per product and
+    partial sum, and no Expr until the caller's.  dens[i], when given and
+    not None, is (q_i, D_i, q_i^D_i), and x_i^e then stands for
+    args[i]^e * q_i^(D_i - e)."""
     total: Terms = {}
-    powers: list[dict[int, Terms]] = [{} for _ in args]
+    factors: dict[tuple[int, int], Terms] = {}
     for mono, coeff in terms.items():
-        term = {(0,) * out_arity: coeff}
+        term = None
         for i, e in enumerate(mono):
-            if e:
-                cache = powers[i]
-                if e not in cache:
-                    cache[e] = _pow(args[i], e, out_arity)
-                term = _mul(term, cache[e])
-        total = _add(total, term)
+            if e or (dens and dens[i]):
+                factor = factors.get((i, e))
+                if factor is None:
+                    factor = factors[i, e] = _subst_factor(
+                        args[i], e, dens[i] if dens else None, out_arity
+                    )
+                if term is None:  # the term's coefficient times its first factor
+                    term = {m: c * coeff for m, c in factor.items()}
+                else:
+                    term = _mul(term, factor)
+        total = _add(total, {(0,) * out_arity: coeff} if term is None else term)
     return total
+
+
+def _subst_factor(
+    arg: Terms, e: int, den: tuple[Terms, int, Terms] | None, out_arity: int
+) -> Terms:
+    """What x^e contributes to a numerator in `_subst_poly`.  No caller
+    mutates it, so a first power is the argument itself."""
+    def power(t: Terms, k: int) -> Terms:
+        return t if k == 1 else _pow(t, k, out_arity)
+
+    if den is None:
+        return power(arg, e)
+    q, top, q_top = den
+    if not e:
+        return q_top
+    n = power(arg, e)
+    return n if e == top else _mul(n, power(q, top - e))
 
 
 @functools.lru_cache(maxsize=COMPOSE_CACHE_SIZE)

@@ -189,6 +189,20 @@ class TestExactSequence:
         assert "g0: linearity test: component 0 not certified equal" in verdict.detail
 
 
+    @pytest.mark.parametrize("bundle, group", [("line-bundle", "scale-translate"),
+                                               ("cross-bundle", "axis-swap")])
+    def test_projecting_first_gives_the_composed_pair(self, bundle, group):
+        # the pair loop computes (proj.a).b, so the fibre part of a.b is
+        # never built; composition is associative, in canonical form too
+        reg = load_registry()
+        _, proj = reg.bundle(bundle).projection.piece("")
+        short = enumerate_elements(reg.group(group), 2)
+        assert len(short) > 1
+        for a in short:
+            for b in short:
+                assert proj.compose(a.phi).compose(b.phi) == proj.compose(a.phi.compose(b.phi))
+
+
 class TestExactSequenceMemos:
     MEMOS = (expr._gcd_of_items, expr._witness_expansion, expr._compose_rational)
 

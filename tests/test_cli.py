@@ -261,6 +261,15 @@ class TestReports:
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
             "8e59a39b5b0632d681f7376f0ef4abd860897ac1e1062ee4b1ec0d2fae3a7087")
 
+    def test_exact_sequence_report_bytes_are_pinned_at_budget_5(self, capsys):
+        # longer rational words, where a substitution that reduces further
+        # than the one these bytes were taken with would show first
+        code, out, _ = run(capsys, "exact-sequence", "line-bundle", "scale-translate",
+                           "--budget", "5")
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "5b1f71b7643afc41c58eeaf3082819019ff0f07403f20b41afed0ac493a9c597")
+
     def test_out_writes_the_report_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         code, out, _ = run(capsys, "axioms", "r1", "--format", "json",

@@ -1,5 +1,6 @@
 """Box domains: containment, coverage, sampling, expression bounds."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from diffeokit.domains import (
     Interval,
     SAMPLE_MAX_DEN,
     _b_mul,
+    _box_samples,
     _domain_samples,
     _ext_mul,
     _interval_samples,
@@ -27,6 +29,22 @@ from diffeokit.expr import Expr, ExprVec
 
 def _f(p, q=1):
     return Fraction(p, q)
+
+
+def _reference_domain_samples(domain, count, max_den):
+    """The box samples merged round-robin with a set of the points seen:
+    what `_domain_samples` did for every domain before it skipped the set
+    for a single box."""
+    per_box = [_box_samples(b, count, max_den) for b in domain.boxes]
+    out, seen = [], set()
+    for batch in itertools.zip_longest(*per_box):
+        for pt in batch:
+            if pt is not None and pt not in seen:
+                seen.add(pt)
+                out.append(pt)
+                if len(out) == count:
+                    return tuple(out)
+    return tuple(out)
 
 
 class TestContainment:
@@ -244,6 +262,21 @@ class TestSampling:
         assert first == again == _domain_samples.__wrapped__(domain, count, max_den)
         if max_den == SAMPLE_MAX_DEN:
             assert domain.sample_points(count) == list(first)
+
+    @pytest.mark.parametrize("domain", [
+        Domain.of((0, 1)),
+        Domain.of((None, 0), (1, None)),
+        Domain.full(3),
+        Domain.of((_f(1, 3), _f(2, 5)), (-1, 1)),
+        Domain.full(0),
+        Domain.of((-2, -1)).union(Domain.of((1, 2))),
+        Domain.of((0, 1), (0, 1)).union(Domain.of((_f(1, 2), 2), (_f(1, 2), 2))),
+    ])
+    @pytest.mark.parametrize("count", [1, 7, 40])
+    def test_samples_equal_the_deduplicated_walk(self, domain, count):
+        # only a union of boxes can repeat a point; one box skips the set
+        assert _domain_samples.__wrapped__(domain, count, SAMPLE_MAX_DEN) == (
+            _reference_domain_samples(domain, count, SAMPLE_MAX_DEN))
 
     def test_returned_lists_are_fresh(self):
         d = Domain.of((0, 1), (0, 1))

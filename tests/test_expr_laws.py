@@ -1,7 +1,9 @@
 """Algebraic laws of the expression core, checked on generated expressions.
 
 They guard the fast paths: substitution of polynomial arguments on raw term
-dictionaries, the unit-denominator shortcut in normalisation, evaluation
+dictionaries, rational substitution over one common denominator (against
+the Expr-arithmetic fold it replaced, which may keep a larger denominator
+but never a smaller one), the unit-denominator shortcut in normalisation, evaluation
 on ints over one common denominator, parsing on raw terms with int
 coefficients (equal, in dict order too, to the Expr-operator fold it
 replaced), compose and differentiate taking a
@@ -13,6 +15,7 @@ a fresh result, and nothing a caller holds can change a later hit).
 """
 
 import operator
+import random
 import re
 from fractions import Fraction
 from unittest import mock
@@ -40,6 +43,7 @@ from diffeokit.expr import (
     _mul,
     _primitive_z,
     _terms_key,
+    _total_degree,
     _witness_expansion,
 )
 
@@ -653,3 +657,161 @@ class TestCommonDenominatorEval:
                                (1 / (x0**2 + 1)).den_witness)
         with pytest.raises(ExprError, match="denominator evaluated to zero"):
             bogus.eval([0])
+
+
+def _fold_subst_terms(terms, args, out_arity) -> Expr:
+    """terms(args) folded with Expr arithmetic, every product and partial sum
+    normalised on its own: what `_subst_terms` did before it substituted
+    over one common denominator, and the reference for it now."""
+    total = Expr.zero(out_arity)
+    powers = [{} for _ in args]
+    for mono, coeff in terms.items():
+        term = Expr.constant(out_arity, coeff)
+        for i, e in enumerate(mono):
+            if e:
+                if e not in powers[i]:
+                    powers[i][e] = args[i] ** e
+                term = term * powers[i][e]
+        total = total + term
+    return total
+
+
+def _fold_compose(fn: Expr, args) -> Expr:
+    """fn(args) by the rational path, memo bypassed, on the Expr fold."""
+    with mock.patch.object(expr, "_subst_terms", _fold_subst_terms):
+        return Expr._from_key(*_fresh_compose(fn, args))
+
+
+def _outcome(compose, fn, args):
+    try:
+        return compose(fn, args)
+    except ExprError:
+        return None
+
+
+def _draw_poly(rng, arity) -> Expr:
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        mono = tuple(rng.randint(0, 2) for _ in range(arity))
+        terms[mono] = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+    return Expr(arity, {m: c for m, c in terms.items() if c})
+
+
+def _draw_rational(rng, arity) -> Expr:
+    """p/q with q witnessed: (x_v + k)^2 + c, its square, or (x_v + k)^4 + c."""
+    while True:
+        shift = Expr.variable(arity, rng.randrange(arity)) + rng.randint(-2, 2)
+        c = Fraction(rng.randint(1, 3), rng.randint(1, 2))
+        q = shift**2 + c
+        witness = PositivityWitness(((Fraction(1), _terms_key(shift.num)),), c)
+        shape = rng.random()
+        if shape < 0.2:
+            q, witness = q * q, expr._witness_mul(witness, witness)
+        elif shape < 0.4:
+            q = shift**4 + c
+            witness = PositivityWitness(((Fraction(1), _terms_key((shift * shift).num)),), c)
+        value = Expr(arity, _draw_poly(rng, arity).num, q.num, witness)
+        if not value.is_polynomial:
+            return value
+
+
+def _draw_composition(rng):
+    arity = rng.randint(1, 2)
+    fn = _draw_rational(rng, arity) if rng.random() < 0.5 else _draw_poly(rng, arity)
+    args = [_draw_rational(rng, arity) if rng.random() < 0.6 else _draw_poly(rng, arity)
+            for _ in range(arity)]
+    return fn, args
+
+
+def _reference_subst_poly(terms, args, out_arity):
+    """Polynomial substitution with each term started from its constant and
+    every power built by `_pow`: what `_subst_poly` did before it scaled
+    the first factor and took a first power as the argument itself."""
+    total, powers = {}, [{} for _ in args]
+    for mono, coeff in terms.items():
+        term = {(0,) * out_arity: coeff}
+        for i, e in enumerate(mono):
+            if e:
+                if e not in powers[i]:
+                    powers[i][e] = expr._pow(args[i], e, out_arity)
+                term = _mul(term, powers[i][e])
+        total = _add(total, term)
+    return total
+
+
+_SUBST_POINTS = [-2, Fraction(-1, 2), 0, Fraction(1, 3), 1, 3]
+
+
+class TestCommonDenominatorSubstitution:
+    """`_subst_terms` over one common denominator against the Expr fold.
+
+    The fold normalises each partial sum, and a cancelled denominator it has
+    no witness for stays uncancelled; the common denominator prod q_i^D_i
+    never grows past the top powers.  So a result may be smaller than the
+    fold's, never larger, and a canonical key depends on the path taken."""
+
+    CASES = 80  # 28 raise on both paths
+    SMALLER = 2  # cases where the two keys differ
+
+    def test_common_denominator_equals_the_expr_fold(self):
+        rng = random.Random(16)
+        smaller = 0
+        for _ in range(self.CASES):
+            fn, args = _draw_composition(rng)
+            new = _outcome(lambda f, a: f.compose(a), fn, args)
+            ref = _outcome(_fold_compose, fn, args)
+            assert (new is None) == (ref is None), (fn, args)
+            if new is None or new.canonical_key() == ref.canonical_key():
+                continue
+            smaller += 1
+            for pt in zip(_SUBST_POINTS, reversed(_SUBST_POINTS)):
+                pt = pt[: fn.arity]
+                assert new.eval(pt) == ref.eval(pt)
+            assert _total_degree(new.num) <= _total_degree(ref.num)
+            assert _total_degree(new.den) < _total_degree(ref.den)
+        assert smaller == self.SMALLER
+
+    @_property
+    @given(polys(), st.lists(polys(), min_size=ARITY, max_size=ARITY))
+    def test_polynomial_substitution_keeps_the_terms_and_their_order(self, fn, args):
+        out = expr._subst_poly(fn.num, [a.num for a in args], ARITY)
+        expected = _reference_subst_poly(fn.num, [a.num for a in args], ARITY)
+        assert list(out.items()) == list(expected.items())
+        assert all(type(c) is Fraction for c in out.values())
+
+    def test_the_fold_keeps_a_denominator_it_cannot_witness(self):
+        # q0^2*q1 is the reduced denominator of x0^2 + x0*x1 here; the fold
+        # reaches q0^3*q1 and has no witness to cancel the extra q0
+        a0 = Expr.parse("(3 - 3*x0*x1^2)/((x1 - 2)^2 + 1)", 2)
+        a1 = Expr.parse("(x0*x1^2 - 2*x0^2*x1^2 + 2*x0*x1^2)/((x1 - 1)^2 + 1)", 2)
+        fn = Expr.parse("x0^2 + x0*x1", 2)
+        q0, q1 = Expr(2, a0.den), Expr(2, a1.den)
+        new, ref = fn.compose([a0, a1]), _fold_compose(fn, [a0, a1])
+        assert Expr(2, new.den) == q0**2 * q1
+        assert Expr(2, ref.den) == q0**3 * q1
+        assert (new - ref).is_zero()
+        assert new.den_witness.verify(new.den, 2)
+
+    def test_a_cancelled_argument_denominator_leaves_a_witnessed_power(self):
+        # x0*x1 after ((x1^2 + 1)*x1/q0, x0/(x1^2 + 1)): q1 = x1^2 + 1 cancels
+        # and leaves q0 = (x0 + 1)^4 + 1, which only its hint can witness
+        shift = Expr.parse("x0 + 1", 2)
+        q0 = shift**4 + 1
+        w0 = PositivityWitness(((Fraction(1), _terms_key((shift * shift).num)),), Fraction(1))
+        assert expr.derive_witness(q0.num, 2) is None
+        a0 = Expr(2, Expr.parse("(x1^2 + 1)*x1", 2).num, q0.num, w0)
+        a1 = Expr.parse("x0/(x1^2 + 1)", 2)
+        fn = Expr.parse("x0*x1", 2)
+        new = fn.compose([a0, a1])
+        assert new.canonical_key() == _fold_compose(fn, [a0, a1]).canonical_key()
+        assert Expr(2, new.den) == q0 and new.den_witness == w0
+
+    def test_unread_rational_arguments_take_the_polynomial_path(self):
+        x0 = Expr.variable(2, 0)
+        args = [x0, Expr.parse("x1/(x0^2 + 1)", 2)]
+        fn = Expr.parse("x0 + 1", 2)
+        before = _compose_rational.cache_info()
+        result = fn.compose(args)
+        assert _compose_rational.cache_info() == before
+        assert result.is_polynomial
+        assert result == Expr._from_key(*_fresh_compose(fn, args)) == x0 + 1
