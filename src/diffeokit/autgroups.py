@@ -23,7 +23,7 @@ from .bundles import (
 )
 from .domains import Domain, Point, format_point
 from .expr import Expr, ExprVec
-from .linalg import invert_rational
+from .linalg import invert_rational, rational_product
 from .spaces import (
     DEFAULT_BUDGET,
     ChecksCert,
@@ -475,14 +475,6 @@ def random_frame(bundle: PseudoBundle, x, rng) -> Frame:
             return frame(bundle, x, rows)
 
 
-def _mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
-    return tuple(
-        tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m))
-        for i in range(n)
-    )
-
-
 def _mat_identity(n):
     return tuple(tuple(Fraction(i == j) for j in range(n)) for i in range(n))
 
@@ -512,20 +504,20 @@ def frame_bundle_check(
         if f1.basepoint != f2.basepoint:
             failures.append(f"pair {k}: frames over different points")
             continue
-        left = _mat_mul(f2.matrix, f1.inverse)
+        left = rational_product(f2.matrix, f1.inverse)
         if invert_rational(left) is None:
             failures.append(f"pair {k}: fiber change is singular")
-        g = _mat_mul(f1.inverse, f2.matrix)
+        g = rational_product(f1.inverse, f2.matrix)
         if invert_rational(g) is None:
             failures.append(f"pair {k}: typical-fiber change is singular")
-        if _mat_mul(f1.matrix, g) != f2.matrix:
+        if rational_product(f1.matrix, g) != f2.matrix:
             failures.append(f"pair {k}: f1 g does not reach f2")
         # uniqueness: any solution h has f1 (h - g) = 0, and f1 is
         # injective, so solve once more and compare
-        h = _mat_mul(f1.inverse, _mat_mul(f1.matrix, g))
+        h = rational_product(f1.inverse, rational_product(f1.matrix, g))
         if h != g:
             failures.append(f"pair {k}: the connecting change is not unique")
-        ident = _mat_mul(f1.inverse, f1.matrix)
+        ident = rational_product(f1.inverse, f1.matrix)
         if ident != _mat_identity(f1.dim):
             failures.append(f"pair {k}: identification misses the identity")
     return FrameReport(len(pairs), tuple(failures))

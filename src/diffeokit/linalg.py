@@ -6,15 +6,68 @@ inverses with certified denominators).  Rational Gaussian elimination
 supports the factorization searches: writing a candidate map as an affine
 generator applied to an unknown smooth factor reduces to solving
 ``A F = c - b`` where A, b are rational and c has expression entries.
+
+Elimination runs on plain ints.  `_reduced` clears each row of [A | I] to
+integers and runs Gauss-Jordan fraction-free, with the pivot rule of the
+Fraction loop (the first nonzero row at or below the current one); each
+row operation is followed by a division by the row's content (Bareiss,
+"Sylvester's identity and multistep integer-preserving Gaussian
+elimination", Math. Comp. 22, 1968, keeps integers small by exact
+division instead).  Every int row stays a nonzero multiple of the row the
+Fraction loop would hold, so the pivots are the same, and a pivot row
+divided by its pivot is the Fraction row exactly.  The rows past the
+pivots are only tested for zero.
+
+A run solves, inverts and ranks the same few matrices over and over, so
+`_reduced` is a bounded `functools.lru_cache` (REDUCE_CACHE_SIZE entries,
+set in `expr` beside its other memo sizes), keyed by the matrix as a tuple
+of row tuples and the augment width.  `_solve`, `solve_affine`,
+`solve_rational`, `invert_rational`, `rank` and `left_null_space` all read
+it.  A hit equals a fresh result, and nothing handed out can be mutated
+into a later hit: the reduced rows are stored as tuples, and every
+solution, inverse and basis is a fresh list.
+
+Products sum on ints or raw terms.  `rational_product` multiplies two
+rational matrices over the product of their common denominators and
+divides once per entry.  `Matrix.__mul__`, `Matrix.apply` and `_combine`
+sum polynomial products on raw term dicts with `expr._add` and `expr._mul`,
+in the order of the Expr fold they replace, and build one Expr per entry;
+rational entries keep Expr arithmetic.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .expr import Expr, ExprError, ExprVec
+from .expr import (
+    _ONE,
+    _ZERO,
+    REDUCE_CACHE_SIZE,
+    Expr,
+    ExprError,
+    ExprVec,
+    _add,
+    _const,
+    _mul,
+)
+
+__all__ = [
+    "Matrix",
+    "AffineParts",
+    "affine_parts",
+    "AffineSolution",
+    "solve_affine",
+    "left_null_space",
+    "rank",
+    "solve_rational",
+    "invert_rational",
+    "rational_product",
+]
 
 
 class Matrix:
@@ -78,20 +131,18 @@ class Matrix:
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.shape[1] != other.shape[0]:
             raise ExprError(f"cannot multiply shapes {self.shape} and {other.shape}")
-        n, k = self.shape
-        m = other.shape[1]
-        return Matrix(
-            [
-                [
-                    sum(
-                        (self.rows[i][t] * other.rows[t][j] for t in range(k)),
-                        Expr.zero(self.arity),
-                    )
-                    for j in range(m)
-                ]
-                for i in range(n)
-            ]
-        )
+        cols = list(zip(*other.rows))
+        fused = other.arity == self.arity
+        col_poly = [fused and all(b.is_polynomial for b in col) for col in cols]
+        out = []
+        for row in self.rows:
+            row_poly = all(a.is_polynomial for a in row)
+            out.append([
+                _poly_dot(row, col, self.arity) if row_poly and poly
+                else sum((a * b for a, b in zip(row, col)), Expr.zero(self.arity))
+                for col, poly in zip(cols, col_poly)
+            ])
+        return Matrix(out)
 
     def scale(self, factor: Expr | Fraction | int) -> "Matrix":
         return Matrix([[a * factor for a in row] for row in self.rows])
@@ -99,9 +150,15 @@ class Matrix:
     def apply(self, vec: Sequence[Expr]) -> tuple[Expr, ...]:
         if len(vec) != self.shape[1]:
             raise ExprError("vector length does not match matrix width")
+        if all(isinstance(v, Expr) and v.is_polynomial and v.arity == self.arity
+               for v in vec):
+            poly_rows = [all(a.is_polynomial for a in row) for row in self.rows]
+        else:
+            poly_rows = [False] * len(self.rows)
         return tuple(
-            sum((a * v for a, v in zip(row, vec)), Expr.zero(self.arity))
-            for row in self.rows
+            _poly_dot(row, vec, self.arity) if poly
+            else sum((a * v for a, v in zip(row, vec)), Expr.zero(self.arity))
+            for row, poly in zip(self.rows, poly_rows)
         )
 
     def compose(self, args: Sequence[Expr]) -> "Matrix":
@@ -179,6 +236,16 @@ class Matrix:
         return f"Matrix({self.to_str()!r})"
 
 
+def _poly_dot(xs: Sequence[Expr], ys: Sequence[Expr], arity: int) -> Expr:
+    """sum x * y over polynomials of one arity, summed on raw terms: the
+    terms and dict order of the Expr fold zero + x0 * y0 + x1 * y1 + ..."""
+    total: dict = {}
+    for x, y in zip(xs, ys):
+        if x.num and y.num:
+            total = _add(total, _mul(x.num, y.num))
+    return Expr(arity, total)
+
+
 # ---------------------------------------------------------------------------
 # rational elimination
 # ---------------------------------------------------------------------------
@@ -246,32 +313,56 @@ class AffineSolution:
     null_basis: list[list[Fraction]]
 
 
-def _eliminate(a: list[list[Fraction]], width: int) -> list[tuple[int, int]]:
-    """Gauss-Jordan elimination of the rows of `a` in place, pivoting in its
-    first `width` columns; columns past `width` ride along.  Returns the
-    (row, column) pivots, in order."""
+def _key(matrix: Sequence[Sequence[Fraction]]) -> tuple:
+    return tuple(map(tuple, matrix))
+
+
+@functools.lru_cache(maxsize=REDUCE_CACHE_SIZE)
+def _reduced(key: tuple, extra: int) -> tuple[tuple[tuple, ...], tuple[tuple[int, int], ...]]:
+    """Gauss-Jordan elimination of [A | I], with A the rows of `key` and I
+    the identity of size `extra`, pivoting in A's columns.  Returns the
+    reduced rows and the (row, column) pivots, in order.
+
+    Each row is cleared to integers and every row operation stays on ints
+    (p * r - f * s, then divided by the row's content), so each row is a
+    nonzero multiple of the row the Fraction loop would hold and the
+    pivots are the same.  A pivot row is handed back divided by its
+    pivot, which equals the Fraction row exactly; a row past the pivots
+    stays an int multiple, fit only for a zero test."""
+    a: list[list[int]] = []
+    for i, entries in enumerate(key):
+        vals = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in entries]
+        d = math.lcm(*(v.denominator for v in vals))
+        ints = [v.numerator * (d // v.denominator) for v in vals]
+        a.append(ints + [d if i == j else 0 for j in range(extra)])
     pivots: list[tuple[int, int]] = []
     row = 0
-    for col in range(width):
+    for col in range(len(key[0]) if key else 0):
         if row == len(a):
             break
-        pivot = next((r for r in range(row, len(a)) if a[r][col] != 0), None)
+        pivot = next((r for r in range(row, len(a)) if a[r][col]), None)
         if pivot is None:
             continue
         a[row], a[pivot] = a[pivot], a[row]
-        inv = 1 / a[row][col]
-        a[row] = [v * inv for v in a[row]]
+        prow = a[row]
+        p = prow[col]
         for r in range(len(a)):
-            if r != row and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [v - factor * w for v, w in zip(a[r], a[row])]
+            f = a[r][col]
+            if r != row and f:
+                new = [p * v - f * w for v, w in zip(a[r], prow)]
+                g = math.gcd(*new)
+                a[r] = [v // g for v in new] if g > 1 else new
         pivots.append((row, col))
         row += 1
-    return pivots
+    rows = [
+        tuple(Fraction(v, a[r][col]) if v else _ZERO for v in a[r]) for r, col in pivots
+    ]
+    rows += [tuple(a[r]) for r in range(len(pivots), len(a))]
+    return tuple(rows), tuple(pivots)
 
 
 def _null_basis(
-    a: list[list[Fraction]], pivots: list[tuple[int, int]], width: int
+    a: Sequence[Sequence[Fraction]], pivots: Sequence[tuple[int, int]], width: int
 ) -> list[list[Fraction]]:
     """Kernel basis of a reduced matrix, one vector per free column."""
     pivot_cols = {col for _, col in pivots}
@@ -279,39 +370,43 @@ def _null_basis(
     for free in range(width):
         if free in pivot_cols:
             continue
-        vec = [Fraction(0)] * width
-        vec[free] = Fraction(1)
+        vec = [_ZERO] * width
+        vec[free] = _ONE
         for r, col in pivots:
             vec[col] = -a[r][free]
         basis.append(vec)
     return basis
 
 
-def _augmented(matrix: Sequence[Sequence[Fraction]], extra: int) -> list[list[Fraction]]:
-    """Rows of the matrix over Q, each followed by the matching row of the
-    identity of size `extra`."""
-    return [
-        list(map(Fraction, row)) + [Fraction(int(i == j)) for j in range(extra)]
-        for i, row in enumerate(matrix)
-    ]
-
-
 def _combine(coeffs: Sequence[Fraction], values: Sequence, zero):
-    """sum coeffs[k] * values[k] over the nonzero coefficients."""
-    terms = [v if c == 1 else v * c for c, v in zip(coeffs, values) if c]
-    return sum(terms[1:], terms[0]) if terms else zero
+    """sum coeffs[k] * values[k] over the nonzero coefficients, in order.
+    A lone unit coefficient hands back its value; polynomial values are
+    summed on raw terms into one Expr, with the terms and dict order of
+    the Expr fold."""
+    pairs = [(c, v) for c, v in zip(coeffs, values) if c]
+    if not pairs:
+        return zero
+    if len(pairs) == 1 and pairs[0][0] == 1:
+        return pairs[0][1]
+    if isinstance(zero, Expr) and all(v.is_polynomial for _, v in pairs):
+        arity = zero.arity
+        total: dict = {}
+        for c, v in pairs:
+            total = _add(total, v.num if c == 1 else _mul(v.num, _const(arity, c)))
+        return Expr(arity, total)
+    terms = [v if c == 1 else v * c for c, v in pairs]
+    return sum(terms[1:], terms[0])
 
 
 def _solve(matrix: Sequence[Sequence[Fraction]], rhs: Sequence, zero):
     """(particular, null basis) of A x = rhs over values that are Fractions
-    or Exprs, or None when inconsistent.  Eliminates [A | I]; the right
-    block records the row operations, applied to rhs once at the end."""
+    or Exprs, or None when inconsistent.  Reduces [A | I]; the right block
+    records the row operations, applied to rhs once at the end."""
     m = len(matrix)
     if m != len(rhs):
         raise ExprError("matrix and right-hand side disagree")
     n = len(matrix[0]) if m else 0
-    a = _augmented(matrix, m)
-    pivots = _eliminate(a, n)
+    a, pivots = _reduced(_key(matrix), m)
     if any(_combine(a[r][n:], rhs, zero) != zero for r in range(len(pivots), m)):
         return None
     particular = [zero] * n
@@ -333,20 +428,19 @@ def left_null_space(matrix: Sequence[Sequence[Fraction]]) -> list[list[Fraction]
     m = len(matrix)
     if m == 0:
         return []
-    n = len(matrix[0])
-    a = [[Fraction(matrix[i][j]) for i in range(m)] for j in range(n)]
-    return _null_basis(a, _eliminate(a, m), m)
+    a, pivots = _reduced(tuple(zip(*matrix)), 0)
+    return _null_basis(a, pivots, m)
 
 
 def rank(matrix: Sequence[Sequence[Fraction]]) -> int:
-    return len(_eliminate(_augmented(matrix, 0), len(matrix[0]))) if matrix else 0
+    return len(_reduced(_key(matrix), 0)[1]) if matrix else 0
 
 
 def solve_rational(
     matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
 ) -> list[Fraction] | None:
     """One exact rational solution of A x = b, or None."""
-    solved = _solve(matrix, [Fraction(v) for v in rhs], Fraction(0))
+    solved = _solve(matrix, [Fraction(v) for v in rhs], _ZERO)
     return None if solved is None else solved[0]
 
 
@@ -357,7 +451,27 @@ def invert_rational(
     n = len(rows)
     if any(len(r) != n for r in rows):
         return None
-    a = _augmented(rows, n)
-    if len(_eliminate(a, n)) < n:
+    a, pivots = _reduced(_key(rows), n)
+    if len(pivots) < n:
         return None
-    return [row[n:] for row in a]
+    return [list(row[n:]) for row in a]
+
+
+def rational_product(
+    a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]
+) -> tuple[tuple[Fraction, ...], ...]:
+    """The product a b of two rational matrices: each is cleared to ints
+    over the lcm of its denominators, and each entry is summed as an int
+    and divided once."""
+    k, m = len(b), len(b[0]) if b else 0
+    da = math.lcm(*(v.denominator for row in a for v in row))
+    db = math.lcm(*(v.denominator for row in b for v in row))
+    ia = [[v.numerator * (da // v.denominator) for v in row] for row in a]
+    cols = [[b[t][j].numerator * (db // b[t][j].denominator) for t in range(k)]
+            for j in range(m)]
+    d = da * db
+    out = []
+    for row in ia:
+        sums = [sum(map(operator.mul, row, col)) for col in cols]
+        out.append(tuple(Fraction(v, d) if v else _ZERO for v in sums))
+    return tuple(out)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import diffeokit
-from diffeokit import autgroups, bundles, domains, tangent
+from diffeokit import autgroups, bundles, domains, linalg, tangent
 from diffeokit.cli import main
 
 
@@ -318,7 +318,7 @@ class TestReports:
         # unreached
         root = Path(__file__).resolve().parent.parent
         checked = {
-            name for module in (diffeokit, autgroups, bundles, domains, tangent)
+            name for module in (diffeokit, autgroups, bundles, domains, linalg, tangent)
             for name in module.__all__
         }
         # the top-level definitions each name occurs in; None is module level
