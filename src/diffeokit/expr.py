@@ -1094,7 +1094,12 @@ def _subst_poly(
                         args[i], e, dens[i] if dens else None, out_arity
                     )
                 if term is None:  # the term's coefficient times its first factor
-                    term = {m: c * coeff for m, c in factor.items()}
+                    # two integers make one gcd-free Fraction, as in `_mul`
+                    term = {
+                        m: Fraction(c.numerator * coeff.numerator)
+                        if c.denominator == 1 == coeff.denominator else c * coeff
+                        for m, c in factor.items()
+                    }
                 else:
                     term = _mul(term, factor)
         total = _add(total, {(0,) * out_arity: coeff} if term is None else term)

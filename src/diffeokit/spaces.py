@@ -797,19 +797,20 @@ def _moves_from_pair(rel: RelationPair):
     return moves, complete
 
 
-def _rewrite_closure(
-    moves, component: str, vec: ExprVec, depth_cap: int, goal: tuple | None = None
-) -> tuple[dict[tuple, tuple[str, ExprVec]], bool]:
+def _rewrite_closure(moves, component: str, vec: ExprVec, depth_cap: int):
     """Breadth-first closure of one representative under the relation
-    moves, at most depth_cap rewrites deep, stopping early once the key
-    `goal` is reached.
+    moves, at most depth_cap rewrites deep.
 
-    Returns the representatives by key, in the order found, and whether
-    the closure is exhaustive: False when a move could not decide a
-    representative, or when the cap cut the search off with rewrites
-    still flowing.
+    Yields each distinct representative as (component, map) the moment it
+    is found: the given one first, then level by level, each level in the
+    order its moves reach it.  A caller that stops at the first hit never
+    pays for the rewrites after it.  When drained, the generator returns
+    (as StopIteration.value) whether the closure is exhaustive: False when
+    a move could not decide a representative, or when the cap cut the
+    search off with rewrites still flowing.
     """
-    reached = {(component, vec.canonical_key()): (component, vec)}
+    seen = {(component, vec.canonical_key())}
+    yield component, vec
     frontier = [(component, vec)]
     complete = True
     for _ in range(depth_cap):
@@ -823,26 +824,30 @@ def _rewrite_closure(
                     complete = complete and lossless
                     continue
                 key = (dst, got.canonical_key())
-                if key not in reached:
-                    reached[key] = (dst, got)
+                if key not in seen:
+                    seen.add(key)
                     nxt.append((dst, got))
-        if not nxt or goal in reached:
-            break
+                    yield dst, got
+        if not nxt:
+            return complete
         frontier = nxt
-    else:
-        complete = False
-    return reached, complete
+    return False
 
 
 def _quotient_membership(space: DiffSpace, candidate: Plot, budget: int) -> Verdict:
+    """Test each representative against the base as the rewrite closure
+    reaches it; the closure is finished only when no representative lifts."""
     base: DiffSpace = space.provenance[1]
     moves, complete = _relation_rewrites(space)
-    reached, closed = _rewrite_closure(moves, candidate.component, candidate.map, budget)
-    complete = complete and closed
-    alternatives = list(reached.values())
-
-    unknowns = 0
-    for comp, vec in alternatives:
+    closure = _rewrite_closure(moves, candidate.component, candidate.map, budget)
+    tried = unknowns = 0
+    while True:
+        try:
+            comp, vec = next(closure)
+        except StopIteration as end:
+            complete = complete and end.value
+            break
+        tried += 1
         sub = is_plot(base, Plot(candidate.domain, vec, comp), budget)
         if sub.is_yes:
             return Verdict.yes(
@@ -858,7 +863,7 @@ def _quotient_membership(space: DiffSpace, candidate: Plot, budget: int) -> Verd
                 component=candidate.component,
                 detail="no equivalent representative lifts to the base space",
             ),
-            detail=f"all {len(alternatives)} representative(s) refuted",
+            detail=f"all {tried} representative(s) refuted",
         )
     return Verdict.unknown(f"quotient rewrites inconclusive at depth cap {budget}")
 
@@ -1023,15 +1028,14 @@ def maps_equal_mod_relation(f: SmoothMap, g: SmoothMap, budget: int = DEFAULT_BU
             dst_g, vec_g = g.piece(src)
         except KeyError:
             return Verdict.no(Obstruction("component", component=src))
-        if dst == dst_g and vec == vec_g:
-            continue
-        goal = (dst_g, vec_g.canonical_key())
-        reached, closed = _rewrite_closure(moves, dst, vec, budget, goal)
-        if goal in reached:
-            continue
-        if complete and closed:
-            return Verdict.no(Obstruction("rewrite", src, detail="no rewrite meets the other map"))
-        pending = pending or f"quotient rewrites from {src!r}: depth cap {budget} hit or a move undecided"
+        closure = _rewrite_closure(moves, dst, vec, budget)
+        try:
+            while next(closure) != (dst_g, vec_g):
+                pass
+        except StopIteration as end:
+            if complete and end.value:
+                return Verdict.no(Obstruction("rewrite", src, detail="no rewrite meets the other map"))
+            pending = pending or f"quotient rewrites from {src!r}: depth cap {budget} hit or a move undecided"
     return Verdict.unknown(pending) if pending else Verdict.yes(None)
 
 

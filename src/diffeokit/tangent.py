@@ -14,6 +14,13 @@ the rational ones this package can write down:
     generator near 0, so coordinates the generator keeps constant must
     have zero velocity, and generators whose image misses x are out.
 
+`cone_membership` runs the obstructions first and the witness search only
+when none fires.  The order changes no verdict: a witness is a certified
+plot through x with velocity v, hence a smooth germ of exactly the kind
+each obstruction rules out, so the two never both succeed.  It changes the
+cost, since an obstruction is a few evaluations and the search runs
+is_plot on up to LINE_STEPS lines and a jet per generator preimage.
+
 An independent series search, `exhaustive_germ_search`, is kept for the
 tests to cross-check refutations against; no check calls it.  Expanding
 the defining polynomials along a path with unknown higher coefficients,
@@ -99,15 +106,17 @@ def cone_membership(
         cert = is_plot(space, Plot(dom, path), budget).certificate
         return ConeVerdict(v, "in", germ=PathGerm(path, dom, x, cert))
 
-    germ = _find_germ(space, x, v, budget)
-    if germ is not None:
-        return ConeVerdict(v, "in", germ=germ)
-
+    # cheap obstructions first: each holds for every smooth germ, so no
+    # certified germ exists when one fires (see the module docstring)
     blocked = _linear_obstruction(eqs, x, v) or _monomial_obstruction(eqs, x, v)
     if blocked is None:
         blocked = _annihilation_obstruction(space, x, v)
     if blocked is not None:
         return ConeVerdict(v, "out", obstruction=blocked)
+
+    germ = _find_germ(space, x, v, budget)
+    if germ is not None:
+        return ConeVerdict(v, "in", germ=germ)
     found = sum(len(_preimages(gen, x)) for _, gen in space.component_generators(""))
     return ConeVerdict(v, "unknown", detail=(
         f"no witness and no obstruction in budget: the line search found no plot "

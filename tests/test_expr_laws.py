@@ -739,6 +739,38 @@ def _reference_subst_poly(terms, args, out_arity):
     return total
 
 
+def _comprehension_subst_poly(terms, args, out_arity, dens=()):
+    """`_subst_poly` as it was when it scaled each term's first factor by
+    one Fraction product per coefficient, integers included."""
+    total, factors = {}, {}
+    for mono, coeff in terms.items():
+        term = None
+        for i, e in enumerate(mono):
+            if e or (dens and dens[i]):
+                factor = factors.get((i, e))
+                if factor is None:
+                    factor = factors[i, e] = expr._subst_factor(
+                        args[i], e, dens[i] if dens else None, out_arity
+                    )
+                term = {m: c * coeff for m, c in factor.items()} if term is None else _mul(term, factor)
+        total = _add(total, {(0,) * out_arity: coeff} if term is None else term)
+    return total
+
+
+def _draw_coefficient_poly(rng, arity, kind) -> Expr:
+    """Up to four terms of degree at most 2 with integral, rational (no
+    integer among them) or mixed coefficients."""
+    def coefficient():
+        whole = kind == "integral" or (kind == "mixed" and rng.random() < 0.5)
+        if whole:
+            return Fraction(rng.choice([-3, -2, -1, 1, 2, 5]))
+        return Fraction(rng.choice([-5, -1, 1, 3, 7]), rng.choice([2, 3, 4]))
+
+    terms = {tuple(rng.randint(0, 2) for _ in range(arity)): coefficient()
+             for _ in range(rng.randint(1, 4))}
+    return Expr(arity, terms)
+
+
 _SUBST_POINTS = [-2, Fraction(-1, 2), 0, Fraction(1, 3), 1, 3]
 
 
@@ -778,6 +810,28 @@ class TestCommonDenominatorSubstitution:
         expected = _reference_subst_poly(fn.num, [a.num for a in args], ARITY)
         assert list(out.items()) == list(expected.items())
         assert all(type(c) is Fraction for c in out.values())
+
+    @pytest.mark.parametrize("kind", ["integral", "rational", "mixed"])
+    def test_integer_first_factor_scaling_keeps_the_terms_and_their_order(self, kind):
+        rng = random.Random(18)
+        for _ in range(60):
+            fn = _draw_coefficient_poly(rng, ARITY, kind)
+            args = [_draw_coefficient_poly(rng, ARITY, rng.choice(["integral", "rational", "mixed"]))
+                    for _ in range(ARITY)]
+            nums = [a.num for a in args]
+            out = expr._subst_poly(fn.num, nums, ARITY)
+            expected = _comprehension_subst_poly(fn.num, nums, ARITY)
+            assert list(out.items()) == list(expected.items())
+            assert all(type(c) is Fraction for c in out.values())
+            # x_i^e standing for n_i^e * q_i^(D_i - e) over a witnessed q_i
+            dens = []
+            for i in range(ARITY):
+                top = max(m[i] for m in fn.num)
+                q = {(0,) * ARITY: Fraction(2), tuple(2 * (j == i) for j in range(ARITY)): Fraction(1)}
+                dens.append((q, top, expr._pow(q, top, ARITY)) if top and rng.random() < 0.6 else None)
+            out = expr._subst_poly(fn.num, nums, ARITY, dens)
+            expected = _comprehension_subst_poly(fn.num, nums, ARITY, dens)
+            assert list(out.items()) == list(expected.items())
 
     def test_the_fold_keeps_a_denominator_it_cannot_witness(self):
         # q0^2*q1 is the reduced denominator of x0^2 + x0*x1 here; the fold

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from diffeokit.domains import Domain
+from diffeokit.domains import Box, Domain, Interval
 from diffeokit.expr import Expr, ExprVec
 from diffeokit.spaces import (
     AlgebraicCarrier,
@@ -530,3 +530,140 @@ class TestCarrierSamples:
         assert second == expected
         second.append((Fraction(5), Fraction(5)))
         assert cross.sample_carrier_points("", 8) == expected
+
+
+def _eager_quotient_membership(space, candidate, budget):
+    """Quotient membership with the whole rewrite closure built before any
+    representative is tested: the order the lazy search must reproduce."""
+    from diffeokit.spaces import _relation_rewrites
+
+    base = space.provenance[1]
+    moves, complete = _relation_rewrites(space)
+    reached = {(candidate.component, candidate.map.canonical_key()):
+               (candidate.component, candidate.map)}
+    frontier = [(candidate.component, candidate.map)]
+    for _ in range(budget):
+        nxt = []
+        for comp, cur in frontier:
+            for src, dst, move in moves:
+                if src != comp:
+                    continue
+                got, lossless = move(cur)
+                if got is None:
+                    complete = complete and lossless
+                    continue
+                key = (dst, got.canonical_key())
+                if key not in reached:
+                    reached[key] = (dst, got)
+                    nxt.append((dst, got))
+        if not nxt:
+            break
+        frontier = nxt
+    else:
+        complete = False
+    unknowns = 0
+    for comp, vec in reached.values():
+        sub = is_plot(base, Plot(candidate.domain, vec, comp), budget)
+        if sub.is_yes:
+            return Verdict.yes(
+                RuleCert("quotient", (comp, vec, sub.certificate)),
+                detail="a representative lifts to the base space",
+            )
+        unknowns += sub.is_unknown
+    if unknowns == 0 and complete:
+        return Verdict.no(
+            Obstruction("quotient", component=candidate.component,
+                        detail="no equivalent representative lifts to the base space"),
+            detail=f"all {len(reached)} representative(s) refuted",
+        )
+    return Verdict.unknown(f"quotient rewrites inconclusive at depth cap {budget}")
+
+
+class TestLazyQuotientRewrites:
+    """Representatives are tested as the rewrite closure reaches them; the
+    verdict, its certificate and its detail equal the eager search's."""
+
+    @staticmethod
+    def lazy(space, candidate, budget):
+        from diffeokit.spaces import _quotient_membership
+
+        return _quotient_membership(space, candidate, budget)
+
+    def assert_same(self, space, candidate, budget):
+        lazy = self.lazy(space, candidate, budget)
+        eager = _eager_quotient_membership(space, candidate, budget)
+        assert lazy.status == eager.status
+        assert lazy.certificate == eager.certificate
+        assert lazy.obstruction == eager.obstruction
+        assert lazy.detail == eager.detail
+        return lazy
+
+    @staticmethod
+    def shifted_cross():
+        # (x0, x1) ~ (x0, x1 - 1): (t, k) reaches the x0 axis after k rewrites
+        rel = RelationPair("", ExprVec.identity(2), "", ExprVec.parse(["x0", "x1 - 1"], 2), R2)
+        return quotient_space("shifted-cross", axes_cross(), [rel])[0]
+
+    def test_sign_quotient_lifts_its_candidate(self):
+        from diffeokit.fixtures import load_registry
+
+        space = load_registry().space("quotient-sign")
+        for texts in (["x0^2 - 3*x0"], ["-x0^3 + 2"], ["x0 - x1^2"]):
+            dom = R1 if all("x1" not in t for t in texts) else R2
+            candidate = plot(dom, texts)
+            verdict = self.assert_same(space, candidate, 6)
+            assert verdict.is_yes
+            assert verdict.certificate.parts[1] == candidate.map
+            assert is_plot(space, candidate, 6).certificate == verdict.certificate
+
+    def test_first_lift_deep_in_the_closure(self):
+        # (t, 2) meets (t, 3) at depth 1 before (t, 0) at depth 2
+        space = self.shifted_cross()
+        for k in (1, 2, 3):
+            candidate = plot(R1, ["x0", str(k)])
+            verdict = self.assert_same(space, candidate, 6)
+            assert verdict.is_yes
+            assert verdict.certificate.parts[:2] == ("", ExprVec.parse(["x0", "0"], 1))
+
+    def test_first_lift_in_breadth_first_move_order(self):
+        # shifts along either axis: (2, 2) has no lift at depth 1, and at
+        # depth 2 the first lift reached is (0, 2), ahead of (2, 0)
+        shifts = [
+            RelationPair("", ExprVec.identity(2), "", ExprVec.parse(["x0 - 1", "x1"], 2), R2),
+            RelationPair("", ExprVec.identity(2), "", ExprVec.parse(["x0", "x1 - 1"], 2), R2),
+        ]
+        space, _ = quotient_space("lattice-cross", axes_cross(), shifts)
+        verdict = self.assert_same(space, plot(R1, ["2", "2"]), 4)
+        assert verdict.is_yes
+        assert verdict.certificate.parts[1] == ExprVec.parse(["0", "2"], 1)
+
+    def test_refutation_counts_the_whole_closure(self):
+        # flipping either coordinate: (t + 1, 1) has four representatives,
+        # none on the axes
+        flips = [
+            RelationPair("", ExprVec.identity(2), "", ExprVec.parse(["-x0", "x1"], 2), R2),
+            RelationPair("", ExprVec.identity(2), "", ExprVec.parse(["x0", "-x1"], 2), R2),
+        ]
+        space, _ = quotient_space("flipped-cross", axes_cross(), flips)
+        verdict = self.assert_same(space, plot(R1, ["x0 + 1", "1"]), 6)
+        assert verdict.is_no
+        assert verdict.detail == "all 4 representative(s) refuted"
+
+    def test_capped_closure_stays_unknown(self):
+        space = self.shifted_cross()
+        candidate = plot(R1, ["x0", "5"])
+        verdict = self.assert_same(space, candidate, 3)
+        assert verdict.is_unknown
+        assert verdict.detail == "quotient rewrites inconclusive at depth cap 3"
+        assert self.assert_same(space, candidate, 5).is_yes
+        # between the axis values, no representative ever lifts
+        assert self.assert_same(space, plot(R1, ["x0", "1/2"]), 4).is_unknown
+
+    def test_undecided_move_keeps_a_refutation_unknown(self):
+        # the shift holds only for x1 > 0, which the diagonal leaves: the
+        # one representative is refuted, but the closure is not exhaustive
+        half = Domain(2, [Box((Interval(None, None), Interval(Fraction(0), None)))])
+        rel = RelationPair("", ExprVec.identity(2), "", ExprVec.parse(["x0", "x1 - 1"], 2), half)
+        space, _ = quotient_space("half-shifted-cross", axes_cross(), [rel])
+        verdict = self.assert_same(space, plot(R1, ["x0 + 1", "x0"]), 4)
+        assert verdict.is_unknown

@@ -1,5 +1,7 @@
+import importlib.util
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,12 +18,20 @@ from diffeokit.spaces import (
 )
 from diffeokit.linalg import affine_parts
 from diffeokit.tangent import (
+    LINE_STEPS,
     PREIMAGE_SAMPLES,
+    ConeVerdict,
+    _annihilation_obstruction,
+    _find_germ,
     _image_table,
+    _linear_obstruction,
+    _monomial_obstruction,
     _preimages,
     cone_membership,
     exhaustive_germ_search,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def axes_cross():
@@ -246,3 +256,107 @@ class TestUnknownDetail:
             assert f"(1 from {PREIMAGE_SAMPLES} samples per generator" in verdict.detail
             assert ("gradient, vanishing-order and annihilation obstructions do not apply"
                     in verdict.detail)
+
+
+def _bench_cone_queries(seed):
+    """(space, point, vector) of the cone queries the membership benchmark
+    draws at this seed; bench/gen.py never imports diffeokit."""
+    spec = importlib.util.spec_from_file_location("bench_gen", ROOT / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    inputs = gen.membership_inputs(seed)
+    return [
+        (q["space"], tuple(F(c) for c in q["point"]), tuple(F(c) for c in q["vector"]))
+        for q in inputs["queries"] if q["kind"] == "cone"
+    ], inputs["budget"]
+
+
+def _obstructions(space, x, v):
+    eqs = space.carrier.equations("")
+    return [o for o in (
+        _linear_obstruction(eqs, x, v),
+        _monomial_obstruction(eqs, x, v),
+        _annihilation_obstruction(space, x, v),
+    ) if o is not None]
+
+
+def _germ_first(space, x, v, budget):
+    """cone_membership as it ran with the germ search ahead of the
+    obstructions, for a nonzero v at a carrier point."""
+    germ = _find_germ(space, x, v, budget)
+    if germ is not None:
+        return ConeVerdict(v, "in", germ=germ)
+    eqs = space.carrier.equations("")
+    blocked = _linear_obstruction(eqs, x, v) or _monomial_obstruction(eqs, x, v)
+    if blocked is None:
+        blocked = _annihilation_obstruction(space, x, v)
+    if blocked is not None:
+        return ConeVerdict(v, "out", obstruction=blocked)
+    found = sum(len(_preimages(gen, x)) for _, gen in space.component_generators(""))
+    return ConeVerdict(v, "unknown", detail=(
+        f"no witness and no obstruction in budget: the line search found no plot "
+        f"on radii 1 to 1/{2 ** (LINE_STEPS - 1)} at budget {budget}; the jet search "
+        f"found no plot through the basepoint's generator preimages ({found} from "
+        f"{PREIMAGE_SAMPLES} samples per generator and the affine solves); "
+        f"the gradient, vanishing-order and annihilation obstructions do not apply"
+    ))
+
+
+def _cusp():
+    eq = Expr.parse("x0^3 - x1^2", 2)
+    return generated_space(
+        "cusp", AlgebraicCarrier(2, (eq,)), (plot(Domain.full(1), ["x0^2", "x0^3"]),))
+
+
+class TestObstructionsBeforeGerms:
+    """cone_membership runs the obstructions before the germ search.  That
+    is sound only because no certified germ exists where an obstruction
+    fires; both claims are checked on every built-in cone point with probes
+    in {-2, ..., 2}^n, the cusp (whose probes stay unknown) and the
+    benchmark's cone queries at seeds 0 and 7."""
+
+    def _cases(self):
+        reg = load_registry()
+        for name, points in sorted(reg.cone_points.items()):
+            space = reg.space(name)
+            for x in points:
+                for v in itertools.product(range(-2, 3), repeat=len(x)):
+                    yield space, x, tuple(F(c) for c in v), DEFAULT_BUDGET
+        cusp = _cusp()
+        for v in nonzero_probes(2):
+            yield cusp, (F(0), F(0)), tuple(F(c) for c in v), DEFAULT_BUDGET
+        for seed in (0, 7):
+            queries, budget = _bench_cone_queries(seed)
+            for name, x, v in queries:
+                yield reg.space(name), x, v, budget
+
+    def test_no_germ_where_an_obstruction_fires_and_verdicts_equal_germ_first(self):
+        counts = {"in": 0, "out": 0, "unknown": 0}
+        blocked = 0
+        for space, x, v, budget in self._cases():
+            where = (space.name, x, v)
+            new = cone_membership(space, x, v, budget)
+            counts[new.status] += 1
+            if not any(v):
+                assert new.is_in and new.germ.velocity() == v, where
+                continue
+            if _obstructions(space, x, v):
+                blocked += 1
+                assert _find_germ(space, x, v, budget) is None, where
+            ref = _germ_first(space, x, v, budget)
+            assert new.status == ref.status, where
+            assert new.detail == ref.detail, where
+            if ref.obstruction is None:
+                assert new.obstruction is None, where
+            else:
+                assert new.obstruction.kind == ref.obstruction.kind, where
+                assert new.obstruction.detail == ref.obstruction.detail, where
+            if ref.germ is None:
+                assert new.germ is None, where
+            else:
+                assert new.germ.path == ref.germ.path, where
+                assert new.germ.domain == ref.germ.domain, where
+                assert new.germ.certificate == ref.germ.certificate, where
+        assert blocked == counts["out"]
+        assert counts["unknown"] == len(nonzero_probes(2))
+        assert min(counts.values()) > 0
