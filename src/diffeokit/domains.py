@@ -328,8 +328,9 @@ def _box_covered(box: Box, cover: Sequence[Box]) -> bool:
 # sampling
 # ---------------------------------------------------------------------------
 
-# distinct (domain, count, max_den) keys held; a membership benchmark pass
-# at budget 6 meets 92 of them
+# distinct (domain, count, max_den) keys held; the membership benchmark
+# pass at seed 0 meets 93 of them, the prefixes `spaces.nonzero_sample`
+# reads included
 SAMPLE_CACHE_SIZE = 1024
 # largest denominator of a sample coordinate
 SAMPLE_MAX_DEN = 8

@@ -29,14 +29,17 @@ built from a numerator alone is a polynomial; it stores its terms without
 zeros and the denominator 1, and skips normalisation.
 
 `Expr.parse` tokenises its text in one pass of one regular expression
-(ASCII digits only) and folds the tokens on raw term dictionaries whose
-integer coefficients are plain ints: each step is the `_add`, `_neg`, `_mul`
-or `_pow` an Expr operator runs on a polynomial, and a division by a constant
-is the `_scale` normalisation runs, so the terms and their dict order are
-those of the Expr fold.  Only a division by a non-constant falls back to Expr
-arithmetic.  `Expr.eval` brings the point over one common denominator d and
-the coefficients over the lcm c of theirs, sums each term as an int scaled
-by d^(deg - |m|), and builds one Fraction, total / (c * d^deg).
+(ASCII digits only) and folds the tokens on raw terms whose integer
+coefficients are plain ints.  A product of integers and variables, each to
+an integer power and under unary minuses, is one (monomial, int) pair, and
+a sum adds its terms in place into one dict it owns, by `_add`'s rules;
+every other step is the `_neg`, `_mul` or `_pow` an Expr operator runs on a
+polynomial, and a division by a constant is the `_scale` normalisation
+runs, so the terms and their dict order are those of the Expr fold.  Only a
+division by a non-constant falls back to Expr arithmetic.  `Expr.eval`
+brings the point over one common denominator d and the coefficients over
+the lcm c of theirs, sums each term as an int scaled by d^(deg - |m|), and
+builds one Fraction, total / (c * d^deg).
 
 Substitution (`Expr.compose`) into a polynomial runs on raw term
 dictionaries (`_subst_poly`) and builds a single Expr at the end, as does a
@@ -1243,26 +1246,37 @@ _EXPR_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": opera
 
 
 def _parse_expr(text: str, arity: int) -> Expr:
-    """Recursive descent on raw term dicts whose integer coefficients are
-    plain ints.  Each step is the `_add`/`_neg`/`_mul`/`_pow` that the Expr
-    operator would run on a polynomial, and a division by a constant is the
-    `_scale` that normalisation would run, so the terms (and their order)
-    are those of the Expr fold.  A division by a non-constant is done in
-    Expr arithmetic, as is every later step that takes its result."""
+    """Recursive descent on raw terms whose integer coefficients are plain
+    ints.  A product of plain factors (integers and variables, to integer
+    powers, under unary minuses; a parenthesised such product counts as one)
+    is one (monomial, int) pair: exponents add and ints multiply, as `_mul`
+    and `_pow` do on one-term dicts.  A sum adds its terms in place into one
+    dict it owns, by `_add`'s rules, so its dict order is that of the `_add`
+    fold.  Any other step takes a pair as a one-term dict (`{}` when its int
+    is 0) and is the `_neg`/`_mul`/`_pow` that the Expr operator would run on
+    a polynomial, or for a division by a constant the `_scale` that
+    normalisation would run, so the terms (and their order) are those of the
+    Expr fold.  A division by a non-constant is done in Expr arithmetic, as
+    is every later step that takes its result."""
     toks = _tokens(text, arity)
     pos = 0
+    constant = (0,) * arity
+
+    def terms(value):
+        if type(value) is tuple:
+            mono, c = value
+            return {mono: c} if c else {}
+        return value
 
     def expr(value) -> Expr:
         if type(value) is Expr:
             return value
-        return Expr(arity, {m: c if type(c) is Fraction else Fraction(c) for m, c in value.items()})
+        return Expr(arity, {m: c if type(c) is Fraction else Fraction(c)
+                            for m, c in terms(value).items()})
 
     def combine(op: str, a, b):
+        a, b = terms(a), terms(b)
         if type(a) is dict and type(b) is dict:
-            if op == "+":
-                return _add(a, b, int)
-            if op == "-":
-                return _add(a, _neg(b), int)
             if op == "*":
                 return _mul(a, b, int)
             if _is_constant(b):
@@ -1275,17 +1289,50 @@ def _parse_expr(text: str, arity: int) -> Expr:
     def parse_sum():
         nonlocal pos
         value = parse_product()
+        if toks[pos] not in ("+", "-"):
+            return value
+        # every dict here was built by this parse and is held once, so the
+        # sum adds its terms into the first one in place
+        if type(value) is tuple:
+            value = terms(value)
         while toks[pos] in ("+", "-"):
+            op = toks[pos]
             pos += 1
-            value = combine(toks[pos - 1], value, parse_product())
+            right = parse_product()
+            if type(value) is Expr or type(right) is Expr:
+                value = _EXPR_OPS[op](expr(value), expr(right))
+                continue
+            # a pair is its own one item
+            for mono, c in ((right,) if type(right) is tuple else right.items()):
+                if op == "-":
+                    c = -c
+                if not c:
+                    continue
+                prev = value.get(mono)
+                if prev is None:
+                    value[mono] = c
+                    continue
+                if prev.denominator == 1 == c.denominator:
+                    total = prev.numerator + c.numerator
+                else:
+                    total = prev + c
+                if total:
+                    value[mono] = total
+                else:
+                    del value[mono]
         return value
 
     def parse_product():
         nonlocal pos
         value = parse_factor()
         while toks[pos] in ("*", "/"):
+            op = toks[pos]
             pos += 1
-            value = combine(toks[pos - 1], value, parse_factor())
+            right = parse_factor()
+            if op == "*" and type(value) is tuple and type(right) is tuple:
+                value = (tuple(map(operator.add, value[0], right[0])), value[1] * right[1])
+            else:
+                value = combine(op, value, right)
         return value
 
     def parse_factor():
@@ -1293,6 +1340,8 @@ def _parse_expr(text: str, arity: int) -> Expr:
         if toks[pos] == "-":
             pos += 1
             value = parse_factor()
+            if type(value) is tuple:
+                return value[0], -value[1]
             return _neg(value) if type(value) is dict else -value
         return parse_power()
 
@@ -1305,6 +1354,8 @@ def _parse_expr(text: str, arity: int) -> Expr:
         if type(exp) is not int:
             raise ExprError(f"expected integer exponent in {text!r}")
         pos += 2
+        if type(base) is tuple:
+            return tuple([e * exp for e in base[0]]), base[1] ** exp
         return _pow(base, exp, arity, int) if type(base) is dict else base ** exp
 
     def parse_atom():
@@ -1320,9 +1371,9 @@ def _parse_expr(text: str, arity: int) -> Expr:
             pos += 1
             return value
         if type(tok) is int:
-            return {(0,) * arity: tok} if tok else {}
+            return constant, tok
         if type(tok) is tuple:
-            return {tok: 1}
+            return tok, 1
         raise ExprError(f"unexpected token {tok!r} in {text!r}")
 
     value = parse_sum()

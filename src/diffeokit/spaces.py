@@ -524,11 +524,27 @@ def _carrier_violation(carrier: Carrier, candidate: Plot) -> Obstruction | None:
 
 def nonzero_sample(residuals: Sequence[Expr], domain: Domain, count: int) -> Point | None:
     """The first of `count` sample points of the domain where no residual
-    vanishes."""
-    for pt in domain.sample_points(count):
-        if all(r.eval(pt) != 0 for r in residuals):
-            return pt
-    return None
+    vanishes.
+
+    The points are read in prefixes of 1, 4, 16, ... samples, capped at
+    `count`, testing only those past the previous prefix; `None` comes only
+    after the whole `count` prefix.  The witness is the one a scan of
+    `sample_points(count)` finds, because `sample_points(k)` is a prefix of
+    `sample_points(n)` for k <= n: each axis walk stops at its count, a
+    smaller count only shrinks the caps of the graded index order, and a
+    union of boxes is a round robin of such lists."""
+    seen = 0
+    k = 1
+    while True:
+        k = min(k, count)
+        points = domain.sample_points(k)
+        for pt in points[seen:]:
+            if all(r.eval(pt) != 0 for r in residuals):
+                return pt
+        if k == count:
+            return None
+        seen = len(points)
+        k *= 4
 
 
 # -- factoring through generators -------------------------------------------

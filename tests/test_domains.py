@@ -439,3 +439,62 @@ class TestBoundsSoundness:
     @given(bounds(), bounds())
     def test_product_with_unbounded_sides_equals_the_extended_path(self, a, b):
         assert _b_mul(a, b) == _reference_b_mul(a, b)
+
+
+def _overlapping(iv: Interval, how: str, sign: int) -> Interval:
+    """An interval meeting iv: shifted by a third of its width (by 1/3 on
+    a half-bounded side) or widened by half its width to the left."""
+    if iv.lo is None and iv.hi is None:
+        return iv
+    if iv.lo is None:
+        return Interval(None, iv.hi + _f(sign, 3))
+    if iv.hi is None:
+        return Interval(iv.lo + _f(sign, 3), None)
+    width = iv.hi - iv.lo
+    if how == "widen":
+        return Interval(iv.lo - width / 2, iv.hi)
+    return Interval(iv.lo + sign * width / 3, iv.hi + sign * width / 3)
+
+
+@st.composite
+def sample_domains(draw):
+    """Domains of one to three boxes in dimensions 1..3, with bounded,
+    narrow, half-bounded and unbounded sides; a later box either overlaps
+    the first on every axis or is drawn afresh."""
+    dim = draw(st.integers(1, 3))
+    first = Box(tuple(draw(intervals()) for _ in range(dim)))
+    boxes = [first]
+    for _ in range(draw(st.integers(0, 2))):
+        how = draw(st.sampled_from(["shift", "widen", "fresh"]))
+        if how == "fresh":
+            boxes.append(Box(tuple(draw(intervals()) for _ in range(dim))))
+        else:
+            boxes.append(Box(tuple(
+                _overlapping(iv, how, draw(st.sampled_from([-1, 1])))
+                for iv in first.intervals)))
+    return Domain(dim, boxes)
+
+
+_OVERLAPPING_SQUARES = Domain.of((0, 1), (0, 1)).union(
+    Domain.of((_f(1, 2), 2), (_f(1, 2), 2))).union(Domain.of((_f(-1, 3), _f(2, 3)), (None, None)))
+
+
+class TestSamplePrefixes:
+    """`sample_points(k)` is the first k points of `sample_points(n)` for
+    k <= n: `spaces.nonzero_sample` reads growing prefixes and relies on
+    finding the witness a full scan finds."""
+
+    @settings(max_examples=150, derandomize=True)
+    @given(sample_domains(), st.lists(st.integers(0, 200), min_size=2, max_size=2).map(sorted))
+    @example(Domain.of((_f(1, 3), _f(2, 5))), [1, 200])   # runs out of points
+    @example(Domain.full(3), [64, 200])
+    @example(_OVERLAPPING_SQUARES, [16, 200])
+    @example(_OVERLAPPING_SQUARES, [4, 120])
+    @example(Domain.of((None, 0), (1, None), (_f(-1, 5), _f(1, 7))), [64, 120])
+    def test_a_smaller_count_reads_a_prefix(self, domain, counts):
+        k, n = counts
+        big = domain.sample_points(n)
+        assert domain.sample_points(k) == big[:k]
+        for step in (1, 4, 16, 64):
+            if step <= n:
+                assert domain.sample_points(step) == big[:step]

@@ -6,7 +6,8 @@ the Expr-arithmetic fold it replaced, which may keep a larger denominator
 but never a smaller one), the unit-denominator shortcut in normalisation, evaluation
 on ints over one common denominator, parsing on raw terms with int
 coefficients (equal, in dict order too, to the Expr-operator fold it
-replaced), compose and differentiate taking a
+replaced, and with products as (monomial, int) pairs equal to the dict
+fold on the benchmark's and the fixtures' texts), compose and differentiate taking a
 polynomial's stored denominator to be exactly 1, multiplication on plain
 ints when both factors have integer coefficients, addition of two integer
 coefficients on plain ints, the heuristic gcd (equal to the PRS gcd, which
@@ -14,17 +15,19 @@ stays as its fallback), and the memos of rational arithmetic (a hit equals
 a fresh result, and nothing a caller holds can change a later hit).
 """
 
+import importlib.util
 import operator
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from diffeokit import expr
+from diffeokit import expr, fixtures
 from diffeokit.expr import (
     Expr,
     ExprError,
@@ -47,6 +50,7 @@ from diffeokit.expr import (
     _witness_expansion,
 )
 
+ROOT = Path(__file__).resolve().parent.parent
 ARITY = 2
 
 _property = settings(max_examples=60)
@@ -591,6 +595,217 @@ class TestRawTermParser:
         assert _render(tree) == "x0 - -(x0 + 1)^2"
         assert _render(("div", ("num", 1), ("mul", ("num", 2), ("var", 0)))) == "1/(2*x0)"
         assert _render(_CANCEL_AND_RETURN[1]) == "(x0 + x1 + x0*x1 + 1/2)*(x1 - x0 + 1)"
+
+
+def _dict_fold_parse(text: str, arity: int) -> Expr:
+    """The parser before products became (monomial, int) pairs: every atom
+    is a term dict, products run `_mul`, and each `+` copies the running
+    sum in `_add`.  The reference for the pair fold."""
+    toks = expr._tokens(text, arity)
+    pos = 0
+
+    def to_expr(value) -> Expr:
+        if type(value) is Expr:
+            return value
+        return Expr(arity, {m: c if type(c) is Fraction else Fraction(c) for m, c in value.items()})
+
+    def combine(op: str, a, b):
+        if type(a) is dict and type(b) is dict:
+            if op == "+":
+                return _add(a, b, int)
+            if op == "-":
+                return _add(a, expr._neg(b), int)
+            if op == "*":
+                return _mul(a, b, int)
+            if expr._is_constant(b):
+                if not b:
+                    raise ExprError("division by zero")
+                c = expr._constant_value(b)
+                return a if c == 1 else expr._scale(a, Fraction(c.denominator, c.numerator))
+        return expr._EXPR_OPS[op](to_expr(a), to_expr(b))
+
+    def parse_sum():
+        nonlocal pos
+        value = parse_product()
+        while toks[pos] in ("+", "-"):
+            pos += 1
+            value = combine(toks[pos - 1], value, parse_product())
+        return value
+
+    def parse_product():
+        nonlocal pos
+        value = parse_factor()
+        while toks[pos] in ("*", "/"):
+            pos += 1
+            value = combine(toks[pos - 1], value, parse_factor())
+        return value
+
+    def parse_factor():
+        nonlocal pos
+        if toks[pos] == "-":
+            pos += 1
+            value = parse_factor()
+            return expr._neg(value) if type(value) is dict else -value
+        return parse_power()
+
+    def parse_power():
+        nonlocal pos
+        base = parse_atom()
+        if toks[pos] != "^":
+            return base
+        exp = toks[pos + 1]
+        if type(exp) is not int:
+            raise ExprError(f"expected integer exponent in {text!r}")
+        pos += 2
+        return expr._pow(base, exp, arity, int) if type(base) is dict else base ** exp
+
+    def parse_atom():
+        nonlocal pos
+        tok = toks[pos]
+        if tok is None:
+            raise ExprError(f"unexpected end of input in {text!r}")
+        pos += 1
+        if tok == "(":
+            value = parse_sum()
+            if toks[pos] != ")":
+                raise ExprError(f"missing closing parenthesis in {text!r}")
+            pos += 1
+            return value
+        if type(tok) is int:
+            return {(0,) * arity: tok} if tok else {}
+        if type(tok) is tuple:
+            return {tok: 1}
+        raise ExprError(f"unexpected token {tok!r} in {text!r}")
+
+    value = parse_sum()
+    if toks[pos] is not None:
+        raise ExprError(f"trailing input after expression in {text!r}")
+    return to_expr(value)
+
+
+def _bench_gen():
+    """bench/gen.py, which never imports diffeokit, loaded by path."""
+    spec = importlib.util.spec_from_file_location("bench_gen", ROOT / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
+def _bench_texts():
+    """(text, arity) of every map text the membership benchmark parses at
+    seeds 0 and 7 and the calculus benchmark parses at seed 0."""
+    gen = _bench_gen()
+    out = []
+    for seed in (0, 7):
+        for q in gen.membership_inputs(seed)["queries"]:
+            if q["kind"] == "plot":
+                out.extend((t, q["domain"]["dim"]) for t in q["map"])
+    for c in gen.calculus_inputs(0)["checks"]:
+        if c["kind"] == "affine":
+            for conn in (c["first"], c["second"]):
+                for mat in conn["coarse"] + [conn["fine"]]:
+                    out.extend((t, 1) for row in mat for t in row)
+        elif c["kind"] == "dd":
+            out.extend((t, 2) for t in c["coefficients"])
+    return out
+
+
+def _fixture_texts():
+    """(text, arity) of every text the built-in registry and the benchmark's
+    fixture groups parse, recorded as they are parsed."""
+    gen = _bench_gen()
+    seen = []
+    parse = expr._parse_expr
+
+    def record(text, arity):
+        seen.append((text, arity))
+        return parse(text, arity)
+
+    with mock.patch.object(expr, "_parse_expr", record):
+        reg = fixtures.builtin_registry()
+        fixtures._load_document(reg, gen.suite_inputs(0)["fixture"])
+        fixtures._load_document(reg, gen.calculus_inputs(0)["fixture"])
+    return seen
+
+
+_MALFORMED = ["x0 +", "x9", "x0^(2)", "y0", "(x0", "x0 x0", "x0\u00b2", "x0^\u00b2",
+              "\u0663*x0", "x\u0663", "x0^-1", "2^x0", "()", "x0**2", "x0^", "1/0",
+              "x0/(x0 - x0)", "x0/(x0^2 - 1)"]
+
+
+class TestPairFoldParser:
+    """Products of plain factors fold as (monomial, int) pairs and sums add
+    in place into one dict; on real inputs the result equals the dict fold's
+    in canonical key, dict order, witness and coefficient types."""
+
+    @staticmethod
+    def assert_same(text, arity):
+        parsed = Expr.parse(text, arity)
+        reference = _dict_fold_parse(text, arity)
+        assert parsed.canonical_key() == reference.canonical_key(), text
+        assert list(parsed.num.items()) == list(reference.num.items()), text
+        assert list(parsed.den.items()) == list(reference.den.items()), text
+        assert parsed.den_witness == reference.den_witness, text
+        for terms in (parsed.num, parsed.den):
+            assert all(type(c) is Fraction for c in terms.values()), text
+
+    def test_benchmark_texts_parse_as_the_dict_fold(self):
+        texts = _bench_texts()
+        assert len(texts) > 3000
+        for text, arity in texts:
+            self.assert_same(text, arity)
+
+    def test_fixture_texts_parse_as_the_dict_fold(self):
+        texts = _fixture_texts()
+        assert len(texts) > 20
+        for text, arity in texts:
+            self.assert_same(text, arity)
+
+    @pytest.mark.parametrize("text, arity", [
+        ("x0 + x1 - x0 + x0", 2),            # a cancelled monomial re-enters at the end
+        ("x0 - x0", 1),
+        ("x0/2 + x1 + x0/2 + 3*x0", 2),      # a Fraction total with denominator 1
+        ("1/3 + x0 - 1/3 + 1", 1),
+        ("0*x0 + x1 - 0 + x0*0*x1", 2),
+        ("x0^0 + 0^0 - 0^2 + 2^3*x0^2", 1),
+        ("--x0 - -x0*-2 + ---3", 1),
+        ("-(x0)^2*3 + (2*x1)^3 - (x0 + x1)*(x0 - x1)", 2),
+        ("(x0 + 1)^2 - x0^2 - 2*x0", 1),
+        ("x0*x1/4*x0 - x0^2*x1/4 + x1", 2),
+        ("x0/(x0^2 + 1) + x0 - x0/(x0^2 + 1)", 1),
+        ("2*x0/(x1^2 + 1)*3 - x1", 2),
+        ("(x0 - x0)*x1 + x1*(x0 - x0)", 2),
+        ("x2*x0^2*x1 - 2*x2 + x0^2*x1*x2", 3),
+        ("7", 0),
+    ])
+    def test_edge_texts_parse_as_the_dict_fold(self, text, arity):
+        self.assert_same(text, arity)
+
+    @pytest.mark.parametrize("text", _MALFORMED)
+    def test_malformed_texts_raise_the_same_error(self, text):
+        with pytest.raises(ExprError) as new:
+            Expr.parse(text, 1)
+        with pytest.raises(ExprError) as old:
+            _dict_fold_parse(text, 1)
+        assert str(new.value) == str(old.value)
+
+    def test_plain_products_and_sums_run_no_mul_or_pow(self, monkeypatch):
+        calls = []
+
+        def counting(name):
+            original = getattr(expr, name)
+
+            def counted(*args):
+                calls.append(name)
+                return original(*args)
+            return counted
+
+        for name in ("_mul", "_pow"):
+            monkeypatch.setattr(expr, name, counting(name))
+        text = "-3*x0^3 - 3*x0^2*x1 + 2*x0*x1^2 - 3*x1^3 + x0 - 3"
+        parsed = Expr.parse(text, 2)
+        assert calls == []
+        assert parsed.to_str() == text
 
 
 def _reference_eval(terms, point) -> Fraction:

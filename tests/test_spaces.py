@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from diffeokit.domains import Box, Domain, Interval
+from diffeokit.domains import SAMPLE_MAX_DEN, Box, Domain, Interval, _domain_samples
 from diffeokit.expr import Expr, ExprVec
 from diffeokit.spaces import (
     AlgebraicCarrier,
@@ -32,6 +32,7 @@ from diffeokit.spaces import (
     is_smooth,
     is_subduction,
     maps_equal_mod_relation,
+    nonzero_sample,
     plot,
     product_space,
     pullback_space,
@@ -667,3 +668,93 @@ class TestLazyQuotientRewrites:
         space, _ = quotient_space("half-shifted-cross", axes_cross(), [rel])
         verdict = self.assert_same(space, plot(R1, ["x0 + 1", "x0"]), 4)
         assert verdict.is_unknown
+
+
+def _scanned_nonzero_sample(residuals, domain, count):
+    """The first of all `count` sample points where no residual vanishes,
+    found by one scan of the full list: the reference for the prefix search."""
+    for pt in domain.sample_points(count):
+        if all(r.eval(pt) != 0 for r in residuals):
+            return pt
+    return None
+
+
+def _vanishing_at(points, dim):
+    """A polynomial that vanishes exactly at the given points: the product
+    of their squared distances to x."""
+    out = Expr.constant(dim, 1)
+    for pt in points:
+        dist = Expr.constant(dim, 0)
+        for i, c in enumerate(pt):
+            dist = dist + (Expr.variable(dim, i) - Expr.constant(dim, c)) ** 2
+        out = out * dist
+    return out
+
+
+_WITNESS_DOMAINS = [
+    Domain.full(1),
+    Domain.of((0, 1)),
+    Domain.full(2),
+    Domain.of((None, 0), (1, None)),
+    Domain.of((0, 1), (0, 1)).union(Domain.of((Fraction(1, 2), 2), (Fraction(1, 2), 2))),
+    Domain.of((Fraction(1, 3), Fraction(2, 5))),  # one sample point only
+]
+
+
+class TestPrefixWitnessSearch:
+    """`nonzero_sample` reads prefixes of 1, 4, 16, ... samples and returns
+    the point a scan of all `count` samples returns, or None with it."""
+
+    @pytest.mark.parametrize("domain", _WITNESS_DOMAINS, ids=lambda d: d.to_str())
+    @pytest.mark.parametrize("count", [1, 2, 4, 5, 6, 17, 120, 200])
+    def test_witness_equals_the_full_scan(self, domain, count):
+        dim = domain.dim
+        pts = domain.sample_points(200)
+        cases = [
+            [_vanishing_at([], dim)],           # no sample vanishes
+            [_vanishing_at(pts[:1], dim)],      # the first one does
+            [_vanishing_at(pts[:5], dim)],      # the first five do
+            [_vanishing_at(pts[5:9], dim)],     # only later ones do
+            [Expr.constant(dim, 0)],            # every sample does
+            # several residuals: each sample up to the fourth kills one
+            [_vanishing_at(pts[0:4:2], dim), _vanishing_at(pts[1:4:2], dim)],
+            [_vanishing_at(pts[:1], dim), _vanishing_at(pts[1:2], dim),
+             _vanishing_at(pts[16:18], dim)],
+            # one residual per point: the witness lies past the 16 and the 64 prefix
+            [_vanishing_at([pt], dim) for pt in pts[:20]],
+            [_vanishing_at([pt], dim) for pt in pts[:70]],
+        ]
+        for residuals in cases:
+            assert nonzero_sample(residuals, domain, count) == (
+                _scanned_nonzero_sample(residuals, domain, count))
+        first_alive = pts[5:6] if count > 5 else []
+        assert nonzero_sample(cases[2], domain, count) == (first_alive[0] if first_alive else None)
+
+    def test_no_points_and_no_count(self):
+        r = [Expr.constant(1, 1)]
+        assert nonzero_sample(r, Domain(1), 120) is None
+        assert nonzero_sample(r, Domain.full(1), 0) is None
+
+    def test_a_first_sample_witness_reads_one_point(self):
+        """Only the one-point prefix is built when the first sample refutes."""
+        domain = Domain.of((-1, 1))
+        candidate = plot(domain, ["x0 + 1", "x0 + 1"])
+        _domain_samples.cache_clear()
+        verdict = is_plot(axes_cross(), candidate, 4)
+        assert verdict.is_no and verdict.obstruction.kind == "carrier"
+        assert verdict.obstruction.point == (Fraction(0),)
+        info = _domain_samples.cache_info()
+        _domain_samples(domain, 1, SAMPLE_MAX_DEN)
+        assert _domain_samples.cache_info().hits == info.hits + 1
+        _domain_samples(domain, 120, SAMPLE_MAX_DEN)
+        assert _domain_samples.cache_info().misses == info.misses + 1
+
+    def test_a_second_sample_witness_reads_four_points(self):
+        domain = Domain.of((-2, 2), (-2, 2))
+        first, second = domain.sample_points(2)
+        _domain_samples.cache_clear()
+        assert nonzero_sample([_vanishing_at([first], 2)], domain, 120) == second
+        info = _domain_samples.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 2, 2)
+        _domain_samples(domain, 4, SAMPLE_MAX_DEN)
+        assert _domain_samples.cache_info().hits == 1
