@@ -2,9 +2,9 @@
 
 Generators come in with supplied inverses; everything else is a reduced
 word in them.  The kernel of the base projection consists of fiberwise
-linear automorphisms, and both inclusions of that statement are checked
-element by element.  Orbit structure, one-parameter velocity vectors,
-and frame algebra over a fiber all live here.
+linear automorphisms, which follows from the generator certificates and
+the projection's subduction certificate.  Orbit structure, one-parameter
+velocity vectors, and frame algebra over a fiber all live here.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .spaces import (
     Verdict,
     generated_space,
     intersection_space,
+    is_subduction,
 )
 
 __all__ = [
@@ -104,25 +105,10 @@ def bundle_group(
     budget: int = DEFAULT_BUDGET,
 ) -> FinGenGroup:
     """Validate generator/inverse pairs and assemble the group."""
-    d = bundle.ambient_dim
     for k, (gen, inv) in enumerate(pairs):
-        for label, m in (("generator", gen), ("inverse", inv)):
-            verdict = check_morphism(m, bundle, bundle, budget)
-            if not verdict.is_yes:
-                ob = verdict.obstruction
-                reason = verdict.detail or f"{ob.kind}: {ob.detail}"
-                raise ValueError(f"{label} {k} of {name}: {reason}")
-        _, g = gen.phi.piece("")
-        _, h = inv.phi.piece("")
-        for outer, inner in ((g, h), (h, g)):
-            back = outer.compose(inner)
-            v = _difference_verdict(bundle.total, back, ExprVec.identity(d), budget)
-            if v.is_no:
-                raise ValueError(
-                    f"generator {k} of {name} does not invert: {v.obstruction.detail}"
-                )
-            if v.is_unknown:
-                raise ValueError(f"generator {k} of {name}: inverse not certified: {v.detail}")
+        v = _certify_pair(bundle, k, gen, inv, budget, f" of {name}")
+        if not v.is_yes:
+            raise ValueError(v.detail if v.is_unknown else v.obstruction.detail)
     n = bundle.base_dim
     for f in families:
         _check_family(f, n)
@@ -133,6 +119,48 @@ def bundle_group(
         tuple(inv for _, inv in pairs),
         tuple(families),
     )
+
+
+def _reason(v: Verdict) -> str:
+    ob = v.obstruction
+    return v.detail or (f"{ob.kind}: {ob.detail}" if ob else "not certified")
+
+
+def _certify_pair(
+    bundle: PseudoBundle,
+    k: int,
+    gen: BundleMorphism,
+    inv: BundleMorphism,
+    budget: int,
+    owner: str = "",
+) -> Verdict:
+    """Generator k and its inverse as morphisms of the bundle onto itself,
+    and g.h = h.g = id on the total space.  A yes carries the two morphism
+    certificates in a `ChecksCert`.  A no or an unknown starts its text
+    with `generator k` or `inverse k`, then `owner`, then the sub-check
+    that failed or stayed open."""
+    parts = []
+    for label, m in (("generator", gen), ("inverse", inv)):
+        v = check_morphism(m, bundle, bundle, budget)
+        if not v.is_yes:
+            text = f"{label} {k}{owner}: {_reason(v)}"
+            return Verdict.unknown(text) if v.is_unknown else Verdict.no(
+                Obstruction("morphism", detail=text)
+            )
+        parts.append((f"{label} {k}", v.certificate))
+    _, g = gen.phi.piece("")
+    _, h = inv.phi.piece("")
+    identity = ExprVec.identity(bundle.ambient_dim)
+    for outer, inner in ((g, h), (h, g)):
+        v = _difference_verdict(bundle.total, outer.compose(inner), identity, budget)
+        if v.is_no:
+            return Verdict.no(Obstruction(
+                "inverse",
+                detail=f"generator {k}{owner} does not invert: {v.obstruction.detail}",
+            ))
+        if v.is_unknown:
+            return Verdict.unknown(f"generator {k}{owner}: inverse not certified: {v.detail}")
+    return Verdict.yes(ChecksCert(f"generator {k} and its inverse", tuple(parts)))
 
 
 def enumerate_elements(group: FinGenGroup, max_len: int) -> list[Element]:
@@ -176,81 +204,48 @@ def exact_sequence_check(
     group: FinGenGroup,
     budget: int = DEFAULT_BUDGET,
 ) -> Verdict:
-    """Both inclusions of kernel = fiberwise linear part, on every word of
-    length at most the budget, and compatibility of the base projection
-    with composition on every pair of words of length at most 2.
+    """1 -> Gau(E) -> Aut(E) -> Diff(X): the kernel of the base action is
+    the fiberwise linear part, on every word, proved from certificates.
 
-    A yes carries the kernel and linear words in a `ChecksCert`.  A no
-    lists every separated difference, and every word whose kernel and
-    linearity tests are both decided and disagree.  Otherwise an
-    uncertified difference leaves the check unknown, naming its words.
+    Each generator and its inverse is a certified bundle morphism, so its
+    square proj.phi = varphi.proj commutes, and squares compose: every
+    word's square commutes, and the reversed word of inverses inverts it.
+    The projection is a certified subduction, so it is onto, and
+    proj.phi_w = proj then reads varphi_w.proj = proj, that is varphi_w =
+    id.  So a word's linearity test is its kernel test.  No word is built:
+    the budget bounds only the searches behind the certificates.  It never
+    falls below DEFAULT_BUDGET, the budget `bundle_group` accepts pairs at,
+    so a small budget cannot lose a certificate the group was built with.
+
+    A yes carries the generator, inverse and projection certificates in a
+    `ChecksCert`.  A no names the generator and sub-check that failed; an
+    unknown names each open check at the start of its detail.
     """
-    elements = enumerate_elements(group, budget)
-    _, proj = bundle.projection.piece("")
-    d = bundle.ambient_dim
-    n = bundle.base_dim
-
-    failures, open_ = [], []
-
-    def read(space, lhs, rhs, pending, failed=None) -> Verdict:
-        v = _difference_verdict(space, lhs, rhs, budget)
+    budget = max(budget, DEFAULT_BUDGET)
+    parts, pending = [], []
+    for k, (gen, inv) in enumerate(zip(group.generators, group.inverses)):
+        v = _certify_pair(bundle, k, gen, inv, budget)
+        if v.is_no:
+            return Verdict.no(Obstruction("exact-sequence", detail=v.obstruction.detail))
         if v.is_unknown:
-            open_.append(f"{pending}: {v.detail}")
-        elif v.is_no and failed:
-            failures.append(f"{failed}: {v.obstruction.detail}")
-        return v
-
-    short = [el for el in elements if len(el.word) <= 2]
-    for a in short:
-        # proj.(a.b) as (proj.a).b: the fibre part of a.b is never built
-        proj_a = proj.compose(a.phi)
-        for b in short:
-            lhs = proj_a.compose(b.phi)
-            rhs = a.varphi.compose(b.varphi).compose(proj)
-            pair = f"{word_name(a.word)} after {word_name(b.word)}"
-            read(bundle.total, lhs, rhs, pair, pair)
-
-    # inverse of a word w = v + (g,): g^-1 after the inverse of v
-    inverses = {(): ExprVec.identity(d)}
-
-    def inverse(word: tuple[int, ...]) -> ExprVec:
-        vec = inverses.get(word)
-        if vec is None:
-            i = abs(word[-1]) - 1
-            m = group.inverses[i] if word[-1] > 0 else group.generators[i]
-            vec = inverses[word] = m.phi.piece("")[1].compose(inverse(word[:-1]))
-        return vec
-
-    kernel, linear = [], []
-    for el in elements:
-        name = word_name(el.word)
-        in_kernel = read(
-            bundle.base, el.varphi, ExprVec.identity(n), f"{name}: kernel test"
-        )
-        is_linear = read(
-            bundle.total, proj.compose(el.phi), proj, f"{name}: linearity test"
-        )
-        if in_kernel.is_yes:
-            kernel.append(name)
-            back = el.phi.compose(inverse(el.word))
-            read(bundle.total, back, ExprVec.identity(d), f"kernel word {name}: inverse",
-                 f"kernel word {name} is not invertible")
-        if is_linear.is_yes:
-            linear.append(name)
-        decided = not (in_kernel.is_unknown or is_linear.is_unknown)
-        if decided and in_kernel.is_yes != is_linear.is_yes:
-            side = "kernel without linearity" if in_kernel.is_yes else "linear with moving base"
-            failures.append(f"{name}: {side}")
-    if failures:
-        return Verdict.no(Obstruction("exact-sequence", detail="; ".join(failures)))
-    if open_:
-        return Verdict.unknown("; ".join(open_))
+            pending.append(v.detail)
+        else:
+            parts.extend(v.certificate.parts)
+    onto = is_subduction(bundle.projection, budget, sections=(bundle.zero,))
+    if onto.is_no:
+        return Verdict.no(Obstruction("exact-sequence", detail=f"projection: {_reason(onto)}"))
+    if onto.is_unknown:
+        pending.append(f"projection: {onto.detail}")
+    if pending:
+        return Verdict.unknown("; ".join(pending))
+    parts.append(("projection", onto.certificate))
     return Verdict.yes(
         ChecksCert(
-            f"{len(elements)} reduced words",
-            (("kernel", tuple(kernel)), ("linear", tuple(linear))),
+            f"{len(group.generators)} generators and inverses certified, "
+            "projection a subduction",
+            tuple(parts),
         ),
-        detail=f"kernel = linear part ({len(kernel)} words)",
+        detail="kernel = linear part on every word",
     )
 
 

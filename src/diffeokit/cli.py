@@ -489,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--budget", type=int, default=DEFAULT_BUDGET,
-        help="search depth for factorizations and word enumeration",
+        help="search depth for factorizations and the membership searches behind certificates",
     )
     common.add_argument("--format", choices=("json", "text"), default="text")
     common.add_argument("--out", type=Path, help="write the report to this file")
@@ -524,7 +524,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("point", help="rational coordinates, e.g. 0,0 or 1/2,-3")
     p = sub.add_parser("bundle-validate", parents=[common], help="re-run bundle construction checks")
     p.add_argument("bundle")
-    p = sub.add_parser("exact-sequence", parents=[common], help="kernel = fiberwise linear part")
+    p = sub.add_parser(
+        "exact-sequence", parents=[common], help="kernel = fiberwise linear part",
+        description="Prove kernel = fiberwise linear part on every word from the generator, "
+        "inverse and projection certificates. --budget bounds the membership searches "
+        f"behind those certificates (never below {DEFAULT_BUDGET}), not word length.",
+    )
     p.add_argument("bundle")
     p.add_argument("group")
     p = sub.add_parser("frame-check", parents=[common], help="free transitive frame action")

@@ -436,14 +436,15 @@ class DiffSpace:
 
 def is_plot(space: DiffSpace, candidate: Plot, budget: int = DEFAULT_BUDGET) -> Verdict:
     """Decide membership of the candidate in the space's diffeology."""
-    key = candidate.key()
-    for stored_budget, verdict in space._memo.get(key, ()):
+    # one lookup: the key is a tuple of Fraction keys, rehashed on each use
+    entries = space._memo.setdefault(candidate.key(), [])
+    for stored_budget, verdict in entries:
         if not verdict.is_unknown and stored_budget <= budget:
             return verdict
         if verdict.is_unknown and stored_budget >= budget:
             return verdict
     verdict = _is_plot_uncached(space, candidate, budget)
-    space._memo.setdefault(key, []).append((budget, verdict))
+    entries.append((budget, verdict))
     return verdict
 
 

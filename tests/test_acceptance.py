@@ -53,6 +53,8 @@ from diffeokit.spaces import (
 )
 from diffeokit.tangent import _find_germ, cone_membership
 
+from test_autgroups import word_by_word_exact_sequence
+
 
 @pytest.fixture(scope="module")
 def reg():
@@ -244,13 +246,24 @@ class TestAcceptance:
         assert any(name.startswith("t1-") for name in names)
 
     def test_06_kernel_equals_linear_part_for_both_groups(self, reg):
+        # the proof reads the generator, inverse and projection
+        # certificates; the word-by-word reference confirms kernel = linear
+        # part on the words it enumerates
         started = time.monotonic()
         for name in ("scale-translate", "axis-swap"):
             group = reg.groups[name]
             verdict = exact_sequence_check(group.bundle, group, budget=4)
             assert verdict.is_yes, verdict.obstruction
-            words = dict(verdict.certificate.parts)
-            assert set(words["kernel"]) == set(words["linear"])
+            assert "kernel = linear part" in verdict.detail
+            parts = dict(verdict.certificate.parts)
+            for k in range(len(group.generators)):
+                for label in ("generator", "inverse"):
+                    assert parts[f"{label} {k}"].rule == "bundle-morphism"
+            assert parts["projection"].rule == "subduction"
+            reference = word_by_word_exact_sequence(group.bundle, group, budget=4)
+            assert reference.is_yes, reference.obstruction
+            words = dict(reference.certificate.parts)
+            assert words["kernel"] == words["linear"]
         assert time.monotonic() - started < 60.0
 
     def test_07_orbit_classes_separate_and_the_origin_isolates(self, reg):

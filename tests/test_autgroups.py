@@ -1,11 +1,14 @@
 """Word groups acting on bundles: exactness, orbits, families, frames."""
 
+import json
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from diffeokit import expr
+from diffeokit import autgroups, expr
 from diffeokit.autgroups import (
     BundleMorphism,
     FinGenGroup,
@@ -22,10 +25,15 @@ from diffeokit.autgroups import (
     typical_fiber_check,
     word_name,
 )
+from diffeokit.bundles import _difference_verdict
+from diffeokit.cli import main as cli_main
 from diffeokit.domains import Domain
 from diffeokit.expr import ExprVec
 from diffeokit.fixtures import load_registry
 from diffeokit.spaces import (
+    ChecksCert,
+    Obstruction,
+    Verdict,
     euclidean_space,
     identity_map,
     is_plot,
@@ -114,10 +122,136 @@ class TestWords:
             bundle_group("bad", b, [(gen, wrong)])
 
 
+def word_by_word_exact_sequence(bundle, group, budget):
+    """The exact-sequence check as it was before it read the generator
+    certificates: both inclusions of kernel = linear part on every reduced
+    word of length at most the budget, and the base projection's
+    compatibility with composition on every pair of words of length at
+    most 2.  Kept as the reference the certificate proof is checked
+    against.
+
+    A yes carries the kernel and linear words in a `ChecksCert`.  A no
+    lists every separated difference, and every word whose kernel and
+    linearity tests are both decided and disagree.  Otherwise an
+    uncertified difference leaves the check unknown, naming its words.
+    """
+    elements = enumerate_elements(group, budget)
+    _, proj = bundle.projection.piece("")
+    d = bundle.ambient_dim
+    n = bundle.base_dim
+
+    failures, open_ = [], []
+
+    def read(space, lhs, rhs, pending, failed=None):
+        v = _difference_verdict(space, lhs, rhs, budget)
+        if v.is_unknown:
+            open_.append(f"{pending}: {v.detail}")
+        elif v.is_no and failed:
+            failures.append(f"{failed}: {v.obstruction.detail}")
+        return v
+
+    short = [el for el in elements if len(el.word) <= 2]
+    for a in short:
+        # proj.(a.b) as (proj.a).b: the fibre part of a.b is never built
+        proj_a = proj.compose(a.phi)
+        for b in short:
+            lhs = proj_a.compose(b.phi)
+            rhs = a.varphi.compose(b.varphi).compose(proj)
+            pair = f"{word_name(a.word)} after {word_name(b.word)}"
+            read(bundle.total, lhs, rhs, pair, pair)
+
+    # inverse of a word w = v + (g,): g^-1 after the inverse of v
+    inverses = {(): ExprVec.identity(d)}
+
+    def inverse(word):
+        vec = inverses.get(word)
+        if vec is None:
+            i = abs(word[-1]) - 1
+            m = group.inverses[i] if word[-1] > 0 else group.generators[i]
+            vec = inverses[word] = m.phi.piece("")[1].compose(inverse(word[:-1]))
+        return vec
+
+    kernel, linear = [], []
+    for el in elements:
+        name = word_name(el.word)
+        in_kernel = read(
+            bundle.base, el.varphi, ExprVec.identity(n), f"{name}: kernel test"
+        )
+        is_linear = read(
+            bundle.total, proj.compose(el.phi), proj, f"{name}: linearity test"
+        )
+        if in_kernel.is_yes:
+            kernel.append(name)
+            back = el.phi.compose(inverse(el.word))
+            read(bundle.total, back, ExprVec.identity(d), f"kernel word {name}: inverse",
+                 f"kernel word {name} is not invertible")
+        if is_linear.is_yes:
+            linear.append(name)
+        decided = not (in_kernel.is_unknown or is_linear.is_unknown)
+        if decided and in_kernel.is_yes != is_linear.is_yes:
+            side = "kernel without linearity" if in_kernel.is_yes else "linear with moving base"
+            failures.append(f"{name}: {side}")
+    if failures:
+        return Verdict.no(Obstruction("exact-sequence", detail="; ".join(failures)))
+    if open_:
+        return Verdict.unknown("; ".join(open_))
+    return Verdict.yes(
+        ChecksCert(
+            f"{len(elements)} reduced words",
+            (("kernel", tuple(kernel)), ("linear", tuple(linear))),
+        ),
+        detail=f"kernel = linear part ({len(kernel)} words)",
+    )
+
+
+def drift_group(b):
+    # phi moves the base point but varphi claims it stays put; built
+    # directly, since bundle_group would refuse the pair
+    drift = BundleMorphism(
+        smooth_map(b.total, b.total, ["x0 + 1", "x1"]), identity_map(b.base)
+    )
+    back = BundleMorphism(
+        smooth_map(b.total, b.total, ["x0 - 1", "x1"]), identity_map(b.base)
+    )
+    return FinGenGroup("drift", b, (drift,), (back,))
+
+
+def identity_group(b):
+    ident = BundleMorphism(identity_map(b.total), identity_map(b.base))
+    return bundle_group("trivial", b, [(ident, ident)])
+
+
+def suite_group(seed, tmp_path):
+    """The seeded group of the benchmark's suite workload, loaded from the
+    fixture file the benchmark writes."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+    try:
+        import gen
+    finally:
+        sys.path.pop(0)
+    path = tmp_path / f"suite-{seed}.json"
+    block = gen.suite_group(seed)
+    path.write_text(json.dumps({"group": block}), encoding="utf-8")
+    return load_registry([path]).group(block["name"])
+
+
+def cross_check_groups(tmp_path):
+    reg = load_registry()
+    groups = {name: reg.group(name) for name in reg.groups}
+    for seed in (0, 7):
+        groups[f"suite seed {seed}"] = suite_group(seed, tmp_path)
+    groups["cross-swap"] = cross_swap_group(cross_bundle())
+    groups["trivial"] = identity_group(line_bundle())
+    groups["drift"] = drift_group(line_bundle())
+    return groups
+
+
 class TestExactSequence:
+    """The certificate proof, and the word-by-word reference it replaced."""
+
     def test_scale_translate_kernel_is_the_linear_part(self):
         b = line_bundle()
-        verdict = exact_sequence_check(b, scale_translate_group(b), budget=4)
+        verdict = word_by_word_exact_sequence(b, scale_translate_group(b), budget=4)
         assert verdict.is_yes
         words = dict(verdict.certificate.parts)
         assert set(words["kernel"]) == set(words["linear"])
@@ -129,7 +263,7 @@ class TestExactSequence:
 
     def test_cross_swap_kernel(self):
         b = cross_bundle()
-        verdict = exact_sequence_check(b, cross_swap_group(b), budget=3)
+        verdict = word_by_word_exact_sequence(b, cross_swap_group(b), budget=3)
         assert verdict.is_yes
         kernel = dict(verdict.certificate.parts)["kernel"]
         assert "g0" not in kernel
@@ -137,31 +271,33 @@ class TestExactSequence:
 
     def test_identity_only_group(self):
         b = line_bundle()
-        ident = BundleMorphism(identity_map(b.total), identity_map(b.base))
-        group = bundle_group("trivial", b, [(ident, ident)])
-        verdict = exact_sequence_check(b, group, budget=3)
+        group = identity_group(b)
+        verdict = word_by_word_exact_sequence(b, group, budget=3)
         assert verdict.is_yes
         words = dict(verdict.certificate.parts)
         assert words["kernel"] == words["linear"] == ("e",)
+        proof = exact_sequence_check(b, group, budget=3)
+        assert proof.is_yes
+        assert [name for name, _ in proof.certificate.parts] == [
+            "generator 0", "inverse 0", "projection"]
 
     def test_base_map_that_disagrees_with_the_total_map_is_refuted(self):
-        # phi moves the base point but varphi claims it stays put; built
-        # directly, since bundle_group would refuse the pair
         b = line_bundle()
-        drift = BundleMorphism(
-            smooth_map(b.total, b.total, ["x0 + 1", "x1"]), identity_map(b.base)
-        )
-        back = BundleMorphism(
-            smooth_map(b.total, b.total, ["x0 - 1", "x1"]), identity_map(b.base)
-        )
-        group = FinGenGroup("drift", b, (drift,), (back,))
-        verdict = exact_sequence_check(b, group, budget=1)
+        group = drift_group(b)
+        verdict = word_by_word_exact_sequence(b, group, budget=1)
         assert verdict.is_no
         assert verdict.obstruction.kind == "exact-sequence"
         assert "g0: kernel without linearity" in verdict.obstruction.detail
         assert "e after g0: component 0 differs at (" in verdict.obstruction.detail
         assert "Fraction(" not in verdict.obstruction.detail
 
+        # the certificate proof refuses the generator's own square
+        proof = exact_sequence_check(b, group, budget=1)
+        assert proof.is_no
+        assert proof.obstruction.kind == "exact-sequence"
+        assert proof.obstruction.detail.startswith(
+            "generator 0: morphism: square: component 0 differs at (")
+        assert "Fraction(" not in proof.obstruction.detail
 
     def test_uncertified_differences_leave_the_sequence_unknown(self, monkeypatch):
         # separated differences turned uncertified: translations are then
@@ -169,31 +305,74 @@ class TestExactSequence:
         b = line_bundle()
         group = scale_translate_group(b)
         plant_uncertified(monkeypatch)
-        verdict = exact_sequence_check(b, group, budget=2)
+        verdict = word_by_word_exact_sequence(b, group, budget=2)
         assert verdict.is_unknown
         assert verdict.detail.startswith("g1: kernel test: component 0 not certified equal")
+        # the generator certificates are agreements, which the plant leaves
+        # alone, and the proof reads no word difference
+        assert exact_sequence_check(b, group, budget=2).is_yes
 
     def test_uncertified_drift_is_unknown_not_refuted(self, monkeypatch):
         b = line_bundle()
-        drift = BundleMorphism(
-            smooth_map(b.total, b.total, ["x0 + 1", "x1"]), identity_map(b.base)
-        )
-        back = BundleMorphism(
-            smooth_map(b.total, b.total, ["x0 - 1", "x1"]), identity_map(b.base)
-        )
-        group = FinGenGroup("drift", b, (drift,), (back,))
+        group = drift_group(b)
         plant_uncertified(monkeypatch)
-        verdict = exact_sequence_check(b, group, budget=1)
+        verdict = word_by_word_exact_sequence(b, group, budget=1)
         assert verdict.is_unknown
         assert "e after g0: component 0 not certified equal" in verdict.detail
         assert "g0: linearity test: component 0 not certified equal" in verdict.detail
+        for budget in (1, 4):
+            proof = exact_sequence_check(b, group, budget=budget)
+            assert proof.is_unknown
+            assert proof.detail.startswith("generator 0: square: component 0 not certified equal")
 
+    def test_an_inverse_that_does_not_invert_is_refuted(self):
+        b = line_bundle()
+        double = BundleMorphism(
+            smooth_map(b.total, b.total, ["x0", "2*x1"]), identity_map(b.base)
+        )
+        group = FinGenGroup("wrong", b, (double,), (double,))
+        proof = exact_sequence_check(b, group, budget=2)
+        assert proof.is_no
+        assert proof.obstruction.detail.startswith(
+            "generator 0 does not invert: component 1 differs at (")
+
+    @pytest.mark.parametrize("budget", [1, 2, 3, 4])
+    def test_proof_and_word_by_word_reference_agree(self, budget, tmp_path):
+        for name, group in cross_check_groups(tmp_path).items():
+            b = group.bundle
+            proof = exact_sequence_check(b, group, budget=budget)
+            reference = word_by_word_exact_sequence(b, group, budget=budget)
+            assert proof.status == reference.status, (name, proof, reference)
+            if reference.is_yes:
+                words = dict(reference.certificate.parts)
+                assert words["kernel"] == words["linear"], name
+                assert "kernel = linear part" in proof.detail
+
+    @pytest.mark.parametrize("group", ["scale-translate", "axis-swap"])
+    def test_the_proof_enumerates_no_word(self, group, monkeypatch, capsys):
+        reg = load_registry()
+        g = reg.group(group)
+        expected = exact_sequence_check(g.bundle, g, budget=4)
+        assert expected.is_yes
+
+        def no_words(*args, **kwargs):
+            raise AssertionError("exact_sequence_check enumerated words")
+
+        monkeypatch.setattr(autgroups, "enumerate_elements", no_words)
+        for budget in (1, 4, 8):
+            verdict = exact_sequence_check(g.bundle, g, budget=budget)
+            assert verdict == expected
+            assert verdict.certificate == expected.certificate
+        assert cli_main(["exact-sequence", "line-bundle", "scale-translate",
+                         "--budget", "8"]) == 0
+        capsys.readouterr()
 
     @pytest.mark.parametrize("bundle, group", [("line-bundle", "scale-translate"),
                                                ("cross-bundle", "axis-swap")])
     def test_projecting_first_gives_the_composed_pair(self, bundle, group):
-        # the pair loop computes (proj.a).b, so the fibre part of a.b is
-        # never built; composition is associative, in canonical form too
+        # the reference's pair loop computes (proj.a).b, so the fibre part
+        # of a.b is never built; composition is associative, in canonical
+        # form too
         reg = load_registry()
         _, proj = reg.bundle(bundle).projection.piece("")
         short = enumerate_elements(reg.group(group), 2)
@@ -206,29 +385,24 @@ class TestExactSequence:
 class TestExactSequenceMemos:
     MEMOS = (expr._gcd_of_items, expr._witness_expansion, expr._compose_rational)
 
-    def test_cold_warm_and_after_another_group_give_one_verdict(self):
+    def test_cold_warm_and_after_other_group_give_one_word_list(self):
         reg = load_registry()
 
-        def run(bundle, group):
-            return exact_sequence_check(reg.bundle(bundle), reg.group(group), budget=4)
+        def run(group):
+            return [(el.word, el.key()) for el in enumerate_elements(reg.group(group), 4)]
 
         for memo in self.MEMOS:
             memo.cache_clear()
-        cold = run("line-bundle", "scale-translate")
+        cold = run("scale-translate")
         hits = sum(memo.cache_info().hits for memo in self.MEMOS)
-        warm = run("line-bundle", "scale-translate")
+        warm = run("scale-translate")
         assert sum(memo.cache_info().hits for memo in self.MEMOS) > hits
-        assert run("cross-bundle", "axis-swap").is_yes
-        after_other = run("line-bundle", "scale-translate")
+        assert run("axis-swap")
+        after_other = run("scale-translate")
 
-        assert cold.is_yes
-        words = dict(cold.certificate.parts)
-        assert cold.certificate.summary == "153 reduced words"
-        assert len(words["kernel"]) == len(words["linear"]) == 25
-        for verdict in (warm, after_other):
-            assert verdict == cold
-            assert verdict.certificate.summary == cold.certificate.summary
-            assert dict(verdict.certificate.parts) == words
+        assert len(cold) == 153
+        assert warm == cold
+        assert after_other == cold
 
 
 class TestOrbits:

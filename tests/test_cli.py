@@ -238,8 +238,8 @@ class TestReports:
         assert first == second
 
     @pytest.mark.parametrize("seed, digest", [
-        ("0", "cb864d7f11b82efdd95b2dff4f0928b9fc138aae8f1a7a5f2f25f77e5096100f"),
-        ("7", "9c0e83fc2ed3602fed806703b1a175ff76e2551aef7441657ed64405df151dff"),
+        ("0", "606a4d51dc64c8dd1dbe13b2a603de46d37640f6bd42e3197a60e0e0298c031f"),
+        ("7", "90c4cb7fd92249b22434da71e053d844f640cf587b46daf9e05511d4e11a490d"),
     ])
     def test_full_suite_report_bytes_are_pinned(self, capsys, seed, digest):
         # a change that alters any verdict, witness or ordering changes the
@@ -253,22 +253,21 @@ class TestReports:
         assert all(c["verdict"] != "unknown" for c in cones)
 
     def test_exact_sequence_report_bytes_are_pinned(self, capsys):
-        # the rational group words: every gcd, witness and compose memo of
-        # the expression core shows up in these bytes
+        # the proof from the generator, inverse and projection certificates
         code, out, _ = run(capsys, "exact-sequence", "line-bundle", "scale-translate",
                            "--budget", "4")
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
-            "8e59a39b5b0632d681f7376f0ef4abd860897ac1e1062ee4b1ec0d2fae3a7087")
+            "fc25066be4ca267dcb89708f07684ab39825dc4305750991d7cb4a5b926f817c")
 
     def test_exact_sequence_report_bytes_are_pinned_at_budget_5(self, capsys):
-        # longer rational words, where a substitution that reduces further
-        # than the one these bytes were taken with would show first
+        # a larger budget only widens the certificate searches, so only the
+        # budget line differs from budget 4
         code, out, _ = run(capsys, "exact-sequence", "line-bundle", "scale-translate",
                            "--budget", "5")
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
-            "5b1f71b7643afc41c58eeaf3082819019ff0f07403f20b41afed0ac493a9c597")
+            "8f475b8e1910f2b3157ab7129ea9d118edac4b9ffdf89370e62d9c5987bab4de")
 
     def test_out_writes_the_report_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
