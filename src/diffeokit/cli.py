@@ -522,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tangent-cone", parents=[common], help="cone membership at a base point")
     p.add_argument("space")
     p.add_argument("point", help="rational coordinates, e.g. 0,0 or 1/2,-3")
-    p = sub.add_parser("bundle-validate", parents=[common], help="re-run bundle construction checks")
+    p = sub.add_parser("bundle-validate", parents=[common], help="bundle construction checks")
     p.add_argument("bundle")
     p = sub.add_parser(
         "exact-sequence", parents=[common], help="kernel = fiberwise linear part",

@@ -21,11 +21,12 @@ constancy equals global constancy.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .domains import Box, Domain, image_within
+from .domains import Box, Domain, format_point, image_within
 from .expr import Expr, ExprError, ExprVec
 from .linalg import AffineParts, affine_parts, rank, solve_rational
 
@@ -386,6 +387,9 @@ class DiffSpace:
         self.standard = standard
         self.generators_complete = generators_complete
         self._memo: dict = {}
+        # is_smooth verdicts of maps out of this space, by target and then
+        # (map key, budget); an entry goes when its target does
+        self._smooth: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         self._carrier_samples: dict[tuple[str, int], tuple[Point, ...]] = {}
         for g in self.generators:
             if g.component not in carrier.components():
@@ -768,9 +772,38 @@ def _relation_rewrites(space: DiffSpace):
     carrier = space.carrier
     if not isinstance(carrier, QuotientCarrier):
         return [], True
+    return _moves_from_pairs(carrier.relations)
+
+
+def _chain_rewrites(carrier: QuotientCarrier):
+    """The moves of every quotient down a chain of quotients, which
+    together generate the chain's identifications.  complete is False
+    also when a quotient hides below the chain, inside a product or a
+    union part: its relations act on a block these moves do not see."""
     moves = []
     complete = True
-    for rel in carrier.relations:
+    while isinstance(carrier, QuotientCarrier):
+        level_moves, level_complete = _moves_from_pairs(carrier.relations)
+        moves.extend(level_moves)
+        complete = complete and level_complete
+        carrier = carrier.base
+    return moves, complete and not _has_quotient(carrier)
+
+
+def _has_quotient(carrier: Carrier) -> bool:
+    if isinstance(carrier, QuotientCarrier):
+        return True
+    if isinstance(carrier, ProductCarrier):
+        return _has_quotient(carrier.left) or _has_quotient(carrier.right)
+    if isinstance(carrier, UnionCarrier):
+        return any(_has_quotient(part) for _, part in carrier.parts)
+    return False
+
+
+def _moves_from_pairs(relations: Sequence[RelationPair]):
+    moves = []
+    complete = True
+    for rel in relations:
         pair_moves, pair_complete = _moves_from_pair(rel)
         moves.extend(pair_moves)
         complete = complete and pair_complete
@@ -962,16 +995,40 @@ def identity_map(space: DiffSpace, name: str = "id") -> SmoothMap:
 def is_smooth(f: SmoothMap, budget: int = DEFAULT_BUDGET) -> Verdict:
     """Is f a smooth map of spaces?
 
-    Refutation path: a source carrier point whose image violates the
-    target carrier kills smoothness via a constant plot.  Yes paths: for
-    standard targets, target equations must vanish on the source carrier
-    (checked symbolically, with a bounded-degree multiplier search); for
-    generated targets, composites with a complete generator family must
-    all be plots.
+    Refutation paths: a source carrier point whose image violates the
+    target carrier kills smoothness via a constant plot, and out of a
+    quotient, a relation pair whose two sides f sends apart
+    (`respects_relation`).  Yes paths: for standard targets, target
+    equations must vanish on the source carrier (checked symbolically,
+    with a bounded-degree multiplier search); for generated targets,
+    composites with a complete generator family must all be plots.
+
+    Memoised on the source space by (target, map key, budget): the target
+    by identity and held weakly, so an entry lives as long as both spaces;
+    the budget exactly.  The map's name is not in the key; no verdict
+    reads it.
     """
+    memo = f.source._smooth.get(f.target)
+    if memo is None:
+        memo = f.source._smooth[f.target] = {}
+    key = (f.key(), budget)
+    verdict = memo.get(key)
+    if verdict is None:
+        verdict = memo[key] = _is_smooth_uncached(f, budget)
+    return verdict
+
+
+def _is_smooth_uncached(f: SmoothMap, budget: int) -> Verdict:
     bad = _map_carrier_violation(f)
     if bad is not None:
         return Verdict.no(bad)
+    carrier = f.source.carrier
+    while isinstance(carrier, QuotientCarrier):
+        for rel in carrier.relations:
+            v = respects_relation(f, rel, budget)
+            if not v.is_yes:
+                return v
+        carrier = carrier.base
 
     if f.target.standard:
         verdicts = []
@@ -1014,6 +1071,66 @@ def is_smooth(f: SmoothMap, budget: int = DEFAULT_BUDGET) -> Verdict:
     return conjunction("smooth", verdicts)
 
 
+def respects_relation(f: SmoothMap, rel: RelationPair, budget: int = DEFAULT_BUDGET) -> Verdict:
+    """Does f send the two sides of a relation pair to one point?
+
+    f after left and f after right are compared as maps of the pair's
+    domain by `_same_point`.  A no found where the target has no quotient
+    names a rational point p of the domain, left(p) ~ right(p) and their
+    two images, so it replays by exact evaluation."""
+    dst_l, vec_l = f.piece(rel.left_component)
+    dst_r, vec_r = f.piece(rel.right_component)
+    lhs = vec_l.compose(rel.left_map.components)
+    rhs = vec_r.compose(rel.right_map.components)
+    v = _same_point(f.target.carrier, dst_l, lhs, dst_r, rhs, rel.domain, budget)
+    if not (v.is_no and v.obstruction.kind == "relation"):
+        return v
+    p = v.obstruction.point
+    left, right = rel.left_map.eval(p), rel.right_map.eval(p)
+    detail = (f"{format_point(left)} ~ {format_point(right)} map to "
+              f"{format_point(vec_l.eval(left))} and {format_point(vec_r.eval(right))}")
+    if dst_l != dst_r:
+        detail += f" in components {dst_l!r} and {dst_r!r}"
+    return Verdict.no(Obstruction("relation", rel.left_component, p, detail))
+
+
+def _same_point(
+    carrier: Carrier, comp_a: str, a: ExprVec, comp_b: str, b: ExprVec,
+    domain: Domain, budget: int,
+) -> Verdict:
+    """Do two maps of domain into the carrier name one point everywhere?
+
+    A quotient compares by the rewrites of its whole chain, a product
+    block by block, a union part by part; elsewhere the maps must be
+    equal, and a no of kind relation holds a domain point where they
+    differ."""
+    if comp_a == comp_b and a == b:
+        return Verdict.yes(None)
+    if isinstance(carrier, QuotientCarrier):
+        met = _rewrites_meet(carrier, comp_a, a, comp_b, b, budget)
+        if met is None:
+            return Verdict.unknown(f"quotient rewrites from {comp_a!r}: depth cap {budget} hit or a move undecided")
+        if not met:
+            return Verdict.no(Obstruction("rewrite", comp_a, detail="no rewrite meets the other map"))
+        return Verdict.yes(None)
+    if isinstance(carrier, ProductCarrier):
+        n = carrier.left.ambient_dim("")
+        return conjunction("same point", [
+            _same_point(carrier.left, "", a.slice(0, n), "", b.slice(0, n), domain, budget),
+            _same_point(carrier.right, "", a.slice(n, len(a)), "", b.slice(n, len(b)), domain, budget),
+        ])
+    if isinstance(carrier, UnionCarrier) and comp_a == comp_b:
+        return _same_point(carrier.part(comp_a), "", a, "", b, domain, budget)
+    # images in different components differ everywhere
+    residuals = [] if comp_a != comp_b else [
+        next(x - y for x, y in zip(a.components, b.components) if x != y)
+    ]
+    p = nonzero_sample(residuals, domain, 200)
+    if p is None:
+        return Verdict.unknown("relation: the two sides differ as maps but at no sample point")
+    return Verdict.no(Obstruction("relation", point=p))
+
+
 def _map_carrier_violation(f: SmoothMap) -> Obstruction | None:
     for src, dst, vec in f.pieces:
         eqs = f.target.carrier.equations(dst)
@@ -1036,24 +1153,37 @@ def maps_equal(f: SmoothMap, g: SmoothMap) -> bool:
 
 
 def maps_equal_mod_relation(f: SmoothMap, g: SmoothMap, budget: int = DEFAULT_BUDGET) -> Verdict:
-    """Equality of maps into a quotient target, up to relation rewrites: no
-    only when every rewrite closure is complete and misses the other map."""
-    moves, complete = _relation_rewrites(f.target)
+    """Equality of maps into a quotient target, up to the rewrites of its
+    whole quotient chain: no only when every rewrite closure is complete
+    and misses the other map."""
     pending = ""
     for src, dst, vec in f.pieces:
         try:
             dst_g, vec_g = g.piece(src)
         except KeyError:
             return Verdict.no(Obstruction("component", component=src))
-        closure = _rewrite_closure(moves, dst, vec, budget)
-        try:
-            while next(closure) != (dst_g, vec_g):
-                pass
-        except StopIteration as end:
-            if complete and end.value:
-                return Verdict.no(Obstruction("rewrite", src, detail="no rewrite meets the other map"))
+        met = _rewrites_meet(f.target.carrier, dst, vec, dst_g, vec_g, budget)
+        if met is False:
+            return Verdict.no(Obstruction("rewrite", src, detail="no rewrite meets the other map"))
+        if met is None:
             pending = pending or f"quotient rewrites from {src!r}: depth cap {budget} hit or a move undecided"
     return Verdict.unknown(pending) if pending else Verdict.yes(None)
+
+
+def _rewrites_meet(
+    carrier: QuotientCarrier, comp_a: str, a: ExprVec, comp_b: str, b: ExprVec, budget: int
+) -> bool | None:
+    """Does the rewrite closure of (comp_a, a) under the moves of the
+    whole quotient chain reach (comp_b, b)?  False only when the closure
+    is exhaustive and the moves complete; None when undecided."""
+    moves, complete = _chain_rewrites(carrier)
+    closure = _rewrite_closure(moves, comp_a, a, budget)
+    try:
+        while next(closure) != (comp_b, b):
+            pass
+    except StopIteration as end:
+        return False if complete and end.value else None
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Word groups acting on bundles: exactness, orbits, families, frames."""
 
+import gc
 import json
 import random
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from diffeokit import autgroups, expr
+from diffeokit import autgroups, bundles, expr, spaces
 from diffeokit.autgroups import (
     BundleMorphism,
     FinGenGroup,
@@ -25,18 +26,21 @@ from diffeokit.autgroups import (
     typical_fiber_check,
     word_name,
 )
-from diffeokit.bundles import _difference_verdict
+from diffeokit.bundles import _difference_verdict, check_morphism, validate_bundle
 from diffeokit.cli import main as cli_main
 from diffeokit.domains import Domain
 from diffeokit.expr import ExprVec
 from diffeokit.fixtures import load_registry
 from diffeokit.spaces import (
+    DEFAULT_BUDGET,
     ChecksCert,
     Obstruction,
     Verdict,
+    all_hold,
     euclidean_space,
     identity_map,
     is_plot,
+    is_smooth,
     plot,
     smooth_map,
 )
@@ -403,6 +407,85 @@ class TestExactSequenceMemos:
         assert len(cold) == 153
         assert warm == cold
         assert after_other == cold
+
+
+class TestVerdictMemos:
+    """is_smooth, check_morphism and the bundle construction checks are
+    memoised on the objects they certify; a hit must be the verdict a run
+    without any of these memos computes."""
+
+    def registries(self, tmp_path):
+        path = tmp_path / "quotient-maps.json"
+        path.write_text(json.dumps({"maps": [
+            {"name": "unfold", "source": "quotient-sign", "target": "r1", "map": ["x0"]},
+            {"name": "fold", "source": "quotient-sign", "target": "r1", "map": ["x0^2"]},
+        ]}), encoding="utf-8")
+        regs = [load_registry([path])]
+        for seed in (0, 7):
+            suite_group(seed, tmp_path)  # writes suite-SEED.json
+            regs.append(load_registry([tmp_path / f"suite-{seed}.json"]))
+        return regs
+
+    def test_every_hit_equals_the_unmemoised_verdict(self, tmp_path, monkeypatch):
+        budget = DEFAULT_BUDGET
+        maps, morphisms, built = [], [], []
+        for reg in self.registries(tmp_path):
+            maps.extend(reg.maps.values())
+            for b in reg.bundles.values():
+                maps.extend((b.projection, b.add, b.scale, b.zero))
+                built.append(b)
+            for group in reg.groups.values():
+                for m in group.generators + group.inverses:
+                    maps.extend((m.phi, m.varphi))
+                    morphisms.append((m, group.bundle))
+        smooth = [(is_smooth(f, budget), is_smooth(f, budget)) for f in maps]
+        morph = [(check_morphism(m, b, b, budget), check_morphism(m, b, b, budget))
+                 for m, b in morphisms]
+        valid = [(validate_bundle(b, budget), validate_bundle(b, budget)) for b in built]
+        assert all(first is hit for first, hit in smooth + morph + valid)
+        assert {v.status for v, _ in smooth} == {"yes", "no"}
+
+        # the same checks with every memo of the three bypassed
+        for module in (spaces, bundles):
+            monkeypatch.setattr(module, "is_smooth", spaces._is_smooth_uncached)
+        assert [hit for _, hit in smooth] == [
+            spaces._is_smooth_uncached(f, budget) for f in maps
+        ]
+        assert [hit for _, hit in morph] == [
+            bundles._check_morphism_uncached(m, b, b, budget) for m, b in morphisms
+        ]
+        assert [hit for _, hit in valid] == [
+            all_hold("construction checks replayed", bundles._construction_checks(b, budget, 6))
+            for b in built
+        ]
+
+    def test_registry_groups_are_certified_once(self, monkeypatch):
+        reg = load_registry()
+        runs = []
+        for name in ("_check_morphism_uncached", "_construction_checks"):
+            real = getattr(bundles, name)
+            monkeypatch.setattr(
+                bundles, name, lambda *a, real=real, name=name: runs.append(name) or real(*a)
+            )
+        for group in reg.groups.values():
+            assert exact_sequence_check(group.bundle, group, DEFAULT_BUDGET).is_yes
+        for b in reg.bundles.values():
+            assert validate_bundle(b).is_yes
+        assert runs == []
+        # a budget the registry was not built at certifies afresh
+        group = reg.group("scale-translate")
+        assert exact_sequence_check(group.bundle, group, DEFAULT_BUDGET + 1).is_yes
+        assert runs.count("_check_morphism_uncached") == 2 * len(group.generators)
+
+    def test_an_entry_goes_with_its_target(self):
+        # homotopy_to_zero checks a map from the bundle into a quotient it
+        # builds for that call; the bundle keeps no entry for it afterwards
+        b = load_registry().bundle("line-bundle")
+        before = set(b.total._smooth.keys())
+        for _ in range(2):
+            assert bundles.homotopy_to_zero(b).is_yes
+        gc.collect()
+        assert set(b.total._smooth.keys()) == before
 
 
 class TestOrbits:

@@ -1,5 +1,6 @@
 """Bundle assembly, fiber charts, morphism inversion, deformation to zero."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,9 @@ from diffeokit.spaces import (
     euclidean_space,
     generated_space,
     identity_map,
+    product_space,
     smooth_map,
+    subset_space,
 )
 
 
@@ -138,7 +141,8 @@ class TestConstruction:
         ]
 
     def test_open_check_is_unknown_and_still_refused(self, monkeypatch):
-        b = line_bundle()
+        # a copy of the built bundle has an empty memo, so the checks rerun
+        b = dataclasses.replace(line_bundle())
         monkeypatch.setattr(bundles, "is_subduction", lambda *a, **k: Verdict.unknown("planted"))
         verdict = validate_bundle(b)
         assert verdict.is_unknown
@@ -150,8 +154,9 @@ class TestConstruction:
 
     def test_uncertified_difference_is_unknown(self, monkeypatch):
         # a difference neither certified zero nor separated at a sample
-        # point leaves the fiberwise check open, not refuted
-        b = line_bundle()
+        # point leaves the fiberwise check open, not refuted; a copy of the
+        # built bundle has an empty memo, so the checks rerun
+        b = dataclasses.replace(line_bundle())
         monkeypatch.setattr(
             bundles, "difference_witness",
             lambda *a, **k: "component 0 not certified equal",
@@ -163,6 +168,82 @@ class TestConstruction:
     def test_zero_bundle_has_point_fibers(self):
         zb = zero_bundle(euclidean_space(2))
         assert fiber_at(zb, (Fraction(1), Fraction(-3))).dim == 0
+
+
+class TestVerdictMemos:
+    def count_runs(self, monkeypatch, name):
+        """Record each run of the bundles helper `name` behind a memo."""
+        runs = []
+        real = getattr(bundles, name)
+        monkeypatch.setattr(bundles, name, lambda *a: runs.append(a) or real(*a))
+        return runs
+
+    def test_validate_returns_the_construction_verdict(self, monkeypatch):
+        b = line_bundle()
+        runs = self.count_runs(monkeypatch, "_construction_checks")
+        verdict = validate_bundle(b)
+        assert verdict.is_yes
+        assert runs == []
+        assert validate_bundle(b) is verdict
+        # another budget or sample count runs the checks afresh
+        assert validate_bundle(b, budget=5) == verdict
+        assert validate_bundle(b, sample_count=3) == verdict
+        assert len(runs) == 2
+
+    def test_same_formulas_into_another_bundle_are_kept_apart(self):
+        b = line_bundle()
+        # the same spaces with the fiber origin moved to (x, x)
+        twisted = build_bundle(
+            "twisted", b.total, b.base,
+            add=["x0", "x1 + x3 - x0"],
+            scale=["x1", "x0*(x2 - x1) + x1"],
+            zero=["x0", "x0"],
+        )
+        ident = BundleMorphism(identity_map(b.total), identity_map(b.base))
+        assert check_morphism(ident, b, b).is_yes
+        moved = check_morphism(ident, b, twisted)
+        assert moved.is_no
+        assert moved.obstruction.detail.startswith("additivity: ")
+        assert check_morphism(ident, b, b).is_yes
+
+    def test_same_formulas_over_another_space_are_kept_apart(self):
+        b = line_bundle()
+        ident = BundleMorphism(identity_map(b.total), identity_map(b.base))
+        assert check_morphism(ident, b, b).is_yes
+        axis = subset_space("axis", euclidean_space(2), ExprVec.parse(["x1"], 2).components)
+        onto_axis = BundleMorphism(
+            smooth_map(b.total, axis, ["x0", "x1"]), identity_map(b.base)
+        )
+        verdict = check_morphism(onto_axis, b, b)
+        assert verdict.is_no
+        assert verdict.obstruction.kind == "point-image"
+
+    def test_a_morphism_hit_runs_no_check_and_budgets_are_exact(self, monkeypatch):
+        b = line_bundle()
+        stretch = BundleMorphism(
+            smooth_map(b.total, b.total, ["x0", "(x0^2 + 1)*x1"]), identity_map(b.base)
+        )
+        first = check_morphism(stretch, b, b)
+        runs = self.count_runs(monkeypatch, "_check_morphism_uncached")
+        renamed = BundleMorphism(
+            smooth_map(b.total, b.total, ["x0", "x1 + x0^2*x1"], name="stretch"),
+            identity_map(b.base, name="base"),
+        )
+        assert check_morphism(renamed, b, b) is first
+        assert runs == []
+        assert check_morphism(stretch, b, b, budget=5) == first
+        assert len(runs) == 1
+
+    def test_scale_given_as_a_map_must_act_on_r_times_the_total_space(self):
+        total, base = euclidean_space(2), euclidean_space(1)
+        texts = dict(add=["x0", "x1 + x3"], zero=["x0", "0"])
+        scalars = product_space("R*E", euclidean_space(1), total)
+        scale = smooth_map(scalars, total, ["x1", "x0*x2"])
+        b = build_bundle("given", total, base, scale=scale, **texts)
+        assert b.scale is scale
+        flat = smooth_map(euclidean_space(3), total, ["x1", "x0*x2"])
+        with pytest.raises(ValueError, match="scale must act on R times"):
+            build_bundle("flat", total, base, scale=flat, **texts)
 
 
 class TestMorphisms:

@@ -166,6 +166,36 @@ class TestExitCodes:
         assert code == 1
         assert "pullback mismatch" in out
 
+    def test_map_that_unfolds_a_quotient_is_not_smooth(self, capsys, tmp_path):
+        # [1] = [-1] in quotient-sign, but x -> x sends them to 1 and -1
+        doc = {"maps": [
+            {"name": "unfold", "source": "quotient-sign", "target": "r1", "map": ["x0"]},
+            {"name": "fold", "source": "quotient-sign", "target": "r1", "map": ["x0^2"]},
+        ]}
+        path = tmp_path / "unfold.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, _ = run(capsys, "smooth", "unfold", "--fixtures", str(path))
+        assert code == 1
+        assert "relation: at (-1): (-1) ~ (1) map to (-1) and (1)" in out
+        code, out, _ = run(capsys, "smooth", "fold", "--fixtures", str(path))
+        assert code == 0
+        assert "yes      smooth:fold" in out
+
+    def test_bundle_over_a_quotient_with_an_unfolding_zero_section_is_refused(
+        self, capsys, tmp_path
+    ):
+        # line-bundle's maps over quotient-sign: the zero section [x] -> (x, 0)
+        # sends [1] = [-1] to two points
+        doc = {"bundles": [{
+            "name": "split", "total": "r2", "base": "quotient-sign",
+            "add": ["x0", "x1 + x3"], "scale": ["x1", "x0*x2"], "zero": ["x0", "0"],
+        }]}
+        path = tmp_path / "split.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, _, err = run(capsys, "bundle-validate", "split", "--fixtures", str(path))
+        assert code == 2
+        assert "bundle 'split': zero-smooth: (-1) ~ (1) map to (-1, 0) and (1, 0)" in err
+
     def test_refused_group_names_the_failed_law(self, capsys, tmp_path):
         # x0 + x1 moves the base point with the fiber coordinate, so the
         # projection square fails, e.g. at (0, -1)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from diffeokit import spaces
 from diffeokit.domains import SAMPLE_MAX_DEN, Box, Domain, Interval, _domain_samples
 from diffeokit.expr import Expr, ExprVec
 from diffeokit.spaces import (
@@ -431,6 +432,136 @@ class TestSmoothness:
         )
         assert vanishes_on_carrier(sub, Expr.parse("x0^2*x1", 2))
         assert not vanishes_on_carrier(sub, Expr.parse("x0 + x1", 2))
+
+
+class TestMapsOutOfQuotients:
+    """A map out of a quotient must send the two sides of every relation
+    pair to one point: [1] = [-1] in R/(x ~ -x)."""
+
+    def sign_quotient(self):
+        rel = RelationPair("", ExprVec.identity(1), "", ExprVec.parse(["-x0"], 1), R1)
+        space, _ = quotient_space("half-line", euclidean_space(1), [rel])
+        return space, rel
+
+    def test_unfolding_the_quotient_is_refuted_at_a_replayable_point(self):
+        space, rel = self.sign_quotient()
+        f = smooth_map(space, euclidean_space(1), ["x0"])
+        v = is_smooth(f)
+        assert v.is_no
+        ob = v.obstruction
+        assert ob.kind == "relation"
+        # replay by exact evaluation: p's two sides are related, their
+        # images are not equal
+        left, right = rel.left_map.eval(ob.point), rel.right_map.eval(ob.point)
+        _, vec = f.piece("")
+        assert vec.eval(left) != vec.eval(right)
+        assert ob.detail == (
+            f"({left[0]}) ~ ({right[0]}) map to ({vec.eval(left)[0]}) and ({vec.eval(right)[0]})"
+        )
+
+    def test_even_maps_stay_smooth(self):
+        space, _ = self.sign_quotient()
+        assert is_smooth(smooth_map(space, euclidean_space(1), ["x0^2"])).is_yes
+        assert is_smooth(smooth_map(space, euclidean_space(2), ["x0^2", "x0^4 - 1"])).is_yes
+
+    def test_into_a_quotient_the_sides_may_differ_by_the_relation(self):
+        space, _ = self.sign_quotient()
+        assert is_smooth(identity_map(space)).is_yes
+        assert is_smooth(smooth_map(space, space, ["x0^3"])).is_yes
+        shifted = is_smooth(smooth_map(space, space, ["x0 + 1"]))
+        assert shifted.is_no
+        assert shifted.obstruction.kind == "rewrite"
+
+    def nested_quotient(self):
+        flip_x = RelationPair("", ExprVec.identity(2), "", ExprVec.parse(["-x0", "x1"], 2), R2)
+        flip_y = RelationPair("", ExprVec.identity(2), "", ExprVec.parse(["x0", "-x1"], 2), R2)
+        inner, _ = quotient_space("mod-x", euclidean_space(2), [flip_x])
+        nested, _ = quotient_space("mod-x-mod-y", inner, [flip_y])
+        return nested
+
+    def test_nested_quotients_check_every_relation(self):
+        nested = self.nested_quotient()
+        r1 = euclidean_space(1)
+        assert is_smooth(smooth_map(nested, r1, ["x0^2 + x1^2"])).is_yes
+        # respects the outer pair, not the inner one
+        v = is_smooth(smooth_map(nested, r1, ["x0 + x1^2"]))
+        assert v.is_no
+        assert v.obstruction.kind == "relation"
+
+    def test_into_a_nested_quotient_every_level_rewrites(self):
+        nested = self.nested_quotient()
+        # the inner pair's sides (x0, x1) and (-x0, x1) meet only by the
+        # inner quotient's rewrite
+        assert is_smooth(identity_map(nested)).is_yes
+        assert is_smooth(smooth_map(nested, nested, ["x1", "x0"])).is_yes
+        # [(a, 1 + b)] and [(a, 1 - b)] differ unless b = 0
+        shifted = is_smooth(smooth_map(nested, nested, ["x0", "x1 + 1"]))
+        assert shifted.is_no
+        assert shifted.obstruction.kind == "rewrite"
+
+    def test_into_a_product_with_a_quotient_factor(self):
+        space, rel = self.sign_quotient()
+        both = product_space("half-line*R", space, euclidean_space(1))
+        assert is_smooth(smooth_map(space, both, ["x0", "x0^2"])).is_yes
+        # equal in the quotient factor, apart in the line
+        v = is_smooth(smooth_map(space, both, ["x0", "x0"]))
+        assert v.is_no
+        assert v.obstruction.kind == "relation"
+        left, right = rel.left_map.eval(v.obstruction.point), rel.right_map.eval(v.obstruction.point)
+        assert left[0] != right[0]
+
+    def test_into_a_union_with_a_quotient_part(self):
+        space, _ = self.sign_quotient()
+        union = union_space("half-line+R", (("q", space), ("r", euclidean_space(1))))
+        assert is_smooth(smooth_map(space, union, {"": ("q", ["x0"])})).is_yes
+        assert is_smooth(smooth_map(space, union, {"": ("r", ["x0"])})).is_no
+
+    def test_a_quotient_below_a_product_leaves_other_rewrites_open(self):
+        space, _ = self.sign_quotient()
+        flip = RelationPair("", ExprVec.identity(2), "", ExprVec.parse(["x0", "-x1"], 2), R2)
+        outer, _ = quotient_space(
+            "outer", product_space("half-line*R", space, euclidean_space(1)), [flip]
+        )
+        assert is_smooth(identity_map(outer)).is_yes
+        # the sides (a*b, b^2) and (-a*b, b^2) are one point through the
+        # factor's own relation, which the outer rewrites do not reach
+        v = is_smooth(smooth_map(outer, outer, ["x0*x1", "x1^2"]))
+        assert v.is_unknown
+
+    def test_images_in_different_components_differ(self):
+        rel = RelationPair("a", ExprVec.identity(1), "b", ExprVec.identity(1), R1)
+        union = union_space("two-lines", (("a", euclidean_space(1)), ("b", euclidean_space(1))))
+        glued, _ = quotient_space("glued-lines", union, [rel])
+        target = union_space("pair", (("p", euclidean_space(1)), ("q", euclidean_space(1))))
+        apart = smooth_map(
+            glued, target, {"a": ("p", ["x0"]), "b": ("q", ["x0"])}
+        )
+        v = is_smooth(apart)
+        assert v.is_no
+        assert v.obstruction.detail.endswith("in components 'p' and 'q'")
+
+
+class TestSmoothMemo:
+    def test_same_formula_into_other_targets_is_kept_apart(self):
+        r1, r2 = euclidean_space(1), euclidean_space(2)
+        cross = axes_cross()
+        assert is_smooth(smooth_map(r1, r2, ["x0", "x0"])).is_yes
+        assert is_smooth(smooth_map(r1, cross, ["x0", "x0"])).is_no
+        assert is_smooth(smooth_map(r1, r2, ["x0", "x0"], name="other")).is_yes
+
+    def test_a_hit_is_the_stored_verdict_and_budgets_are_exact(self, monkeypatch):
+        cross = axes_cross()
+        f = smooth_map(cross, euclidean_space(1), ["x0 + x1"])
+        first = is_smooth(f, 4)
+        runs = []
+        real = spaces._is_smooth_uncached
+        monkeypatch.setattr(
+            spaces, "_is_smooth_uncached", lambda *a: runs.append(a) or real(*a)
+        )
+        assert is_smooth(f, 4) is first
+        assert runs == []
+        assert is_smooth(f, 5) == first
+        assert len(runs) == 1
 
 
 class TestSubduction:
