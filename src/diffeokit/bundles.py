@@ -43,6 +43,7 @@ from .spaces import (
     is_subduction,
     maps_equal,
     maps_equal_mod_relation,
+    memoised,
     product_space,
     pullback_space,
     quotient_space,
@@ -94,9 +95,10 @@ class PseudoBundle:
     scale: SmoothMap
     zero: SmoothMap
     pairs: DiffSpace
-    # verdict memos kept on the bundle: `check_morphism` with this bundle
-    # as the source (an entry holds the target bundle and the maps'
-    # spaces), and the construction checks by (budget, sample_count)
+    # verdict memos kept on the bundle, by the budget rule of
+    # `spaces.memoised`: `check_morphism` with this bundle as the source
+    # (an entry holds the target bundle and the maps' spaces), and the
+    # construction checks by sample_count
     _morphisms: dict = field(init=False, compare=False, repr=False, default_factory=dict)
     _validated: dict = field(init=False, compare=False, repr=False, default_factory=dict)
 
@@ -204,10 +206,10 @@ def validate_bundle(
 ) -> Verdict:
     """The construction-time checks of a built bundle: yes when all hold,
     otherwise the first refutation or the first check left open, named as
-    `all_hold` names it.  The verdict is memoised on the bundle by (budget,
-    sample_count), so at the budget and sample count `build_bundle` used
-    it is the verdict the construction computed; any other pair runs the
-    checks afresh."""
+    `all_hold` names it.  The verdict is memoised on the bundle by
+    sample_count and the budget rule of `spaces.memoised`, so with the
+    sample count `build_bundle` used, a bundle it accepted answers yes at
+    its budget and every larger one without running the checks again."""
     return _validate(bundle, budget, sample_count)
 
 
@@ -287,13 +289,12 @@ def _used_vars(components) -> set[int]:
 
 
 def _validate(bundle: PseudoBundle, budget: int, sample_count: int) -> Verdict:
-    key = (budget, sample_count)
-    verdict = bundle._validated.get(key)
-    if verdict is None:
-        verdict = bundle._validated[key] = all_hold(
+    return memoised(
+        bundle._validated.setdefault(sample_count, []), budget,
+        lambda: all_hold(
             "construction checks replayed", _construction_checks(bundle, budget, sample_count)
-        )
-    return verdict
+        ),
+    )
 
 
 def _construction_checks(bundle: PseudoBundle, budget: int, sample_count: int):
@@ -484,17 +485,15 @@ def check_morphism(
 
     Memoised on the source bundle by the canonical keys of phi and varphi,
     the source and target spaces of both maps and the target bundle (all
-    three by identity) and the exact budget.  No verdict reads a map's
-    name, so names are not in the key."""
+    three by identity), with the budget rule of `spaces.memoised`.  No
+    verdict reads a map's name, so names are not in the key."""
     key = (
         m.phi.key(), m.varphi.key(), m.phi.source, m.phi.target,
-        m.varphi.source, m.varphi.target, id(dst), budget,
+        m.varphi.source, m.varphi.target, id(dst),
     )
-    hit = src._morphisms.get(key)
-    if hit is None:
-        # the entry holds dst, so its id is not reused while the entry lives
-        hit = src._morphisms[key] = (dst, _check_morphism_uncached(m, src, dst, budget))
-    return hit[1]
+    # the entry holds dst, so its id is not reused while the entry lives
+    _, entries = src._morphisms.setdefault(key, (dst, []))
+    return memoised(entries, budget, lambda: _check_morphism_uncached(m, src, dst, budget))
 
 
 def _check_morphism_uncached(

@@ -70,19 +70,12 @@ may not; it is far slower on bivariate inputs, and on the inputs the
 commands meet the heuristic has not been seen to fail.  Both return the same
 monic polynomial over Q, so which one answered changes no result.
 
-Three steps of rational arithmetic are pure and recur with the same inputs,
-so each is memoised in a bounded `functools.lru_cache`:
-
-- `_memo_gcd`: the gcd `_normalize` cancels, keyed by the exact terms of
-  numerator and denominator (at most GCD_CACHE_SIZE entries);
-- `_witness_expansion`: the polynomial a `PositivityWitness` expands to,
-  which `verify` still compares with on every call (WITNESS_CACHE_SIZE);
-- `_compose_rational`: `Expr.compose` when the function or an argument is
-  rational, keyed by the canonical key and witness of each (COMPOSE_CACHE_SIZE).
-
-A hit equals a fresh result: composition rebuilds its inputs from the key,
-so the result depends on nothing else, and no memo hands out anything a
-caller could mutate (term dicts are copied out, expansions are read-only).
+One step is memoised, in a bounded `functools.lru_cache`: the polynomial a
+`PositivityWitness` expands to (`_witness_expansion`, WITNESS_CACHE_SIZE
+entries), which `verify` still compares with on every call.  The expansion
+is read-only, so no caller can change a later hit.  Gcds and rational
+compositions are computed afresh: since the exact-sequence check stopped
+composing group words, their inputs seldom recur.
 """
 
 from __future__ import annotations
@@ -100,13 +93,10 @@ Monomial = tuple[int, ...]
 Terms = dict[Monomial, Fraction]
 Scalar = Union[int, Fraction]
 
-# Entries held by the three memos of rational arithmetic (see the module
-# docstring).  `exact-sequence line-bundle scale-translate --budget 6` meets
-# 1,212 distinct gcd inputs, 166 witnesses and 686 rational compositions;
-# `all --budget 4` meets 215, 38 and 183.
-GCD_CACHE_SIZE = 4096
+# Witness expansions held by `_witness_expansion`.  `all --budget 4` and
+# `exact-sequence line-bundle scale-translate --budget 6` each meet 7
+# distinct witnesses; a bench pass at seed 0 meets 7 to 13.
 WITNESS_CACHE_SIZE = 1024
-COMPOSE_CACHE_SIZE = 4096
 # Reduced matrices held by `linalg._reduced`, keyed by matrix and augment
 # width.  At seed 0 the membership bench pass meets 7 distinct matrices,
 # the calculus pass 555 distinct inversions and the suite pass about 110.
@@ -367,20 +357,6 @@ def _monic(a: Terms) -> Terms:
     if lead == 1:
         return a
     return _scale(a, 1 / lead)
-
-
-def _memo_gcd(a: Terms, b: Terms, arity: int) -> Terms:
-    """`_gcd` memoised on the exact terms; each call gets its own dict.
-
-    The key is the terms in dict order, which holds less memory than a
-    frozenset; at `exact-sequence line-bundle scale-translate --budget 4`
-    it misses 4 of the 320 hits a frozenset key gets."""
-    return dict(_gcd_of_items(tuple(a.items()), tuple(b.items()), arity))
-
-
-@functools.lru_cache(maxsize=GCD_CACHE_SIZE)
-def _gcd_of_items(a: tuple, b: tuple, arity: int) -> tuple:
-    return tuple(_gcd(dict(a), dict(b), arity).items())
 
 
 def _gcd(a: Terms, b: Terms, arity: int) -> Terms:
@@ -906,24 +882,7 @@ class Expr:
         ):
             # every argument the polynomial reads is a polynomial
             return Expr(out_arity, _subst_poly(self.num, [a.num for a in args], out_arity))
-        key, witness = _compose_rational(
-            (self.canonical_key(), self.den_witness),
-            tuple((a.canonical_key(), a.den_witness) for a in args),
-        )
-        return Expr._from_key(key, witness)
-
-    @staticmethod
-    def _from_key(key: tuple, witness: PositivityWitness | None) -> "Expr":
-        """The Expr whose canonical key and witness these are, already
-        normalised, with fresh term dicts."""
-        arity, num, den = key
-        e = object.__new__(Expr)
-        object.__setattr__(e, "arity", arity)
-        object.__setattr__(e, "num", dict(num))
-        object.__setattr__(e, "den", dict(den))
-        object.__setattr__(e, "den_witness", witness)
-        object.__setattr__(e, "_key", key)
-        return e
+        return _compose_rational(self, args)
 
     def eval(self, point: Sequence[Scalar]) -> Fraction:
         if len(point) != self.arity:
@@ -982,7 +941,7 @@ def _normalize(
     # prefer a positive leading denominator before looking for witnesses
     if _leading(den)[1] < 0:
         num, den = _neg(num), _neg(den)
-    g = _memo_gcd(num, den, arity)
+    g = _gcd(num, den, arity)
     if not _is_constant(g):
         num2 = _div_exact(num, g)
         den2 = _div_exact(den, g)
@@ -1126,19 +1085,13 @@ def _subst_factor(
     return n if e == top else _mul(n, power(q, top - e))
 
 
-@functools.lru_cache(maxsize=COMPOSE_CACHE_SIZE)
-def _compose_rational(fn: tuple, args: tuple) -> tuple[tuple, PositivityWitness | None]:
-    """fn(args) as (canonical key, witness), for a rational fn or argument.
-
-    Each input is a (canonical key, witness) pair and is rebuilt from it, so
-    the result depends on nothing else and a memo hit equals a fresh call."""
-    fn_e = Expr._from_key(*fn)
-    args_e = [Expr._from_key(*a) for a in args]
-    out_arity = args_e[0].arity
-    num_e = _subst_terms(fn_e.num, args_e, out_arity)
-    if fn_e.is_polynomial:  # a polynomial's denominator is 1
-        return num_e.canonical_key(), num_e.den_witness
-    den_e = _subst_terms(fn_e.den, args_e, out_arity)
+def _compose_rational(fn: Expr, args: Sequence[Expr]) -> Expr:
+    """fn(args) when fn or an argument it reads is rational."""
+    out_arity = args[0].arity
+    num_e = _subst_terms(fn.num, args, out_arity)
+    if fn.is_polynomial:  # a polynomial's denominator is 1
+        return num_e
+    den_e = _subst_terms(fn.den, args, out_arity)
     if den_e.is_zero():
         raise ExprError("denominator vanished under substitution")
     # result = (num_e / den_e); assemble with every witness we can carry
@@ -1146,7 +1099,7 @@ def _compose_rational(fn: tuple, args: tuple) -> tuple[tuple, PositivityWitness 
     rnum = _mul(num_e.num, den_e.den)
     rden = _mul(num_e.den, den_e.num)
     witness = None
-    transported = _composed_witness(fn_e, args_e, den_e)
+    transported = _composed_witness(fn, args, den_e)
     if transported is not None:
         hints[_terms_key(den_e.num)] = transported
         if _is_constant(num_e.den):
@@ -1154,8 +1107,7 @@ def _compose_rational(fn: tuple, args: tuple) -> tuple[tuple, PositivityWitness 
             witness = transported
         elif num_e.den_witness is not None:
             witness = _witness_mul(num_e.den_witness, transported)
-    out = Expr(out_arity, rnum, rden, witness, hints)
-    return out.canonical_key(), out.den_witness
+    return Expr(out_arity, rnum, rden, witness, hints)
 
 
 def _composed_witness(

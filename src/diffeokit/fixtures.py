@@ -528,6 +528,14 @@ def _fraction(value, where: str) -> Fraction:
     raise FixtureError(f"{where}: expected an integer or 'p/q' string, got {value!r}")
 
 
+def _integer(value, where: str, what: str, least: int = 0) -> int:
+    """A JSON integer of at least `least`.  JSON true and false are refused,
+    though Python counts them as the integers 1 and 0."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise FixtureError(f"{where}: bad {what} {value!r}")
+    return value
+
+
 def _list(value, where: str, what: str) -> list:
     if not isinstance(value, list):
         raise FixtureError(f"{where}: {what} must be a list")
@@ -560,15 +568,11 @@ def _expr_vec(value, arity: int, where: str) -> ExprVec:
 
 
 def _parse_domain(value, where: str) -> Domain:
-    if isinstance(value, int):
-        if value < 0:
-            raise FixtureError(f"{where}: negative domain dimension")
-        return Domain.full(value)
+    if isinstance(value, int):  # true and false too, which `_integer` refuses
+        return Domain.full(_integer(value, where, "domain dimension"))
     if not isinstance(value, dict) or "dim" not in value:
         raise FixtureError(f"{where}: domain must be an integer or {{'dim', 'boxes'}}")
-    dim = value["dim"]
-    if not isinstance(dim, int) or dim < 0:
-        raise FixtureError(f"{where}: bad domain dimension {dim!r}")
+    dim = _integer(value["dim"], where, "domain dimension")
     raw_boxes = value.get("boxes")
     if raw_boxes is None:
         return Domain.full(dim)
@@ -594,17 +598,15 @@ def _parse_domain(value, where: str) -> Domain:
 
 def _parse_carrier(value, carriers: dict[str, Carrier]) -> Carrier:
     where = "carrier"
-    if isinstance(value, int):
-        return EuclideanCarrier(value)
     if isinstance(value, str):
         if value not in carriers:
             raise FixtureError(f"unknown carrier {value!r}")
         return carriers[value]
+    if isinstance(value, int):  # true and false too, which `_integer` refuses
+        return EuclideanCarrier(_integer(value, where, "dimension"))
     if not isinstance(value, dict) or "dim" not in value:
         raise FixtureError(f"{where}: expected a dimension, a name, or {{'dim', 'equations'}}")
-    dim = value["dim"]
-    if not isinstance(dim, int) or dim < 0:
-        raise FixtureError(f"{where}: bad dimension {dim!r}")
+    dim = _integer(value["dim"], where, "dimension")
     eq_texts = value.get("equations", [])
     if not eq_texts:
         return EuclideanCarrier(dim)
@@ -648,11 +650,11 @@ def _load_map(reg: FixtureRegistry, block: dict) -> None:
     name = _name_of(block, "map")
     source = reg.space(str(block.get("source")))
     target = reg.space(str(block.get("target")))
-    texts = _texts(block.get("map"), f"map {name!r}")
+    vec = _expr_vec(block.get("map"), source.carrier.ambient_dim(""), f"map {name!r}")
     try:
-        built = smooth_map(source, target, texts, name=name)
-    except ExprError as err:
-        raise FixtureError(f"map {name!r}: {err}") from err
+        built = smooth_map(source, target, vec, name=name)
+    except ExprError as err:  # the message names the map
+        raise FixtureError(str(err)) from err
     reg._add(reg.maps, name, built, "map")
 
 
@@ -765,10 +767,8 @@ def _load_form(reg: FixtureRegistry, block: dict) -> None:
     name = _name_of(block, "form")
     where = f"form {name!r}"
     plots = _plot_family(reg, block, where)
-    degree = block.get("degree")
-    if not isinstance(degree, int) or degree < 0:
-        raise FixtureError(f"{where}: bad degree {degree!r}")
-    value_dim = block.get("value_dim", 1)
+    degree = _integer(block.get("degree"), where, "degree")
+    value_dim = _integer(block.get("value_dim", 1), where, "value_dim", least=1)
     per_gen = block.get("per_generator_coefficients")
     if not isinstance(per_gen, list) or len(per_gen) != len(plots):
         raise FixtureError(
@@ -805,9 +805,7 @@ def _load_connection(reg: FixtureRegistry, block: dict) -> None:
     name = _name_of(block, "connection")
     where = f"connection {name!r}"
     plots = _plot_family(reg, block, where)
-    k = block.get("fiber_dim", 1)
-    if not isinstance(k, int) or k < 1:
-        raise FixtureError(f"{where}: bad fiber_dim {k!r}")
+    k = _integer(block.get("fiber_dim", 1), where, "fiber_dim", least=1)
     per_gen = block.get("per_generator_A")
     if not isinstance(per_gen, list) or len(per_gen) != len(plots):
         raise FixtureError(f"{where}: per_generator_A needs one entry per generator")
@@ -842,9 +840,7 @@ def _load_affine(reg: FixtureRegistry, block: dict) -> None:
 def _load_frame_model(reg: FixtureRegistry, block: dict) -> None:
     name = _name_of(block, "frame_model")
     where = f"frame_model {name!r}"
-    k = block.get("dim_F")
-    if not isinstance(k, int) or k < 1:
-        raise FixtureError(f"{where}: bad dim_F {k!r}")
+    k = _integer(block.get("dim_F"), where, "dim_F", least=1)
     raw_frames = block.get("frames")
     if not isinstance(raw_frames, list) or not raw_frames:
         raise FixtureError(f"{where}: needs a nonempty 'frames' list")

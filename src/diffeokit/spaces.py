@@ -24,7 +24,7 @@ import itertools
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .domains import Box, Domain, format_point, image_within
 from .expr import Expr, ExprError, ExprVec
@@ -386,11 +386,11 @@ class DiffSpace:
         self.provenance = provenance
         self.standard = standard
         self.generators_complete = generators_complete
+        # is_plot verdicts by candidate key
         self._memo: dict = {}
         # is_smooth verdicts of maps out of this space, by target and then
-        # (map key, budget); an entry goes when its target does
+        # map key; an entry goes when its target does
         self._smooth: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-        self._carrier_samples: dict[tuple[str, int], tuple[Point, ...]] = {}
         for g in self.generators:
             if g.component not in carrier.components():
                 raise ExprError(f"generator component {g.component!r} not in carrier")
@@ -404,17 +404,7 @@ class DiffSpace:
         return [(i, g) for i, g in enumerate(self.generators) if g.component == component]
 
     def sample_carrier_points(self, component: str = "", count: int = 12) -> list[Point]:
-        """Points guaranteed to lie on the carrier, via generator images.
-
-        Memoised per space by (component, count); each call gets its own list."""
-        key = (component, count)
-        points = self._carrier_samples.get(key)
-        if points is None:
-            points = self._carrier_samples[key] = tuple(self._carrier_points(component, count))
-        return list(points)
-
-    def _carrier_points(self, component: str, count: int) -> list[Point]:
-        """`sample_carrier_points` without the memo."""
+        """Points guaranteed to lie on the carrier, via generator images."""
         eqs = self.carrier.equations(component)
         out: list[Point] = []
         seen: set[Point] = set()
@@ -438,18 +428,32 @@ class DiffSpace:
 # ---------------------------------------------------------------------------
 
 
+def memoised(
+    entries: list[tuple[int, Verdict]], budget: int, run: Callable[[], Verdict]
+) -> Verdict:
+    """The verdict at this budget from a memo's (budget, verdict) entries,
+    else `run()`, stored at this budget.
+
+    A yes or no found at budget b serves every budget >= b: its certificate
+    or obstruction does not depend on how far a search was allowed to go.
+    An unknown found at b serves every budget <= b, which searches less.
+    `is_plot`, `is_smooth`, `check_morphism` and the bundle construction
+    checks keep their verdicts by this rule."""
+    for stored, verdict in entries:
+        if stored >= budget if verdict.is_unknown else stored <= budget:
+            return verdict
+    verdict = run()
+    entries.append((budget, verdict))
+    return verdict
+
+
 def is_plot(space: DiffSpace, candidate: Plot, budget: int = DEFAULT_BUDGET) -> Verdict:
     """Decide membership of the candidate in the space's diffeology."""
     # one lookup: the key is a tuple of Fraction keys, rehashed on each use
-    entries = space._memo.setdefault(candidate.key(), [])
-    for stored_budget, verdict in entries:
-        if not verdict.is_unknown and stored_budget <= budget:
-            return verdict
-        if verdict.is_unknown and stored_budget >= budget:
-            return verdict
-    verdict = _is_plot_uncached(space, candidate, budget)
-    entries.append((budget, verdict))
-    return verdict
+    return memoised(
+        space._memo.setdefault(candidate.key(), []), budget,
+        lambda: _is_plot_uncached(space, candidate, budget),
+    )
 
 
 def _is_plot_uncached(space: DiffSpace, candidate: Plot, budget: int) -> Verdict:
@@ -932,6 +936,22 @@ class SmoothMap:
     pieces: tuple[tuple[str, str, ExprVec], ...]  # (src comp, dst comp, map)
     name: str = ""
 
+    def __post_init__(self):
+        # a piece of the wrong shape would pass some checks and fail others
+        # deep inside linear algebra
+        for src, dst, vec in self.pieces:
+            for space, comp in ((self.source, src), (self.target, dst)):
+                if comp not in space.carrier.components():
+                    raise ExprError(f"map {self.name!r}: {space.name!r} has no component {comp!r}")
+            arity = self.source.carrier.ambient_dim(src)
+            dim = self.target.carrier.ambient_dim(dst)
+            if vec.arity != arity or len(vec) != dim:
+                raise ExprError(
+                    f"map {self.name!r}: piece {src!r}->{dst!r} takes {vec.arity} "
+                    f"variable(s) to {len(vec)} component(s), where the source has "
+                    f"dimension {arity} and the target {dim}"
+                )
+
     def piece(self, component: str = "") -> tuple[str, ExprVec]:
         for src, dst, vec in self.pieces:
             if src == component:
@@ -1003,19 +1023,15 @@ def is_smooth(f: SmoothMap, budget: int = DEFAULT_BUDGET) -> Verdict:
     with a bounded-degree multiplier search); for generated targets,
     composites with a complete generator family must all be plots.
 
-    Memoised on the source space by (target, map key, budget): the target
-    by identity and held weakly, so an entry lives as long as both spaces;
-    the budget exactly.  The map's name is not in the key; no verdict
-    reads it.
+    Memoised on the source space by target and map key, by the budget rule
+    of `memoised`: the target by identity and held weakly, so an entry
+    lives as long as both spaces.  The map's name is not in the key; no
+    verdict reads it.
     """
-    memo = f.source._smooth.get(f.target)
-    if memo is None:
-        memo = f.source._smooth[f.target] = {}
-    key = (f.key(), budget)
-    verdict = memo.get(key)
-    if verdict is None:
-        verdict = memo[key] = _is_smooth_uncached(f, budget)
-    return verdict
+    memo = f.source._smooth.setdefault(f.target, {})
+    return memoised(
+        memo.setdefault(f.key(), []), budget, lambda: _is_smooth_uncached(f, budget)
+    )
 
 
 def _is_smooth_uncached(f: SmoothMap, budget: int) -> Verdict:

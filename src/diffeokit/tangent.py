@@ -30,7 +30,6 @@ germ of the searched degree at once.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -50,8 +49,6 @@ __all__ = [
 LINE_STEPS = 4
 # generator sample points searched for preimages of the basepoint
 PREIMAGE_SAMPLES = 60
-# distinct generator image tables held
-PREIMAGE_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -114,10 +111,9 @@ def cone_membership(
     if blocked is not None:
         return ConeVerdict(v, "out", obstruction=blocked)
 
-    germ = _find_germ(space, x, v, budget)
+    germ, found = _find_germ(space, x, v, budget)
     if germ is not None:
         return ConeVerdict(v, "in", germ=germ)
-    found = sum(len(_preimages(gen, x)) for _, gen in space.component_generators(""))
     return ConeVerdict(v, "unknown", detail=(
         f"no witness and no obstruction in budget: the line search found no plot "
         f"on radii 1 to 1/{2 ** (LINE_STEPS - 1)} at budget {budget}; the jet search "
@@ -136,7 +132,11 @@ def _interval_domain(radius: Fraction) -> Domain:
 # ---------------------------------------------------------------------------
 
 
-def _find_germ(space: DiffSpace, x: Point, v: Point, budget: int) -> PathGerm | None:
+def _find_germ(
+    space: DiffSpace, x: Point, v: Point, budget: int
+) -> tuple[PathGerm | None, int]:
+    """A certified germ through x with velocity v, or None, with the number
+    of generator preimages of x the jet search tried."""
     line = ExprVec(
         [Expr.constant(1, a) + Expr.constant(1, b) * Expr.variable(1, 0)
          for a, b in zip(x, v)]
@@ -145,10 +145,13 @@ def _find_germ(space: DiffSpace, x: Point, v: Point, budget: int) -> PathGerm | 
         dom = _interval_domain(Fraction(1, 2**exponent))
         verdict = is_plot(space, Plot(dom, line), budget)
         if verdict.is_yes:
-            return PathGerm(line, dom, x, verdict.certificate)
+            return PathGerm(line, dom, x, verdict.certificate), 0
 
+    found = 0
     for _, gen in space.component_generators(""):
-        for u0 in _preimages(gen, x):
+        preimages = _preimages(gen, x)
+        found += len(preimages)
+        for u0 in preimages:
             jet = _jet_through(gen, u0, v)
             if jet is None:
                 continue
@@ -158,15 +161,15 @@ def _find_germ(space: DiffSpace, x: Point, v: Point, budget: int) -> PathGerm | 
             path = gen.map.compose(jet)
             verdict = is_plot(space, Plot(dom, path), budget)
             if verdict.is_yes:
-                return PathGerm(path, dom, x, verdict.certificate)
-    return None
+                return PathGerm(path, dom, x, verdict.certificate), found
+    return None, found
 
 
 def _preimages(gen: Plot, x: Point) -> list[Point]:
-    """The generator's sample points that map to x, in sample order, then
-    the affine solve for x when the map is affine and that point is new.
-    The list is the caller's own."""
-    hits = list(_image_table(gen).get(x, ()))
+    """The generator's first PREIMAGE_SAMPLES sample points that map to x,
+    in sample order, then the affine solve for x when the map is affine and
+    that point is new."""
+    hits = [u for u in gen.domain.sample_points(PREIMAGE_SAMPLES) if gen.map.eval(u) == x]
     parts = affine_parts(gen.map)
     if parts is not None:
         solved = parts.preimage(x)
@@ -175,17 +178,6 @@ def _preimages(gen: Plot, x: Point) -> list[Point]:
             if u not in hits:
                 hits.append(u)
     return hits
-
-
-@functools.lru_cache(maxsize=PREIMAGE_CACHE_SIZE)
-def _image_table(gen: Plot) -> dict[Point, tuple[Point, ...]]:
-    """Each image of the generator's first PREIMAGE_SAMPLES sample points,
-    with the sample points that map to it in sample order.  Read-only: the
-    values are tuples, and `_preimages` copies the one it reads."""
-    table: dict[Point, list[Point]] = {}
-    for u in gen.domain.sample_points(PREIMAGE_SAMPLES):
-        table.setdefault(gen.map.eval(u), []).append(u)
-    return {x: tuple(us) for x, us in table.items()}
 
 
 def _jet_through(gen: Plot, u0: Point, v: Point) -> ExprVec | None:

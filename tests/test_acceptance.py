@@ -215,7 +215,7 @@ class TestAcceptance:
             verdict = cone_membership(cross, origin, v, budget=6)
             assert verdict.is_out, v
             probe = tuple(Fraction(c) for c in v)
-            assert _find_germ(cross, origin, probe, 6) is None
+            assert _find_germ(cross, origin, probe, 6)[0] is None
         side = (Fraction(1), Fraction(0))
         for v, inside in (((1, 0), True), ((-1, 0), True), ((0, 1), False), ((0, -1), False)):
             verdict = cone_membership(cross, side, v, budget=6)

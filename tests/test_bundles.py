@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from diffeokit import autgroups, bundles
+from diffeokit import autgroups, bundles, spaces
 from diffeokit.bundles import (
     BundleMorphism,
     InvariantViolation,
@@ -27,6 +27,8 @@ from diffeokit.spaces import (
     euclidean_space,
     generated_space,
     identity_map,
+    is_plot,
+    is_smooth,
     product_space,
     smooth_map,
     subset_space,
@@ -183,10 +185,12 @@ class TestVerdictMemos:
         runs = self.count_runs(monkeypatch, "_construction_checks")
         verdict = validate_bundle(b)
         assert verdict.is_yes
-        assert runs == []
         assert validate_bundle(b) is verdict
-        # another budget or sample count runs the checks afresh
-        assert validate_bundle(b, budget=5) == verdict
+        # the construction's yes serves a larger budget too
+        assert validate_bundle(b, budget=5) is verdict
+        assert runs == []
+        # a smaller budget or another sample count runs the checks afresh
+        assert validate_bundle(b, budget=3) == verdict
         assert validate_bundle(b, sample_count=3) == verdict
         assert len(runs) == 2
 
@@ -218,7 +222,7 @@ class TestVerdictMemos:
         assert verdict.is_no
         assert verdict.obstruction.kind == "point-image"
 
-    def test_a_morphism_hit_runs_no_check_and_budgets_are_exact(self, monkeypatch):
+    def test_a_morphism_hit_runs_no_check_and_serves_larger_budgets(self, monkeypatch):
         b = line_bundle()
         stretch = BundleMorphism(
             smooth_map(b.total, b.total, ["x0", "(x0^2 + 1)*x1"]), identity_map(b.base)
@@ -230,8 +234,9 @@ class TestVerdictMemos:
             identity_map(b.base, name="base"),
         )
         assert check_morphism(renamed, b, b) is first
+        assert check_morphism(stretch, b, b, budget=5) is first
         assert runs == []
-        assert check_morphism(stretch, b, b, budget=5) == first
+        assert check_morphism(stretch, b, b, budget=3) == first
         assert len(runs) == 1
 
     def test_scale_given_as_a_map_must_act_on_r_times_the_total_space(self):
@@ -244,6 +249,57 @@ class TestVerdictMemos:
         flat = smooth_map(euclidean_space(3), total, ["x1", "x0*x2"])
         with pytest.raises(ValueError, match="scale must act on R times"):
             build_bundle("flat", total, base, scale=flat, **texts)
+
+
+PLANTED = Verdict.unknown("planted")
+
+
+def memo_user(name):
+    """(module, the helper that runs behind the memo, a verdict it can be
+    planted to return, ask) for one verdict memo; ask(budget) puts one
+    question that nothing has asked yet to the public function."""
+    b = line_bundle()
+    if name == "is_plot":
+        candidate = Plot(Domain.full(1), ExprVec.parse(["x0^3", "x0^5"], 1))
+        return spaces, "_is_plot_uncached", PLANTED, lambda k: is_plot(b.total, candidate, k)
+    if name == "is_smooth":
+        f = smooth_map(b.total, b.base, ["2*x0"])
+        return spaces, "_is_smooth_uncached", PLANTED, lambda k: is_smooth(f, k)
+    if name == "check_morphism":
+        stretch = BundleMorphism(
+            smooth_map(b.total, b.total, ["x0", "(x0^2 + 1)*x1"]), identity_map(b.base)
+        )
+        return (bundles, "_check_morphism_uncached", PLANTED,
+                lambda k: check_morphism(stretch, b, b, k))
+    return (bundles, "_construction_checks", [("planted", PLANTED)],
+            lambda k: validate_bundle(b, k, sample_count=3))
+
+
+@pytest.mark.parametrize(
+    "name", ["is_plot", "is_smooth", "check_morphism", "validate_bundle"])
+def test_every_verdict_memo_follows_the_one_budget_rule(monkeypatch, name):
+    # the rule of spaces.memoised: a yes or no found at budget b serves
+    # every budget >= b, and an unknown found at b every budget <= b
+    module, helper, planted, ask = memo_user(name)
+    _, _, _, ask_planted = memo_user(name)
+    runs = []
+    real = getattr(module, helper)
+    monkeypatch.setattr(module, helper, lambda *a: runs.append(a) or real(*a))
+
+    definite = ask(4)
+    assert definite.is_yes and len(runs) == 1
+    assert ask(5) is definite and ask(9) is definite
+    assert len(runs) == 1
+    ask(3)  # a smaller budget runs afresh
+    assert len(runs) == 2
+
+    monkeypatch.setattr(module, helper, lambda *a: runs.append(a) or planted)
+    unknown = ask_planted(4)
+    assert unknown.is_unknown and len(runs) == 3
+    assert ask_planted(3) is unknown and ask_planted(1) is unknown
+    assert len(runs) == 3
+    ask_planted(5)  # a larger budget runs afresh
+    assert len(runs) == 4
 
 
 class TestMorphisms:

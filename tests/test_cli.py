@@ -215,6 +215,31 @@ class TestExitCodes:
         assert "line-density" in err
         assert "frame-line" in err and "frame-plane" in err
 
+    @pytest.mark.parametrize("texts, shape", [
+        (["x0"], "to 1 component(s)"), (["x0", "x0", "x0"], "to 3 component(s)"),
+    ], ids=["short", "long"])
+    def test_map_of_the_wrong_shape_is_refused(self, capsys, tmp_path, texts, shape):
+        doc = {"maps": [{"name": "m", "source": "r1", "target": "r2", "map": texts}]}
+        path = tmp_path / "shape.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for command in ("smooth", "subduction"):
+            code, out, err = run(capsys, command, "m", "--fixtures", str(path))
+            assert code == 2 and out == ""
+            assert f"map 'm': piece ''->'' takes 1 variable(s) {shape}" in err
+            assert "the target 2" in err
+
+    def test_true_where_an_integer_is_wanted_is_refused(self, capsys, tmp_path):
+        doc = {"spaces": [{"name": "s", "carrier": {"dim": True},
+                           "generators": [{"domain": True, "map": ["x0"]}]}],
+               "form": {"name": "f", "space": "r1", "degree": True,
+                        "per_generator_coefficients": [{"0": "x0"}]}}
+        path = tmp_path / "booleans.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for command, name in (("axioms", "s"), ("forms-validate", "f")):
+            code, _, err = run(capsys, command, name, "--fixtures", str(path))
+            assert code == 2
+            assert "carrier: bad dimension True" in err
+
     @pytest.mark.parametrize("doc", [
         {"space": {"name": "s", "carrier": 1, "generators": 5}},
         {"space": {"name": "s", "carrier": 1, "complete": "no"}},
@@ -281,6 +306,18 @@ class TestReports:
         cones = [c for c in json.loads(out)["checks"] if c["id"].startswith("tangent-cone:")]
         assert len(cones) == 22
         assert all(c["verdict"] != "unknown" for c in cones)
+
+    @pytest.mark.parametrize("seed, digest", [
+        ("0", "fd6cd13087345f63a3f38e66c23d883c2d756430d1b0c408cfaa22314b5bb727"),
+        ("7", "310824e4a0ac8fe0c1afe6ef287f7485be32d619486f8dc6c2c6d2c7b0f8f9a9"),
+    ])
+    def test_budget_six_report_bytes_are_pinned(self, capsys, seed, digest):
+        # above the registry's budget, verdicts the registry computed serve
+        # the larger budget; no report byte may move for it
+        code, out, _ = run(capsys, "all", "--budget", "6", "--format", "json",
+                           "--seed", seed)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
     def test_exact_sequence_report_bytes_are_pinned(self, capsys):
         # the proof from the generator, inverse and projection certificates

@@ -11,8 +11,9 @@ fold on the benchmark's and the fixtures' texts), compose and differentiate taki
 polynomial's stored denominator to be exactly 1, multiplication on plain
 ints when both factors have integer coefficients, addition of two integer
 coefficients on plain ints, the heuristic gcd (equal to the PRS gcd, which
-stays as its fallback), and the memos of rational arithmetic (a hit equals
-a fresh result, and nothing a caller holds can change a later hit).
+stays as its fallback), and the memo of witness expansions (compose gives
+the same result with it warm as with it bypassed, and nothing a caller
+holds can change a later hit).
 """
 
 import importlib.util
@@ -39,10 +40,8 @@ from diffeokit.expr import (
     _divides_z,
     _eval,
     _gcd,
-    _gcd_of_items,
     _gcd_prs,
     _heu_gcd,
-    _memo_gcd,
     _mul,
     _primitive_z,
     _terms_key,
@@ -319,7 +318,6 @@ class TestHeuristicGcd:
         # denominator is 1, so nothing cancels
         a = Expr.parse("(x0^2*x1 - x0/2 + 3)/(x0^2 + 8/3*x1^2 + 4/3)", ARITY)
         b = Expr.parse("(x0^2*x1 - 3*x0 + 3)/(x0^2 + 8/3*x1^2 + 4/3)", ARITY)
-        _gcd_of_items.cache_clear()
         with mock.patch.object(expr, "_gcd_prs", side_effect=AssertionError("PRS ran")):
             product = a * b
         assert product.canonical_key() == (
@@ -405,66 +403,32 @@ def _split_witness(e: Expr) -> Expr:
     return Expr(e.arity, dict(e.num), dict(e.den), PositivityWitness(halves, w.constant))
 
 
-def _fresh_compose(fn: Expr, args) -> tuple:
-    """(canonical key, witness) of fn(args) with the compose memo bypassed."""
-    return _compose_rational.__wrapped__(
-        (fn.canonical_key(), fn.den_witness),
-        tuple((a.canonical_key(), a.den_witness) for a in args),
-    )
-
-
 class TestRationalMemos:
     @_property
     @given(witnessed_rationals(), st.lists(st.one_of(polys(), witnessed_rationals()),
                                            min_size=ARITY, max_size=ARITY))
     def test_memoised_compose_equals_a_fresh_compose(self, fn, args):
-        _compose_rational.cache_clear()
-        try:
-            cold = fn.compose(args)
-        except ExprError as err:
-            # a rational of rationals may have no certified denominator;
-            # failures are not memoised, so it fails the same way again
-            with pytest.raises(ExprError, match=re.escape(str(err))):
-                fn.compose(args)
-            return
-        warm = fn.compose(args)
-        assert _compose_rational.cache_info().hits == 1
-        fresh_key, fresh_witness = _fresh_compose(fn, args)
-        for result in (cold, warm):
-            assert result.canonical_key() == fresh_key
-            assert result.den_witness == fresh_witness
-        assert warm.num is not cold.num and warm.den is not cold.den
-
-    @_property
-    @given(witnessed_rationals(), st.lists(polys(), min_size=ARITY, max_size=ARITY),
-           st.lists(polys(), min_size=ARITY, max_size=ARITY))
-    def test_compose_memo_keys_on_every_argument_and_witness(self, fn, args, other_args):
+        # compose replays each witness through the witness-expansion memo;
+        # with the memo warm it gives what it gives with the memo bypassed,
+        # also for a second witness of the same denominator
         split = _split_witness(fn)
         assert split.canonical_key() == fn.canonical_key()
         assert split.den_witness != fn.den_witness
-        for f, a in ((fn, args), (split, args), (fn, other_args), (split, other_args)):
-            result = f.compose(a)
-            assert (result.canonical_key(), result.den_witness) == _fresh_compose(f, a)
-
-    @_property
-    @given(polys(), polys(), quadratic_dens(), polys())
-    def test_gcd_memo_equals_the_uncached_gcd(self, p, q, d, factor):
-        # a shared factor makes most of these gcds non-trivial
-        common = factor.num
-        a = _mul(p.num, common)
-        for b in (_mul(d.num, common), _mul(q.num, common), d.num):
-            assert _memo_gcd(a, b, ARITY) == _gcd(a, b, ARITY)
-
-    @_property
-    @given(polys(), quadratic_dens())
-    def test_a_mutated_gcd_result_leaves_the_next_hit_unchanged(self, p, d):
-        _gcd_of_items.cache_clear()
-        first = _memo_gcd(p.num, d.num, ARITY)
-        expected = dict(first)
-        first[(5, 5)] = Fraction(7)
-        first.pop((0, 0), None)
-        assert _memo_gcd(p.num, d.num, ARITY) == expected == _gcd(p.num, d.num, ARITY)
-        assert _gcd_of_items.cache_info().hits == 1
+        fresh_expansion = mock.patch.object(
+            expr, "_witness_expansion", _witness_expansion.__wrapped__)
+        for f in (fn, split):
+            try:
+                f.compose(args)
+            except ExprError as err:
+                # a rational of rationals may have no certified denominator
+                with fresh_expansion, pytest.raises(ExprError, match=re.escape(str(err))):
+                    f.compose(args)
+                continue
+            warm = f.compose(args)
+            with fresh_expansion:
+                fresh = f.compose(args)
+            assert warm.canonical_key() == fresh.canonical_key()
+            assert warm.den_witness == fresh.den_witness
 
     @_property
     @given(polys(), quadratic_dens())
@@ -865,11 +829,14 @@ class TestCommonDenominatorEval:
         assert _eval({}, [], 1) == (0, 1)
 
     def test_a_vanishing_denominator_is_refused(self):
-        # no witnessed denominator vanishes on R^n; a key that bypasses the
-        # witness check shows that eval still refuses to divide by zero
+        # no witnessed denominator vanishes on R^n; an Expr x0/x0 built
+        # past the witness check shows that eval still refuses to divide by
+        # zero
         x0 = Expr.variable(1, 0)
-        bogus = Expr._from_key((1, _terms_key(x0.num), _terms_key(x0.num)),
-                               (1 / (x0**2 + 1)).den_witness)
+        bogus = object.__new__(Expr)
+        for name, value in (("arity", 1), ("num", dict(x0.num)), ("den", dict(x0.num)),
+                            ("den_witness", (1 / (x0**2 + 1)).den_witness), ("_key", None)):
+            object.__setattr__(bogus, name, value)
         with pytest.raises(ExprError, match="denominator evaluated to zero"):
             bogus.eval([0])
 
@@ -892,9 +859,9 @@ def _fold_subst_terms(terms, args, out_arity) -> Expr:
 
 
 def _fold_compose(fn: Expr, args) -> Expr:
-    """fn(args) by the rational path, memo bypassed, on the Expr fold."""
+    """fn(args) by the rational path on the Expr fold."""
     with mock.patch.object(expr, "_subst_terms", _fold_subst_terms):
-        return Expr._from_key(*_fresh_compose(fn, args))
+        return _compose_rational(fn, args)
 
 
 def _outcome(compose, fn, args):
@@ -1079,8 +1046,8 @@ class TestCommonDenominatorSubstitution:
         x0 = Expr.variable(2, 0)
         args = [x0, Expr.parse("x1/(x0^2 + 1)", 2)]
         fn = Expr.parse("x0 + 1", 2)
-        before = _compose_rational.cache_info()
-        result = fn.compose(args)
-        assert _compose_rational.cache_info() == before
+        with mock.patch.object(expr, "_compose_rational",
+                               side_effect=AssertionError("rational path taken")):
+            result = fn.compose(args)
         assert result.is_polynomial
-        assert result == Expr._from_key(*_fresh_compose(fn, args)) == x0 + 1
+        assert result == _compose_rational(fn, args) == x0 + 1

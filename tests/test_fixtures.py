@@ -233,6 +233,25 @@ class TestJsonLoading:
         with pytest.raises(FixtureError, match="generator index out of range"):
             load_file(builtin_registry(), write(tmp_path, doc))
 
+    @pytest.mark.parametrize("doc, field", [
+        ({"carrier": {"name": "c", "dim": True}}, "dimension"),
+        ({"space": {"name": "s", "carrier": True}}, "dimension"),
+        ({"space": {"name": "s", "carrier": 1,
+                    "generators": [{"domain": {"dim": True}, "map": ["x0"]}]}},
+         "domain dimension"),
+        ({"space": {"name": "s", "carrier": 1,
+                    "generators": [{"domain": True, "map": ["x0"]}]}}, "domain dimension"),
+        ({"form": dict(SAMPLE["form"], degree=True)}, "degree"),
+        ({"form": dict(SAMPLE["form"], value_dim=True)}, "value_dim"),
+        ({"connection": dict(SAMPLE["connection"], fiber_dim=True)}, "fiber_dim"),
+        ({"frame_model": dict(SAMPLE["frame_model"], dim_F=True)}, "dim_F"),
+    ], ids=["carrier-dim", "carrier-int", "domain-dim", "domain-int", "form-degree",
+            "form-value-dim", "connection-fiber-dim", "frame-model-dim-f"])
+    def test_true_is_not_an_integer(self, tmp_path, doc, field):
+        # Python counts true as 1; a fixture must spell the number
+        with pytest.raises(FixtureError, match=f"bad {field} True"):
+            load_file(builtin_registry(), write(tmp_path, doc))
+
     def test_loaded_law_violations_stay_check_failures(self, tmp_path):
         # a parseable but incompatible form loads fine and fails validation
         doc = {

@@ -1,12 +1,13 @@
 """Membership, smoothness, and subduction checks on small spaces."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
-from diffeokit import spaces
+from diffeokit import domains, spaces
 from diffeokit.domains import SAMPLE_MAX_DEN, Box, Domain, Interval, _domain_samples
-from diffeokit.expr import Expr, ExprVec
+from diffeokit.expr import Expr, ExprError, ExprVec
 from diffeokit.spaces import (
     AlgebraicCarrier,
     CarrierCert,
@@ -424,6 +425,16 @@ class TestSmoothness:
         cross = axes_cross()
         assert is_smooth(identity_map(cross)).is_yes
 
+    def test_pieces_of_the_wrong_shape_are_refused(self):
+        r1, r2 = euclidean_space(1, "r1"), euclidean_space(2, "r2")
+        with pytest.raises(ExprError, match=r"map 'short': .* to 1 component\(s\)"):
+            smooth_map(r1, r2, ["x0"], name="short")
+        with pytest.raises(ExprError, match=r"map 'wide': piece ''->'' takes 2 variable"):
+            smooth_map(r1, r2, ExprVec.parse(["x0", "x1"], 2), name="wide")
+        union = union_space("u", [("a", r1), ("b", r1)])
+        with pytest.raises(ExprError, match="map 'stray': 'u' has no component 'c'"):
+            smooth_map(r1, union, {"": ("c", ["x0"])}, name="stray")
+
     def test_vanishing_certificate(self):
         r2 = euclidean_space(2)
         sub = subset_space(
@@ -549,7 +560,7 @@ class TestSmoothMemo:
         assert is_smooth(smooth_map(r1, cross, ["x0", "x0"])).is_no
         assert is_smooth(smooth_map(r1, r2, ["x0", "x0"], name="other")).is_yes
 
-    def test_a_hit_is_the_stored_verdict_and_budgets_are_exact(self, monkeypatch):
+    def test_a_hit_is_the_stored_verdict_and_serves_larger_budgets(self, monkeypatch):
         cross = axes_cross()
         f = smooth_map(cross, euclidean_space(1), ["x0 + x1"])
         first = is_smooth(f, 4)
@@ -559,8 +570,9 @@ class TestSmoothMemo:
             spaces, "_is_smooth_uncached", lambda *a: runs.append(a) or real(*a)
         )
         assert is_smooth(f, 4) is first
+        assert is_smooth(f, 5) is first
         assert runs == []
-        assert is_smooth(f, 5) == first
+        assert is_smooth(f, 3) == first
         assert len(runs) == 1
 
 
@@ -646,12 +658,20 @@ class TestAllHold:
 class TestCarrierSamples:
     @pytest.mark.parametrize("count", [1, 4, 12, 24])
     def test_memoised_samples_equal_an_uncached_computation(self, count):
-        cross = axes_cross()
-        first = cross.sample_carrier_points("", count)
-        assert first and first == cross._carrier_points("", count)
-        assert cross.sample_carrier_points("", count) == first
-        r2 = euclidean_space(2)
-        assert r2.sample_carrier_points("", count) == r2._carrier_points("", count)
+        # carrier samples are built from the domain-sample memo; with it
+        # bypassed they come out the same
+        for space in (axes_cross(), euclidean_space(2)):
+            first = space.sample_carrier_points("", count)
+            assert first and space.sample_carrier_points("", count) == first
+            with mock.patch.object(domains, "_domain_samples", _domain_samples.__wrapped__):
+                assert space.sample_carrier_points("", count) == first
+
+    @pytest.mark.parametrize("count", [1, 4, 12, 24])
+    def test_samples_are_distinct_carrier_points(self, count):
+        for space in (axes_cross(), euclidean_space(2)):
+            first = space.sample_carrier_points("", count)
+            assert first and len(first) <= count and len(set(first)) == len(first)
+            assert all(space.carrier.contains_point(p) for p in first)
 
     def test_a_mutated_result_leaves_the_next_call_unchanged(self):
         cross = axes_cross()

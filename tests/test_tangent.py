@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from diffeokit.domains import Domain
+from diffeokit.domains import SAMPLE_MAX_DEN, Domain, _domain_samples
 from diffeokit.expr import Expr
 from diffeokit.fixtures import load_registry
 from diffeokit.spaces import (
@@ -23,7 +23,6 @@ from diffeokit.tangent import (
     ConeVerdict,
     _annihilation_obstruction,
     _find_germ,
-    _image_table,
     _linear_obstruction,
     _monomial_obstruction,
     _preimages,
@@ -196,9 +195,16 @@ class TestGeneratorJets:
         assert miss.obstruction.kind == "gradient"
 
 
+def _fresh_samples(gen):
+    """The generator's first PREIMAGE_SAMPLES sample points, computed past
+    the domain-sample memo."""
+    return _domain_samples.__wrapped__(gen.domain, PREIMAGE_SAMPLES, SAMPLE_MAX_DEN)
+
+
 def _scanned_preimages(gen, x):
-    """The sample scan the preimage table replaced, then the affine solve."""
-    hits = [u for u in gen.domain.sample_points(PREIMAGE_SAMPLES) if gen.map.eval(u) == x]
+    """The scan of freshly computed samples, then the affine solve: the
+    reference for `_preimages`."""
+    hits = [u for u in _fresh_samples(gen) if gen.map.eval(u) == x]
     parts = affine_parts(gen.map)
     if parts is not None:
         solved = parts.preimage(x)
@@ -209,6 +215,9 @@ def _scanned_preimages(gen, x):
 
 
 class TestPreimageTable:
+    """`_preimages` scans the table of samples that the domain-sample memo
+    holds for each generator domain."""
+
     def test_table_equals_the_sample_scan_on_every_builtin_generator(self):
         reg = load_registry()
         # maps that send several samples to one point, which no built-in does
@@ -231,15 +240,14 @@ class TestPreimageTable:
     def test_solved_preimage_off_the_samples_does_not_enter_the_table(self):
         gen = plot(Domain.full(1), ["x0", "2*x0 + 1"])
         x = (F(1, 1000), F(501, 500))
-        table = _image_table(gen)
-        before = {k: v for k, v in table.items()}
+        table = _domain_samples(gen.domain, PREIMAGE_SAMPLES, SAMPLE_MAX_DEN)
+        assert x not in [gen.map.eval(u) for u in table]
         first = _preimages(gen, x)
         assert first == [(F(1, 1000),)]
         first.append((F(9),))
-        second = _preimages(gen, x)
-        assert second == [(F(1, 1000),)]
-        assert _image_table(gen) is table
-        assert table == before and x not in table
+        assert _preimages(gen, x) == [(F(1, 1000),)]
+        assert _domain_samples(gen.domain, PREIMAGE_SAMPLES, SAMPLE_MAX_DEN) == table
+        assert (F(1, 1000),) not in table and (F(9),) not in table
         # a sample hit that the affine solve finds again is listed once
         assert _preimages(gen, (F(1), F(3))) == [(F(1),)]
 
@@ -283,7 +291,7 @@ def _obstructions(space, x, v):
 def _germ_first(space, x, v, budget):
     """cone_membership as it ran with the germ search ahead of the
     obstructions, for a nonzero v at a carrier point."""
-    germ = _find_germ(space, x, v, budget)
+    germ, _ = _find_germ(space, x, v, budget)
     if germ is not None:
         return ConeVerdict(v, "in", germ=germ)
     eqs = space.carrier.equations("")
@@ -342,7 +350,7 @@ class TestObstructionsBeforeGerms:
                 continue
             if _obstructions(space, x, v):
                 blocked += 1
-                assert _find_germ(space, x, v, budget) is None, where
+                assert _find_germ(space, x, v, budget)[0] is None, where
             ref = _germ_first(space, x, v, budget)
             assert new.status == ref.status, where
             assert new.detail == ref.detail, where
