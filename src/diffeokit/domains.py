@@ -550,7 +550,11 @@ def expr_bounds(expr: Expr, box: Box) -> Bounds:
         d_lo = floor if d_lo is None else max(d_lo, floor)
     if d_lo is None or d_lo <= 0:
         return (None, None)  # cannot bound the quotient
-    inv: Bounds = (Fraction(0) if den_b[1] is None else 1 / den_b[1], 1 / d_lo)
+    # Fraction(1, b), never 1 / b: an int bound over `/` would give a float
+    inv: Bounds = (
+        Fraction(0) if den_b[1] is None else Fraction(1, den_b[1]),
+        Fraction(1, d_lo),
+    )
     return _b_mul(num_b, inv)
 
 

@@ -3,7 +3,7 @@
 A polynomial in ``n`` variables is stored as a dictionary mapping exponent
 tuples to rational coefficients::
 
-    x0^2*x1 + 3/2   ->   {(2, 1): Fraction(1), (0, 0): Fraction(3, 2)}
+    x0^2*x1 + 3/2   ->   {(2, 1): 1, (0, 0): Fraction(3, 2)}
 
 Zero coefficients are never stored, so dictionary equality is polynomial
 identity.  An :class:`Expr` is a quotient ``num/den`` of two such
@@ -14,25 +14,35 @@ Every map handled by this package is a vector of such expressions, so
 smoothness is a construction invariant rather than an analytic side
 condition.
 
-All coefficients are :class:`fractions.Fraction`; nothing here ever rounds.
-Canonical form: terms are kept reduced and compared as dictionaries, display
-order is graded lexicographic, rational functions cancel their polynomial
-gcd whenever the reduced denominator still supports a positivity witness,
-and the denominator is scaled monic.
+One coefficient rule holds everywhere: a coefficient is a plain ``int``
+when it is an integer and a :class:`fractions.Fraction` only when its
+denominator exceeds 1, as sympy keeps ZZ in ints and only QQ in rationals.
+Nothing here ever rounds.  Each step adds and multiplies the coefficients
+it meets as they are, so integer terms run on ints and build no Fraction,
+and stores an integral Fraction total as its int; a quotient of two
+coefficients is always `_quo` (floor division when it is exact, else
+``Fraction(a, b)``), never ``/``, which would make a float of two ints.
+Rational factors are not scaled to one common denominator per product:
+every output term would pay a gcd with it, on much larger integers.
+`Expr.eval`, `Expr.constant_value` and `ExprVec.constant_point` still
+return Fractions, and witness weights and constants stay Fractions.
+Canonical form: terms are kept reduced and compared as dictionaries (an int
+and the equal Fraction are equal and hash alike), display order is graded
+lexicographic, rational functions cancel their polynomial gcd whenever the
+reduced denominator still supports a positivity witness, and the
+denominator is scaled monic.
 
-When both factors of a product lie in Z[x] (every denominator is 1), `_mul`
-sums the coefficient products as plain ints and wraps each nonzero total in
-one `Fraction`, which runs no gcd.  Other products keep the Fraction loop:
-scaling rational factors to one common denominator would make every output
-term pay a gcd with that denominator, on much larger integers.  An `Expr`
-built from a numerator alone is a polynomial; it stores its terms without
-zeros and the denominator 1, and skips normalisation.
+The public constructor `Expr(...)` checks each monomial's arity, drops
+zeros and stores any rational by the rule.  A polynomial this module built
+enters through `Expr._poly`, which checks nothing: its arity, zero-free
+terms and coefficients are already right.  A polynomial's denominator is
+1, and it skips normalisation.
 
 `Expr.parse` tokenises its text in one pass of one regular expression
-(ASCII digits only) and folds the tokens on raw terms whose integer
-coefficients are plain ints.  A product of integers and variables, each to
-an integer power and under unary minuses, is one (monomial, int) pair, and
-a sum adds its terms in place into one dict it owns, by `_add`'s rules;
+(ASCII digits only) and folds the tokens on raw terms.  A product of
+integers and variables, each to an integer power and under unary minuses,
+is one (monomial, int) pair, and a sum adds its terms in place into one
+dict it owns (`_add_into`, as `_add` adds);
 every other step is the `_neg`, `_mul` or `_pow` an Expr operator runs on a
 polynomial, and a division by a constant is the `_scale` normalisation
 runs, so the terms and their dict order are those of the Expr fold.  Only a
@@ -44,7 +54,10 @@ builds one Fraction, total / (c * d^deg).
 Substitution (`Expr.compose`) into a polynomial runs on raw term
 dictionaries (`_subst_poly`) and builds a single Expr at the end, as does a
 polynomial's `**`, whenever every argument the polynomial reads is a
-polynomial; an argument it does not read may be rational.  Otherwise
+polynomial; an argument it does not read may be rational.  `ExprVec.compose`
+gives all its polynomial components one `_substitution`, so each power of
+an argument is built once per vector rather than once per component.
+Otherwise
 `_compose_rational` substitutes into numerator and denominator with
 `_subst_terms`, which puts the substitution over one common denominator
 (Geddes, Czapor and Labahn, *Algorithms for Computer Algebra*, 1992): with
@@ -87,11 +100,13 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 Monomial = tuple[int, ...]
-Terms = dict[Monomial, Fraction]
 Scalar = Union[int, Fraction]
+# monomial -> coefficient, by the rule: an int, or a Fraction that is not an
+# integer; never zero
+Terms = dict[Monomial, Scalar]
 
 # Witness expansions held by `_witness_expansion`.  `all --budget 4` and
 # `exact-sequence line-bundle scale-translate --budget 6` each meet 7
@@ -106,9 +121,7 @@ REDUCE_CACHE_SIZE = 1024
 # the whole gcd to the PRS
 HEU_GCD_MAX = 6
 
-# Fractions are immutable, so one instance serves every term dict
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_ZERO = Fraction(0)  # what `Expr.eval` gives for the zero polynomial
 
 
 class ExprError(ValueError):
@@ -120,37 +133,61 @@ class ExprError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+def _coeff(value: Scalar) -> Scalar:
+    """A rational value as a stored coefficient: an int when integral, else
+    a Fraction."""
+    if type(value) is int:
+        return value
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _quo(a: Scalar, b: Scalar) -> Scalar:
+    """a / b as a stored coefficient.  Two ints never meet `/`, which would
+    make a float: their quotient is exact floor division when b divides a,
+    and Fraction(a, b) otherwise."""
+    if b == 1:
+        return a
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _coeff(Fraction(a, b))
+
+
 def _const(arity: int, value: Scalar) -> Terms:
-    value = Fraction(value)
-    if value == 0:
-        return {}
-    return {(0,) * arity: value}
+    value = _coeff(value)
+    return {(0,) * arity: value} if value else {}
 
 
 def _var(arity: int, index: int) -> Terms:
     if not 0 <= index < arity:
         raise ExprError(f"variable x{index} out of range for arity {arity}")
     mono = tuple(1 if i == index else 0 for i in range(arity))
-    return {mono: Fraction(1)}
+    return {mono: 1}
 
 
-def _add(a: Terms, b: Terms, integral: type = Fraction) -> Terms:
-    """a + b.  `integral` is what an integer total is stored as: a Fraction
-    in Terms, an int in the parser's raw terms (see `_parse_expr`)."""
-    out = dict(a)
-    for mono, coeff in b.items():
+def _add_into(out: Terms, items: Iterable[tuple[Monomial, Scalar]]) -> None:
+    """Add the (monomial, coefficient) items into out in place.  A total
+    that cancels is removed, so a monomial that comes back re-enters at
+    the end."""
+    for mono, coeff in items:
         prev = out.get(mono)
         if prev is None:
             total = coeff
-        elif prev.denominator == 1 == coeff.denominator:
-            # two integers: a plain int sum and one gcd-free Fraction
-            total = integral(prev.numerator + coeff.numerator)
         else:
             total = prev + coeff
+            if type(total) is not int and total.denominator == 1:
+                total = total.numerator
         if total:
             out[mono] = total
         else:
             out.pop(mono, None)
+
+
+def _add(a: Terms, b: Terms) -> Terms:
+    out = dict(a)
+    _add_into(out, b.items())
     return out
 
 
@@ -163,31 +200,27 @@ def _sub(a: Terms, b: Terms) -> Terms:
 
 
 def _scale(a: Terms, c: Scalar) -> Terms:
-    c = Fraction(c)
-    if c == 0:
+    if not c:
         return {}
-    return {mono: coeff * c for mono, coeff in a.items()}
-
-
-def _mul(a: Terms, b: Terms, integral: type = Fraction) -> Terms:
-    """a * b; `integral` as in `_add`."""
-    if all(c.denominator == 1 for c in a.values()) and all(
-        c.denominator == 1 for c in b.values()
-    ):
-        # both in Z[x]: sum plain ints, then one gcd-free Fraction per term
-        acc: dict[Monomial, int] = {}
-        b_ints = [(mb, cb.numerator) for mb, cb in b.items()]
-        for ma, ca in a.items():
-            na = ca.numerator
-            for mb, nb in b_ints:
-                mono = tuple(map(operator.add, ma, mb))
-                acc[mono] = acc.get(mono, 0) + na * nb
-        return {mono: integral(v) for mono, v in acc.items() if v}
     out: Terms = {}
+    for mono, coeff in a.items():
+        v = coeff * c
+        out[mono] = v if type(v) is int or v.denominator != 1 else v.numerator
+    return out
+
+
+def _mul(a: Terms, b: Terms) -> Terms:
+    """a * b.  Coefficients multiply and add as they are, so Z[x] factors
+    run on plain ints with no gcd; a total that cancels is removed and
+    re-enters at the end, as in `_add_into`."""
+    out: Terms = {}
+    b_items = b.items()
     for ma, ca in a.items():
-        for mb, cb in b.items():
+        for mb, cb in b_items:
             mono = tuple(map(operator.add, ma, mb))
-            total = out.get(mono, _ZERO) + ca * cb
+            total = out.get(mono, 0) + ca * cb
+            if type(total) is not int and total.denominator == 1:
+                total = total.numerator
             if total:
                 out[mono] = total
             else:
@@ -196,14 +229,16 @@ def _mul(a: Terms, b: Terms, integral: type = Fraction) -> Terms:
 
 
 def _diff(a: Terms, index: int) -> Terms:
+    # lowering x_index is one-to-one on the monomials that contain it
     out: Terms = {}
     for mono, coeff in a.items():
         e = mono[index]
-        if e == 0:
-            continue
-        lowered = mono[:index] + (e - 1,) + mono[index + 1 :]
-        out[lowered] = out.get(lowered, _ZERO) + coeff * e
-    return {m: c for m, c in out.items() if c}
+        if e:
+            v = coeff * e
+            out[mono[:index] + (e - 1,) + mono[index + 1 :]] = (
+                v if type(v) is int or v.denominator != 1 else v.numerator
+            )
+    return out
 
 
 def _common_denominator(point: Sequence[Scalar]) -> tuple[list[int], int]:
@@ -259,9 +294,9 @@ def _is_constant(a: Terms) -> bool:
     return all(sum(m) == 0 for m in a)
 
 
-def _constant_value(a: Terms) -> Fraction:
+def _constant_value(a: Terms) -> Scalar:
     if not a:
-        return Fraction(0)
+        return 0
     return next(iter(a.values()))
 
 
@@ -269,7 +304,7 @@ def _grlex_key(mono: Monomial) -> tuple:
     return (sum(mono), mono)
 
 
-def _leading(a: Terms) -> tuple[Monomial, Fraction]:
+def _leading(a: Terms) -> tuple[Monomial, Scalar]:
     mono = max(a, key=_grlex_key)
     return mono, a[mono]
 
@@ -302,11 +337,11 @@ def _div_exact(a: Terms, d: Terms) -> Terms | None:
         m, c = _leading(rem)
         if not _mono_divides(lead_m, m):
             return None
+        # the leading monomials fall strictly, so each qm is new
         qm = tuple(x - y for x, y in zip(m, lead_m))
-        qc = c / lead_c
-        quot[qm] = quot.get(qm, _ZERO) + qc
+        qc = quot[qm] = _quo(c, lead_c)
         rem = _sub(rem, _mul({qm: qc}, d))
-    return {m: c for m, c in quot.items() if c}
+    return quot
 
 
 def _deg_in(a: Terms, v: int) -> int:
@@ -356,7 +391,7 @@ def _monic(a: Terms) -> Terms:
     _, lead = _leading(a)
     if lead == 1:
         return a
-    return _scale(a, 1 / lead)
+    return _scale(a, _quo(1, lead))
 
 
 def _gcd(a: Terms, b: Terms, arity: int) -> Terms:
@@ -371,7 +406,7 @@ def _gcd(a: Terms, b: Terms, arity: int) -> Terms:
     h = _heu_gcd(_primitive_z(a), _primitive_z(b))
     if h is None:
         return _gcd_prs(a, b, arity)
-    return _monic({mono: Fraction(c) for mono, c in h.items()})
+    return _monic(h)
 
 
 def _primitive_z(a: Terms) -> dict[Monomial, int]:
@@ -581,7 +616,7 @@ def _witness_even_powers(terms: Terms) -> PositivityWitness | None:
     if not terms:
         return None
     squares: list[tuple[Fraction, Terms]] = []
-    constant = Fraction(0)
+    constant = 0
     for mono, coeff in terms.items():
         if coeff <= 0:
             return None
@@ -590,7 +625,7 @@ def _witness_even_powers(terms: Terms) -> PositivityWitness | None:
             continue
         if any(e % 2 for e in mono):
             return None
-        squares.append((coeff, {tuple(e // 2 for e in mono): Fraction(1)}))
+        squares.append((coeff, {tuple(e // 2 for e in mono): 1}))
     if constant <= 0:
         return None
     return _make_witness(squares, constant)
@@ -609,10 +644,10 @@ def _witness_quadratic(terms: Terms, arity: int) -> PositivityWitness | None:
     c = _constant_value(_coeff_in(terms, v, 0))
     if a <= 0:
         return None
-    rest = c - b * b / (4 * a)
+    rest = c - _quo(b * b, 4 * a)
     if rest <= 0:
         return None
-    shift = _add(_var(arity, v), _const(arity, b / (2 * a)))
+    shift = _add(_var(arity, v), _const(arity, _quo(b, 2 * a)))
     return _make_witness([(a, shift)], rest)
 
 
@@ -656,10 +691,10 @@ class Expr:
         for mono in num:
             if len(mono) != arity:
                 raise ExprError("numerator monomial does not match arity")
-        num = {mono: c for mono, c in num.items() if c}
+        num = {mono: _coeff(c) for mono, c in num.items() if c}
         if den is None and den_witness is None:
             # a polynomial: its denominator is 1, so there is nothing to cancel
-            den = {(0,) * arity: _ONE}
+            den = {(0,) * arity: 1}
             witness = None
         else:
             if den is None:
@@ -667,39 +702,54 @@ class Expr:
             for mono in den:
                 if len(mono) != arity:
                     raise ExprError("denominator monomial does not match arity")
-            den = {mono: c for mono, c in den.items() if c}
+            den = {mono: _coeff(c) for mono, c in den.items() if c}
             if not den:
                 raise ExprError("zero denominator")
             all_hints: dict[tuple, PositivityWitness] = dict(hints or {})
             if den_witness is not None:
                 all_hints[_terms_key(den)] = den_witness
             num, den, witness = _normalize(arity, num, den, all_hints)
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "den_witness", witness)
-        object.__setattr__(self, "_key", None)
+        _set_arity(self, arity)
+        _set_num(self, num)
+        _set_den(self, den)
+        _set_witness(self, witness)
+        _set_key(self, None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Expr is immutable")
+
+    @staticmethod
+    def _poly(arity: int, num: Terms) -> "Expr":
+        """The polynomial num, from terms this module built: every monomial
+        has the arity and every coefficient is stored by the rule, with no
+        zero, so nothing is checked or filtered."""
+        e = _new(Expr)
+        _set_arity(e, arity)
+        _set_num(e, num)
+        _set_den(e, {(0,) * arity: 1})
+        _set_witness(e, None)
+        _set_key(e, None)
+        return e
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def constant(arity: int, value: Scalar) -> "Expr":
-        return Expr(arity, _const(arity, value))
+        if arity < 0:
+            raise ExprError("negative arity")
+        return Expr._poly(arity, _const(arity, value))
 
     @staticmethod
     def zero(arity: int) -> "Expr":
-        return Expr(arity, {})
+        return Expr.constant(arity, 0)
 
     @staticmethod
     def one(arity: int) -> "Expr":
-        return Expr(arity, _const(arity, 1))
+        return Expr.constant(arity, 1)
 
     @staticmethod
     def variable(arity: int, index: int) -> "Expr":
-        return Expr(arity, _var(arity, index))
+        return Expr._poly(arity, _var(arity, index))
 
     # -- structure ----------------------------------------------------------
 
@@ -713,10 +763,10 @@ class Expr:
         return _is_constant(self.num) and _is_constant(self.den)
 
     def constant_value(self) -> Fraction:
+        """The value as a Fraction, as `eval` gives it."""
         if not self.is_constant:
             raise ExprError("not a constant expression")
-        den = _constant_value(self.den)
-        return _constant_value(self.num) / den
+        return Fraction(_constant_value(self.num), _constant_value(self.den))
 
     def is_zero(self) -> bool:
         return not self.num
@@ -728,7 +778,7 @@ class Expr:
         key = self._key
         if key is None:
             key = (self.arity, _terms_key(self.num), _terms_key(self.den))
-            object.__setattr__(self, "_key", key)
+            _set_key(self, key)
         return key
 
     def __eq__(self, other) -> bool:
@@ -765,7 +815,7 @@ class Expr:
         if rhs is None:
             return NotImplemented
         if self.is_polynomial and rhs.is_polynomial:
-            return Expr(self.arity, _add(self.num, rhs.num))
+            return Expr._poly(self.arity, _add(self.num, rhs.num))
         hints = self._hints(rhs)
         if self.den == rhs.den:
             return Expr(self.arity, _add(self.num, rhs.num), dict(self.den),
@@ -780,6 +830,8 @@ class Expr:
     __radd__ = __add__
 
     def __neg__(self) -> "Expr":
+        if self.is_polynomial:
+            return Expr._poly(self.arity, _neg(self.num))
         return Expr(self.arity, _neg(self.num), dict(self.den), self.den_witness)
 
     def __sub__(self, other) -> "Expr":
@@ -799,7 +851,7 @@ class Expr:
         if rhs is None:
             return NotImplemented
         if self.is_polynomial and rhs.is_polynomial:
-            return Expr(self.arity, _mul(self.num, rhs.num))
+            return Expr._poly(self.arity, _mul(self.num, rhs.num))
         witness = None
         if self.den_witness is not None and rhs.den_witness is not None:
             witness = _witness_mul(self.den_witness, rhs.den_witness)
@@ -834,7 +886,7 @@ class Expr:
         if not isinstance(k, int) or k < 0:
             raise ExprError("exponent must be a non-negative integer")
         if self.is_polynomial:
-            return Expr(self.arity, _pow(self.num, k, self.arity))
+            return Expr._poly(self.arity, _pow(self.num, k, self.arity))
         result = Expr.one(self.arity)
         base = self
         while k:
@@ -851,7 +903,7 @@ class Expr:
         if not 0 <= index < self.arity:
             raise ExprError(f"variable x{index} out of range for arity {self.arity}")
         if self.is_polynomial:  # a polynomial's denominator is 1
-            return Expr(self.arity, _diff(self.num, index))
+            return Expr._poly(self.arity, _diff(self.num, index))
         num = _sub(
             _mul(_diff(self.num, index), self.den),
             _mul(self.num, _diff(self.den, index)),
@@ -864,25 +916,7 @@ class Expr:
 
     def compose(self, args: Sequence["Expr"]) -> "Expr":
         """Substitute args[i] for x_i.  Arguments share a common arity."""
-        if len(args) != self.arity:
-            raise ExprError(f"expected {self.arity} arguments, got {len(args)}")
-        if self.arity == 0:
-            raise ExprError("cannot infer arity for a 0-variable substitution")
-        out_arity = args[0].arity
-        for a in args:
-            if a.arity != out_arity:
-                raise ExprError("substitution arguments disagree on arity")
-        if self.is_polynomial and len(self.num) == 1:
-            ((mono, coeff),) = self.num.items()
-            if coeff == 1 and sum(mono) == 1:
-                # a bare variable x_i, as in a coordinate projection
-                return args[mono.index(1)]
-        if self.is_polynomial and all(
-            a.is_polynomial or not any(m[i] for m in self.num) for i, a in enumerate(args)
-        ):
-            # every argument the polynomial reads is a polynomial
-            return Expr(out_arity, _subst_poly(self.num, [a.num for a in args], out_arity))
-        return _compose_rational(self, args)
+        return _compose_all((self,), args)[0]
 
     def eval(self, point: Sequence[Scalar]) -> Fraction:
         if len(point) != self.arity:
@@ -901,6 +935,8 @@ class Expr:
     def lift(self, new_arity: int, offset: int = 0) -> "Expr":
         """View this expression in a larger ring, x_i -> x_{i+offset}."""
         num = _lift(self.num, self.arity, new_arity, offset)
+        if self.is_polynomial:
+            return Expr._poly(new_arity, num)
         den = _lift(self.den, self.arity, new_arity, offset)
         witness = None
         if self.den_witness is not None:
@@ -928,6 +964,14 @@ class Expr:
         return _parse_expr(text, arity)
 
 
+# Expr's fields are set once, past its __setattr__ guard, by its slots'
+# own setters
+_new = object.__new__
+_set_arity, _set_num, _set_den, _set_witness, _set_key = (
+    Expr.__dict__[name].__set__ for name in ("arity", "num", "den", "den_witness", "_key")
+)
+
+
 def _normalize(
     arity: int, num: Terms, den: Terms, hints: dict[tuple, PositivityWitness]
 ) -> tuple[Terms, Terms, PositivityWitness | None]:
@@ -937,7 +981,7 @@ def _normalize(
         c = _constant_value(den)
         if c == 1:
             return num, _const(arity, 1), None
-        return _scale(num, 1 / c), _const(arity, 1), None
+        return _scale(num, _quo(1, c)), _const(arity, 1), None
     # prefer a positive leading denominator before looking for witnesses
     if _leading(den)[1] < 0:
         num, den = _neg(num), _neg(den)
@@ -948,7 +992,7 @@ def _normalize(
         assert num2 is not None and den2 is not None
         if _is_constant(den2):
             c = _constant_value(den2)
-            return _scale(num2, 1 / c), _const(arity, 1), None
+            return _scale(num2, _quo(1, c)), _const(arity, 1), None
         if _leading(den2)[1] < 0:
             num2, den2 = _neg(num2), _neg(den2)
         witness2 = derive_witness(den2, arity, hints)
@@ -966,24 +1010,25 @@ def _normalize(
         )
     lead = _leading(den)[1]
     if lead != 1:
-        num = _scale(num, 1 / lead)
-        den = _scale(den, 1 / lead)
-        witness = witness.scaled(1 / lead)
+        inv = _quo(1, lead)
+        num = _scale(num, inv)
+        den = _scale(den, inv)
+        witness = witness.scaled(inv)
     if not witness.verify(den, arity):
         raise ExprError("positivity certificate failed to replay")
     return num, den, witness
 
 
-def _pow(a: Terms, k: int, arity: int, integral: type = Fraction) -> Terms:
+def _pow(a: Terms, k: int, arity: int) -> Terms:
     """a**k by square-and-multiply; `Expr.__pow__` forms the same products
-    for a rational base.  `integral` as in `_add`."""
-    result = {(0,) * arity: integral(1)}
+    for a rational base."""
+    result = {(0,) * arity: 1}
     while k:
         if k & 1:
-            result = _mul(result, a, integral)
+            result = _mul(result, a)
         k >>= 1
         if k:
-            a = _mul(a, a, integral)
+            a = _mul(a, a)
     return result
 
 
@@ -1017,7 +1062,7 @@ def _subst_terms(terms: Terms, args: Sequence[Expr], out_arity: int) -> Expr:
             hints[_terms_key(den)] = witness
     num = _subst_poly(terms, [a.num for a in args], out_arity, dens)
     if den is None:
-        return Expr(out_arity, num)
+        return Expr._poly(out_arity, num)
     return Expr(out_arity, num, den, witness, hints)
 
 
@@ -1044,28 +1089,46 @@ def _subst_poly(
     partial sum, and no Expr until the caller's.  dens[i], when given and
     not None, is (q_i, D_i, q_i^D_i), and x_i^e then stands for
     args[i]^e * q_i^(D_i - e)."""
-    total: Terms = {}
+    return _substitution(args, out_arity, dens)(terms)
+
+
+def _substitution(
+    args: Sequence[Terms],
+    out_arity: int,
+    dens: Sequence[tuple[Terms, int, Terms] | None] = (),
+) -> Callable[[Terms], Terms]:
+    """`_subst_poly` for every terms it is called on, with one table of the
+    factors x_i^e stands for, each built on first use.  Without dens a
+    factor depends only on args[i] and e, so one table serves every
+    component of a vector composition."""
     factors: dict[tuple[int, int], Terms] = {}
-    for mono, coeff in terms.items():
-        term = None
-        for i, e in enumerate(mono):
-            if e or (dens and dens[i]):
-                factor = factors.get((i, e))
-                if factor is None:
-                    factor = factors[i, e] = _subst_factor(
-                        args[i], e, dens[i] if dens else None, out_arity
-                    )
-                if term is None:  # the term's coefficient times its first factor
-                    # two integers make one gcd-free Fraction, as in `_mul`
-                    term = {
-                        m: Fraction(c.numerator * coeff.numerator)
-                        if c.denominator == 1 == coeff.denominator else c * coeff
-                        for m, c in factor.items()
-                    }
-                else:
-                    term = _mul(term, factor)
-        total = _add(total, {(0,) * out_arity: coeff} if term is None else term)
-    return total
+
+    def subst(terms: Terms) -> Terms:
+        total: Terms = {}
+        for mono, coeff in terms.items():
+            term = None
+            for i, e in enumerate(mono):
+                if e or (dens and dens[i]):
+                    factor = factors.get((i, e))
+                    if factor is None:
+                        factor = factors[i, e] = _subst_factor(
+                            args[i], e, dens[i] if dens else None, out_arity
+                        )
+                    if term is None:  # the term's coefficient times its first factor
+                        term = {
+                            m: v if type(v := c * coeff) is int or v.denominator != 1
+                            else v.numerator
+                            for m, c in factor.items()
+                        }
+                    else:
+                        term = _mul(term, factor)
+            if term is None:
+                term = {(0,) * out_arity: coeff}
+            # total is this call's own dict, so each term adds in place
+            _add_into(total, term.items())
+        return total
+
+    return subst
 
 
 def _subst_factor(
@@ -1083,6 +1146,40 @@ def _subst_factor(
         return q_top
     n = power(arg, e)
     return n if e == top else _mul(n, power(q, top - e))
+
+
+def _compose_all(fns: Sequence[Expr], args: Sequence[Expr]) -> list[Expr]:
+    """fn(args) for each fn, all of one arity.  The polynomial
+    substitutions share one `_substitution`, so each power of an argument
+    is built once for the whole vector."""
+    arity = fns[0].arity
+    if len(args) != arity:
+        raise ExprError(f"expected {arity} arguments, got {len(args)}")
+    if arity == 0:
+        raise ExprError("cannot infer arity for a 0-variable substitution")
+    out_arity = args[0].arity
+    for a in args:
+        if a.arity != out_arity:
+            raise ExprError("substitution arguments disagree on arity")
+    subst = None
+    out = []
+    for fn in fns:
+        if fn.is_polynomial and len(fn.num) == 1:
+            ((mono, coeff),) = fn.num.items()
+            if coeff == 1 and sum(mono) == 1:
+                # a bare variable x_i, as in a coordinate projection
+                out.append(args[mono.index(1)])
+                continue
+        if fn.is_polynomial and all(
+            a.is_polynomial or not any(m[i] for m in fn.num) for i, a in enumerate(args)
+        ):
+            # every argument the polynomial reads is a polynomial
+            if subst is None:
+                subst = _substitution([a.num for a in args], out_arity)
+            out.append(Expr._poly(out_arity, subst(fn.num)))
+        else:
+            out.append(_compose_rational(fn, args))
+    return out
 
 
 def _compose_rational(fn: Expr, args: Sequence[Expr]) -> Expr:
@@ -1223,19 +1320,18 @@ def _parse_expr(text: str, arity: int) -> Expr:
     def expr(value) -> Expr:
         if type(value) is Expr:
             return value
-        return Expr(arity, {m: c if type(c) is Fraction else Fraction(c)
-                            for m, c in terms(value).items()})
+        return Expr._poly(arity, terms(value))
 
     def combine(op: str, a, b):
         a, b = terms(a), terms(b)
         if type(a) is dict and type(b) is dict:
             if op == "*":
-                return _mul(a, b, int)
+                return _mul(a, b)
             if _is_constant(b):
                 if not b:
                     raise ExprError("division by zero")
                 c = _constant_value(b)
-                return a if c == 1 else _scale(a, Fraction(c.denominator, c.numerator))
+                return a if c == 1 else _scale(a, _quo(1, c))
         return _EXPR_OPS[op](expr(a), expr(b))
 
     def parse_sum():
@@ -1254,24 +1350,10 @@ def _parse_expr(text: str, arity: int) -> Expr:
             if type(value) is Expr or type(right) is Expr:
                 value = _EXPR_OPS[op](expr(value), expr(right))
                 continue
-            # a pair is its own one item
-            for mono, c in ((right,) if type(right) is tuple else right.items()):
-                if op == "-":
-                    c = -c
-                if not c:
-                    continue
-                prev = value.get(mono)
-                if prev is None:
-                    value[mono] = c
-                    continue
-                if prev.denominator == 1 == c.denominator:
-                    total = prev.numerator + c.numerator
-                else:
-                    total = prev + c
-                if total:
-                    value[mono] = total
-                else:
-                    del value[mono]
+            if type(right) is tuple:  # a pair is its own one item
+                _add_into(value, ((right[0], -right[1] if op == "-" else right[1]),))
+            else:
+                _add_into(value, _neg(right).items() if op == "-" else right.items())
         return value
 
     def parse_product():
@@ -1308,7 +1390,7 @@ def _parse_expr(text: str, arity: int) -> Expr:
         pos += 2
         if type(base) is tuple:
             return tuple([e * exp for e in base[0]]), base[1] ** exp
-        return _pow(base, exp, arity, int) if type(base) is dict else base ** exp
+        return _pow(base, exp, arity) if type(base) is dict else base ** exp
 
     def parse_atom():
         nonlocal pos
@@ -1394,7 +1476,7 @@ class ExprVec:
             raise ExprError(
                 f"composition mismatch: arity {self.arity} vs {len(args)} components"
             )
-        return ExprVec([c.compose(args) for c in self.components])
+        return ExprVec(_compose_all(self.components, args))
 
     def eval(self, point: Sequence[Scalar]) -> tuple[Fraction, ...]:
         return tuple(c.eval(point) for c in self.components)

@@ -33,6 +33,11 @@ divides once per entry.  `Matrix.__mul__`, `Matrix.apply` and `_combine`
 sum polynomial products on raw term dicts with `expr._add` and `expr._mul`,
 in the order of the Expr fold they replace, and build one Expr per entry;
 rational entries keep Expr arithmetic.
+
+Every value handed back (a reduced row, solution, inverse, basis vector,
+product entry or affine part) is stored by `expr`'s coefficient rule: an
+int when it is an integer, a Fraction otherwise.  Each division is
+`expr._quo`, never `/`, which would make a float of two ints.
 """
 
 from __future__ import annotations
@@ -45,15 +50,15 @@ from fractions import Fraction
 from typing import Sequence
 
 from .expr import (
-    _ONE,
-    _ZERO,
     REDUCE_CACHE_SIZE,
     Expr,
     ExprError,
     ExprVec,
     _add,
+    _coeff,
     _const,
     _mul,
+    _quo,
 )
 
 __all__ = [
@@ -243,7 +248,7 @@ def _poly_dot(xs: Sequence[Expr], ys: Sequence[Expr], arity: int) -> Expr:
     for x, y in zip(xs, ys):
         if x.num and y.num:
             total = _add(total, _mul(x.num, y.num))
-    return Expr(arity, total)
+    return Expr._poly(arity, total)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +280,7 @@ class AffineParts:
         for Expr or Fraction targets: all zero exactly when target lies in
         the image of x -> A x + b."""
         shifted = self._shifted(target)
-        zero = Expr.zero(shifted[0].arity) if isinstance(shifted[0], Expr) else Fraction(0)
+        zero = Expr.zero(shifted[0].arity) if isinstance(shifted[0], Expr) else 0
         return [_combine(y, shifted, zero) for y in left_null_space(self.matrix)]
 
 
@@ -287,8 +292,8 @@ def affine_parts(vec: ExprVec) -> AffineParts | None:
     for comp in vec.components:
         if not comp.is_polynomial or comp.degree() > 1:
             return None
-        row = [Fraction(0)] * arity
-        const = Fraction(0)
+        row = [0] * arity
+        const = 0
         for mono, coeff in comp.num.items():
             if sum(mono) == 0:
                 const = coeff
@@ -354,9 +359,7 @@ def _reduced(key: tuple, extra: int) -> tuple[tuple[tuple, ...], tuple[tuple[int
                 a[r] = [v // g for v in new] if g > 1 else new
         pivots.append((row, col))
         row += 1
-    rows = [
-        tuple(Fraction(v, a[r][col]) if v else _ZERO for v in a[r]) for r, col in pivots
-    ]
+    rows = [tuple(_quo(v, a[r][col]) for v in a[r]) for r, col in pivots]
     rows += [tuple(a[r]) for r in range(len(pivots), len(a))]
     return tuple(rows), tuple(pivots)
 
@@ -370,8 +373,8 @@ def _null_basis(
     for free in range(width):
         if free in pivot_cols:
             continue
-        vec = [_ZERO] * width
-        vec[free] = _ONE
+        vec = [0] * width
+        vec[free] = 1
         for r, col in pivots:
             vec[col] = -a[r][free]
         basis.append(vec)
@@ -393,9 +396,10 @@ def _combine(coeffs: Sequence[Fraction], values: Sequence, zero):
         total: dict = {}
         for c, v in pairs:
             total = _add(total, v.num if c == 1 else _mul(v.num, _const(arity, c)))
-        return Expr(arity, total)
+        return Expr._poly(arity, total)
     terms = [v if c == 1 else v * c for c, v in pairs]
-    return sum(terms[1:], terms[0])
+    total = sum(terms[1:], terms[0])
+    return total if isinstance(zero, Expr) else _coeff(total)
 
 
 def _solve(matrix: Sequence[Sequence[Fraction]], rhs: Sequence, zero):
@@ -440,7 +444,7 @@ def solve_rational(
     matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
 ) -> list[Fraction] | None:
     """One exact rational solution of A x = b, or None."""
-    solved = _solve(matrix, [Fraction(v) for v in rhs], _ZERO)
+    solved = _solve(matrix, [_coeff(v) for v in rhs], 0)
     return None if solved is None else solved[0]
 
 
@@ -473,5 +477,5 @@ def rational_product(
     out = []
     for row in ia:
         sums = [sum(map(operator.mul, row, col)) for col in cols]
-        out.append(tuple(Fraction(v, d) if v else _ZERO for v in sums))
+        out.append(tuple(_quo(v, d) for v in sums))
     return tuple(out)

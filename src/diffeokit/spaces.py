@@ -940,11 +940,8 @@ class SmoothMap:
         # a piece of the wrong shape would pass some checks and fail others
         # deep inside linear algebra
         for src, dst, vec in self.pieces:
-            for space, comp in ((self.source, src), (self.target, dst)):
-                if comp not in space.carrier.components():
-                    raise ExprError(f"map {self.name!r}: {space.name!r} has no component {comp!r}")
-            arity = self.source.carrier.ambient_dim(src)
-            dim = self.target.carrier.ambient_dim(dst)
+            arity = _component_dim(self.source, src, self.name)
+            dim = _component_dim(self.target, dst, self.name)
             if vec.arity != arity or len(vec) != dim:
                 raise ExprError(
                     f"map {self.name!r}: piece {src!r}->{dst!r} takes {vec.arity} "
@@ -985,15 +982,21 @@ def smooth_map(
     if isinstance(mapping, Mapping):
         pieces = []
         for src, (dst, vec) in mapping.items():
-            arity = source.carrier.ambient_dim(src)
             if not isinstance(vec, ExprVec):
-                vec = ExprVec.parse(vec, arity)
+                vec = ExprVec.parse(vec, _component_dim(source, src, name))
             pieces.append((src, dst, vec))
         return SmoothMap(source, target, tuple(pieces), name)
-    arity = source.carrier.ambient_dim("")
     if not isinstance(mapping, ExprVec):
-        mapping = ExprVec.parse(mapping, arity)
+        mapping = ExprVec.parse(mapping, _component_dim(source, "", name))
     return SmoothMap(source, target, (("", "", mapping),), name)
+
+
+def _component_dim(space: DiffSpace, comp: str, map_name: str) -> int:
+    """The ambient dimension of a component of space, or the ExprError
+    that names the map when space has no such component."""
+    if comp not in space.carrier.components():
+        raise ExprError(f"map {map_name!r}: {space.name!r} has no component {comp!r}")
+    return space.carrier.ambient_dim(comp)
 
 
 def compose_maps(outer: SmoothMap, inner: SmoothMap, name: str = "") -> SmoothMap:
@@ -1248,7 +1251,7 @@ def vanishes_on_carrier(
             entries: dict[tuple[int, ...], Fraction] = {}
             for emono, coeff in eq.num.items():
                 key = tuple(a + b for a, b in zip(mono, emono))
-                entries[key] = entries.get(key, Fraction(0)) + coeff
+                entries[key] = entries.get(key, 0) + coeff
             col_entries.append(entries)
     return _sparse_consistent(col_entries, dict(value.num))
 
@@ -1264,7 +1267,7 @@ def _sparse_consistent(
             c = vec.get(row_key)
             if c:
                 for k, v in col.items():
-                    nv = vec.get(k, Fraction(0)) - c * v
+                    nv = vec.get(k, 0) - c * v
                     if nv:
                         vec[k] = nv
                     else:
@@ -1276,7 +1279,7 @@ def _sparse_consistent(
         if not vec:
             continue
         row_key = min(vec)
-        inv = 1 / vec[row_key]
+        inv = Fraction(1, vec[row_key])  # never int / int, which is a float
         vec = {k: v * inv for k, v in vec.items()}
         pivots.append((row_key, vec))
     residual = reduce(dict(target))

@@ -11,9 +11,12 @@ fold on the benchmark's and the fixtures' texts), compose and differentiate taki
 polynomial's stored denominator to be exactly 1, multiplication on plain
 ints when both factors have integer coefficients, addition of two integer
 coefficients on plain ints, the heuristic gcd (equal to the PRS gcd, which
-stays as its fallback), and the memo of witness expansions (compose gives
+stays as its fallback), the memo of witness expansions (compose gives
 the same result with it warm as with it bypassed, and nothing a caller
-holds can change a later hit).
+holds can change a later hit), the coefficient rule (every stored
+coefficient an int or a Fraction that is not an integer, every division
+of two coefficients exact, and no Fraction built at all on integer
+inputs) and one factor table per vector composition.
 """
 
 import importlib.util
@@ -28,10 +31,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from diffeokit import expr, fixtures
+from diffeokit import expr, fixtures, spaces
+from diffeokit.domains import Box, expr_bounds
 from diffeokit.expr import (
     Expr,
     ExprError,
+    ExprVec,
     PositivityWitness,
     _add,
     _common_denominator,
@@ -61,6 +66,11 @@ _values = st.fractions(min_value=-2, max_value=2, max_denominator=4)
 
 def _monomials(arity):
     return st.tuples(*[st.integers(0, 2)] * arity)
+
+
+def _stored(c) -> bool:
+    """The coefficient rule: an int, or a Fraction that is not an integer."""
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
 
 
 @st.composite
@@ -355,8 +365,9 @@ def _reference_mul(a, b):
     return out
 
 
-_integral = st.integers(-4, 4).filter(bool).map(Fraction)
-_rational = _coeffs.filter(bool)
+# raw terms hold coefficients in their stored form
+_integral = st.integers(-4, 4).filter(bool)
+_rational = _coeffs.filter(bool).map(expr._coeff)
 
 
 @st.composite
@@ -381,7 +392,7 @@ class TestIntegerMultiplication:
         a, b = pair
         product = _mul(a, b)
         assert product == _reference_mul(a, b)
-        assert all(type(c) is Fraction and c for c in product.values())
+        assert all(_stored(c) and c for c in product.values())
 
 
 class TestIntegerAddition:
@@ -392,7 +403,7 @@ class TestIntegerAddition:
         total = _add(a, b)
         assert total == _reference_add(a, b)
         assert list(total) == list(_reference_add(a, b))
-        assert all(type(c) is Fraction and c for c in total.values())
+        assert all(_stored(c) and c for c in total.values())
 
 
 def _split_witness(e: Expr) -> Expr:
@@ -524,8 +535,7 @@ def term_trees(draw):
 _X0, _X1 = ("var", 0), ("var", 1)
 
 # (x0 + x1 + x0*x1 + 1/2)*(x1 - x0 + 1): the x0*x1 total of the product
-# cancels to zero and comes back, so it moves to the end of the dict in the
-# Fraction loop of `_mul` (rational factors) and not in its int loop
+# cancels to zero and comes back, so `_mul` moves it to the end of the dict
 _CANCEL_AND_RETURN = (2, ("mul",
     ("add", ("add", ("add", _X0, _X1), ("mul", _X0, _X1)), ("div", ("num", 1), ("num", 2))),
     ("add", ("sub", _X1, _X0), ("num", 1))))
@@ -552,7 +562,7 @@ class TestRawTermParser:
         assert list(parsed.den.items()) == list(reference.den.items())
         assert parsed.den_witness == reference.den_witness
         for terms in (parsed.num, parsed.den):
-            assert all(type(c) is Fraction and c for c in terms.values())
+            assert all(_stored(c) and c for c in terms.values())
 
     def test_rendering_keeps_the_tree(self):
         tree = ("sub", ("var", 0), ("neg", ("pow", ("add", ("var", 0), ("num", 1)), 2)))
@@ -576,11 +586,11 @@ def _dict_fold_parse(text: str, arity: int) -> Expr:
     def combine(op: str, a, b):
         if type(a) is dict and type(b) is dict:
             if op == "+":
-                return _add(a, b, int)
+                return _add(a, b)
             if op == "-":
-                return _add(a, expr._neg(b), int)
+                return _add(a, expr._neg(b))
             if op == "*":
-                return _mul(a, b, int)
+                return _mul(a, b)
             if expr._is_constant(b):
                 if not b:
                     raise ExprError("division by zero")
@@ -621,7 +631,7 @@ def _dict_fold_parse(text: str, arity: int) -> Expr:
         if type(exp) is not int:
             raise ExprError(f"expected integer exponent in {text!r}")
         pos += 2
-        return expr._pow(base, exp, arity, int) if type(base) is dict else base ** exp
+        return expr._pow(base, exp, arity) if type(base) is dict else base ** exp
 
     def parse_atom():
         nonlocal pos
@@ -711,7 +721,7 @@ class TestPairFoldParser:
         assert list(parsed.den.items()) == list(reference.den.items()), text
         assert parsed.den_witness == reference.den_witness, text
         for terms in (parsed.num, parsed.den):
-            assert all(type(c) is Fraction for c in terms.values()), text
+            assert all(_stored(c) for c in terms.values()), text
 
     def test_benchmark_texts_parse_as_the_dict_fold(self):
         texts = _bench_texts()
@@ -991,7 +1001,7 @@ class TestCommonDenominatorSubstitution:
         out = expr._subst_poly(fn.num, [a.num for a in args], ARITY)
         expected = _reference_subst_poly(fn.num, [a.num for a in args], ARITY)
         assert list(out.items()) == list(expected.items())
-        assert all(type(c) is Fraction for c in out.values())
+        assert all(_stored(c) for c in out.values())
 
     @pytest.mark.parametrize("kind", ["integral", "rational", "mixed"])
     def test_integer_first_factor_scaling_keeps_the_terms_and_their_order(self, kind):
@@ -1004,7 +1014,7 @@ class TestCommonDenominatorSubstitution:
             out = expr._subst_poly(fn.num, nums, ARITY)
             expected = _comprehension_subst_poly(fn.num, nums, ARITY)
             assert list(out.items()) == list(expected.items())
-            assert all(type(c) is Fraction for c in out.values())
+            assert all(_stored(c) for c in out.values())
             # x_i^e standing for n_i^e * q_i^(D_i - e) over a witnessed q_i
             dens = []
             for i in range(ARITY):
@@ -1051,3 +1061,219 @@ class TestCommonDenominatorSubstitution:
             result = fn.compose(args)
         assert result.is_polynomial
         assert result == _compose_rational(fn, args) == x0 + 1
+
+
+# -- the coefficient rule -----------------------------------------------------
+
+
+def _typed(terms):
+    """The items of terms in dict order, each with its coefficient's type."""
+    return [(mono, c, type(c)) for mono, c in terms.items()]
+
+
+def _all_stored(e: Expr) -> bool:
+    """Every coefficient of e, and of its witness's squares and expansion,
+    obeys the rule, and none is zero."""
+    tables = [e.num, e.den]
+    if e.den_witness is not None:
+        tables.append(_witness_expansion(e.den_witness, e.arity))
+        tables += [dict(key) for _, key in e.den_witness.squares]
+    return all(_stored(c) and c for terms in tables for c in terms.values())
+
+
+def _built(*thunks) -> list:
+    """The Exprs the thunks build, an ExprVec's components one by one; a
+    thunk that raises ExprError (an uncertified denominator, a division by
+    zero) builds nothing."""
+    out = []
+    for thunk in thunks:
+        try:
+            value = thunk()
+        except ExprError:
+            continue
+        out.extend(value if isinstance(value, ExprVec) else [value])
+    return out
+
+
+class TestCoefficientRule:
+    """A stored coefficient is an int when it is an integer and a Fraction
+    only when its denominator exceeds 1: never a float, never an integral
+    Fraction."""
+
+    @_property
+    @given(st.one_of(exprs(), witnessed_rationals()), st.one_of(exprs(), witnessed_rationals()),
+           st.lists(st.one_of(polys(), witnessed_rationals()), min_size=ARITY, max_size=ARITY),
+           st.integers(0, 3))
+    def test_every_operation_stores_by_the_rule(self, a, b, args, k):
+        built = _built(
+            lambda: a + b, lambda: a - b, lambda: a * b, lambda: a / b, lambda: a**k, lambda: -a,
+            lambda: a * 6, lambda: a / 4, lambda: 3 - a, lambda: a * Fraction(2, 3),
+            lambda: a.compose(args), lambda: ExprVec([a, b, a * b]).compose(args),
+            lambda: a.differentiate(0), lambda: a.differentiate(1),
+            lambda: Expr.parse(a.to_str(), ARITY), lambda: a.lift(ARITY + 1, 1),
+        )
+        assert built
+        for e in [a, b, *args, *built]:
+            assert _all_stored(e), e
+
+    @_property
+    @given(st.dictionaries(_monomials(ARITY), _coeffs, max_size=4),
+           st.dictionaries(_monomials(ARITY), _coeffs, max_size=4))
+    def test_the_public_constructor_stores_any_rational_by_the_rule(self, num, den):
+        # integral Fractions given to Expr(...) are stored as ints, and
+        # zeros are dropped
+        assert _all_stored(Expr(ARITY, num))
+        try:
+            e = Expr(ARITY, num, den)
+        except ExprError:
+            return
+        assert _all_stored(e)
+
+
+class TestDivisionSites:
+    """Each division of two coefficients builds Fraction(a, b): `/` on two
+    int coefficients would make a float."""
+
+    def test_exact_division(self):
+        assert _typed(_div_exact({(2,): 6, (1,): 4}, {(1,): 2})) == [
+            ((1,), 3, int), ((0,), 2, int)]
+        assert _typed(_div_exact({(1,): 3}, {(1,): 2})) == [((0,), Fraction(3, 2), Fraction)]
+
+    def test_monic(self):
+        assert _typed(expr._monic({(1,): 2, (0,): 4})) == [((1,), 1, int), ((0,), 2, int)]
+        assert _typed(expr._monic({(1,): 3, (0,): 1})) == [
+            ((1,), 1, int), ((0,), Fraction(1, 3), Fraction)]
+
+    def test_quadratic_witness(self):
+        # x^2 + 2x + 2 = (x + 1)^2 + 1: b*b/(4a) and b/(2a) are integers
+        terms = {(2,): 1, (1,): 2, (0,): 2}
+        w = expr._witness_quadratic(terms, 1)
+        assert w.constant == 1 and w.verify(terms, 1)
+        assert _typed(dict(w.squares[0][1])) == [((0,), 1, int), ((1,), 1, int)]
+        # 2x^2 + 2x + 1 = 2(x + 1/2)^2 + 1/2
+        terms = {(2,): 2, (1,): 2, (0,): 1}
+        w = expr._witness_quadratic(terms, 1)
+        assert w.constant == Fraction(1, 2) and w.verify(terms, 1)
+        assert _typed(dict(w.squares[0][1])) == [((0,), Fraction(1, 2), Fraction), ((1,), 1, int)]
+
+    def test_a_float_given_to_the_constructor_is_taken_exactly(self):
+        assert _typed(Expr(1, {(1,): 0.5, (0,): 2.0}).num) == [
+            ((1,), Fraction(1, 2), Fraction), ((0,), 2, int)]
+
+    def test_constant_value_eval_and_constant_point_are_fractions(self):
+        seven = Expr.parse("7", 1)
+        assert seven.constant_value() == 7 and type(seven.constant_value()) is Fraction
+        assert Expr.parse("7/2", 1).constant_value() == Fraction(7, 2)
+        assert type(seven.eval([3])) is Fraction
+        point = ExprVec.parse(["7", "0", "-4/6"], 1).constant_point()
+        assert point == (7, 0, Fraction(-2, 3))
+        assert all(type(v) is Fraction for v in point)
+
+    def test_normalize_divides_by_a_constant_denominator(self):
+        assert _typed(Expr(1, {(1,): 4}, {(0,): 2}).num) == [((1,), 2, int)]
+        assert _typed(Expr(1, {(1,): 3}, {(0,): 2}).num) == [((1,), Fraction(3, 2), Fraction)]
+        # 6x(x + 1) / 3(x + 1): the gcd leaves the constant 3
+        e = Expr(1, {(2,): 6, (1,): 6}, {(1,): 3, (0,): 3})
+        assert _typed(e.num) == [((1,), 2, int)] and _typed(e.den) == [((0,), 1, int)]
+
+    def test_normalize_scales_the_leading_coefficient(self):
+        e = Expr.parse("4*x0/(2*x0^2 + 2)", 1)
+        assert _typed(e.num) == [((1,), 2, int)]
+        assert _typed(e.den) == [((2,), 1, int), ((0,), 1, int)]
+        assert e.den_witness.lower_bound() == 1 and e.den_witness.verify(e.den, 1)
+        assert _typed(Expr.parse("x0/(2*x0^2 + 2)", 1).num) == [((1,), Fraction(1, 2), Fraction)]
+
+    def test_bounds_of_a_quotient(self):
+        bounds = expr_bounds(Expr.parse("1/(x0^2 + 1)", 1), Box.of((0, 1)))
+        assert bounds == (Fraction(1, 2), 1)
+        assert not any(isinstance(v, float) for v in bounds)
+
+    def test_sparse_vanishing_solve(self):
+        # x0^2*x1 - 7/3*x0*x1 = (x0/3) * (3*x0*x1 - 7*x1); 1/3 is no float
+        r2 = spaces.euclidean_space(2)
+        sub = spaces.subset_space("s", r2, [Expr.parse("3*x0*x1 - 7*x1", 2)])
+        assert spaces.vanishes_on_carrier(sub, Expr.parse("x0^2*x1 - 7/3*x0*x1", 2))
+        assert not spaces.vanishes_on_carrier(sub, Expr.parse("x0^2*x1 - 2*x0*x1", 2))
+
+
+class TestIntegerInputsBuildNoFraction:
+    """On Z[x] inputs the kernel's raw-term steps and the Expr operators
+    that run them build no Fraction at all."""
+
+    def test_no_fraction_is_constructed(self, monkeypatch):
+        a = {(2, 0): 3, (1, 1): -2, (0, 0): 5}
+        b = {(1, 0): 1, (0, 1): -4, (0, 0): 1}
+        p = Expr.parse("x0*x1 - 2", 2)
+        built = []
+        original = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            built.append(args)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        parsed = Expr.parse("3*x0^2 - 2*x0*x1 + 5 - (x0 + 1)^3*x1 + 2^3*x1^2", 2)
+        _mul(a, b)
+        _add(a, b)
+        expr._pow(b, 3, 2)
+        expr._diff(a, 0)
+        expr._subst_poly(a, [b, a], 2)
+        ExprVec([parsed, p]).compose([p, parsed + p])
+        (parsed * p - p) ** 2
+        parsed.differentiate(1)
+        monkeypatch.undo()
+        assert built == []
+
+
+class TestSharedFactorTable:
+    """`ExprVec.compose` builds each power of an argument once for all of
+    its polynomial components, and equals a compose per component."""
+
+    @staticmethod
+    def compose_counting(vec, args, monkeypatch):
+        built = []
+        original = expr._subst_factor
+
+        def counting(arg, e, den, out_arity):
+            # each argument's terms are a dict of their own
+            built.append((id(arg), e, den is None))
+            return original(arg, e, den, out_arity)
+
+        monkeypatch.setattr(expr, "_subst_factor", counting)
+        try:
+            return _outcome(lambda f, a: f.compose(a), vec, args), built
+        finally:
+            monkeypatch.undo()
+
+    @staticmethod
+    def assert_same(got, want):
+        assert (got is None) == (want is None)
+        for g, w in zip(got or (), want or (), strict=True):
+            assert g.canonical_key() == w.canonical_key()
+            assert list(g.num.items()) == list(w.num.items())
+            assert list(g.den.items()) == list(w.den.items())
+
+    def test_a_power_is_built_once_per_composition(self, monkeypatch):
+        vec = ExprVec.parse(["x0^2*x1 + x1^3", "x0^2 - x1^3 + x0*x1", "x0^2*x1^3", "x1"], 2)
+        args = [Expr.parse("x0 + 2*x1", 2), Expr.parse("x0*x1 - 1", 2)]
+        per_component = [c.compose(args) for c in vec]
+        got, built = self.compose_counting(vec, args, monkeypatch)
+        assert sorted(e for _, e, _ in built) == [1, 1, 2, 3]
+        self.assert_same(got, per_component)
+
+    @_property
+    @given(st.lists(st.one_of(polys(), witnessed_rationals()), min_size=1, max_size=4),
+           st.lists(st.one_of(polys(), witnessed_rationals()), min_size=ARITY, max_size=ARITY))
+    def test_compose_equals_a_compose_per_component(self, components, args):
+        vec = ExprVec(components)
+        try:
+            per_component = [c.compose(args) for c in vec]
+        except ExprError:
+            per_component = None
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            got, built = self.compose_counting(vec, args, monkeypatch)
+        self.assert_same(got, per_component)
+        # a rational component substitutes into its numerator and
+        # denominator with a table of its own
+        if all(e.is_polynomial for e in [*components, *args]):
+            assert len(built) == len(set(built))

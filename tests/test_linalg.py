@@ -417,10 +417,15 @@ def _ref_invert(rows):
     return [row[n:] for row in a]
 
 
+def _stored(v) -> bool:
+    """The coefficient rule: an int, or a Fraction that is not an integer."""
+    return type(v) is int or (type(v) is Fraction and v.denominator > 1)
+
+
 def _same_values(got, want):
-    """Equal lists of Fractions, every one stored as a Fraction."""
+    """Equal lists of rationals, every one stored by the coefficient rule."""
     assert got == want
-    assert all(type(v) is Fraction for v in got)
+    assert all(_stored(v) for v in got)
 
 
 def _same_expr(got, want):
@@ -681,7 +686,7 @@ class TestFusedSums:
         b = [[data.draw(_small) for _ in range(m)] for _ in range(k)]
         got = rational_product(a, b)
         assert got == _fold_rational_product(a, b)
-        assert all(type(v) is Fraction for row in got for v in row)
+        assert all(_stored(v) for row in got for v in row)
 
     def test_arity_mismatch_still_raises(self):
         a = Matrix.identity(2, 1)
@@ -689,3 +694,46 @@ class TestFusedSums:
             a * Matrix.identity(2, 2)
         with pytest.raises(ExprError):
             a.apply([Expr.one(2), Expr.one(2)])
+
+
+class TestCoefficientRule:
+    """Every value a rational product or solve hands back, and every
+    coefficient of an Expr that a matrix product or affine solve builds,
+    is an int or a Fraction that is not an integer: never a float."""
+
+    @_property
+    @given(_matrices(), st.data())
+    def test_rational_products_and_solves(self, a, data):
+        m, n = len(a), len(a[0])
+        b = [[data.draw(_entries) for _ in range(2)] for _ in range(n)]
+        x = [data.draw(_entries) for _ in range(n)]
+        values = [v for row in rational_product(a, b) for v in row]
+        for rhs in (_times(a, x), [data.draw(_entries) for _ in range(m)]):
+            values += solve_rational(a, rhs) or []
+        values += [v for y in left_null_space(a) for v in y]
+        if m == n:
+            values += [v for row in invert_rational(a) or [] for v in row]
+        rows, _ = _reduced.__wrapped__(tuple(map(tuple, a)), m)
+        values += [v for row in rows for v in row]
+        assert all(_stored(v) for v in values)
+
+    @settings(max_examples=15)
+    @given(st.data())
+    def test_expr_products_and_affine_solves(self, data):
+        n, k = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2))
+        a = Matrix([[data.draw(_expr_entries()) for _ in range(k)] for _ in range(n)])
+        b = Matrix([[data.draw(_expr_entries()) for _ in range(2)] for _ in range(k)])
+        vec = [data.draw(_expr_entries()) for _ in range(k)]
+        coeffs = [[data.draw(_small) for _ in range(2)] for _ in range(n)]
+        rhs = [data.draw(_expr_entries()) for _ in range(n)]
+        built = [e for row in (a * b).rows for e in row] + list(a.apply(vec))
+        solved = solve_affine(coeffs, rhs)
+        if solved is not None:
+            built += solved.particular
+            assert all(_stored(v) for vec in solved.null_basis for v in vec)
+        for e in built:
+            assert all(_stored(c) and c for t in (e.num, e.den) for c in t.values()), e
+        parts = affine_parts(ExprVec([Expr.parse(f"({c[0]})*x0 + ({c[1]})*x1 + 3", 2)
+                                      for c in coeffs]))
+        assert all(_stored(v) for row in parts.matrix for v in row)
+        assert all(_stored(v) for v in parts.offset)

@@ -435,6 +435,19 @@ class TestSmoothness:
         with pytest.raises(ExprError, match="map 'stray': 'u' has no component 'c'"):
             smooth_map(r1, union, {"": ("c", ["x0"])}, name="stray")
 
+    def test_a_missing_source_component_names_the_map(self):
+        # the component is checked before its formula is parsed, so a text
+        # piece fails as an ExprVec piece does, not with a bare KeyError
+        # from the carrier
+        r1 = euclidean_space(1, "r1")
+        union = union_space("u", [("a", r1), ("b", r1)])
+        with pytest.raises(ExprError, match="map 'm': 'u' has no component 'zz'"):
+            smooth_map(union, r1, {"zz": ("", ["x0"])}, name="m")
+        with pytest.raises(ExprError, match="map 'm': 'u' has no component 'zz'"):
+            smooth_map(union, r1, {"zz": ("", ExprVec.parse(["x0"], 1))}, name="m")
+        with pytest.raises(ExprError, match="map 'm': 'u' has no component ''"):
+            smooth_map(union, r1, ["x0"], name="m")
+
     def test_vanishing_certificate(self):
         r2 = euclidean_space(2)
         sub = subset_space(
