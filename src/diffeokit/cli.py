@@ -5,9 +5,11 @@ import json
 import random
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, Iterable
 
 from .autgroups import exact_sequence_check, frame_bundle_check, random_frame
 from .bundles import validate_bundle
@@ -32,20 +34,6 @@ from .spaces import (
     verify_certificate,
 )
 from .tangent import cone_membership
-
-ANCHORS = {
-    "axioms": "plot-family-axioms",
-    "smooth": "smooth-map-membership",
-    "subduction": "subduction-lifting",
-    "tangent-cone": "tangent-cone-membership",
-    "bundle-validate": "bundle-operations",
-    "exact-sequence": "automorphism-exact-sequence",
-    "frame-check": "frame-action-free-transitive",
-    "forms-validate": "form-overlap-compatibility",
-    "frame-model": "connection-form-equivariance",
-    "connection-validate": "covariant-derivative-laws",
-    "affine-check": "connection-affine-structure",
-}
 
 
 @dataclass(frozen=True)
@@ -106,10 +94,12 @@ def _verdict_witnesses(v: Verdict) -> tuple[str, ...]:
     return tuple(out)
 
 
-def _from_verdict(check_id: str, anchor: str, v: Verdict, budget: int, t0: float) -> CheckResult:
-    return CheckResult(
-        check_id, anchor, v.status, _verdict_witnesses(v), budget, time.perf_counter() - t0
-    )
+def _from_verdict(check_id: str, anchor: str, budget: int, check, *args) -> list[CheckResult]:
+    """Time the one verdict `check(*args)` and report it as one check."""
+    t0 = time.perf_counter()
+    v = check(*args)
+    elapsed = time.perf_counter() - t0
+    return [CheckResult(check_id, anchor, v.status, _verdict_witnesses(v), budget, elapsed)]
 
 
 def _tally(
@@ -161,34 +151,15 @@ def _random_poly(rng: random.Random, arity: int, degree: int) -> Expr:
     return total
 
 
-def _axioms_checks(
-    reg: FixtureRegistry, name: str, budget: int, seed: int, trials: int = 10
-) -> list[CheckResult]:
-    space = reg.space(name)
-    rng = random.Random(f"{seed}:axioms:{name}")
-    out = []
-
-    t0 = time.perf_counter()
-    failures, count = [], 0
+def _constants(space):
     for gen in space.generators:
         for u in gen.domain.sample_points(2):
             value = tuple(c.eval(u) for c in gen.map.components)
             candidate = Plot(Domain.full(2), ExprVec.constant(2, value), gen.component)
-            count += 1
-            v = is_plot(space, candidate, budget)
-            if not v.is_yes:
-                failures.append(
-                    (v.status, f"constant at ({_fmt_point(value)}) -> {v.status}")
-                )
-    out.append(
-        _tally(
-            f"axioms:{name}:covering", ANCHORS["axioms"], failures,
-            (f"{count} constant parametrisations certified",), budget, t0,
-        )
-    )
+            yield candidate, lambda: f"constant at ({_fmt_point(value)})"
 
-    t0 = time.perf_counter()
-    failures, count = [], 0
+
+def _precompositions(space, rng: random.Random, trials: int):
     for idx, gen in enumerate(space.generators):
         if not _is_full(gen.domain):
             continue
@@ -196,61 +167,55 @@ def _axioms_checks(
         for _ in range(trials):
             arity = rng.randint(1, 2)
             factor = [_random_poly(rng, arity, 3) for _ in range(n)]
-            candidate = Plot(
-                Domain.full(arity),
-                gen.map.compose(factor),
-                gen.component,
+            candidate = Plot(Domain.full(arity), gen.map.compose(factor), gen.component)
+            yield candidate, lambda: (
+                f"generator {idx} after ({', '.join(f.to_str() for f in factor)})"
             )
-            count += 1
-            v = is_plot(space, candidate, budget)
-            if not v.is_yes:
-                factor_text = ", ".join(f.to_str() for f in factor)
-                failures.append(
-                    (v.status, f"generator {idx} after ({factor_text}) -> {v.status}")
-                )
-    out.append(
-        _tally(
-            f"axioms:{name}:precompose", ANCHORS["axioms"], failures,
-            (f"{count} random precompositions certified",), budget, t0,
-        )
-    )
 
-    t0 = time.perf_counter()
-    failures, count = [], 0
+
+def _restrictions(space):
     for idx, gen in enumerate(space.generators):
         n = gen.domain.dim
         sub = Domain(n, (Box(tuple(Interval(Fraction(-1), Fraction(1)) for _ in range(n))),))
         sub = sub.intersect(gen.domain)
-        if sub.is_empty:
-            continue
-        candidate = Plot(sub, gen.map, gen.component)
-        count += 1
-        v = is_plot(space, candidate, budget)
-        if not v.is_yes:
-            failures.append((v.status, f"restriction of generator {idx} -> {v.status}"))
-        elif not verify_certificate(space, candidate, v.certificate, budget):
-            failures.append(
-                ("no", f"restriction of generator {idx}: certificate replay failed")
-            )
-    out.append(
-        _tally(
-            f"axioms:{name}:locality", ANCHORS["axioms"], failures,
-            (f"{count} restrictions certified and replayed",), budget, t0,
-        )
+        if not sub.is_empty:
+            yield Plot(sub, gen.map, gen.component), lambda: f"restriction of generator {idx}"
+
+
+def _axioms_checks(
+    reg: FixtureRegistry, name: str, budget: int, seed: int, trials: int = 10
+) -> list[CheckResult]:
+    """One check per plot-family law: each candidate must be certified a plot,
+    and under locality its certificate must replay.  A candidate's label
+    function runs only on a failure, before the law's generator moves on."""
+    space = reg.space(name)
+    rng = random.Random(f"{seed}:axioms:{name}")
+    laws = (
+        ("covering", "constant parametrisations certified", _constants(space)),
+        ("precompose", "random precompositions certified",
+         _precompositions(space, rng, trials)),
+        ("locality", "restrictions certified and replayed", _restrictions(space)),
     )
+    out = []
+    for law, passed, candidates in laws:
+        t0 = time.perf_counter()
+        failures, count = [], 0
+        for candidate, label in candidates:
+            count += 1
+            v = is_plot(space, candidate, budget)
+            if not v.is_yes:
+                failures.append((v.status, f"{label()} -> {v.status}"))
+            elif law == "locality" and not verify_certificate(
+                space, candidate, v.certificate, budget
+            ):
+                failures.append(("no", f"{label()}: certificate replay failed"))
+        out.append(
+            _tally(
+                f"axioms:{name}:{law}", "plot-family-axioms", failures,
+                (f"{count} {passed}",), budget, t0,
+            )
+        )
     return out
-
-
-def _smooth_check(reg, name, budget) -> list[CheckResult]:
-    t0 = time.perf_counter()
-    v = is_smooth(reg.map(name), budget)
-    return [_from_verdict(f"smooth:{name}", ANCHORS["smooth"], v, budget, t0)]
-
-
-def _subduction_check(reg, name, budget) -> list[CheckResult]:
-    t0 = time.perf_counter()
-    v = is_subduction(reg.map(name), budget)
-    return [_from_verdict(f"subduction:{name}", ANCHORS["subduction"], v, budget, t0)]
 
 
 def _default_probes(dim: int) -> list[tuple[Fraction, ...]]:
@@ -266,7 +231,7 @@ def _default_probes(dim: int) -> list[tuple[Fraction, ...]]:
     return probes
 
 
-def _cone_checks(reg, name, x, budget) -> list[CheckResult]:
+def _cone_checks(reg, name, x, budget, seed) -> list[CheckResult]:
     space = reg.space(name)
     out = []
     for v in _default_probes(len(x)):
@@ -285,35 +250,26 @@ def _cone_checks(reg, name, x, budget) -> list[CheckResult]:
         out.append(
             CheckResult(
                 f"tangent-cone:{name}:{_fmt_point(x)}:{_fmt_point(v)}",
-                ANCHORS["tangent-cone"], cv.status, tuple(witnesses), budget,
+                "tangent-cone-membership", cv.status, tuple(witnesses), budget,
                 time.perf_counter() - t0,
             )
         )
     return out
 
 
-def _bundle_check(reg, name, budget) -> list[CheckResult]:
-    bundle = reg.bundle(name)
-    t0 = time.perf_counter()
-    v = validate_bundle(bundle, budget)
-    return [_from_verdict(f"bundle-validate:{name}", ANCHORS["bundle-validate"], v, budget, t0)]
-
-
-def _exact_sequence_check(reg, bundle_name, group_name, budget) -> list[CheckResult]:
+def _exact_sequence(reg, bundle_name, group_name, budget) -> Verdict:
     bundle = reg.bundle(bundle_name)
     group = reg.group(group_name)
     if group.bundle is not bundle:
         raise FixtureError(
             f"group {group_name!r} acts on bundle {group.bundle.name!r}, not {bundle_name!r}"
         )
-    t0 = time.perf_counter()
-    v = exact_sequence_check(bundle, group, budget)
-    return [
-        _from_verdict(
-            f"exact-sequence:{bundle_name}:{group_name}", ANCHORS["exact-sequence"],
-            v, budget, t0,
-        )
-    ]
+    return exact_sequence_check(bundle, group, budget)
+
+
+def _connection_laws(reg, name, budget) -> Verdict:
+    fx = reg.connection(name)
+    return validate_covariant(fx.nabla, fx.overlaps)
 
 
 def _frame_checks(reg, name, budget, seed) -> list[CheckResult]:
@@ -323,117 +279,155 @@ def _frame_checks(reg, name, budget, seed) -> list[CheckResult]:
         raise FixtureError(f"no frame base points registered for bundle {name!r}")
     rng = random.Random(f"{seed}:frame-check:{name}")
     t0 = time.perf_counter()
-    pairs = []
-    for x in points:
-        for _ in range(10):
-            pairs.append((random_frame(bundle, x, rng), random_frame(bundle, x, rng)))
+    pairs = [
+        (random_frame(bundle, x, rng), random_frame(bundle, x, rng))
+        for x in points for _ in range(10)
+    ]
     report = frame_bundle_check(bundle, pairs)
     return [
         _tally(
-            f"frame-check:{name}", ANCHORS["frame-check"],
+            f"frame-check:{name}", "frame-action-free-transitive",
             [("no", failure) for failure in report.failures],
             (f"{report.pairs} frame pairs free and transitive",), budget, t0,
         )
     ]
 
 
-def _forms_checks(reg, name, budget) -> list[CheckResult]:
+def _forms_checks(reg, name, budget, seed) -> list[CheckResult]:
+    """A form's overlap compatibility, or a frame model's connection-form
+    equivariance: the two kinds share one namespace on the command line."""
+    check_id = f"forms-validate:{name}"
     if name in reg.forms:
         fx = reg.forms[name]
-        t0 = time.perf_counter()
-        v = validate_form(fx.form, fx.overlaps)
-        return [_from_verdict(f"forms-validate:{name}", ANCHORS["forms-validate"], v, budget, t0)]
+        return _from_verdict(
+            check_id, "form-overlap-compatibility", budget, validate_form, fx.form, fx.overlaps
+        )
     if name in reg.frame_models:
         fm = reg.frame_models[name]
-        t0 = time.perf_counter()
         try:
-            v = check_connection_form(fm.theta, fm.plots, fm.samples)
+            return _from_verdict(
+                check_id, "connection-form-equivariance", budget,
+                check_connection_form, fm.theta, fm.plots, fm.samples,
+            )
         except ValueError as err:
             raise FixtureError(str(err)) from err
-        return [_from_verdict(f"forms-validate:{name}", ANCHORS["frame-model"], v, budget, t0)]
     known = ", ".join(sorted([*reg.forms, *reg.frame_models])) or "none"
     raise FixtureError(f"unknown form or frame model fixture {name!r} (available: {known})")
 
 
-def _connection_checks(reg, name, budget) -> list[CheckResult]:
-    fx = reg.connection(name)
-    t0 = time.perf_counter()
-    v = validate_covariant(fx.nabla, fx.overlaps)
-    return [
-        _from_verdict(
-            f"connection-validate:{name}", ANCHORS["connection-validate"], v, budget, t0
-        )
-    ]
-
-
-def _affine_checks(reg, name, budget) -> list[CheckResult]:
+def _affine_checks(reg, name, budget, seed) -> list[CheckResult]:
     fx = reg.affine_pair(name)
     t0 = time.perf_counter()
-    witnesses, failures = [], []
-
+    # each sub-check: (status, witness when it holds, witness when it does not)
+    subs = []
     for label, nabla in (("first", fx.first), ("second", fx.second)):
         v = validate_covariant(nabla, fx.overlaps)
-        if v.is_yes:
-            witnesses.append(f"{label} connection satisfies the derivative laws")
-        else:
-            failures.append(
-                (v.status, f"{label} connection: " + "; ".join(_verdict_witnesses(v)))
-            )
-
+        subs.append((v.status, f"{label} connection satisfies the derivative laws",
+                     f"{label} connection: " + "; ".join(_verdict_witnesses(v))))
     try:
         diff = affine_structure(fx.first, fx.second)
     except ValueError as err:
         raise FixtureError(str(err)) from err
     v = validate_form(diff, fx.overlaps)
-    if v.is_yes:
-        witnesses.append("difference is a compatible matrix-valued 1-form")
-    else:
-        failures.append((v.status, "difference form: " + "; ".join(_verdict_witnesses(v))))
-
-    if connections_equal(translate(fx.second, diff), fx.first):
-        witnesses.append("translating the second by the difference recovers the first")
-    else:
-        failures.append(("no", "translation by the difference misses the first connection"))
-    back = affine_structure(fx.second, fx.first)
-    if connections_equal(translate(fx.first, back), fx.second):
-        witnesses.append("reverse translation recovers the second")
-    else:
-        failures.append(("no", "reverse translation misses the second connection"))
+    subs.append((v.status, "difference is a compatible matrix-valued 1-form",
+                 "difference form: " + "; ".join(_verdict_witnesses(v))))
+    for holds, text, miss in (
+        (connections_equal(translate(fx.second, diff), fx.first),
+         "translating the second by the difference recovers the first",
+         "translation by the difference misses the first connection"),
+        (connections_equal(translate(fx.first, affine_structure(fx.second, fx.first)),
+                           fx.second),
+         "reverse translation recovers the second",
+         "reverse translation misses the second connection"),
+    ):
+        subs.append(("yes" if holds else "no", text, miss))
+    failures = [(status, miss) for status, _, miss in subs if status != "yes"]
+    witnesses = [text for status, text, _ in subs if status == "yes"]
     return [
-        _tally(
-            f"affine-check:{name}", ANCHORS["affine-check"], failures, witnesses,
-            budget, t0,
-        )
+        _tally(f"affine-check:{name}", "connection-affine-structure", failures, witnesses,
+               budget, t0)
     ]
 
 
+# ---------------------------------------------------------------------------
+# the command table
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand, read by the parser, the dispatch and `all`.  `args`
+    name fixtures, and the report's fixture field joins them with "/"; with
+    `point_help` a base point follows them.  `all` runs the command on each
+    of `subjects(reg)`.  It runs `checks(reg, *subject, budget, seed)`, or
+    is the one verdict `verdict(reg, *subject, budget)` under `anchor`."""
+
+    name: str
+    args: tuple[str, ...]
+    help: str
+    subjects: Callable[[FixtureRegistry], Iterable[tuple]]
+    checks: Callable[..., list[CheckResult]] | None = None
+    verdict: Callable[..., Verdict] | None = None
+    anchor: str = ""
+    point_help: str | None = None
+    description: str | None = None
+
+    def run(self, reg, subject: tuple, budget: int, seed: int) -> list[CheckResult]:
+        if self.checks is not None:
+            return self.checks(reg, *subject, budget, seed)
+        check_id = ":".join((self.name, *subject))
+        return _from_verdict(check_id, self.anchor, budget, self.verdict, reg, *subject, budget)
+
+
+def _each(names) -> list[tuple[str]]:
+    return [(name,) for name in sorted(names)]
+
+
+COMMANDS = (
+    Command("axioms", ("space",), "plot family axioms of a space",
+            lambda reg: _each(reg.spaces), checks=_axioms_checks),
+    Command("smooth", ("map",), "smoothness of a named map", lambda reg: _each(reg.maps),
+            verdict=lambda reg, name, budget: is_smooth(reg.map(name), budget),
+            anchor="smooth-map-membership"),
+    Command("subduction", ("map",), "subduction property of a named map",
+            lambda reg: _each(reg.maps),
+            verdict=lambda reg, name, budget: is_subduction(reg.map(name), budget),
+            anchor="subduction-lifting"),
+    Command("tangent-cone", ("space",), "cone membership at a base point",
+            lambda reg: [(name, x) for name, points in sorted(reg.cone_points.items())
+                         for x in points],
+            checks=_cone_checks, point_help="rational coordinates, e.g. 0,0 or 1/2,-3"),
+    Command("bundle-validate", ("bundle",), "bundle construction checks",
+            lambda reg: _each(reg.bundles),
+            verdict=lambda reg, name, budget: validate_bundle(reg.bundle(name), budget),
+            anchor="bundle-operations"),
+    Command("exact-sequence", ("bundle", "group"), "kernel = fiberwise linear part",
+            lambda reg: [(reg.groups[name].bundle.name, name) for name in sorted(reg.groups)],
+            verdict=_exact_sequence, anchor="automorphism-exact-sequence",
+            description="Prove kernel = fiberwise linear part on every word from the "
+            "generator, inverse and projection certificates. --budget bounds the membership "
+            f"searches behind those certificates (never below {DEFAULT_BUDGET}), not word "
+            "length."),
+    Command("frame-check", ("bundle",), "free transitive frame action",
+            lambda reg: _each(name for name in reg.bundles if name in reg.frame_points),
+            checks=_frame_checks),
+    Command("forms-validate", ("fixture",), "form storage and overlap compatibility",
+            lambda reg: _each([*reg.forms, *reg.frame_models]), checks=_forms_checks),
+    Command("connection-validate", ("fixture",), "covariant derivative laws",
+            lambda reg: _each(reg.connections), verdict=_connection_laws,
+            anchor="covariant-derivative-laws"),
+    Command("affine-check", ("fixture",), "difference-form and translation laws",
+            lambda reg: _each(reg.affine), checks=_affine_checks),
+)
+
+
 def _all_checks(reg, budget, seed) -> list[CheckResult]:
-    out = []
-    for name in sorted(reg.spaces):
-        out.extend(_axioms_checks(reg, name, budget, seed))
-    for name in sorted(reg.maps):
-        out.extend(_smooth_check(reg, name, budget))
-        out.extend(_subduction_check(reg, name, budget))
-    for name, points in sorted(reg.cone_points.items()):
-        for x in points:
-            out.extend(_cone_checks(reg, name, x, budget))
-    for name in sorted(reg.bundles):
-        out.extend(_bundle_check(reg, name, budget))
-        if name in reg.frame_points:
-            out.extend(_frame_checks(reg, name, budget, seed))
-    for name in sorted(reg.groups):
-        out.extend(
-            _exact_sequence_check(reg, reg.groups[name].bundle.name, name, budget)
-        )
-    for name in sorted(reg.forms):
-        out.extend(_forms_checks(reg, name, budget))
-    for name in sorted(reg.frame_models):
-        out.extend(_forms_checks(reg, name, budget))
-    for name in sorted(reg.connections):
-        out.extend(_connection_checks(reg, name, budget))
-    for name in sorted(reg.affine):
-        out.extend(_affine_checks(reg, name, budget))
-    return out
+    return [
+        check
+        for command in COMMANDS
+        for subject in command.subjects(reg)
+        for check in command.run(reg, subject, budget, seed)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -472,9 +466,7 @@ def render_text(fixture: str, budget: int, seed: int, checks, timings: bool = Fa
         lines.append(head)
         for w in c.witnesses:
             lines.append(f"         - {w}")
-    totals = {}
-    for c in checks:
-        totals[c.verdict] = totals.get(c.verdict, 0) + 1
+    totals = Counter(c.verdict for c in checks)
     summary = ", ".join(f"{totals[k]} {k}" for k in sorted(totals))
     lines.append(f"summary: {summary or 'no checks'}")
     return "\n".join(lines) + "\n"
@@ -512,65 +504,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="Run membership, bundle, group, and calculus checks on fixtures.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("axioms", parents=[common], help="plot family axioms of a space")
-    p.add_argument("space")
-    p = sub.add_parser("smooth", parents=[common], help="smoothness of a named map")
-    p.add_argument("map")
-    p = sub.add_parser("subduction", parents=[common], help="subduction property of a named map")
-    p.add_argument("map")
-    p = sub.add_parser("tangent-cone", parents=[common], help="cone membership at a base point")
-    p.add_argument("space")
-    p.add_argument("point", help="rational coordinates, e.g. 0,0 or 1/2,-3")
-    p = sub.add_parser("bundle-validate", parents=[common], help="bundle construction checks")
-    p.add_argument("bundle")
-    p = sub.add_parser(
-        "exact-sequence", parents=[common], help="kernel = fiberwise linear part",
-        description="Prove kernel = fiberwise linear part on every word from the generator, "
-        "inverse and projection certificates. --budget bounds the membership searches "
-        f"behind those certificates (never below {DEFAULT_BUDGET}), not word length.",
-    )
-    p.add_argument("bundle")
-    p.add_argument("group")
-    p = sub.add_parser("frame-check", parents=[common], help="free transitive frame action")
-    p.add_argument("bundle")
-    p = sub.add_parser("forms-validate", parents=[common], help="form storage and overlap compatibility")
-    p.add_argument("fixture")
-    p = sub.add_parser("connection-validate", parents=[common], help="covariant derivative laws")
-    p.add_argument("fixture")
-    p = sub.add_parser("affine-check", parents=[common], help="difference-form and translation laws")
-    p.add_argument("fixture")
+    for command in COMMANDS:
+        p = sub.add_parser(
+            command.name, parents=[common], help=command.help,
+            description=command.description,
+        )
+        for arg in command.args:
+            p.add_argument(arg)
+        if command.point_help:
+            p.add_argument("point", help=command.point_help)
     sub.add_parser("all", parents=[common], help="full built-in suite")
     return parser
 
 
-def _dispatch(args, reg: FixtureRegistry) -> tuple[str, list[CheckResult]]:
-    budget, seed = args.budget, args.seed
-    if args.command == "axioms":
-        return args.space, _axioms_checks(reg, args.space, budget, seed)
-    if args.command == "smooth":
-        return args.map, _smooth_check(reg, args.map, budget)
-    if args.command == "subduction":
-        return args.map, _subduction_check(reg, args.map, budget)
-    if args.command == "tangent-cone":
-        x = _parse_point(args.point)
-        return args.space, _cone_checks(reg, args.space, x, budget)
-    if args.command == "bundle-validate":
-        return args.bundle, _bundle_check(reg, args.bundle, budget)
-    if args.command == "exact-sequence":
-        return (
-            f"{args.bundle}/{args.group}",
-            _exact_sequence_check(reg, args.bundle, args.group, budget),
-        )
-    if args.command == "frame-check":
-        return args.bundle, _frame_checks(reg, args.bundle, budget, seed)
-    if args.command == "forms-validate":
-        return args.fixture, _forms_checks(reg, args.fixture, budget)
-    if args.command == "connection-validate":
-        return args.fixture, _connection_checks(reg, args.fixture, budget)
-    if args.command == "affine-check":
-        return args.fixture, _affine_checks(reg, args.fixture, budget)
-    return "all", _all_checks(reg, budget, seed)
+def _run_command(args, reg: FixtureRegistry) -> tuple[str, list[CheckResult]]:
+    """The report's fixture field and its checks."""
+    if args.command == "all":
+        return "all", _all_checks(reg, args.budget, args.seed)
+    command = next(c for c in COMMANDS if c.name == args.command)
+    names = tuple(getattr(args, arg) for arg in command.args)
+    point = (_parse_point(args.point),) if command.point_help else ()
+    return "/".join(names), command.run(reg, names + point, args.budget, args.seed)
 
 
 def main(argv=None) -> int:
@@ -580,11 +534,8 @@ def main(argv=None) -> int:
         return 2
     try:
         reg = load_registry(args.fixtures)
-        fixture, checks = _dispatch(args, reg)
-    except FixtureError as err:
-        print(f"fixture error: {err}", file=sys.stderr)
-        return 2
-    except ExprError as err:
+        fixture, checks = _run_command(args, reg)
+    except (FixtureError, ExprError) as err:
         print(f"fixture error: {err}", file=sys.stderr)
         return 2
 
@@ -604,10 +555,8 @@ def main(argv=None) -> int:
     else:
         sys.stdout.write(report)
 
-    failed = any(c.verdict == "no" for c in checks)
-    if args.strict_unknown:
-        failed = failed or any(c.verdict == "unknown" for c in checks)
-    return 1 if failed else 0
+    failing = ("no", "unknown") if args.strict_unknown else ("no",)
+    return 1 if any(c.verdict in failing for c in checks) else 0
 
 
 if __name__ == "__main__":

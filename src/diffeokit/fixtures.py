@@ -148,9 +148,16 @@ class FixtureRegistry:
             raise FixtureError(f"unknown {kind} fixture {name!r} (available: {known})")
         return table[name]
 
-    def _add(self, table, name, value, kind):
+    def _add(self, table, name, value, kind, rival=None):
+        """`rival` is the (table, kind) of another kind that the command
+        line addresses by the same names, so a name may not be in both."""
         if name in table:
             raise FixtureError(f"duplicate {kind} fixture {name!r}")
+        if rival is not None and name in rival[0]:
+            raise FixtureError(
+                f"{kind} fixture {name!r} clashes with the {rival[1]} fixture {name!r}: "
+                "forms-validate addresses both kinds by one name"
+            )
         table[name] = value
 
 
@@ -462,30 +469,27 @@ def load_file(reg: FixtureRegistry, path) -> None:
 
 def _load_document(reg: FixtureRegistry, doc: dict) -> None:
     carriers: dict[str, Carrier] = {}
-    for block in _blocks(doc, "carriers", "carrier"):
+
+    def load_carrier(reg, block):
         name = _name_of(block, "carrier")
         carriers[name] = _parse_carrier(block, carriers)
-    for block in _blocks(doc, "spaces", "space"):
-        _load_space(reg, block, carriers)
-    for block in _blocks(doc, "maps", "map"):
-        _load_map(reg, block)
-    for block in _blocks(doc, "bundles", "bundle"):
-        _load_bundle(reg, block)
-    for block in _blocks(doc, "groups", "group"):
-        _load_group(reg, block)
-    for block in _blocks(doc, "forms", "form"):
-        _load_form(reg, block)
-    for block in _blocks(doc, "connections", "connection"):
-        _load_connection(reg, block)
-    for block in _blocks(doc, "affine", "affine"):
-        _load_affine(reg, block)
-    for block in _blocks(doc, "frame_models", "frame_model"):
-        _load_frame_model(reg, block)
-    known = {
-        "carriers", "carrier", "spaces", "space", "maps", "map",
-        "bundles", "bundle", "groups", "group", "forms", "form",
-        "connections", "connection", "affine", "frame_models", "frame_model",
-    }
+
+    # (plural, singular, loader), in load order: later kinds name earlier ones
+    kinds = (
+        ("carriers", "carrier", load_carrier),
+        ("spaces", "space", lambda reg, block: _load_space(reg, block, carriers)),
+        ("maps", "map", _load_map),
+        ("bundles", "bundle", _load_bundle),
+        ("groups", "group", _load_group),
+        ("forms", "form", _load_form),
+        ("connections", "connection", _load_connection),
+        ("affine", "affine", _load_affine),
+        ("frame_models", "frame_model", _load_frame_model),
+    )
+    for plural, singular, load in kinds:
+        for block in _blocks(doc, plural, singular):
+            load(reg, block)
+    known = {key for plural, singular, _ in kinds for key in (plural, singular)}
     for key in doc:
         if key not in known:
             raise FixtureError(f"unknown top-level block {key!r}")
@@ -798,7 +802,10 @@ def _load_form(reg: FixtureRegistry, block: dict) -> None:
     except (ValueError, ExprError) as err:
         raise FixtureError(f"{where}: {err}") from err
     overlaps = _parse_overlaps(block, plots, where)
-    reg._add(reg.forms, name, FormFixture(form, overlaps), "form")
+    reg._add(
+        reg.forms, name, FormFixture(form, overlaps), "form",
+        rival=(reg.frame_models, "frame model"),
+    )
 
 
 def _load_connection(reg: FixtureRegistry, block: dict) -> None:
@@ -868,4 +875,4 @@ def _load_frame_model(reg: FixtureRegistry, block: dict) -> None:
         tuple(samples) or default_samples(k),
         maurer_cartan(base_dim, k),
     )
-    reg._add(reg.frame_models, name, model, "frame model")
+    reg._add(reg.frame_models, name, model, "frame model", rival=(reg.forms, "form"))

@@ -1387,22 +1387,6 @@ def generated_space(
     )
 
 
-def discrete_space(name: str, dim: int, points: Sequence[Point] = ()) -> DiffSpace:
-    """Carrier R^dim with only locally constant maps as plots."""
-    gens = tuple(
-        Plot(Domain.full(1), ExprVec.constant(1, [Fraction(v) for v in pt]))
-        for pt in points
-    )
-    return DiffSpace(
-        name,
-        EuclideanCarrier(dim),
-        generators=gens,
-        provenance=("generated",),
-        standard=False,
-        generators_complete=True,
-    )
-
-
 def subset_space(
     name: str,
     base: DiffSpace,

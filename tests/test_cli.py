@@ -1,5 +1,6 @@
 """Command line driver: subcommands, report formats, exit codes."""
 
+import argparse
 import ast
 import hashlib
 import json
@@ -13,7 +14,7 @@ import pytest
 
 import diffeokit
 from diffeokit import autgroups, bundles, domains, linalg, tangent
-from diffeokit.cli import main
+from diffeokit.cli import build_parser, main
 
 
 # public names whose only caller is a numbered claim in test_acceptance.py
@@ -35,6 +36,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def parser_arguments():
+    """Each subcommand of the parser, in order, with its positional arguments."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: [a.dest for a in p._actions if not a.option_strings]
+        for name, p in sub.choices.items()
+    }
+
+
+# a frame model with one frame over the line and the default samples
+FRAME_MODEL = {"name": "model", "dim_F": 1,
+               "frames": [{"domain": 2, "map": ["x0", "1 + x1^2", "1/(1 + x1^2)"]}]}
 
 
 class TestSubcommands:
@@ -209,6 +224,24 @@ class TestExitCodes:
         assert "square" in err
         assert "(0, -1)" in err
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"form": {"name": "frame-line", "space": "cross", "degree": 1,
+                   "per_generator_coefficients": [{"0": "x0"}, {"0": "x0"}]}},
+         "form fixture 'frame-line' clashes with the frame model fixture 'frame-line'"),
+        ({"frame_model": dict(FRAME_MODEL, name="line-density")},
+         "frame model fixture 'line-density' clashes with the form fixture 'line-density'"),
+    ], ids=["form-named-like-a-frame-model", "frame-model-named-like-a-form"])
+    def test_a_form_and_a_frame_model_may_not_share_a_name(self, capsys, tmp_path, doc, message):
+        # forms-validate and all address both kinds by one name, so a clash
+        # would run one fixture twice and drop the other
+        path = tmp_path / "clash.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        name = next(iter(doc.values()))["name"]
+        for argv in (["all"], ["forms-validate", name]):
+            code, out, err = run(capsys, *argv, "--fixtures", str(path))
+            assert code == 2 and out == ""
+            assert err.startswith("fixture error: ") and message in err
+
     def test_unknown_form_lists_frame_models(self, capsys):
         code, _, err = run(capsys, "forms-validate", "nope")
         assert code == 2
@@ -266,6 +299,73 @@ class TestExitCodes:
         code, _, err = run(capsys, "axioms", "cross", "--fixtures", str(path))
         assert code == 2
         assert any(line.startswith("fixture error:") for line in err.splitlines())
+
+
+# one invocation per subcommand (two for forms-validate, one per fixture
+# kind) and the fixture field its report must carry
+HEADER_CASES = [
+    (["axioms", "r1"], "r1"),
+    (["smooth", "line-projection"], "line-projection"),
+    (["subduction", "sign-projection"], "sign-projection"),
+    (["tangent-cone", "cross", "0,0"], "cross"),
+    (["bundle-validate", "plane-bundle"], "plane-bundle"),
+    (["exact-sequence", "line-bundle", "scale-translate"], "line-bundle/scale-translate"),
+    (["frame-check", "line-bundle"], "line-bundle"),
+    (["forms-validate", "line-density"], "line-density"),
+    (["forms-validate", "frame-plane"], "frame-plane"),
+    (["connection-validate", "line-connection"], "line-connection"),
+    (["affine-check", "line-affine"], "line-affine"),
+    (["all"], "all"),
+]
+
+
+class TestCommandTable:
+    def test_every_subcommand_has_a_header_case(self):
+        assert {argv[0] for argv, _ in HEADER_CASES} == set(parser_arguments())
+
+    @pytest.mark.parametrize("argv, fixture", HEADER_CASES,
+                             ids=[" ".join(argv) for argv, _ in HEADER_CASES])
+    def test_report_header_names_the_fixture(self, capsys, argv, fixture):
+        # the subject's fixture names joined by "/"; a point is not a fixture
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.splitlines()[0] == f"fixture: {fixture}  budget: 4  seed: 0"
+        code, out, _ = run(capsys, *argv, "--format", "json", "--seed", "3")
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["fixture"], doc["seed"]) == (fixture, 3)
+
+    def test_readme_table_matches_the_parser(self):
+        # a new subcommand is documented with the arguments it takes
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        text = readme.read_text(encoding="utf-8")
+        table = text.split("\nSubcommands:\n\n", 1)[1].split("\n\n", 1)[0]
+        rows = {}
+        for line in table.splitlines()[2:]:
+            command, arguments = (cell.strip() for cell in line.strip("|").split("|")[:2])
+            rows[command.strip("`")] = [] if arguments == "(none)" else arguments.split()
+        assert list(rows.items()) == list(parser_arguments().items())
+
+    @pytest.mark.parametrize("extra", [False, True], ids=["built-ins", "with-a-fixture-file"])
+    def test_check_ids_in_all_are_unique(self, capsys, tmp_path, extra):
+        argv = ["all", "--format", "json"]
+        if extra:
+            doc = {"space": {"name": "twin", "carrier": 1,
+                             "generators": [{"domain": 1, "map": ["x0"]},
+                                            {"domain": 1, "map": ["x0^3"]}]},
+                   "form": {"name": "twin-density", "space": "twin", "degree": 1,
+                            "per_generator_coefficients": [{"0": "1"}, {"0": "3*x0^2"}]},
+                   "frame_model": FRAME_MODEL}
+            path = tmp_path / "extra.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            argv += ["--fixtures", str(path)]
+        _, out, _ = run(capsys, *argv)
+        ids = [c["id"] for c in json.loads(out)["checks"]]
+        assert len(ids) == len(set(ids))
+        assert "forms-validate:frame-line" in ids
+        if extra:
+            assert {"axioms:twin:covering", "forms-validate:twin-density",
+                    "forms-validate:model"} <= set(ids)
 
 
 class TestReports:

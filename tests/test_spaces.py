@@ -24,7 +24,6 @@ from diffeokit.spaces import (
     UnionCarrier,
     Verdict,
     all_hold,
-    discrete_space,
     euclidean_space,
     generated_space,
     holds,
@@ -49,6 +48,12 @@ from diffeokit.spaces import (
 
 R1 = Domain.full(1)
 R2 = Domain.full(2)
+
+
+def constant_plots(*points):
+    """The constant parametrisations R -> point, one per point: generators
+    of a discretely generated space."""
+    return tuple(Plot(R1, ExprVec.constant(1, point)) for point in points)
 
 
 def axes_cross():
@@ -159,7 +164,9 @@ class TestCrossMembership:
 
 class TestRefutations:
     def test_discrete_space_rejects_motion(self):
-        pts = discrete_space("three-points", 1, [(0,), (1,), (2,)])
+        pts = generated_space(
+            "three-points", EuclideanCarrier(1), constant_plots((0,), (1,), (2,))
+        )
         v = is_plot(pts, plot(R1, ["x0"]))
         assert v.is_no
         assert v.obstruction.kind == "discrete"
@@ -232,7 +239,7 @@ class TestQuotient:
         assert two.is_yes
 
     def test_complete_orbit_refutes(self):
-        base = discrete_space("flat", 1, [(0,)])
+        base = generated_space("flat", EuclideanCarrier(1), constant_plots((0,)))
         rel = RelationPair("", ExprVec.identity(1), "", ExprVec.parse(["-x0"], 1), R1)
         space, _ = quotient_space("flat-mod-sign", base, [rel])
         v = is_plot(space, plot(R1, ["x0"]))
@@ -251,7 +258,7 @@ class TestQuotient:
         assert v.is_unknown
 
     def test_non_injective_side_leaves_the_search_incomplete(self):
-        base = discrete_space("flat", 1, [(0,)])
+        base = generated_space("flat", EuclideanCarrier(1), constant_plots((0,)))
         rel = RelationPair(
             "", ExprVec.parse(["x0 + x1"], 2), "", ExprVec.parse(["-x0 - x1"], 2), R2
         )
@@ -259,7 +266,7 @@ class TestQuotient:
         assert is_plot(space, plot(R1, ["x0"])).is_unknown
 
     def test_map_off_both_images_is_refuted(self):
-        base = discrete_space("flat-plane", 2, [(0, 0)])
+        base = generated_space("flat-plane", EuclideanCarrier(2), constant_plots((0, 0)))
         rel = RelationPair(
             "", ExprVec.parse(["x0", "0"], 1), "", ExprVec.parse(["x0", "1"], 1), R1
         )

@@ -6,12 +6,13 @@ from pathlib import Path
 import pytest
 
 from diffeokit.domains import SAMPLE_MAX_DEN, Domain, _domain_samples
-from diffeokit.expr import Expr
+from diffeokit.expr import Expr, ExprVec
 from diffeokit.fixtures import load_registry
 from diffeokit.spaces import (
     DEFAULT_BUDGET,
     AlgebraicCarrier,
-    discrete_space,
+    EuclideanCarrier,
+    Plot,
     euclidean_space,
     generated_space,
     plot,
@@ -136,7 +137,9 @@ class TestEuclideanAndDiscrete:
         assert cone_membership(space, (0, 0), (0, 0)).is_in
 
     def test_discrete_space_has_degenerate_cone(self):
-        disc = discrete_space("pts", 1, [(F(0),), (F(2),)])
+        disc = generated_space("pts", EuclideanCarrier(1), [
+            Plot(Domain.full(1), ExprVec.constant(1, point)) for point in [(F(0),), (F(2),)]
+        ])
         assert cone_membership(disc, (0,), (0,)).is_in
         verdict = cone_membership(disc, (0,), (1,))
         assert verdict.is_out
