@@ -50,6 +50,7 @@ from .spaces import (
     smooth_map,
     union_space,
     vanishes_on_carrier,
+    _has_quotient,
 )
 
 __all__ = [
@@ -299,7 +300,10 @@ def _validate(bundle: PseudoBundle, budget: int, sample_count: int) -> Verdict:
 
 def _construction_checks(bundle: PseudoBundle, budget: int, sample_count: int):
     """The construction checks in order, each run only when drawn, so a
-    refutation stops the ones after it."""
+    refutation stops the ones after it.  `fibered_pairs` pairs
+    representatives, not classes, so a bundle over a quotient is never yes."""
+    if _has_quotient(bundle.base.carrier) or _has_quotient(bundle.total.carrier):
+        yield "fibered-product", Verdict.unknown("fibered product over a quotient not modelled")
     yield "projection-smooth", is_smooth(bundle.projection, budget)
     yield "projection-subduction", is_subduction(
         bundle.projection, budget, sections=(bundle.zero,)

@@ -409,7 +409,7 @@ COMMANDS = (
             f"searches behind those certificates (never below {DEFAULT_BUDGET}), not word "
             "length."),
     Command("frame-check", ("bundle",), "free transitive frame action",
-            lambda reg: _each(name for name in reg.bundles if name in reg.frame_points),
+            lambda reg: _each(name for name in reg.bundles if reg.frame_points.get(name)),
             checks=_frame_checks),
     Command("forms-validate", ("fixture",), "form storage and overlap compatibility",
             lambda reg: _each([*reg.forms, *reg.frame_models]), checks=_forms_checks),
@@ -477,10 +477,21 @@ def render_text(fixture: str, budget: int, seed: int, checks, timings: bool = Fa
 # ---------------------------------------------------------------------------
 
 
+def _budget(text: str) -> int:
+    """A --budget value: an int of at least 1, or an argument error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--budget", type=int, default=DEFAULT_BUDGET,
+        "--budget", type=_budget, default=DEFAULT_BUDGET,
         help="search depth for factorizations and the membership searches behind certificates",
     )
     common.add_argument("--format", choices=("json", "text"), default="text")
@@ -529,9 +540,6 @@ def _run_command(args, reg: FixtureRegistry) -> tuple[str, list[CheckResult]]:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.budget < 1:
-        print("fixture error: --budget must be at least 1", file=sys.stderr)
-        return 2
     try:
         reg = load_registry(args.fixtures)
         fixture, checks = _run_command(args, reg)

@@ -18,7 +18,7 @@ from .calculus import (
     maurer_cartan,
     plot_form,
 )
-from .domains import Box, Domain, Interval
+from .domains import Box, Domain, Interval, format_point
 from .expr import Expr, ExprError, ExprVec
 from .linalg import invert_rational
 from .spaces import (
@@ -630,6 +630,18 @@ def _parse_plot(block, ambient: int, where: str) -> Plot:
     return Plot(domain, vec)
 
 
+def _points(block: dict, key: str, space: DiffSpace, where: str) -> tuple[Point, ...]:
+    """The rational points listed under key, each a point of the space."""
+    points = []
+    for raw in _list(block.get(key, []), where, repr(key)):
+        x = tuple(_fraction(c, where) for c in _list(raw, where, f"each of {key!r}"))
+        if not space.carrier.contains_point(x):  # the dimension, then the equations
+            raise FixtureError(f"{where}: {key!r} lists {format_point(x)}, which is not a point "
+                               f"of {space.name!r} (dimension {space.carrier.ambient_dim('')})")
+        points.append(x)
+    return tuple(points)
+
+
 def _load_space(reg: FixtureRegistry, block: dict, carriers) -> None:
     name = _name_of(block, "space")
     provenance = block.get("provenance", "generated")
@@ -648,6 +660,7 @@ def _load_space(reg: FixtureRegistry, block: dict, carriers) -> None:
     except (ExprError, ValueError) as err:
         raise FixtureError(f"space {name!r}: {err}") from err
     reg._add(reg.spaces, name, space, "space")
+    reg.cone_points[name] = _points(block, "cone_points", space, where)
 
 
 def _load_map(reg: FixtureRegistry, block: dict) -> None:
@@ -686,6 +699,7 @@ def _load_bundle(reg: FixtureRegistry, block: dict) -> None:
     except (ExprError, ValueError) as err:
         raise FixtureError(f"{where}: {err}") from err
     reg._add(reg.bundles, name, bundle, "bundle")
+    reg.frame_points[name] = _points(block, "frame_points", base, where)
 
 
 def _morphism(bundle: PseudoBundle, phi_texts, varphi_texts, where: str) -> BundleMorphism:

@@ -3,13 +3,15 @@
 A vector sits in the cone at x when some certified one-parameter plot
 through x has that velocity.  Witnesses come from straight lines and
 from first-order jets pushed through a generator; refutations come from
-three sound obstructions that hold for arbitrary smooth germs, not just
+two sound obstructions that hold for arbitrary smooth germs, not just
 the rational ones this package can write down:
 
-  * linear: a defining polynomial q forces grad q(x) . v = 0;
-  * monomial: if q is a single monomial, the lowest-order t-coefficient
-    of q along a path with velocity v is a product of the v_i over the
-    coordinates vanishing at x, so all those v_i nonzero is impossible;
+  * initial form: write an equation's numerator as q(x + y) = q_m(y) +
+    (terms of degree > m).  Along a germ in the carrier with velocity v,
+    0 = q = q_m(v) t^m + O(t^(m+1)) (denominators are positive), so
+    q_m(v) != 0 is impossible (Cox, Little and O'Shea, *Ideals, Varieties,
+    and Algorithms*, ch. 9 sec. 7).  It is reported as a gradient test when
+    m = 1 and as a vanishing order when m >= 2, in any coordinates;
   * annihilation: a germ through a generated space factors through one
     generator near 0, so coordinates the generator keeps constant must
     have zero velocity, and generators whose image misses x are out.
@@ -18,8 +20,8 @@ the rational ones this package can write down:
 when none fires.  The order changes no verdict: a witness is a certified
 plot through x with velocity v, hence a smooth germ of exactly the kind
 each obstruction rules out, so the two never both succeed.  It changes the
-cost, since an obstruction is a few evaluations and the search runs
-is_plot on up to LINE_STEPS lines and a jet per generator preimage.
+cost, since an obstruction is one expansion per equation and the search
+runs is_plot on up to LINE_STEPS lines and a jet per generator preimage.
 
 An independent series search, `exhaustive_germ_search`, is kept for the
 tests to cross-check refutations against; no check calls it.  Expanding
@@ -30,11 +32,12 @@ germ of the searched degree at once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .domains import Box, Domain, Interval, Point, image_within
-from .expr import Expr, ExprVec
+from .expr import Expr, ExprVec, _const, _subst_poly, _var
 from .linalg import affine_parts, solve_rational
 from .spaces import DEFAULT_BUDGET, DiffSpace, Obstruction, Plot, Verdict, is_plot
 
@@ -105,9 +108,7 @@ def cone_membership(
 
     # cheap obstructions first: each holds for every smooth germ, so no
     # certified germ exists when one fires (see the module docstring)
-    blocked = _linear_obstruction(eqs, x, v) or _monomial_obstruction(eqs, x, v)
-    if blocked is None:
-        blocked = _annihilation_obstruction(space, x, v)
+    blocked = _initial_form_obstruction(eqs, x, v) or _annihilation_obstruction(space, x, v)
     if blocked is not None:
         return ConeVerdict(v, "out", obstruction=blocked)
 
@@ -206,39 +207,23 @@ def _jet_domain(jet: ExprVec, target: Domain) -> Domain | None:
 # ---------------------------------------------------------------------------
 
 
-def _linear_obstruction(eqs, x: Point, v: Point) -> Obstruction | None:
+def _initial_form_obstruction(eqs, x: Point, v: Point) -> Obstruction | None:
+    """The first equation whose lowest-degree form at x is nonzero at v."""
+    n = len(x)
+    shifted = [{**_const(n, xi), **_var(n, i)} for i, xi in enumerate(x)]
     for eq in eqs:
-        pairing = sum(
-            (eq.differentiate(i).eval(x) * vi for i, vi in enumerate(v)),
-            Fraction(0),
-        )
-        if pairing != 0:
-            return Obstruction(
-                "gradient",
-                point=x,
-                detail=f"grad({eq.to_str()}) . v = {pairing} along any smooth path",
-            )
-    return None
-
-
-def _monomial_obstruction(eqs, x: Point, v: Point) -> Obstruction | None:
-    for eq in eqs:
-        if not eq.is_polynomial or len(eq.num) != 1:
-            continue
-        exponents = next(iter(eq.num))
-        zero_support = [
-            i for i, e in enumerate(exponents) if e > 0 and x[i] == 0
-        ]
-        if zero_support and all(v[i] != 0 for i in zero_support):
-            order = sum(exponents[i] for i in zero_support)
-            return Obstruction(
-                "vanishing-order",
-                point=x,
-                detail=(
-                    f"{eq.to_str()} along the path has forced nonzero "
-                    f"t^{order} coefficient"
-                ),
-            )
+        local = _subst_poly(eq.num, shifted, n)  # the numerator of eq(x + y)
+        m = min(map(sum, local), default=0)  # >= 1: eq(x) = 0
+        value = sum((c * math.prod(vi**e for vi, e in zip(v, mono) if e)
+                     for mono, c in local.items() if sum(mono) == m), Fraction(0))
+        if value and m > 1:
+            return Obstruction("vanishing-order", point=x, detail=(
+                f"{eq.to_str()} along the path has forced nonzero t^{m} coefficient"))
+        if value:
+            if not eq.is_polynomial:  # grad(num/den) = grad(num)/den where num = 0
+                value /= Expr._poly(n, eq.den).eval(x)
+            return Obstruction("gradient", point=x, detail=(
+                f"grad({eq.to_str()}) . v = {value} along any smooth path"))
     return None
 
 

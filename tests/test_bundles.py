@@ -23,6 +23,7 @@ from diffeokit.expr import ExprVec
 from diffeokit.spaces import (
     AlgebraicCarrier,
     Plot,
+    RelationPair,
     Verdict,
     euclidean_space,
     generated_space,
@@ -30,6 +31,7 @@ from diffeokit.spaces import (
     is_plot,
     is_smooth,
     product_space,
+    quotient_space,
     smooth_map,
     subset_space,
 )
@@ -153,6 +155,23 @@ class TestConstruction:
             line_bundle()
         assert err.value.check == "projection-subduction"
         assert err.value.witness == "planted"
+
+    def test_bundle_over_a_quotient_is_never_yes(self):
+        # E = R^2/((x, v) ~ (-x, -v)) over R/+-: the fiber over [0] is the
+        # half-line {[0, v]}, yet the pairs and fiber charts read
+        # representatives and would find a line
+        def sign(dim):
+            flip = ExprVec.parse([f"-x{i}" for i in range(dim)], dim)
+            rel = RelationPair("", ExprVec.identity(dim), "", flip, Domain.full(dim))
+            return quotient_space(f"sign-{dim}", euclidean_space(dim), [rel])[0]
+
+        with pytest.raises(InvariantViolation) as err:
+            build_bundle(
+                "half-lines", sign(2), sign(1),
+                add=["x0", "x1 + x3"], scale=["x1", "x0*x2"], zero=["x0", "0"],
+            )
+        assert err.value.check == "fibered-product"
+        assert err.value.witness == "fibered product over a quotient not modelled"
 
     def test_uncertified_difference_is_unknown(self, monkeypatch):
         # a difference neither certified zero nor separated at a sample

@@ -158,6 +158,25 @@ class TestJsonLoading:
         assert validate_form(reg.form("loaded-density").form).is_yes
         assert reg.frame_model("loaded-frames").samples[1] == ((Fraction(1, 7),),)
 
+    def test_cone_and_frame_points_load_as_rational_points(self, tmp_path):
+        doc = {
+            "space": {"name": "line", "carrier": 1, "generators": [{"domain": 1, "map": ["x0"]}],
+                      "cone_points": [["1/2"], [-3]]},
+            "bundle": {"name": "line-copy", "total": "r2", "base": "line",
+                       "add": ["x0", "x1 + x3"], "scale": ["x1", "x0*x2"],
+                       "zero": ["x0", "0"], "frame_points": [[0]]},
+        }
+        reg = builtin_registry()
+        load_file(reg, write(tmp_path, doc))
+        assert reg.cone_points["line"] == ((Fraction(1, 2),), (Fraction(-3),))
+        assert reg.frame_points["line-copy"] == ((Fraction(0),),)
+        # a point off the carrier names the fixture
+        doc["space"]["carrier"] = {"dim": 1, "equations": ["x0^2 - x0"]}
+        doc["space"]["cone_points"] = [[1], [2]]
+        with pytest.raises(FixtureError, match=r"space 'line': 'cone_points' lists \(2\), "
+                                               "which is not a point of 'line'"):
+            load_file(builtin_registry(), write(tmp_path, doc))
+
     def test_environment_path_is_searched(self, tmp_path, monkeypatch):
         write(tmp_path, SAMPLE)
         monkeypatch.setenv("DIFFEO_FIXTURE_PATH", str(tmp_path))

@@ -12,6 +12,7 @@ from diffeokit.spaces import (
     DEFAULT_BUDGET,
     AlgebraicCarrier,
     EuclideanCarrier,
+    Obstruction,
     Plot,
     euclidean_space,
     generated_space,
@@ -24,8 +25,7 @@ from diffeokit.tangent import (
     ConeVerdict,
     _annihilation_obstruction,
     _find_germ,
-    _linear_obstruction,
-    _monomial_obstruction,
+    _initial_form_obstruction,
     _preimages,
     cone_membership,
     exhaustive_germ_search,
@@ -42,6 +42,26 @@ def axes_cross():
         plot(Domain.full(1), ["0", "x0"]),
     )
     return generated_space("cross", carrier, gens, complete=True)
+
+
+def moved_cross():
+    """`cross` moved along psi(x0, x1) = (x0, x1 + x0^2): the carrier
+    x0*x1 - x0^3 = 0 is no single monomial, and the generators are pushed
+    by psi."""
+    psi = ExprVec.parse(["x0", "x1 + x0^2"], 2)
+    cross = axes_cross()
+    return generated_space(
+        "cross-psi",
+        AlgebraicCarrier(2, (Expr.parse("x0*x1 - x0^3", 2),)),
+        tuple(Plot(g.domain, psi.compose(g.map)) for g in cross.generators),
+        complete=True,
+    )
+
+
+def _cusp():
+    eq = Expr.parse("x0^3 - x1^2", 2)
+    return generated_space(
+        "cusp", AlgebraicCarrier(2, (eq,)), (plot(Domain.full(1), ["x0^2", "x0^3"]),))
 
 
 F = Fraction
@@ -160,16 +180,25 @@ class TestSeriesSearch:
     def test_series_refutations_agree_with_the_cone(self):
         """Every built-in cone point against every nonzero {-1, 0, 1} probe:
         a series refutation means the cone says out, so no cone `in` meets
-        one; and on these points every cone `out` is a series refutation."""
+        one; and on these points every cone `out` is a series refutation.
+        At the origins of the cusp and of the moved cross, every
+        initial-form refutation is a series refutation too."""
         reg = load_registry()
-        cases, outs, refuted = 0, set(), set()
-        for name, points in sorted(reg.cone_points.items()):
-            space = reg.space(name)
-            for x in points:
-                for v in nonzero_probes(len(x)):
-                    cone = cone_membership(space, x, v)
-                    series = exhaustive_germ_search(space, x, v, degree=6)
-                    where = (name, x, v)
+        builtin = [(reg.space(name), x)
+                   for name, points in sorted(reg.cone_points.items()) for x in points]
+        singular = [(_cusp(), (F(0), F(0))), (moved_cross(), (F(0), F(0)))]
+        cases, outs, refuted, initial = 0, set(), set(), []
+        for space, x in builtin + singular:
+            for v in nonzero_probes(len(x)):
+                cone = cone_membership(space, x, v)
+                series = exhaustive_germ_search(space, x, v, degree=6)
+                where = (space.name, x, v)
+                if series.is_no:
+                    assert not cone.is_in, where
+                if cone.is_out and cone.obstruction.kind in ("gradient", "vanishing-order"):
+                    assert series.is_no, where
+                    initial.append(space.name)
+                if space.name in reg.cone_points:
                     if series.is_no:
                         refuted.add(where)
                         assert cone.is_out, where
@@ -178,6 +207,10 @@ class TestSeriesSearch:
                     cases += 1
         assert cases == 28
         assert outs == refuted
+        # the cusp's (+-1, 0) are series refutations (t^3 coefficient 1)
+        # that no lowest-degree form sees, so the cone leaves them unknown
+        assert initial.count("cusp") == 6
+        assert initial.count("cross-psi") == 4
 
 
 class TestGeneratorJets:
@@ -257,16 +290,18 @@ class TestPreimageTable:
 
 class TestUnknownDetail:
     def test_cusp_unknown_names_each_search_and_its_cap(self):
-        eq = Expr.parse("x0^3 - x1^2", 2)
-        cusp = generated_space(
-            "cusp", AlgebraicCarrier(2, (eq,)), (plot(Domain.full(1), ["x0^2", "x0^3"]),))
-        for v in [(1, 0), (0, 1), (1, 1)]:
+        cusp = _cusp()
+        verdict = cone_membership(cusp, (0, 0), (1, 0))
+        assert verdict.status == "unknown"
+        assert "line search found no plot on radii 1 to 1/8 at budget 4" in verdict.detail
+        assert f"(1 from {PREIMAGE_SAMPLES} samples per generator" in verdict.detail
+        assert ("gradient, vanishing-order and annihilation obstructions do not apply"
+                in verdict.detail)
+        # the lowest-degree form -x1^2 refutes every probe with v1 != 0
+        for v in [(0, 1), (1, 1)]:
             verdict = cone_membership(cusp, (0, 0), v)
-            assert verdict.status == "unknown", v
-            assert "line search found no plot on radii 1 to 1/8 at budget 4" in verdict.detail
-            assert f"(1 from {PREIMAGE_SAMPLES} samples per generator" in verdict.detail
-            assert ("gradient, vanishing-order and annihilation obstructions do not apply"
-                    in verdict.detail)
+            assert verdict.is_out, v
+            assert verdict.obstruction.kind == "vanishing-order"
 
 
 def _bench_cone_queries(seed):
@@ -282,11 +317,51 @@ def _bench_cone_queries(seed):
     ], inputs["budget"]
 
 
+def _linear_obstruction(eqs, x, v):
+    """The gradient test the initial-form rule replaced, kept as its
+    reference: a defining equation forces grad q(x) . v = 0."""
+    for eq in eqs:
+        pairing = sum(
+            (eq.differentiate(i).eval(x) * vi for i, vi in enumerate(v)),
+            Fraction(0),
+        )
+        if pairing != 0:
+            return Obstruction(
+                "gradient",
+                point=x,
+                detail=f"grad({eq.to_str()}) . v = {pairing} along any smooth path",
+            )
+    return None
+
+
+def _monomial_obstruction(eqs, x, v):
+    """The single-monomial test the initial-form rule replaced, kept as its
+    reference: along a path with velocity v, the lowest t-coefficient of a
+    monomial equation is a product of the v_i over its zero coordinates."""
+    for eq in eqs:
+        if not eq.is_polynomial or len(eq.num) != 1:
+            continue
+        exponents = next(iter(eq.num))
+        zero_support = [
+            i for i, e in enumerate(exponents) if e > 0 and x[i] == 0
+        ]
+        if zero_support and all(v[i] != 0 for i in zero_support):
+            order = sum(exponents[i] for i in zero_support)
+            return Obstruction(
+                "vanishing-order",
+                point=x,
+                detail=(
+                    f"{eq.to_str()} along the path has forced nonzero "
+                    f"t^{order} coefficient"
+                ),
+            )
+    return None
+
+
 def _obstructions(space, x, v):
     eqs = space.carrier.equations("")
     return [o for o in (
-        _linear_obstruction(eqs, x, v),
-        _monomial_obstruction(eqs, x, v),
+        _initial_form_obstruction(eqs, x, v),
         _annihilation_obstruction(space, x, v),
     ) if o is not None]
 
@@ -297,8 +372,7 @@ def _germ_first(space, x, v, budget):
     germ, _ = _find_germ(space, x, v, budget)
     if germ is not None:
         return ConeVerdict(v, "in", germ=germ)
-    eqs = space.carrier.equations("")
-    blocked = _linear_obstruction(eqs, x, v) or _monomial_obstruction(eqs, x, v)
+    blocked = _initial_form_obstruction(space.carrier.equations(""), x, v)
     if blocked is None:
         blocked = _annihilation_obstruction(space, x, v)
     if blocked is not None:
@@ -313,33 +387,34 @@ def _germ_first(space, x, v, budget):
     ))
 
 
-def _cusp():
-    eq = Expr.parse("x0^3 - x1^2", 2)
-    return generated_space(
-        "cusp", AlgebraicCarrier(2, (eq,)), (plot(Domain.full(1), ["x0^2", "x0^3"]),))
+def _builtin_and_bench_probes():
+    """(space, point, vector, budget) for every built-in cone point with
+    probes in {-2, ..., 2}^n, then the benchmark's cone queries at seeds 0
+    and 7."""
+    reg = load_registry()
+    for name, points in sorted(reg.cone_points.items()):
+        space = reg.space(name)
+        for x in points:
+            for v in itertools.product(range(-2, 3), repeat=len(x)):
+                yield space, x, tuple(F(c) for c in v), DEFAULT_BUDGET
+    for seed in (0, 7):
+        queries, budget = _bench_cone_queries(seed)
+        for name, x, v in queries:
+            yield reg.space(name), x, v, budget
 
 
 class TestObstructionsBeforeGerms:
     """cone_membership runs the obstructions before the germ search.  That
     is sound only because no certified germ exists where an obstruction
     fires; both claims are checked on every built-in cone point with probes
-    in {-2, ..., 2}^n, the cusp (whose probes stay unknown) and the
-    benchmark's cone queries at seeds 0 and 7."""
+    in {-2, ..., 2}^n, the cusp (whose probes along the x0-axis stay
+    unknown) and the benchmark's cone queries at seeds 0 and 7."""
 
     def _cases(self):
-        reg = load_registry()
-        for name, points in sorted(reg.cone_points.items()):
-            space = reg.space(name)
-            for x in points:
-                for v in itertools.product(range(-2, 3), repeat=len(x)):
-                    yield space, x, tuple(F(c) for c in v), DEFAULT_BUDGET
+        yield from _builtin_and_bench_probes()
         cusp = _cusp()
         for v in nonzero_probes(2):
             yield cusp, (F(0), F(0)), tuple(F(c) for c in v), DEFAULT_BUDGET
-        for seed in (0, 7):
-            queries, budget = _bench_cone_queries(seed)
-            for name, x, v in queries:
-                yield reg.space(name), x, v, budget
 
     def test_no_germ_where_an_obstruction_fires_and_verdicts_equal_germ_first(self):
         counts = {"in": 0, "out": 0, "unknown": 0}
@@ -369,5 +444,44 @@ class TestObstructionsBeforeGerms:
                 assert new.germ.domain == ref.germ.domain, where
                 assert new.germ.certificate == ref.germ.certificate, where
         assert blocked == counts["out"]
-        assert counts["unknown"] == len(nonzero_probes(2))
+        # the cusp's (1, 0) and (-1, 0): no germ, yet no lowest-degree form
+        # sees them
+        assert counts["unknown"] == 2
         assert min(counts.values()) > 0
+
+
+class TestInitialForm:
+    """One rule, the lowest-degree form of each equation at the basepoint,
+    in place of the gradient and single-monomial tests."""
+
+    def test_it_fires_wherever_an_old_rule_fires_with_the_same_report(self):
+        probes = list(_builtin_and_bench_probes())
+        # a rational equation: its gradient value is the numerator's over den(x)
+        bent = generated_space("bent", AlgebraicCarrier(
+            2, (Expr.parse("(x1 - x0^2)/(1 + x0^2)", 2),)), ())
+        probes += [(bent, (F(1), F(1)), (F(1), F(1)), DEFAULT_BUDGET)]
+        fired = {"gradient": 0, "vanishing-order": 0}
+        for space, x, v, _ in probes:
+            eqs = space.carrier.equations("")
+            old = _linear_obstruction(eqs, x, v) or _monomial_obstruction(eqs, x, v)
+            if old is not None:
+                assert _initial_form_obstruction(eqs, x, v) == old, (space.name, x, v)
+                fired[old.kind] += 1
+        assert len(probes) == 606
+        assert min(fired.values()) > 0
+        assert _initial_form_obstruction(
+            bent.carrier.equations(""), (F(1), F(1)), (F(1), F(1))
+        ).detail == "grad((-x0^2 + x1)/(x0^2 + 1)) . v = -1/2 along any smooth path"
+
+    def test_moved_diagonals_and_cusp_probes_are_out_at_order_two(self):
+        probes = [(moved_cross(), v) for v in [(1, 1), (1, -1), (-1, 1), (-1, -1)]]
+        probes += [(_cusp(), v) for v in [(0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)]]
+        for space, v in probes:
+            verdict = cone_membership(space, (0, 0), v, budget=6)
+            assert verdict.is_out, (space.name, v)
+            assert verdict.obstruction.kind == "vanishing-order"
+            assert verdict.obstruction.detail.endswith("forced nonzero t^2 coefficient")
+            series = exhaustive_germ_search(space, (0, 0), v, degree=6)
+            assert series.is_no, (space.name, v)
+            coefficient = series.obstruction.detail.split(" has t^2 coefficient ")[1]
+            assert coefficient.split()[0] in ("1", "-1"), (space.name, v)
