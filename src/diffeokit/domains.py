@@ -4,11 +4,17 @@ Domains of plots are finite unions of open axis-aligned boxes with rational
 (or infinite) endpoints.  Everything here is exact: containment, coverage
 of one union by another, and interval bounds for expressions over a box.
 
-Coverage uses the arrangement trick: the endpoints of the covering boxes
-cut a target box into finitely many cells (open intervals and single
-breakpoints per axis), and every covering box either contains a whole cell
-or misses it.  So a union covers the box iff each cell's representative
-point lands in some covering box.
+A domain records at construction whether one of its boxes is unbounded on
+every axis (`Domain.whole`): such a domain is all of R^n, so it covers
+every domain and every closed box of its dimension, and `image_within`
+into it holds without bounding the map.  A single covering box contains a
+box iff it contains it axis by axis, open interval in open interval.
+
+Coverage by a union uses the arrangement trick: the endpoints of the
+covering boxes cut a target box into finitely many cells (open intervals
+and single breakpoints per axis), and every covering box either contains a
+whole cell or misses it.  So a union covers the box iff each cell's
+representative point lands in some covering box.
 
 Sampling is pure in (domain, count, max_den), and the same few keys recur
 all through a run, so the samples are memoised in a bounded module cache;
@@ -133,23 +139,33 @@ class Box:
 
 
 class Domain:
-    """Finite union of open boxes of one dimension."""
+    """Finite union of open boxes of one dimension.
 
-    __slots__ = ("dim", "boxes")
+    `whole` is True when some box is unbounded on every axis, so that the
+    domain is all of R^dim; the hash is computed on first use and kept."""
+
+    __slots__ = ("dim", "boxes", "whole", "_hash")
 
     def __init__(self, dim: int, boxes: Iterable[Box] = ()):
-        packed = tuple(sorted(set(boxes), key=lambda b: b._key()))
+        packed = tuple(boxes)
+        if len(packed) > 1:
+            packed = tuple(sorted(set(packed), key=Box._key))
         for b in packed:
             if b.dim != dim:
                 raise ValueError("box dimension does not match domain")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "boxes", packed)
+        object.__setattr__(self, "whole", any(
+            all(iv.lo is None and iv.hi is None for iv in b.intervals) for b in packed))
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Domain is immutable")
 
     @staticmethod
+    @functools.cache
     def full(dim: int) -> "Domain":
+        """All of R^dim, one shared instance per dimension."""
         return Domain(dim, (Box(tuple(Interval(None, None) for _ in range(dim))),))
 
     @staticmethod
@@ -184,6 +200,13 @@ class Domain:
 
     def covers(self, other: "Domain") -> bool:
         """Exact superset test on the underlying open sets."""
+        if other.dim != self.dim:
+            raise ValueError("dimension mismatch")
+        if self.whole:
+            return True
+        if len(self.boxes) == 1:
+            cover = self.boxes[0].intervals
+            return all(all(map(_interval_within, b.intervals, cover)) for b in other.boxes)
         return all(_box_covered(b, self.boxes) for b in other.boxes)
 
     def same_set(self, other: "Domain") -> bool:
@@ -197,6 +220,8 @@ class Domain:
         """
         if len(bounds) != self.dim:
             raise ValueError("dimension mismatch")
+        if self.whole:
+            return True
         for lo, hi in bounds:
             if lo is not None and hi is not None and lo > hi:
                 return True  # empty box is vacuously covered
@@ -217,10 +242,12 @@ class Domain:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Domain):
             return NotImplemented
-        return self.dim == other.dim and self.boxes == other.boxes
+        return self is other or (self.dim == other.dim and self.boxes == other.boxes)
 
     def __hash__(self) -> int:
-        return hash((self.dim, self.boxes))
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.dim, self.boxes)))
+        return self._hash
 
     def to_str(self) -> str:
         if self.is_empty:
@@ -249,6 +276,12 @@ class Domain:
 # ---------------------------------------------------------------------------
 
 # a cell along one axis: ("pt", value) or ("open", lo|None, hi|None)
+
+
+def _interval_within(inner: Interval, outer: Interval) -> bool:
+    """Is the open interval inner inside the open interval outer?"""
+    return ((outer.lo is None or (inner.lo is not None and inner.lo >= outer.lo))
+            and (outer.hi is None or (inner.hi is not None and inner.hi <= outer.hi)))
 
 
 def _axis_breaks(boxes: Sequence[Box], axis: int, lo, hi) -> list[Fraction]:
@@ -301,7 +334,7 @@ def _cell_representative(cell: tuple) -> Fraction:
         return hi - 1
     if hi is None:
         return lo + 1
-    return (lo + hi) / 2
+    return Fraction(lo + hi, 2)
 
 
 def _cells_covered(axis_cells: list[list[tuple]], boxes: Sequence[Box]) -> bool:
@@ -566,6 +599,8 @@ def image_within(vec: ExprVec, source: Domain, target: Domain) -> bool:
     """Conservative: True certifies that vec maps the source into the target."""
     if source.dim != vec.arity or target.dim != len(vec):
         raise ValueError("dimension mismatch")
+    if target.whole:
+        return True
     for box in source.boxes:
         if not target.covers_closed(vec_bounds(vec, box)):
             return False

@@ -1021,10 +1021,12 @@ def is_smooth(f: SmoothMap, budget: int = DEFAULT_BUDGET) -> Verdict:
     Refutation paths: a source carrier point whose image violates the
     target carrier kills smoothness via a constant plot, and out of a
     quotient, a relation pair whose two sides f sends apart
-    (`respects_relation`).  Yes paths: for standard targets, target
-    equations must vanish on the source carrier (checked symbolically,
-    with a bounded-degree multiplier search); for generated targets,
-    composites with a complete generator family must all be plots.
+    (`respects_relation`), also a pair of a quotient inside a product or
+    union, lifted to the source by `_relation_pairs`.  Yes paths: for
+    standard targets, target equations must vanish on the source carrier
+    (checked symbolically, with a bounded-degree multiplier search); for
+    generated targets, composites with a complete generator family must
+    all be plots.
 
     Memoised on the source space by target and map key, by the budget rule
     of `memoised`: the target by identity and held weakly, so an entry
@@ -1041,13 +1043,15 @@ def _is_smooth_uncached(f: SmoothMap, budget: int) -> Verdict:
     bad = _map_carrier_violation(f)
     if bad is not None:
         return Verdict.no(bad)
-    carrier = f.source.carrier
-    while isinstance(carrier, QuotientCarrier):
-        for rel in carrier.relations:
-            v = respects_relation(f, rel, budget)
-            if not v.is_yes:
-                return v
-        carrier = carrier.base
+    pairs = _relation_pairs(f.source.carrier, f.source)
+    if pairs is None:
+        return Verdict.unknown(
+            "a quotient inside the source has relation pairs that cannot be lifted to it"
+        )
+    for rel in pairs:
+        v = respects_relation(f, rel, budget)
+        if not v.is_yes:
+            return v
 
     if f.target.standard:
         verdicts = []
@@ -1090,6 +1094,52 @@ def _is_smooth_uncached(f: SmoothMap, budget: int) -> Verdict:
     return conjunction("smooth", verdicts)
 
 
+def _relation_pairs(carrier: Carrier, space: DiffSpace | None) -> list[RelationPair] | None:
+    """The relation pairs that generate the carrier's identifications, in
+    its own coordinates, or None when a quotient hides where its pairs
+    cannot be lifted.
+
+    A quotient gives its own pairs, then those of its base.  A pair
+    left(p) ~ right(p) of one product factor gives, for each generator g of
+    the other factor, (left(p), g(u)) ~ (right(p), g(u)) on D x dom(g).  A
+    union part's pairs are tagged with its component.  space is the space
+    on the carrier when known: a product reads its factors' generators."""
+    if isinstance(carrier, QuotientCarrier):
+        base = space.provenance[1] if space is not None and space.provenance[0] == "quotient" else None
+        below = _relation_pairs(carrier.base, base)
+        return None if below is None else list(carrier.relations) + below
+    if isinstance(carrier, UnionCarrier):
+        tagged = []
+        for tag, part in carrier.parts:
+            below = _relation_pairs(part, None)
+            if below is None:
+                return None
+            tagged += [RelationPair(tag, rel.left_map, tag, rel.right_map, rel.domain)
+                       for rel in below]
+        return tagged
+    if not isinstance(carrier, ProductCarrier) or not _has_quotient(carrier):
+        return []
+    if space is None or space.provenance[:2] != ("initial", "product"):
+        return None
+    (left, _), (right, _) = space.provenance[2]
+    left_pairs = _relation_pairs(left.carrier, left)
+    right_pairs = _relation_pairs(right.carrier, right)
+    if left_pairs is None or right_pairs is None:
+        return None
+    lifted = []
+    for rel in left_pairs:
+        for g in right.generators:
+            dom, lhs = _product_map(rel.domain, rel.left_map, g.domain, g.map)
+            _, rhs = _product_map(rel.domain, rel.right_map, g.domain, g.map)
+            lifted.append(RelationPair("", lhs, "", rhs, dom))
+    for rel in right_pairs:
+        for g in left.generators:
+            dom, lhs = _product_map(g.domain, g.map, rel.domain, rel.left_map)
+            _, rhs = _product_map(g.domain, g.map, rel.domain, rel.right_map)
+            lifted.append(RelationPair("", lhs, "", rhs, dom))
+    return lifted
+
+
 def respects_relation(f: SmoothMap, rel: RelationPair, budget: int = DEFAULT_BUDGET) -> Verdict:
     """Does f send the two sides of a relation pair to one point?
 
@@ -1119,14 +1169,17 @@ def _same_point(
 ) -> Verdict:
     """Do two maps of domain into the carrier name one point everywhere?
 
-    A quotient compares by the rewrites of its whole chain, a product
-    block by block, a union part by part; elsewhere the maps must be
-    equal, and a no of kind relation holds a domain point where they
-    differ."""
+    A quotient compares by the rewrites of its whole chain, and by its
+    base where they do not settle it, a product block by block, a union
+    part by part; elsewhere the maps must be equal, and a no of kind
+    relation holds a domain point where they differ."""
     if comp_a == comp_b and a == b:
         return Verdict.yes(None)
     if isinstance(carrier, QuotientCarrier):
         met = _rewrites_meet(carrier, comp_a, a, comp_b, b, budget)
+        # what the base identifies, the quotient identifies too
+        if met is None and _same_point(carrier.base, comp_a, a, comp_b, b, domain, budget).is_yes:
+            met = True
         if met is None:
             return Verdict.unknown(f"quotient rewrites from {comp_a!r}: depth cap {budget} hit or a move undecided")
         if not met:
@@ -1413,21 +1466,8 @@ def product_space(name: str, left: DiffSpace, right: DiffSpace) -> DiffSpace:
     coords = ExprVec.identity(carrier.ambient_dim(""))
     pieces = (coords.slice(0, n_l), coords.slice(n_l, len(coords)))
     projections = tuple((s, (("", "", p),)) for s, p in zip((left, right), pieces))
-    gens = []
-    for gl in left.generators:
-        for gr in right.generators:
-            dim_l = gl.domain.dim
-            dim_r = gr.domain.dim
-            dim = dim_l + dim_r
-            boxes = [
-                Box(bl.intervals + br.intervals)
-                for bl in gl.domain.boxes
-                for br in gr.domain.boxes
-            ]
-            dom = Domain(dim, boxes)
-            lmap = gl.map.lift(dim)
-            rmap = gr.map.lift(dim, dim_l)
-            gens.append(Plot(dom, lmap.concat(rmap)))
+    gens = [Plot(*_product_map(gl.domain, gl.map, gr.domain, gr.map))
+            for gl in left.generators for gr in right.generators]
     return DiffSpace(
         name,
         carrier,
@@ -1436,6 +1476,15 @@ def product_space(name: str, left: DiffSpace, right: DiffSpace) -> DiffSpace:
         standard=left.standard and right.standard,
         generators_complete=left.generators_complete and right.generators_complete,
     )
+
+
+def _product_map(
+    dom_l: Domain, map_l: ExprVec, dom_r: Domain, map_r: ExprVec
+) -> tuple[Domain, ExprVec]:
+    """(u, w) -> (map_l(u), map_r(w)) on dom_l x dom_r."""
+    dim = dom_l.dim + dom_r.dim
+    boxes = [Box(bl.intervals + br.intervals) for bl in dom_l.boxes for br in dom_r.boxes]
+    return Domain(dim, boxes), map_l.lift(dim).concat(map_r.lift(dim, dom_l.dim))
 
 
 def quotient_space(

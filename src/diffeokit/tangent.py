@@ -26,8 +26,8 @@ runs is_plot on up to LINE_STEPS lines and a jet per generator preimage.
 An independent series search, `exhaustive_germ_search`, is kept for the
 tests to cross-check refutations against; no check calls it.  Expanding
 the defining polynomials along a path with unknown higher coefficients,
-a t-coefficient that is a nonzero constant rules out every polynomial
-germ of the searched degree at once.
+a t-coefficient up to the searched degree that is a nonzero constant
+rules out every smooth germ with that velocity at once.
 """
 
 from __future__ import annotations
@@ -268,11 +268,14 @@ def exhaustive_germ_search(
     space: DiffSpace, x: Point, v, degree: int = 6
 ) -> Verdict:
     """Expand the defining polynomials along x + v t + sum_{k=2..degree}
-    c_k t^k with unknown c_k.  A t-coefficient that is a nonzero constant
-    rules out every such path: no, with a "series" obstruction.  Otherwise
-    unknown: coefficients that involve the unknowns decide nothing, and
-    coefficients that all vanish only say that the straight line stays in
-    the carrier, which is no certified plot."""
+    c_k t^k with unknown c_k.  The t^k coefficient for k <= degree depends
+    only on the k-jet of a path, so when one is a nonzero constant no smooth
+    germ with velocity v stays in the carrier: no, with a "series"
+    obstruction.  Coefficients above the degree would need the jet terms
+    the search leaves out, so they are not read.  Otherwise unknown:
+    coefficients that involve the unknowns decide nothing, coefficients that
+    all vanish only say that the straight line stays in the carrier, which
+    is no certified plot, and a rational equation is skipped and named."""
     x = tuple(Fraction(c) for c in x)
     v = tuple(Fraction(c) for c in v)
     n = len(x)
@@ -289,13 +292,15 @@ def exhaustive_germ_search(
         series.append(coeffs)
 
     all_zero = True
+    skipped = []
     for eq in space.carrier.equations(""):
         if not eq.is_polynomial:
+            skipped.append(eq.to_str())
             continue
         expanded = _series_eval(eq, series, unknowns)
-        for order in sorted(expanded):
-            c = expanded[order]
-            if c.is_zero():
+        for order in range(degree + 1):
+            c = expanded.get(order)
+            if c is None or c.is_zero():
                 continue
             all_zero = False
             if c.is_constant:
@@ -307,10 +312,15 @@ def exhaustive_germ_search(
                         f"{c.constant_value()} along every path of degree at most {degree}"
                     ),
                 ))
+    if skipped:
+        return Verdict.unknown(
+            f"germ series search: skipped the rational equation(s) {', '.join(skipped)}; "
+            f"no polynomial equation decides the path at degree cap {degree}"
+        )
     if all_zero:
         return Verdict.unknown(
-            f"germ series search: the straight line keeps every equation at 0, "
-            f"which certifies no plot (degree cap {degree})"
+            f"germ series search: the straight line keeps every equation at 0 "
+            f"up to t^{degree}, which certifies no plot (degree cap {degree})"
         )
     return Verdict.unknown(f"germ series search inconclusive at degree cap {degree}")
 

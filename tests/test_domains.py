@@ -10,13 +10,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from diffeokit import domains
 from diffeokit.domains import (
     Box,
     Domain,
     Interval,
     SAMPLE_MAX_DEN,
+    _axis_breaks,
+    _axis_cells_closed,
     _b_mul,
+    _box_covered,
     _box_samples,
+    _cell_representative,
+    _cells_covered,
     _domain_samples,
     _ext_mul,
     _interval_samples,
@@ -498,3 +504,131 @@ class TestSamplePrefixes:
         for step in (1, 4, 16, 64):
             if step <= n:
                 assert domain.sample_points(step) == big[:step]
+
+
+_R2_BOX = Domain.full(2).boxes[0]
+
+
+@st.composite
+def unions(draw, dim):
+    """Zero to three boxes from `open_boxes`, often meeting at 0; in some,
+    one more box that is all of R^dim."""
+    boxes = draw(st.lists(open_boxes(dim), max_size=3))
+    if draw(st.sampled_from([False, False, True])):
+        boxes.insert(draw(st.integers(0, len(boxes))), Domain.full(dim).boxes[0])
+    return Domain(dim, boxes)
+
+
+def _arranged_covers(cover: Domain, other: Domain) -> bool:
+    return all(_box_covered(b, cover.boxes) for b in other.boxes)
+
+
+def _arranged_covers_closed(cover: Domain, closed) -> bool:
+    return _cells_covered(
+        [_axis_cells_closed(lo, hi, _axis_breaks(cover.boxes, i, lo, hi))
+         for i, (lo, hi) in enumerate(closed)],
+        cover.boxes,
+    )
+
+
+def _same_dim(draw_second):
+    """A dimension 0..3 and a union of it, then what draw_second(dim) draws."""
+    return st.integers(0, 3).flatmap(lambda n: st.tuples(unions(n), draw_second(n)))
+
+
+class TestWholeDomains:
+    """A domain with a box unbounded on every axis is all of R^n: covers,
+    covers_closed and image_within answer from that, or for one covering
+    box axis by axis, and must agree with the cell arrangement."""
+
+    @settings(max_examples=200)
+    @given(_same_dim(unions))
+    @example((Domain.full(2), Domain.of((0, 1), (None, 1))))
+    @example((Domain(2, [_R2_BOX, Box.of((0, 1), (0, 1))]), Domain.of((None, 0), (5, None))))
+    @example((Domain.full(0), Domain.full(0)))
+    @example((Domain(0), Domain.full(0)))
+    @example((Domain.of((None, 1), (0, 2)), Domain.of((-5, 1), (0, 2))))
+    @example((Domain.of((None, 1), (0, 2)), Domain.of((-5, 1), (0, None))))
+    @example((Domain.of((None, None), (0, 2)), Domain(2)))
+    def test_covers_equals_the_arrangement(self, pair):
+        cover, other = pair
+        assert cover.covers(other) == _arranged_covers(cover, other)
+        if cover.whole:
+            assert _arranged_covers(cover, Domain.full(cover.dim))
+
+    @settings(max_examples=150)
+    @given(_same_dim(lambda n: st.lists(bounds(), min_size=n, max_size=n)))
+    @example((Domain.full(2), [(None, None), (_f(0), _f(0))]))
+    @example((Domain(1, [Box.of((0, 1)), Domain.full(1).boxes[0]]), [(None, _f(3))]))
+    @example((Domain.full(0), []))
+    @example((Domain(0), []))
+    @example((Domain.of((-1, 1)), [(_f(-1, 2), _f(1))]))
+    def test_covers_closed_equals_the_arrangement(self, pair):
+        cover, closed = pair
+        assert cover.covers_closed(closed) == _arranged_covers_closed(cover, closed)
+
+    @settings(max_examples=150)
+    @given(st.data(), st.integers(1, 2), st.integers(1, 2))
+    def test_image_within_equals_the_arrangement(self, data, arity, dim):
+        vec = ExprVec([data.draw(bounded_exprs(arity)) for _ in range(dim)])
+        source = data.draw(unions(arity))
+        target = data.draw(unions(dim))
+        expected = all(_arranged_covers_closed(target, vec_bounds(vec, box))
+                       for box in source.boxes)
+        assert image_within(vec, source, target) == expected
+
+    def test_mismatched_dimensions_are_refused(self):
+        plane, line = Domain.full(2), Domain.of((0, 1))
+        for cover, other in ((plane, line), (line, plane), (Domain.full(0), line)):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                cover.covers(other)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            plane.covers_closed([(None, None)])
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            image_within(ExprVec.parse(["x0"], 1), line, plane)
+
+    @settings(max_examples=100)
+    @given(st.integers(0, 3).flatmap(lambda n: st.lists(open_boxes(n), max_size=4)))
+    def test_box_order_changes_neither_equality_nor_hash(self, boxes):
+        dim = boxes[0].dim if boxes else 2
+        forward = Domain(dim, boxes)
+        backward = Domain(dim, reversed(boxes + boxes[:1]))
+        assert forward == backward
+        assert hash(forward) == hash(backward)
+        assert forward.whole == backward.whole
+
+    def test_full_is_one_shared_instance_per_dimension(self):
+        for n in range(5):
+            assert Domain.full(n) is Domain.full(n)
+            assert Domain.full(n).whole
+            unshared = Domain(n, [Box(tuple(Interval(None, None) for _ in range(n)))])
+            assert unshared == Domain.full(n) and hash(unshared) == hash(Domain.full(n))
+        assert not Domain(0).whole
+        assert not Domain.of((None, 1)).union(Domain.of((-1, None))).whole
+
+    def test_image_within_a_whole_target_bounds_nothing(self, monkeypatch):
+        calls = []
+        real = domains.expr_bounds
+
+        def counted(expr, box):
+            calls.append(box)
+            return real(expr, box)
+
+        monkeypatch.setattr(domains, "expr_bounds", counted)
+        vec = ExprVec.parse(["x0^3 - x1", "1/(1 + x0^2)"], 2)
+        source = Domain.of((0, 1), (None, 2)).union(Domain.of((5, 6), (0, 1)))
+        assert image_within(vec, source, Domain.full(2))
+        assert image_within(vec, source, Domain(2, [Box.of((0, 1), (0, 1)), _R2_BOX]))
+        assert calls == []
+        # a target that is not whole is still bounded box by box
+        assert not image_within(vec, source, Domain.of((None, None), (0, 1)))
+        assert calls
+
+    def test_a_cell_representative_stays_exact(self):
+        rep = _cell_representative(("open", 0, 1))
+        assert rep == _f(1, 2) and isinstance(rep, Fraction)
+        assert _cell_representative(("open", _f(1, 3), _f(1, 2))) == _f(5, 12)
+        # the public Interval keeps int endpoints as given
+        split = Domain(1, [Box((Interval(0, 1),)), Box((Interval(1, 2),))])
+        assert not split.covers(Domain.of((0, 2)))
+        assert split.covers(Domain(1, [Box((Interval(0, 1),))]))

@@ -6,7 +6,7 @@ from unittest import mock
 import pytest
 
 from diffeokit import domains, spaces
-from diffeokit.domains import SAMPLE_MAX_DEN, Box, Domain, Interval, _domain_samples
+from diffeokit.domains import SAMPLE_MAX_DEN, Box, Domain, Interval, _domain_samples, format_point
 from diffeokit.expr import Expr, ExprError, ExprVec
 from diffeokit.spaces import (
     AlgebraicCarrier,
@@ -555,9 +555,58 @@ class TestMapsOutOfQuotients:
         )
         assert is_smooth(identity_map(outer)).is_yes
         # the sides (a*b, b^2) and (-a*b, b^2) are one point through the
-        # factor's own relation, which the outer rewrites do not reach
+        # factor's own relation: the outer rewrites do not reach it, the
+        # block-by-block comparison in the base does
         v = is_smooth(smooth_map(outer, outer, ["x0*x1", "x1^2"]))
+        assert v.is_yes
+        # (a, 1 + b) and (a, 1 - b) differ, but with the factor's relation
+        # out of the outer rewrites' reach, the search cannot say no
+        assert is_smooth(smooth_map(outer, outer, ["x0", "x1 + 1"])).is_unknown
+
+    def test_out_of_a_product_with_a_quotient_factor(self):
+        """A factor's pair p ~ -p is lifted through each generator g of the
+        other factor, to (p, g(u)) ~ (-p, g(u)) on R x dom(g)."""
+        space, rel = self.sign_quotient()
+        r1 = euclidean_space(1)
+        for both, (dp, du) in ((product_space("Q*R", space, r1), (0, 1)),
+                               (product_space("R*Q", r1, space), (1, 0))):
+            f = smooth_map(both, r1, [f"x{dp}"])
+            v = is_smooth(f)
+            assert v.is_no, both.name
+            ob = v.obstruction
+            assert ob.kind == "relation"
+            p, u = ob.point[dp], ob.point[du]
+            side = (p, u) if dp == 0 else (u, p)
+            other = (-p, u) if dp == 0 else (u, -p)
+            _, vec = f.piece("")
+            assert vec.eval(side) != vec.eval(other)
+            assert ob.detail == (
+                f"{format_point(side)} ~ {format_point(other)} map to "
+                f"{format_point(vec.eval(side))} and {format_point(vec.eval(other))}"
+            )
+            even = [f"x{dp}^2 + x{du}"]
+            assert is_smooth(smooth_map(both, r1, even)).is_yes, both.name
+
+    def test_out_of_a_union_with_a_quotient_part(self):
+        space, _ = self.sign_quotient()
+        r1 = euclidean_space(1)
+        union = union_space("Q+R", (("q", space), ("r", r1)))
+        v = is_smooth(smooth_map(union, r1, {"q": ("", ["x0"]), "r": ("", ["x0"])}))
+        assert v.is_no
+        assert v.obstruction.kind == "relation" and v.obstruction.component == "q"
+        even = smooth_map(union, r1, {"q": ("", ["x0^2"]), "r": ("", ["x0"])})
+        assert is_smooth(even).is_yes
+
+    def test_a_quotient_that_cannot_be_lifted_leaves_smoothness_open(self):
+        # a union keeps its parts' carriers only, so a product part has no
+        # generators to lift its factor's pairs through
+        space, _ = self.sign_quotient()
+        r1 = euclidean_space(1)
+        union = union_space("QR+R", (("p", product_space("Q*R", space, r1)), ("r", r1)))
+        f = smooth_map(union, r1, {"p": ("", ["x0^2"]), "r": ("", ["x0"])})
+        v = is_smooth(f)
         assert v.is_unknown
+        assert "cannot be lifted" in v.detail
 
     def test_images_in_different_components_differ(self):
         rel = RelationPair("a", ExprVec.identity(1), "b", ExprVec.identity(1), R1)

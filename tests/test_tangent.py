@@ -177,6 +177,36 @@ class TestSeriesSearch:
         assert cross.is_unknown
         assert cross.detail == "germ series search inconclusive at degree cap 4"
 
+    def test_orders_above_the_degree_cap_are_not_read(self):
+        """On x1 = x0^8, (t, t^8) is a plot with velocity (1, 0).  A path of
+        degree at most 6 has t^8 coefficient -1 there, which says nothing
+        about smooth germs, whose t^8 term the search leaves out."""
+        eighth = generated_space(
+            "eighth", AlgebraicCarrier(2, (Expr.parse("x1 - x0^8", 2),)),
+            (plot(Domain.full(1), ["x0", "x0^8"]),), complete=True)
+        assert cone_membership(eighth, (0, 0), (1, 0)).is_in
+        verdict = exhaustive_germ_search(eighth, (0, 0), (1, 0), degree=6)
+        assert verdict.is_unknown
+        assert verdict.detail == "germ series search inconclusive at degree cap 6"
+        # within the cap, the same equation still refutes: t^1 coefficient 1
+        refuted = exhaustive_germ_search(eighth, (0, 0), (0, 1), degree=6)
+        assert refuted.is_no
+        assert refuted.obstruction.detail.startswith("-x0^8 + x1 has t^1 coefficient 1")
+
+    def test_a_skipped_rational_equation_is_named(self):
+        # grad((x1 - x0^2)/(1 + x0^2)) . (1, 1) = -1/2 at (1, 1), so the
+        # straight line leaves the carrier; the search does not expand a
+        # rational equation, and says so instead of vouching for the line
+        bent = generated_space("bent", AlgebraicCarrier(
+            2, (Expr.parse("(x1 - x0^2)/(1 + x0^2)", 2),)), ())
+        verdict = exhaustive_germ_search(bent, (1, 1), (1, 1), degree=6)
+        assert verdict.is_unknown
+        assert verdict.detail == (
+            "germ series search: skipped the rational equation(s) "
+            "(-x0^2 + x1)/(x0^2 + 1); no polynomial equation decides the path "
+            "at degree cap 6")
+        assert cone_membership(bent, (1, 1), (1, 1)).is_out
+
     def test_series_refutations_agree_with_the_cone(self):
         """Every built-in cone point against every nonzero {-1, 0, 1} probe:
         a series refutation means the cone says out, so no cone `in` meets
