@@ -133,12 +133,6 @@ def _fmt_point(point) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _is_full(domain: Domain) -> bool:
-    return len(domain.boxes) == 1 and all(
-        iv.lo is None and iv.hi is None for iv in domain.boxes[0].intervals
-    )
-
-
 def _random_poly(rng: random.Random, arity: int, degree: int) -> Expr:
     total = Expr.zero(arity)
     for k in range(degree + 1):
@@ -161,7 +155,7 @@ def _constants(space):
 
 def _precompositions(space, rng: random.Random, trials: int):
     for idx, gen in enumerate(space.generators):
-        if not _is_full(gen.domain):
+        if not gen.domain.whole:
             continue
         n = gen.domain.dim
         for _ in range(trials):

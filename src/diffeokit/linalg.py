@@ -27,15 +27,13 @@ it.  A hit equals a fresh result, and nothing handed out can be mutated
 into a later hit: the reduced rows are stored as tuples, and every
 solution, inverse and basis is a fresh list.
 
-Products sum on ints or raw terms.  `rational_product` multiplies two
-rational matrices over the product of their common denominators and
-divides once per entry.  `Matrix.__mul__`, `Matrix.apply` and `_combine`
-sum polynomial products on raw term dicts with `expr._add` and `expr._mul`,
-in the order of the Expr fold they replace, and build one Expr per entry;
-rational entries keep Expr arithmetic.
+Products sum on raw terms.  `Matrix.__mul__`, `Matrix.apply` and
+`_combine` sum polynomial products on raw term dicts with `expr._add` and
+`expr._mul`, in the order of the Expr fold they replace, and build one
+Expr per entry; rational entries keep Expr arithmetic.
 
-Every value handed back (a reduced row, solution, inverse, basis vector,
-product entry or affine part) is stored by `expr`'s coefficient rule: an
+Every value handed back (a reduced row, solution, inverse, basis vector
+or affine part) is stored by `expr`'s coefficient rule: an
 int when it is an integer, a Fraction otherwise.  Each division is
 `expr._quo`, never `/`, which would make a float of two ints.
 """
@@ -44,7 +42,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -71,7 +68,6 @@ __all__ = [
     "rank",
     "solve_rational",
     "invert_rational",
-    "rational_product",
 ]
 
 
@@ -459,23 +455,3 @@ def invert_rational(
     if len(pivots) < n:
         return None
     return [list(row[n:]) for row in a]
-
-
-def rational_product(
-    a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]
-) -> tuple[tuple[Fraction, ...], ...]:
-    """The product a b of two rational matrices: each is cleared to ints
-    over the lcm of its denominators, and each entry is summed as an int
-    and divided once."""
-    k, m = len(b), len(b[0]) if b else 0
-    da = math.lcm(*(v.denominator for row in a for v in row))
-    db = math.lcm(*(v.denominator for row in b for v in row))
-    ia = [[v.numerator * (da // v.denominator) for v in row] for row in a]
-    cols = [[b[t][j].numerator * (db // b[t][j].denominator) for t in range(k)]
-            for j in range(m)]
-    d = da * db
-    out = []
-    for row in ia:
-        sums = [sum(map(operator.mul, row, col)) for col in cols]
-        out.append(tuple(_quo(v, d) for v in sums))
-    return tuple(out)

@@ -367,8 +367,9 @@ class DiffSpace:
     exhaust the diffeology (within the rational fragment); smoothness
     checks on maps out of the space lean on that flag.
 
-    provenance is ("generated",), ("quotient", base) or ("initial", rule,
-    parts), where parts pairs each target with a structure map's pieces.
+    provenance is ("generated",), ("generated", parts) for a union of the
+    (tag, space) parts, ("quotient", base) or ("initial", rule, parts),
+    where parts pairs each target with a structure map's pieces.
     """
 
     def __init__(
@@ -1103,15 +1104,19 @@ def _relation_pairs(carrier: Carrier, space: DiffSpace | None) -> list[RelationP
     left(p) ~ right(p) of one product factor gives, for each generator g of
     the other factor, (left(p), g(u)) ~ (right(p), g(u)) on D x dom(g).  A
     union part's pairs are tagged with its component.  space is the space
-    on the carrier when known: a product reads its factors' generators."""
+    on the carrier when known: a product reads its factors' generators,
+    and a union built by `union_space` its part spaces."""
     if isinstance(carrier, QuotientCarrier):
         base = space.provenance[1] if space is not None and space.provenance[0] == "quotient" else None
         below = _relation_pairs(carrier.base, base)
         return None if below is None else list(carrier.relations) + below
     if isinstance(carrier, UnionCarrier):
+        known = {}
+        if space is not None and space.provenance[0] == "generated" and len(space.provenance) == 2:
+            known = dict(space.provenance[1])
         tagged = []
         for tag, part in carrier.parts:
-            below = _relation_pairs(part, None)
+            below = _relation_pairs(part, known.get(tag))
             if below is None:
                 return None
             tagged += [RelationPair(tag, rel.left_map, tag, rel.right_map, rel.domain)
@@ -1575,7 +1580,7 @@ def union_space(name: str, parts: Sequence[tuple[str, DiffSpace]]) -> DiffSpace:
         name,
         carrier,
         generators=tuple(gens),
-        provenance=("generated",),
+        provenance=("generated", tuple(parts)),
         standard=False,
         generators_complete=all(s.generators_complete for _, s in parts),
     )

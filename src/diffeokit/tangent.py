@@ -6,46 +6,50 @@ from first-order jets pushed through a generator; refutations come from
 two sound obstructions that hold for arbitrary smooth germs, not just
 the rational ones this package can write down:
 
-  * initial form: write an equation's numerator as q(x + y) = q_m(y) +
-    (terms of degree > m).  Along a germ in the carrier with velocity v,
-    0 = q = q_m(v) t^m + O(t^(m+1)) (denominators are positive), so
-    q_m(v) != 0 is impossible (Cox, Little and O'Shea, *Ideals, Varieties,
-    and Algorithms*, ch. 9 sec. 7).  It is reported as a gradient test when
-    m = 1 and as a vanishing order when m >= 2, in any coordinates;
+  * jet: expand an equation's numerator q along x + v t + sum_{k=2..K}
+    c_k t^k with unknown c_k, every product cut at t^max(K, m), where
+    q(x + y) = q_m(y) + (terms of degree > m).  The t^j coefficient of q
+    along a smooth germ depends only on its j-jet, so for j <= K it is
+    the expanded one at the germ's c_k; below t^m every coefficient is 0
+    and the t^m one is q_m(v) whatever the jet.  A coefficient of order
+    j <= max(K, m) that is a nonzero constant therefore rules out every
+    germ in the carrier with velocity v (denominators are positive).  The
+    t^m case is the initial form (Cox, Little and O'Shea, *Ideals,
+    Varieties, and Algorithms*, ch. 9 sec. 7), reported as a gradient
+    test when m = 1 and as a vanishing order when m >= 2, in any
+    coordinates; a higher order is reported as a jet;
   * annihilation: a germ through a generated space factors through one
     generator near 0, so coordinates the generator keeps constant must
     have zero velocity, and generators whose image misses x are out.
 
-`cone_membership` runs the obstructions first and the witness search only
-when none fires.  The order changes no verdict: a witness is a certified
-plot through x with velocity v, hence a smooth germ of exactly the kind
-each obstruction rules out, so the two never both succeed.  It changes the
-cost, since an obstruction is one expansion per equation and the search
-runs is_plot on up to LINE_STEPS lines and a jet per generator preimage.
-
-An independent series search, `exhaustive_germ_search`, is kept for the
-tests to cross-check refutations against; no check calls it.  Expanding
-the defining polynomials along a path with unknown higher coefficients,
-a t-coefficient up to the searched degree that is a nonzero constant
-rules out every smooth germ with that velocity at once.
+`cone_membership` runs the initial form (K = 1) and annihilation first,
+the witness search only when neither fires, and the jet rule to K =
+budget only when the search has failed.  The order changes no verdict: a
+witness is a certified plot through x with velocity v, hence a smooth
+germ of exactly the kind each obstruction rules out, so the two never
+both succeed.  It changes the cost.  The initial form is one expansion
+per equation and the search runs is_plot on up to LINE_STEPS lines and a
+jet per generator preimage, but the expansion to order budget carries
+n (budget - 1) unknowns and costs more than the search on the probes the
+search confirms.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .domains import Box, Domain, Interval, Point, image_within
-from .expr import Expr, ExprVec, _const, _subst_poly, _var
+from .expr import (
+    Expr, ExprVec, _add_into, _const, _constant_value, _is_constant, _mul, _subst_poly, _var,
+)
 from .linalg import affine_parts, solve_rational
-from .spaces import DEFAULT_BUDGET, DiffSpace, Obstruction, Plot, Verdict, is_plot
+from .spaces import DEFAULT_BUDGET, DiffSpace, Obstruction, Plot, is_plot
 
 __all__ = [
     "PathGerm",
     "ConeVerdict",
     "cone_membership",
-    "exhaustive_germ_search",
 ]
 
 # radii 1, 1/2, ... of the straight-line search
@@ -108,19 +112,25 @@ def cone_membership(
 
     # cheap obstructions first: each holds for every smooth germ, so no
     # certified germ exists when one fires (see the module docstring)
-    blocked = _initial_form_obstruction(eqs, x, v) or _annihilation_obstruction(space, x, v)
+    blocked = _jet_obstruction(eqs, x, v, 1) or _annihilation_obstruction(space, x, v)
     if blocked is not None:
         return ConeVerdict(v, "out", obstruction=blocked)
 
     germ, found = _find_germ(space, x, v, budget)
     if germ is not None:
         return ConeVerdict(v, "in", germ=germ)
+    # the expansion to order budget costs more than the search, so it runs
+    # only where the search failed
+    blocked = _jet_obstruction(eqs, x, v, budget)
+    if blocked is not None:
+        return ConeVerdict(v, "out", obstruction=blocked)
     return ConeVerdict(v, "unknown", detail=(
         f"no witness and no obstruction in budget: the line search found no plot "
         f"on radii 1 to 1/{2 ** (LINE_STEPS - 1)} at budget {budget}; the jet search "
         f"found no plot through the basepoint's generator preimages ({found} from "
         f"{PREIMAGE_SAMPLES} samples per generator and the affine solves); "
-        f"the gradient, vanishing-order and annihilation obstructions do not apply"
+        f"the gradient, vanishing-order and annihilation obstructions do not apply, "
+        f"nor the jet obstruction up to t^{budget}"
     ))
 
 
@@ -207,24 +217,67 @@ def _jet_domain(jet: ExprVec, target: Domain) -> Domain | None:
 # ---------------------------------------------------------------------------
 
 
-def _initial_form_obstruction(eqs, x: Point, v: Point) -> Obstruction | None:
-    """The first equation whose lowest-degree form at x is nonzero at v."""
+def _jet_obstruction(eqs, x: Point, v: Point, order: int) -> Obstruction | None:
+    """The first equation whose numerator, expanded along x + v t +
+    sum_{k=2..order} c_k t^k with unknown c_k, has a t^j coefficient with
+    j <= max(order, m) that is a nonzero constant; m is the lowest degree
+    of eq(x + y), and the t^m coefficient is that form at v."""
     n = len(x)
     shifted = [{**_const(n, xi), **_var(n, i)} for i, xi in enumerate(x)]
     for eq in eqs:
         local = _subst_poly(eq.num, shifted, n)  # the numerator of eq(x + y)
         m = min(map(sum, local), default=0)  # >= 1: eq(x) = 0
-        value = sum((c * math.prod(vi**e for vi, e in zip(v, mono) if e)
-                     for mono, c in local.items() if sum(mono) == m), Fraction(0))
-        if value and m > 1:
-            return Obstruction("vanishing-order", point=x, detail=(
-                f"{eq.to_str()} along the path has forced nonzero t^{m} coefficient"))
-        if value:
+        top = max(order, m)
+        series = _expand(local, v, order, top)
+        for j in range(m, top + 1):
+            c = series.get(j)
+            if not c or not _is_constant(c):
+                continue
+            value = _constant_value(c)
+            if j > m:
+                name = eq.to_str() if eq.is_polynomial else f"the numerator of {eq.to_str()}"
+                return Obstruction("jet", point=x, detail=(
+                    f"{name} along the path has forced t^{j} coefficient {value}"))
+            if m > 1:
+                return Obstruction("vanishing-order", point=x, detail=(
+                    f"{eq.to_str()} along the path has forced nonzero t^{m} coefficient"))
             if not eq.is_polynomial:  # grad(num/den) = grad(num)/den where num = 0
                 value /= Expr._poly(n, eq.den).eval(x)
             return Obstruction("gradient", point=x, detail=(
                 f"grad({eq.to_str()}) . v = {value} along any smooth path"))
     return None
+
+
+def _expand(local, v: Point, order: int, top: int) -> dict[int, dict]:
+    """The polynomial local in y along y = v t + sum_{k=2..order} c_k t^k,
+    as {j: t^j coefficient in the unknown c_{i,k}} for j <= top; no
+    product keeps a power of t above top."""
+    unknowns = len(v) * (order - 1)
+    path = [
+        {k: c for k, c in [(1, _const(unknowns, vi))] + [
+            (k, _var(unknowns, i * (order - 1) + k - 2)) for k in range(2, order + 1)] if c}
+        for i, vi in enumerate(v)
+    ]
+    total: dict[int, dict] = {}
+    for mono, coeff in local.items():
+        if sum(mono) > top:  # every y_i is O(t)
+            continue
+        term = {0: _const(unknowns, coeff)}
+        for i, e in enumerate(mono):
+            for _ in range(e):
+                term = _jet_mul(term, path[i], top)
+        for j, c in term.items():
+            _add_into(total.setdefault(j, {}), c.items())
+    return total
+
+
+def _jet_mul(a: dict[int, dict], b: dict[int, dict], top: int) -> dict[int, dict]:
+    out: dict[int, dict] = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            if ka + kb <= top:
+                _add_into(out.setdefault(ka + kb, {}), _mul(ca, cb).items())
+    return {k: c for k, c in out.items() if c}
 
 
 def _annihilation_obstruction(space: DiffSpace, x: Point, v: Point) -> Obstruction | None:
@@ -257,97 +310,3 @@ def _generator_blocks(gen: Plot, x: Point, v: Point) -> str | None:
     if parts is not None and any(parts.residuals(x)):
         return "affine image misses the basepoint"
     return None
-
-
-# ---------------------------------------------------------------------------
-# independent series search
-# ---------------------------------------------------------------------------
-
-
-def exhaustive_germ_search(
-    space: DiffSpace, x: Point, v, degree: int = 6
-) -> Verdict:
-    """Expand the defining polynomials along x + v t + sum_{k=2..degree}
-    c_k t^k with unknown c_k.  The t^k coefficient for k <= degree depends
-    only on the k-jet of a path, so when one is a nonzero constant no smooth
-    germ with velocity v stays in the carrier: no, with a "series"
-    obstruction.  Coefficients above the degree would need the jet terms
-    the search leaves out, so they are not read.  Otherwise unknown:
-    coefficients that involve the unknowns decide nothing, coefficients that
-    all vanish only say that the straight line stays in the carrier, which
-    is no certified plot, and a rational equation is skipped and named."""
-    x = tuple(Fraction(c) for c in x)
-    v = tuple(Fraction(c) for c in v)
-    n = len(x)
-    unknowns = n * max(0, degree - 1)
-
-    def coeff_index(i: int, k: int) -> int:
-        return i * (degree - 1) + (k - 2)
-
-    series = []
-    for i in range(n):
-        coeffs = {0: Expr.constant(unknowns, x[i]), 1: Expr.constant(unknowns, v[i])}
-        for k in range(2, degree + 1):
-            coeffs[k] = Expr.variable(unknowns, coeff_index(i, k))
-        series.append(coeffs)
-
-    all_zero = True
-    skipped = []
-    for eq in space.carrier.equations(""):
-        if not eq.is_polynomial:
-            skipped.append(eq.to_str())
-            continue
-        expanded = _series_eval(eq, series, unknowns)
-        for order in range(degree + 1):
-            c = expanded.get(order)
-            if c is None or c.is_zero():
-                continue
-            all_zero = False
-            if c.is_constant:
-                return Verdict.no(Obstruction(
-                    "series",
-                    point=x,
-                    detail=(
-                        f"{eq.to_str()} has t^{order} coefficient "
-                        f"{c.constant_value()} along every path of degree at most {degree}"
-                    ),
-                ))
-    if skipped:
-        return Verdict.unknown(
-            f"germ series search: skipped the rational equation(s) {', '.join(skipped)}; "
-            f"no polynomial equation decides the path at degree cap {degree}"
-        )
-    if all_zero:
-        return Verdict.unknown(
-            f"germ series search: the straight line keeps every equation at 0 "
-            f"up to t^{degree}, which certifies no plot (degree cap {degree})"
-        )
-    return Verdict.unknown(f"germ series search inconclusive at degree cap {degree}")
-
-
-def _series_eval(eq: Expr, series, unknowns: int) -> dict[int, Expr]:
-    total: dict[int, Expr] = {}
-    for exponents, coeff in eq.num.items():
-        term = {0: Expr.constant(unknowns, coeff)}
-        for i, e in enumerate(exponents):
-            for _ in range(e):
-                term = _series_mul(term, series[i])
-        total = _series_add(total, term)
-    return total
-
-
-def _series_add(a: dict[int, Expr], b: dict[int, Expr]) -> dict[int, Expr]:
-    out = dict(a)
-    for k, val in b.items():
-        out[k] = out[k] + val if k in out else val
-    return out
-
-
-def _series_mul(a: dict[int, Expr], b: dict[int, Expr]) -> dict[int, Expr]:
-    out: dict[int, Expr] = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            k = ka + kb
-            prod = va * vb
-            out[k] = out[k] + prod if k in out else prod
-    return out

@@ -8,6 +8,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffeokit import autgroups, bundles, expr, spaces
 from diffeokit.autgroups import (
@@ -31,6 +33,7 @@ from diffeokit.cli import main as cli_main
 from diffeokit.domains import Domain
 from diffeokit.expr import ExprVec
 from diffeokit.fixtures import load_registry
+from diffeokit.linalg import invert_rational
 from diffeokit.spaces import (
     DEFAULT_BUDGET,
     ChecksCert,
@@ -46,6 +49,12 @@ from diffeokit.spaces import (
 )
 
 from test_bundles import cross_bundle, line_bundle, plant_uncertified
+
+
+def class_of(report, x):
+    """The orbit class of a sampled point."""
+    x = tuple(Fraction(c) for c in x)
+    return next(cls for cls in report.classes if x in cls.members)
 
 
 def scale_translate_group(b):
@@ -500,8 +509,8 @@ class TestOrbits:
         group = scale_translate_group(b)
         points = [(Fraction(k),) for k in range(-2, 3)]
         report = typical_fiber_check(b, group, points=points, word_length=4)
-        assert report.transitive
-        assert report.typical_fiber_dim == 1
+        assert len(report.classes) == 1
+        assert report.classes[0].fiber_dim == 1
 
     def test_cross_origin_is_isolated_by_dimension(self):
         b = cross_bundle()
@@ -513,11 +522,11 @@ class TestOrbits:
             (Fraction(2), Fraction(0)),
         ]
         report = typical_fiber_check(b, group, points=points, word_length=4)
-        assert not report.transitive
-        origin_class = report.class_of((0, 0))
+        assert len(report.classes) > 1
+        origin_class = class_of(report, (0, 0))
         assert origin_class.members == ((Fraction(0), Fraction(0)),)
         assert origin_class.fiber_dim == 2
-        other = report.class_of((1, 0))
+        other = class_of(report, (1, 0))
         assert set(other.members) >= {(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))}
         assert any("dimensions 2 and 1" in why or "dimensions 1 and 2" in why
                    for _, _, why in report.separations)
@@ -596,7 +605,55 @@ class TestAdditivity:
             g_tangent_additivity(space, [shifted], [(Fraction(0),)])
 
 
+def mat_mul(a, b):
+    """The product of two square Fraction matrices, summed entry by entry."""
+    n = len(a)
+    return tuple(
+        tuple(sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(n))
+        for i in range(n)
+    )
+
+
+def _identity(n):
+    return tuple(tuple(Fraction(i == j) for j in range(n)) for i in range(n))
+
+
+# (bundle, basepoint) with fibers of dimension 1 and 2
+FRAME_POINTS = [
+    (line_bundle, (Fraction(3, 2),)),
+    (cross_bundle, (Fraction(0), Fraction(0))),
+    (cross_bundle, (Fraction(2), Fraction(0))),
+]
+
+
+@st.composite
+def _frame_pairs(draw):
+    make, x = draw(st.sampled_from(FRAME_POINTS))
+    b = make()
+    n = bundles.fiber_at(b, x).dim
+    entries = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    square = st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    invertible = square.filter(lambda rows: invert_rational(rows) is not None)
+    return b, frame(b, x, draw(invertible)), frame(b, x, draw(invertible))
+
+
 class TestFrames:
+    @settings(max_examples=60)
+    @given(_frame_pairs())
+    def test_frames_over_one_point_act_freely_and_transitively(self, pair):
+        """The identities `frame_bundle_check` relies on: f2 f1^-1 and
+        g = f1^-1 f2 are invertible, f1 g = f2, g is the only solution, and
+        f -> f1^-1 f sends f1 to the identity."""
+        b, f1, f2 = pair
+        assert invert_rational(mat_mul(f2.matrix, f1.inverse)) is not None
+        g = mat_mul(f1.inverse, f2.matrix)
+        assert invert_rational(g) is not None
+        assert mat_mul(f1.matrix, g) == f2.matrix
+        assert mat_mul(f1.inverse, mat_mul(f1.matrix, g)) == g
+        assert mat_mul(f1.inverse, f1.matrix) == _identity(f1.dim)
+        report = frame_bundle_check(b, [(f1, f2), (f2, f1)])
+        assert report.ok and report.pairs == 2
+
     def test_scalar_frames_divide(self):
         b = line_bundle()
         f1 = frame(b, (Fraction(0),), [[2]])

@@ -34,7 +34,6 @@ ACCEPTANCE_ONLY = {
     "aut_diffeology": "test 07",
     "g_tangent_additivity": "test 08",
     "homotopy_to_zero": "test 05",
-    "exhaustive_germ_search": "test 03, the reference search",
 }
 
 

@@ -25,7 +25,6 @@ from diffeokit.linalg import (
     invert_rational,
     left_null_space,
     rank,
-    rational_product,
     solve_affine,
     solve_rational,
 )
@@ -619,15 +618,6 @@ def _fold_apply(a, vec):
     return tuple(sum((x * v for x, v in zip(row, vec)), Expr.zero(a.arity)) for row in a.rows)
 
 
-def _fold_rational_product(a, b):
-    """The Fraction loop `rational_product` replaced."""
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
-    return tuple(
-        tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m))
-        for i in range(n)
-    )
-
-
 _small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
 
@@ -678,16 +668,6 @@ class TestFusedSums:
         v = Expr.parse("x0^2 + x1", 2)
         assert _combine([Fraction(0), Fraction(1)], [Expr.one(2), v], Expr.zero(2)) is v
 
-    @settings(max_examples=15)
-    @given(st.data())
-    def test_rational_product_equals_the_fraction_loop(self, data):
-        n, k, m = (data.draw(st.integers(1, 3)) for _ in range(3))
-        a = [[data.draw(_small) for _ in range(k)] for _ in range(n)]
-        b = [[data.draw(_small) for _ in range(m)] for _ in range(k)]
-        got = rational_product(a, b)
-        assert got == _fold_rational_product(a, b)
-        assert all(_stored(v) for row in got for v in row)
-
     def test_arity_mismatch_still_raises(self):
         a = Matrix.identity(2, 1)
         with pytest.raises(ExprError):
@@ -697,7 +677,7 @@ class TestFusedSums:
 
 
 class TestCoefficientRule:
-    """Every value a rational product or solve hands back, and every
+    """Every value a rational solve or inverse hands back, and every
     coefficient of an Expr that a matrix product or affine solve builds,
     is an int or a Fraction that is not an integer: never a float."""
 
@@ -705,9 +685,8 @@ class TestCoefficientRule:
     @given(_matrices(), st.data())
     def test_rational_products_and_solves(self, a, data):
         m, n = len(a), len(a[0])
-        b = [[data.draw(_entries) for _ in range(2)] for _ in range(n)]
         x = [data.draw(_entries) for _ in range(n)]
-        values = [v for row in rational_product(a, b) for v in row]
+        values = []
         for rhs in (_times(a, x), [data.draw(_entries) for _ in range(m)]):
             values += solve_rational(a, rhs) or []
         values += [v for y in left_null_space(a) for v in y]

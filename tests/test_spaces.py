@@ -13,12 +13,14 @@ from diffeokit.spaces import (
     CarrierCert,
     ChecksCert,
     ConstantCert,
+    DiffSpace,
     EuclideanCarrier,
     FactoredCert,
     GeneratorCert,
     GlueCert,
     Obstruction,
     Plot,
+    ProductCarrier,
     RelationPair,
     RuleCert,
     UnionCarrier,
@@ -597,13 +599,27 @@ class TestMapsOutOfQuotients:
         even = smooth_map(union, r1, {"q": ("", ["x0^2"]), "r": ("", ["x0"])})
         assert is_smooth(even).is_yes
 
-    def test_a_quotient_that_cannot_be_lifted_leaves_smoothness_open(self):
-        # a union keeps its parts' carriers only, so a product part has no
-        # generators to lift its factor's pairs through
+    def test_a_quotient_in_a_product_part_is_lifted_through_the_part_space(self):
+        # a union keeps its part spaces, so a product part lifts its
+        # factor's pairs through the other factor's generators
         space, _ = self.sign_quotient()
         r1 = euclidean_space(1)
         union = union_space("QR+R", (("p", product_space("Q*R", space, r1)), ("r", r1)))
-        f = smooth_map(union, r1, {"p": ("", ["x0^2"]), "r": ("", ["x0"])})
+        for texts, status in ((["x0^2"], "yes"), (["x0"], "no"), (["x0^2 + x1"], "yes")):
+            f = smooth_map(union, r1, {"p": ("", texts), "r": ("", ["x0"])})
+            assert is_smooth(f).status == status, texts
+        v = is_smooth(smooth_map(union, r1, {"p": ("", ["x0"]), "r": ("", ["x0"])}))
+        assert v.obstruction.kind == "relation" and v.obstruction.component == "p"
+        assert v.obstruction.point == (Fraction(-1), Fraction(0))
+        assert v.obstruction.detail == "(-1, 0) ~ (1, 0) map to (-1) and (1)"
+
+    def test_a_quotient_that_cannot_be_lifted_leaves_smoothness_open(self):
+        # a space on a product carrier with no product provenance has no
+        # factor generators to lift its factor's pairs through
+        space, _ = self.sign_quotient()
+        r1 = euclidean_space(1)
+        bare = DiffSpace("bare Q*R", ProductCarrier(space.carrier, r1.carrier))
+        f = smooth_map(bare, r1, ["x0^2"])
         v = is_smooth(f)
         assert v.is_unknown
         assert "cannot be lifted" in v.detail

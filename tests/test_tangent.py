@@ -14,6 +14,7 @@ from diffeokit.spaces import (
     EuclideanCarrier,
     Obstruction,
     Plot,
+    Verdict,
     euclidean_space,
     generated_space,
     plot,
@@ -25,10 +26,9 @@ from diffeokit.tangent import (
     ConeVerdict,
     _annihilation_obstruction,
     _find_germ,
-    _initial_form_obstruction,
+    _jet_obstruction,
     _preimages,
     cone_membership,
-    exhaustive_germ_search,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -62,6 +62,86 @@ def _cusp():
     eq = Expr.parse("x0^3 - x1^2", 2)
     return generated_space(
         "cusp", AlgebraicCarrier(2, (eq,)), (plot(Domain.full(1), ["x0^2", "x0^3"]),))
+
+
+def exhaustive_germ_search(space, x, v, degree=6):
+    """The reference series search for cone refutations, written on Expr
+    apart from the jet rule.  Expand the defining polynomials along
+    x + v t + sum_{k=2..degree} c_k t^k with unknown c_k, keeping no power
+    of t above the degree.  The t^k coefficient for k <= degree depends
+    only on the k-jet of a path, so when one is a nonzero constant no
+    smooth germ with velocity v stays in the carrier: no, with a "series"
+    obstruction.  Otherwise unknown: coefficients that involve the unknowns
+    decide nothing, coefficients that all vanish only say that the straight
+    line stays in the carrier, which is no certified plot, and a rational
+    equation is skipped and named."""
+    x = tuple(Fraction(c) for c in x)
+    v = tuple(Fraction(c) for c in v)
+    n = len(x)
+    unknowns = n * max(0, degree - 1)
+    series = []
+    for i in range(n):
+        coeffs = {0: Expr.constant(unknowns, x[i]), 1: Expr.constant(unknowns, v[i])}
+        for k in range(2, degree + 1):
+            coeffs[k] = Expr.variable(unknowns, i * (degree - 1) + (k - 2))
+        series.append(coeffs)
+
+    all_zero = True
+    skipped = []
+    for eq in space.carrier.equations(""):
+        if not eq.is_polynomial:
+            skipped.append(eq.to_str())
+            continue
+        expanded = _series_eval(eq, series, unknowns, degree)
+        for order in range(degree + 1):
+            c = expanded.get(order)
+            if c is None or c.is_zero():
+                continue
+            all_zero = False
+            if c.is_constant:
+                return Verdict.no(Obstruction("series", point=x, detail=(
+                    f"{eq.to_str()} has t^{order} coefficient "
+                    f"{c.constant_value()} along every path of degree at most {degree}")))
+    if skipped:
+        return Verdict.unknown(
+            f"germ series search: skipped the rational equation(s) {', '.join(skipped)}; "
+            f"no polynomial equation decides the path at degree cap {degree}"
+        )
+    if all_zero:
+        return Verdict.unknown(
+            f"germ series search: the straight line keeps every equation at 0 "
+            f"up to t^{degree}, which certifies no plot (degree cap {degree})"
+        )
+    return Verdict.unknown(f"germ series search inconclusive at degree cap {degree}")
+
+
+def _series_eval(eq, series, unknowns, degree):
+    total = {}
+    for exponents, coeff in eq.num.items():
+        term = {0: Expr.constant(unknowns, coeff)}
+        for i, e in enumerate(exponents):
+            for _ in range(e):
+                term = _series_mul(term, series[i], degree)
+        total = _series_add(total, term)
+    return total
+
+
+def _series_add(a, b):
+    out = dict(a)
+    for k, val in b.items():
+        out[k] = out[k] + val if k in out else val
+    return out
+
+
+def _series_mul(a, b, degree):
+    out = {}
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            k = ka + kb
+            if k <= degree:
+                prod = va * vb
+                out[k] = out[k] + prod if k in out else prod
+    return out
 
 
 F = Fraction
@@ -212,12 +292,12 @@ class TestSeriesSearch:
         a series refutation means the cone says out, so no cone `in` meets
         one; and on these points every cone `out` is a series refutation.
         At the origins of the cusp and of the moved cross, every
-        initial-form refutation is a series refutation too."""
+        jet-rule refutation is a series refutation too."""
         reg = load_registry()
         builtin = [(reg.space(name), x)
                    for name, points in sorted(reg.cone_points.items()) for x in points]
         singular = [(_cusp(), (F(0), F(0))), (moved_cross(), (F(0), F(0)))]
-        cases, outs, refuted, initial = 0, set(), set(), []
+        cases, outs, refuted, initial, jets = 0, set(), set(), [], []
         for space, x in builtin + singular:
             for v in nonzero_probes(len(x)):
                 cone = cone_membership(space, x, v)
@@ -228,6 +308,9 @@ class TestSeriesSearch:
                 if cone.is_out and cone.obstruction.kind in ("gradient", "vanishing-order"):
                     assert series.is_no, where
                     initial.append(space.name)
+                if cone.is_out and cone.obstruction.kind == "jet":
+                    assert series.is_no, where
+                    jets.append(space.name)
                 if space.name in reg.cone_points:
                     if series.is_no:
                         refuted.add(where)
@@ -237,10 +320,11 @@ class TestSeriesSearch:
                     cases += 1
         assert cases == 28
         assert outs == refuted
-        # the cusp's (+-1, 0) are series refutations (t^3 coefficient 1)
-        # that no lowest-degree form sees, so the cone leaves them unknown
+        # the cusp's (+-1, 0) are series refutations (t^3 coefficient +-1)
+        # that no lowest-degree form sees; the jet rule at order budget does
         assert initial.count("cusp") == 6
         assert initial.count("cross-psi") == 4
+        assert jets == ["cusp", "cusp"]
 
 
 class TestGeneratorJets:
@@ -321,12 +405,16 @@ class TestPreimageTable:
 class TestUnknownDetail:
     def test_cusp_unknown_names_each_search_and_its_cap(self):
         cusp = _cusp()
-        verdict = cone_membership(cusp, (0, 0), (1, 0))
-        assert verdict.status == "unknown"
-        assert "line search found no plot on radii 1 to 1/8 at budget 4" in verdict.detail
-        assert f"(1 from {PREIMAGE_SAMPLES} samples per generator" in verdict.detail
-        assert ("gradient, vanishing-order and annihilation obstructions do not apply"
-                in verdict.detail)
+        # below order 3 no jet coefficient of x0^3 - x1^2 along (1, 0) is read
+        for budget in (1, 2):
+            verdict = cone_membership(cusp, (0, 0), (1, 0), budget)
+            assert verdict.status == "unknown"
+            assert (f"line search found no plot on radii 1 to 1/8 at budget {budget}"
+                    in verdict.detail)
+            assert f"(1 from {PREIMAGE_SAMPLES} samples per generator" in verdict.detail
+            assert ("gradient, vanishing-order and annihilation obstructions do not apply"
+                    in verdict.detail)
+            assert verdict.detail.endswith(f"nor the jet obstruction up to t^{budget}")
         # the lowest-degree form -x1^2 refutes every probe with v1 != 0
         for v in [(0, 1), (1, 1)]:
             verdict = cone_membership(cusp, (0, 0), v)
@@ -388,11 +476,12 @@ def _monomial_obstruction(eqs, x, v):
     return None
 
 
-def _obstructions(space, x, v):
+def _obstructions(space, x, v, budget):
     eqs = space.carrier.equations("")
     return [o for o in (
-        _initial_form_obstruction(eqs, x, v),
+        _jet_obstruction(eqs, x, v, 1),
         _annihilation_obstruction(space, x, v),
+        _jet_obstruction(eqs, x, v, budget),
     ) if o is not None]
 
 
@@ -402,18 +491,17 @@ def _germ_first(space, x, v, budget):
     germ, _ = _find_germ(space, x, v, budget)
     if germ is not None:
         return ConeVerdict(v, "in", germ=germ)
-    blocked = _initial_form_obstruction(space.carrier.equations(""), x, v)
-    if blocked is None:
-        blocked = _annihilation_obstruction(space, x, v)
-    if blocked is not None:
-        return ConeVerdict(v, "out", obstruction=blocked)
+    blocked = _obstructions(space, x, v, budget)
+    if blocked:
+        return ConeVerdict(v, "out", obstruction=blocked[0])
     found = sum(len(_preimages(gen, x)) for _, gen in space.component_generators(""))
     return ConeVerdict(v, "unknown", detail=(
         f"no witness and no obstruction in budget: the line search found no plot "
         f"on radii 1 to 1/{2 ** (LINE_STEPS - 1)} at budget {budget}; the jet search "
         f"found no plot through the basepoint's generator preimages ({found} from "
         f"{PREIMAGE_SAMPLES} samples per generator and the affine solves); "
-        f"the gradient, vanishing-order and annihilation obstructions do not apply"
+        f"the gradient, vanishing-order and annihilation obstructions do not apply, "
+        f"nor the jet obstruction up to t^{budget}"
     ))
 
 
@@ -437,26 +525,30 @@ class TestObstructionsBeforeGerms:
     """cone_membership runs the obstructions before the germ search.  That
     is sound only because no certified germ exists where an obstruction
     fires; both claims are checked on every built-in cone point with probes
-    in {-2, ..., 2}^n, the cusp (whose probes along the x0-axis stay
-    unknown) and the benchmark's cone queries at seeds 0 and 7."""
+    in {-2, ..., 2}^n, the cusp (whose probes along the x0-axis only the
+    jet rule refutes, and only from order 3) and the benchmark's cone
+    queries at seeds 0 and 7."""
 
     def _cases(self):
         yield from _builtin_and_bench_probes()
         cusp = _cusp()
         for v in nonzero_probes(2):
             yield cusp, (F(0), F(0)), tuple(F(c) for c in v), DEFAULT_BUDGET
+        for v in [(1, 0), (-1, 0)]:
+            yield cusp, (F(0), F(0)), tuple(F(c) for c in v), 2
 
     def test_no_germ_where_an_obstruction_fires_and_verdicts_equal_germ_first(self):
         counts = {"in": 0, "out": 0, "unknown": 0}
-        blocked = 0
+        blocked, jets = 0, 0
         for space, x, v, budget in self._cases():
             where = (space.name, x, v)
             new = cone_membership(space, x, v, budget)
             counts[new.status] += 1
+            jets += new.is_out and new.obstruction.kind == "jet"
             if not any(v):
                 assert new.is_in and new.germ.velocity() == v, where
                 continue
-            if _obstructions(space, x, v):
+            if _obstructions(space, x, v, budget):
                 blocked += 1
                 assert _find_germ(space, x, v, budget)[0] is None, where
             ref = _germ_first(space, x, v, budget)
@@ -474,15 +566,16 @@ class TestObstructionsBeforeGerms:
                 assert new.germ.domain == ref.germ.domain, where
                 assert new.germ.certificate == ref.germ.certificate, where
         assert blocked == counts["out"]
-        # the cusp's (1, 0) and (-1, 0): no germ, yet no lowest-degree form
-        # sees them
+        # the cusp's (1, 0) and (-1, 0): no germ, and no lowest-degree form
+        # sees them; the jet rule does at budget 4, but not at budget 2
+        assert jets == 2
         assert counts["unknown"] == 2
         assert min(counts.values()) > 0
 
 
 class TestInitialForm:
-    """One rule, the lowest-degree form of each equation at the basepoint,
-    in place of the gradient and single-monomial tests."""
+    """The jet rule at order 1 is the lowest-degree form of each equation
+    at the basepoint, in place of the gradient and single-monomial tests."""
 
     def test_it_fires_wherever_an_old_rule_fires_with_the_same_report(self):
         probes = list(_builtin_and_bench_probes())
@@ -495,12 +588,12 @@ class TestInitialForm:
             eqs = space.carrier.equations("")
             old = _linear_obstruction(eqs, x, v) or _monomial_obstruction(eqs, x, v)
             if old is not None:
-                assert _initial_form_obstruction(eqs, x, v) == old, (space.name, x, v)
+                assert _jet_obstruction(eqs, x, v, 1) == old, (space.name, x, v)
                 fired[old.kind] += 1
         assert len(probes) == 606
         assert min(fired.values()) > 0
-        assert _initial_form_obstruction(
-            bent.carrier.equations(""), (F(1), F(1)), (F(1), F(1))
+        assert _jet_obstruction(
+            bent.carrier.equations(""), (F(1), F(1)), (F(1), F(1)), 1
         ).detail == "grad((-x0^2 + x1)/(x0^2 + 1)) . v = -1/2 along any smooth path"
 
     def test_moved_diagonals_and_cusp_probes_are_out_at_order_two(self):
@@ -515,3 +608,107 @@ class TestInitialForm:
             assert series.is_no, (space.name, v)
             coefficient = series.obstruction.detail.split(" has t^2 coefficient ")[1]
             assert coefficient.split()[0] in ("1", "-1"), (space.name, v)
+
+
+def _singular_spaces():
+    """Spaces singular at the origin, each with generators through it: the
+    cusp, the moved cross, x1 = x0^8, the node, the tacnode and
+    x1^3 = x0^4."""
+    def space(name, eq, *maps):
+        return generated_space(name, AlgebraicCarrier(2, (Expr.parse(eq, 2),)),
+                               tuple(plot(Domain.full(1), m) for m in maps), complete=True)
+
+    return [
+        _cusp(),
+        moved_cross(),
+        space("eighth", "x1 - x0^8", ["x0", "x0^8"]),
+        space("node", "x1^2 - x0^3 - x0^2", ["x0^2 - 1", "x0^3 - x0"]),
+        space("tacnode", "x1^2 - x0^4", ["x0", "x0^2"], ["x0", "-x0^2"]),
+        space("three-four", "x1^3 - x0^4", ["x0^3", "x0^4"]),
+    ]
+
+
+def _jet_probes():
+    """Every nonzero probe in {-2, ..., 2}^n at the built-in cone points and
+    at the origins of the singular spaces."""
+    reg = load_registry()
+    points = [(reg.space(name), x)
+              for name, xs in sorted(reg.cone_points.items()) for x in xs]
+    points += [(space, (F(0), F(0))) for space in _singular_spaces()]
+    for space, x in points:
+        for v in itertools.product(range(-2, 3), repeat=len(x)):
+            if any(v):
+                yield space, x, tuple(F(c) for c in v)
+
+
+class TestJetRule:
+    """`_jet_obstruction` at order K against the reference series search at
+    degree K, and against the velocities of germs that are plots."""
+
+    @pytest.mark.parametrize("order", [3, 6])
+    def test_it_refutes_exactly_where_the_series_search_does(self, order):
+        probes, refuted = 0, 0
+        for space, x, v in _jet_probes():
+            blocked = _jet_obstruction(space.carrier.equations(""), x, v, order)
+            series = exhaustive_germ_search(space, x, v, degree=order)
+            assert (blocked is not None) == series.is_no, (space.name, x, v)
+            probes += 1
+            refuted += series.is_no
+        assert probes == 224
+        assert 0 < refuted < probes
+
+    @pytest.mark.parametrize("order", [1, 3, 6])
+    def test_no_velocity_of_a_generator_germ_is_refuted(self, order):
+        """t -> g(u0 + t w) is a plot through g(u0), so no obstruction may
+        refute its velocity J_g(u0) w."""
+        reg = load_registry()
+        # on x1 = x0^3 the velocity (1, 0) at the origin needs the germ's t^3 term
+        cubic = generated_space("cubic", AlgebraicCarrier(2, (Expr.parse("x1 - x0^3", 2),)),
+                                (plot(Domain.full(1), ["x0", "x0^3"]),), complete=True)
+        spaces = [reg.space(name) for name in sorted(reg.spaces)] + _singular_spaces() + [cubic]
+        cases = 0
+        for space in spaces:
+            if space.carrier.components() != ("",):
+                continue
+            eqs = space.carrier.equations("")
+            for gen in space.generators:
+                jac = gen.map.jacobian()
+                for u0 in gen.domain.sample_points(12):
+                    x = gen.map.eval(u0)
+                    for w in itertools.product(range(-2, 3), repeat=gen.domain.dim):
+                        v = tuple(sum((row[k].eval(u0) * wk for k, wk in enumerate(w)), F(0))
+                                  for row in jac)
+                        if any(v):
+                            assert _jet_obstruction(eqs, x, v, order) is None, (
+                                space.name, u0, w)
+                            cases += 1
+        assert cases > 1000
+
+    def test_cusp_axis_probes_are_out_from_order_three(self):
+        cusp = _cusp()
+        for v, coefficient in [((1, 0), 1), ((-1, 0), -1)]:
+            verdict = cone_membership(cusp, (0, 0), v, budget=6)
+            assert verdict.is_out, v
+            assert verdict.obstruction.kind == "jet"
+            assert verdict.obstruction.detail == (
+                f"x0^3 - x1^2 along the path has forced t^3 coefficient {coefficient}")
+            for budget in (1, 2):
+                low = cone_membership(cusp, (0, 0), v, budget)
+                assert low.status == "unknown", (v, budget)
+                assert f"jet obstruction up to t^{budget}" in low.detail
+
+    def test_a_rational_cusp_is_refuted_through_its_numerator(self):
+        eq = Expr.parse("(x0^3 - x1^2)/(1 + x0^2)", 2)
+        origin = (F(0), F(0))
+        assert _jet_obstruction([eq], origin, (F(1), F(0)), 2) is None
+        blocked = _jet_obstruction([eq], origin, (F(1), F(0)), 3)
+        assert blocked.kind == "jet"
+        assert blocked.detail == (
+            "the numerator of (x0^3 - x1^2)/(x0^2 + 1) along the path has forced "
+            "t^3 coefficient 1")
+        space = generated_space("rational-cusp", AlgebraicCarrier(2, (eq,)),
+                                (plot(Domain.full(1), ["x0^2", "x0^3"]),))
+        verdict = cone_membership(space, origin, (-1, 0), budget=6)
+        assert verdict.is_out and verdict.obstruction.kind == "jet"
+        # the reference search skips the rational equation
+        assert exhaustive_germ_search(space, origin, (-1, 0), degree=6).is_unknown
