@@ -9,7 +9,6 @@ velocity vectors, and frame algebra over a fiber all live here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
@@ -22,7 +21,7 @@ from .bundles import (
     fiber_at,
 )
 from .domains import Domain, Point, format_point
-from .expr import Expr, ExprVec
+from .expr import Expr, ExprVec, Record
 from .linalg import invert_rational
 from .spaces import (
     DEFAULT_BUDGET,
@@ -63,8 +62,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FinGenGroup:
+class FinGenGroup(Record):
     """Bundle automorphisms with supplied inverses, plus optional
     one-parameter families of base maps through the identity."""
 
@@ -75,8 +73,7 @@ class FinGenGroup:
     families: tuple[ExprVec, ...] = ()
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(Record):
     """A reduced word and its composed action, total and base."""
 
     word: tuple[int, ...]  # +i+1 for generator i, -(i+1) for its inverse
@@ -254,15 +251,13 @@ def exact_sequence_check(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrbitClass:
+class OrbitClass(Record):
     representative: Point
     members: tuple[Point, ...]
     fiber_dim: int
 
 
-@dataclass(frozen=True)
-class OrbitReport:
+class OrbitReport(Record):
     classes: tuple[OrbitClass, ...]
     moves: tuple[tuple[Point, Point, str], ...]
     separations: tuple[tuple[Point, Point, str], ...]
@@ -418,8 +413,7 @@ def g_tangent_additivity(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(Record):
     """A linear isomorphism from the typical fiber onto one fiber,
     stored as a matrix in chart coordinates."""
 
@@ -455,8 +449,7 @@ def random_frame(bundle: PseudoBundle, x, rng) -> Frame:
             return frame(bundle, x, rows)
 
 
-@dataclass(frozen=True)
-class FrameReport:
+class FrameReport(Record):
     pairs: int
     failures: tuple[str, ...]
 

@@ -15,11 +15,10 @@ spot checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .domains import Box, Domain, Point, format_point
-from .expr import Expr, ExprError, ExprVec
+from .expr import Expr, ExprError, ExprVec, Record
 from .linalg import Matrix, affine_parts, left_null_space
 from .spaces import (
     DEFAULT_BUDGET,
@@ -85,8 +84,7 @@ class NoInverseFound(Exception):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class PseudoBundle:
+class PseudoBundle(Record):
     name: str
     total: DiffSpace
     base: DiffSpace
@@ -97,11 +95,15 @@ class PseudoBundle:
     zero: SmoothMap
     pairs: DiffSpace
     # verdict memos kept on the bundle, by the budget rule of
-    # `spaces.memoised`: `check_morphism` with this bundle as the source
-    # (an entry holds the target bundle and the maps' spaces), and the
-    # construction checks by sample_count
-    _morphisms: dict = field(init=False, compare=False, repr=False, default_factory=dict)
-    _validated: dict = field(init=False, compare=False, repr=False, default_factory=dict)
+    # `spaces.memoised`: `check_morphism` with this bundle as the source (an
+    # entry holds the target bundle and the maps' spaces), and the
+    # construction checks by sample_count.  Slots, not fields, so no memo
+    # takes part in equality, hashing or repr.
+    __slots__ = ("_morphisms", "_validated")
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_morphisms", {})
+        object.__setattr__(self, "_validated", {})
 
     @property
     def ambient_dim(self) -> int:
@@ -112,14 +114,12 @@ class PseudoBundle:
         return self.ambient_dim - self.base_dim
 
 
-@dataclass(frozen=True)
-class BundleMorphism:
+class BundleMorphism(Record):
     phi: SmoothMap
     varphi: SmoothMap
 
 
-@dataclass(frozen=True)
-class FiberChart:
+class FiberChart(Record):
     """The fiber over one base point: an exact affine chart of solutions."""
 
     basepoint: Point

@@ -17,13 +17,12 @@ property tests of `covariant_apply`, not run-time checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Mapping, Sequence
 
 from .bundles import PseudoBundle
-from .expr import Expr, ExprVec
+from .expr import Expr, ExprVec, Record
 from .linalg import Matrix, invert_rational
 from .spaces import (
     DiffSpace,
@@ -45,8 +44,7 @@ Packed = tuple[tuple[Key, ExprVec], ...]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PlotForm:
+class PlotForm(Record):
     """A degree-n form as a family of coefficient tensors, one per plot.
 
     Coefficients are keyed by strictly increasing index tuples into the
@@ -83,8 +81,7 @@ class PlotForm:
         raise KeyError("no coefficients stored for this plot")
 
 
-@dataclass(frozen=True)
-class OverlapPair:
+class OverlapPair(Record):
     """A declared factorization fine = coarse ∘ factor between two plots."""
 
     fine: Plot
@@ -280,8 +277,7 @@ def _form_sum(left: PlotForm, right: PlotForm, sign: int, mismatch: str) -> Plot
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EndField:
+class EndField(Record):
     """A family of fiber endomorphisms, conjugated into a frame family."""
 
     base_plot: Plot
@@ -319,8 +315,7 @@ def end_field(base_plot: Plot, frame: Matrix, rep: Matrix) -> EndField:
     return EndField(base_plot, frame, inverse, rep)
 
 
-@dataclass(frozen=True)
-class EndFieldOps:
+class EndFieldOps(Record):
     sum: EndField
     product: EndField
     evaluation: Callable
@@ -393,8 +388,7 @@ def frame_space(bundle: PseudoBundle, plots: Sequence[Plot] = ()) -> DiffSpace:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CovariantDerivative:
+class CovariantDerivative(Record):
     """Connection coefficients as a matrix-valued 1-form.
 
     The value of `form` at key (j,) is the coefficient matrix A_j of the
@@ -525,8 +519,7 @@ def translate(nabla: CovariantDerivative, form: PlotForm) -> CovariantDerivative
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConnectionOneForm:
+class ConnectionOneForm(Record):
     """A Lie-algebra valued 1-form on frame families, given by a rule.
 
     The rule assigns per-direction coefficient matrices to a frame-family

@@ -6,7 +6,6 @@ import random
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable
@@ -22,7 +21,7 @@ from .calculus import (
     validate_form,
 )
 from .domains import Box, Domain, Interval, format_point
-from .expr import Expr, ExprError, ExprVec
+from .expr import Expr, ExprError, ExprVec, Record
 from .fixtures import FixtureError, FixtureRegistry, load_registry
 from .spaces import (
     DEFAULT_BUDGET,
@@ -36,8 +35,7 @@ from .spaces import (
 from .tangent import cone_membership
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     """One executed check; verdicts never coerce Unknown to pass or fail."""
 
     check_id: str
@@ -120,8 +118,10 @@ def _tally(
 def _parse_point(text: str) -> tuple[Fraction, ...]:
     try:
         return tuple(Fraction(part.strip()) for part in text.split(","))
-    except (ValueError, ZeroDivisionError) as err:
+    except ValueError as err:
         raise FixtureError(f"bad point {text!r}: {err}") from err
+    except ZeroDivisionError as err:
+        raise FixtureError(f"bad point {text!r}: zero denominator") from err
 
 
 def _fmt_point(point) -> str:
@@ -348,8 +348,7 @@ def _affine_checks(reg, name, budget, seed) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(Record):
     """One subcommand, read by the parser, the dispatch and `all`.  `args`
     name fixtures, and the report's fixture field joins them with "/"; with
     `point_help` a base point follows them.  `all` runs the command on each

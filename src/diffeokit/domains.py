@@ -30,11 +30,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .expr import Expr, ExprVec
+from .expr import Expr, ExprVec, Record
 
 __all__ = [
     "Point",
@@ -63,8 +62,7 @@ Bounds = tuple[Fraction | None, Fraction | None]
 _NO_BOUND = Fraction(0)
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Record):
     """Open interval; None endpoint means unbounded on that side."""
 
     lo: Fraction | None
@@ -104,8 +102,7 @@ def _coerce_interval(spec) -> Interval:
     )
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(Record):
     """Product of open intervals; dimension 0 is the one-point box."""
 
     intervals: tuple[Interval, ...]

@@ -97,7 +97,6 @@ import functools
 import math
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
@@ -126,6 +125,143 @@ _ZERO = Fraction(0)  # what `Expr.eval` gives for the zero polynomial
 
 class ExprError(ValueError):
     """Malformed expression: arity mismatch, bad index, uncertified denominator."""
+
+
+# ---------------------------------------------------------------------------
+# records
+# ---------------------------------------------------------------------------
+
+
+class FrozenRecordError(AttributeError):
+    """Assignment to, or deletion of, an attribute of a frozen record."""
+
+
+class Record:
+    """Base of the package's record classes: fields declared once, as
+    annotations in order, with optional class-level defaults.
+
+    Each subclass gets ``__init__`` taking the fields positionally or by
+    keyword, then calling ``__post_init__`` when the class has one; equality
+    by class and field values; and ``repr`` as ``Name(a=1, b='x')``.  A
+    frozen record (the default) also hashes by its field values and refuses
+    assignment and deletion; ``class R(Record, frozen=False)`` keeps plain
+    attributes and no hash.  A dict default is copied for each instance.
+    The instance ``__dict__`` holds the fields and nothing else: state that
+    is not a field, and so takes no part in equality, hashing or ``repr``,
+    goes in ``__slots__`` that ``__post_init__`` fills.
+
+    These are the methods ``dataclasses.dataclass`` would write, built
+    without generating source per class: that generation, with the import of
+    ``dataclasses`` (which pulls in ``inspect``), cost about a quarter of the
+    command line's start.
+    """
+
+    _record_fields: tuple[str, ...] = ()
+    _record_defaults: dict = {}
+
+    def __init_subclass__(cls, frozen: bool = True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = cls.__dict__
+        defaults = dict(cls._record_defaults)
+        names = list(cls._record_fields)
+        for name in own.get("__annotations__", {}):
+            if name not in names:
+                names.append(name)
+            if name in own:
+                defaults[name] = own[name]
+            else:
+                defaults.pop(name, None)
+        cls._record_fields = names = tuple(names)
+        cls._record_defaults = dict(defaults)
+        fresh = tuple((name, value) for name, value in defaults.items() if isinstance(value, dict))
+        for name, _ in fresh:
+            del defaults[name]
+            if name in own:
+                delattr(cls, name)
+        index = {name: i for i, name in enumerate(names)}
+        post_init = getattr(cls, "__post_init__", None)
+        n = len(names)
+        set_attribute = object.__setattr__
+
+        def __init__(self, *args, **kwargs):
+            given = len(args)
+            if given > n:
+                raise TypeError(
+                    f"{cls.__qualname__}() takes {n} positional argument(s) but {given} were given"
+                )
+            d = defaults.copy()
+            # an index loop: faster here than updating from zip()
+            i = 0
+            for value in args:
+                d[names[i]] = value
+                i += 1
+            if kwargs:
+                for name in kwargs:
+                    i = index.get(name)
+                    if i is None:
+                        raise TypeError(
+                            f"{cls.__qualname__}() got an unexpected keyword argument {name!r}"
+                        )
+                    if i < given:
+                        raise TypeError(
+                            f"{cls.__qualname__}() got multiple values for argument {name!r}"
+                        )
+                d.update(kwargs)
+            for name, value in fresh:
+                if name not in d:
+                    d[name] = value.copy()
+            if len(d) < n:
+                missing = ", ".join(repr(name) for name in names if name not in d)
+                raise TypeError(f"{cls.__qualname__}() missing required argument(s): {missing}")
+            # a dict of its own, not the one `self.__dict__` would make from
+            # the instance's inline values: reads from that one do not
+            # specialise on CPython 3.11 and cost about four times as much
+            set_attribute(self, "__dict__", d)
+            if post_init is not None:
+                post_init(self)
+
+        # the field values, in order, as a tuple: a record hashes as that
+        # tuple, as a dataclass does
+        if n > 1:
+            values = operator.itemgetter(*names)
+        elif n == 1:
+            only = operator.itemgetter(names[0])
+
+            def values(d):
+                return (only(d),)
+        else:
+            def values(d):
+                return ()
+
+        def __eq__(self, other):
+            # the instance dict holds the fields and nothing else
+            if other.__class__ is self.__class__:
+                return self.__dict__ == other.__dict__
+            return NotImplemented
+
+        def __hash__(self):
+            return hash(values(self.__dict__))
+
+        made = {"__init__": __init__, "__eq__": __eq__}
+        if frozen:
+            made["__hash__"] = __hash__
+        else:
+            made.update(
+                __hash__=None, __setattr__=object.__setattr__, __delattr__=object.__delattr__
+            )
+        for name, method in made.items():
+            if name not in own:
+                setattr(cls, name, method)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._record_fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise FrozenRecordError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenRecordError(f"cannot delete field {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -544,8 +680,7 @@ def _gcd_prs(a: Terms, b: Terms, arity: int) -> Terms:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PositivityWitness:
+class PositivityWitness(Record):
     """Certificate that a polynomial equals sum_i w_i * p_i^2 + c with w_i, c > 0.
 
     Such a polynomial is bounded below by c on all of R^n, so it is safe as a
@@ -786,7 +921,9 @@ class Expr:
             other = Expr.constant(self.arity, other)
         if not isinstance(other, Expr):
             return NotImplemented
-        return self.canonical_key() == other.canonical_key()
+        # the relation of canonical keys without sorting: terms are stored
+        # reduced, and den is never empty, so its monomials carry the arity
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
         return hash(self.canonical_key())

@@ -2,7 +2,6 @@
 
 import json
 import os
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,7 +18,7 @@ from .calculus import (
     plot_form,
 )
 from .domains import Box, Domain, Interval, format_point
-from .expr import Expr, ExprError, ExprVec
+from .expr import Expr, ExprError, ExprVec, Record
 from .linalg import invert_rational
 from .spaces import (
     AlgebraicCarrier,
@@ -51,20 +50,17 @@ class FixtureError(Exception):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FormFixture:
+class FormFixture(Record):
     form: PlotForm
     overlaps: tuple[OverlapPair, ...] = ()
 
 
-@dataclass(frozen=True)
-class ConnectionFixture:
+class ConnectionFixture(Record):
     nabla: CovariantDerivative
     overlaps: tuple[OverlapPair, ...] = ()
 
 
-@dataclass(frozen=True)
-class AffineFixture:
+class AffineFixture(Record):
     """Two connections on one plot family with their shared overlaps."""
 
     first: CovariantDerivative
@@ -72,8 +68,7 @@ class AffineFixture:
     overlaps: tuple[OverlapPair, ...] = ()
 
 
-@dataclass(frozen=True)
-class FrameModel:
+class FrameModel(Record):
     """Frame families of a trivial bundle plus change-of-frame samples.
 
     Each plot lands in (base, f, h) coordinates with h the exact inverse
@@ -88,8 +83,7 @@ class FrameModel:
     theta: ConnectionOneForm
 
 
-@dataclass(frozen=True)
-class FlowFixture:
+class FlowFixture(Record):
     """One-parameter automorphism families through the identity."""
 
     space: DiffSpace
@@ -97,25 +91,24 @@ class FlowFixture:
     points: tuple[Point, ...]
 
 
-@dataclass
-class FixtureRegistry:
+class FixtureRegistry(Record, frozen=False):
     """Named fixtures, one namespace per kind.
 
     cone_points and frame_points record the base points the full suite
     probes on each space or bundle; they are advisory, not fixtures.
     """
 
-    spaces: dict[str, DiffSpace] = field(default_factory=dict)
-    maps: dict[str, SmoothMap] = field(default_factory=dict)
-    bundles: dict[str, PseudoBundle] = field(default_factory=dict)
-    groups: dict[str, FinGenGroup] = field(default_factory=dict)
-    flows: dict[str, FlowFixture] = field(default_factory=dict)
-    forms: dict[str, FormFixture] = field(default_factory=dict)
-    connections: dict[str, ConnectionFixture] = field(default_factory=dict)
-    affine: dict[str, AffineFixture] = field(default_factory=dict)
-    frame_models: dict[str, FrameModel] = field(default_factory=dict)
-    cone_points: dict[str, tuple[Point, ...]] = field(default_factory=dict)
-    frame_points: dict[str, tuple[Point, ...]] = field(default_factory=dict)
+    spaces: dict[str, DiffSpace] = {}
+    maps: dict[str, SmoothMap] = {}
+    bundles: dict[str, PseudoBundle] = {}
+    groups: dict[str, FinGenGroup] = {}
+    flows: dict[str, FlowFixture] = {}
+    forms: dict[str, FormFixture] = {}
+    connections: dict[str, ConnectionFixture] = {}
+    affine: dict[str, AffineFixture] = {}
+    frame_models: dict[str, FrameModel] = {}
+    cone_points: dict[str, tuple[Point, ...]] = {}
+    frame_points: dict[str, tuple[Point, ...]] = {}
 
     def space(self, name: str) -> DiffSpace:
         return self._get(self.spaces, name, "space")
@@ -527,8 +520,10 @@ def _fraction(value, where: str) -> Fraction:
     if isinstance(value, str):
         try:
             return Fraction(value)
-        except (ValueError, ZeroDivisionError) as err:
+        except ValueError as err:
             raise FixtureError(f"{where}: bad rational {value!r}: {err}") from err
+        except ZeroDivisionError as err:
+            raise FixtureError(f"{where}: bad rational {value!r}: zero denominator") from err
     raise FixtureError(f"{where}: expected an integer or 'p/q' string, got {value!r}")
 
 

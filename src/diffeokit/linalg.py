@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -51,6 +50,7 @@ from .expr import (
     Expr,
     ExprError,
     ExprVec,
+    Record,
     _add,
     _coeff,
     _const,
@@ -252,8 +252,7 @@ def _poly_dot(xs: Sequence[Expr], ys: Sequence[Expr], arity: int) -> Expr:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AffineParts:
+class AffineParts(Record, frozen=False):
     """Decomposition of a map as x -> A x + b with rational A, b."""
 
     matrix: list[list[Fraction]]
@@ -300,8 +299,7 @@ def affine_parts(vec: ExprVec) -> AffineParts | None:
     return AffineParts(rows, offset)
 
 
-@dataclass
-class AffineSolution:
+class AffineSolution(Record, frozen=False):
     """Solution set of A F = rhs with expression right-hand sides.
 
     particular: one exact solution with free coordinates set to zero.

@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .domains import Box, Domain, format_point, image_within
-from .expr import Expr, ExprError, ExprVec
+from .expr import Expr, ExprError, ExprVec, Record
 from .linalg import AffineParts, affine_parts, rank, solve_rational
 
 Point = tuple[Fraction, ...]
@@ -38,7 +37,7 @@ Point = tuple[Fraction, ...]
 # ---------------------------------------------------------------------------
 
 
-class Carrier:
+class Carrier(Record):
     """Base class; a carrier names components and their ambient equations."""
 
     def components(self) -> tuple[str, ...]:
@@ -56,7 +55,6 @@ class Carrier:
         return all(eq.eval(point) == 0 for eq in self.equations(component))
 
 
-@dataclass(frozen=True)
 class EuclideanCarrier(Carrier):
     dim: int
 
@@ -70,7 +68,6 @@ class EuclideanCarrier(Carrier):
         return ()
 
 
-@dataclass(frozen=True)
 class AlgebraicCarrier(Carrier):
     """Zero set of polynomial equations inside R^dim."""
 
@@ -87,7 +84,6 @@ class AlgebraicCarrier(Carrier):
         return self.eqs
 
 
-@dataclass(frozen=True)
 class ProductCarrier(Carrier):
     left: Carrier
     right: Carrier
@@ -106,7 +102,6 @@ class ProductCarrier(Carrier):
         return tuple(out)
 
 
-@dataclass(frozen=True)
 class UnionCarrier(Carrier):
     """Tagged disjoint union; plots stay in one tag per connected piece."""
 
@@ -128,8 +123,7 @@ class UnionCarrier(Carrier):
         return self.part(component).equations("")
 
 
-@dataclass(frozen=True)
-class RelationPair:
+class RelationPair(Record):
     """One generating identification: left(u) ~ right(u) for u in domain."""
 
     left_component: str
@@ -139,7 +133,6 @@ class RelationPair:
     domain: Domain
 
 
-@dataclass(frozen=True)
 class QuotientCarrier(Carrier):
     """Base carrier with points identified by generated relation pairs."""
 
@@ -161,8 +154,7 @@ class QuotientCarrier(Carrier):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Plot:
+class Plot(Record):
     """A candidate or generating plot: a rational map on a box domain.
 
     The map lands in the ambient coordinates of one carrier component.
@@ -208,23 +200,20 @@ def plot(domain: Domain, texts: Sequence[str] | ExprVec, component: str = "") ->
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConstantCert:
+class ConstantCert(Record):
     component: str
     point: Point
 
     kind = "constant"
 
 
-@dataclass(frozen=True)
-class GeneratorCert:
+class GeneratorCert(Record):
     index: int
 
     kind = "generator"
 
 
-@dataclass(frozen=True)
-class FactoredCert:
+class FactoredCert(Record):
     """plot = generators[index] o factor on the plot's whole domain."""
 
     index: int
@@ -233,8 +222,7 @@ class FactoredCert:
     kind = "factored"
 
 
-@dataclass(frozen=True)
-class GlueCert:
+class GlueCert(Record):
     """Certificates on subdomains that cover the plot's domain."""
 
     parts: tuple[tuple[Domain, object], ...]
@@ -242,8 +230,7 @@ class GlueCert:
     kind = "glue"
 
 
-@dataclass(frozen=True)
-class RuleCert:
+class RuleCert(Record):
     """Certificate following the construction of the space."""
 
     rule: str
@@ -252,16 +239,14 @@ class RuleCert:
     kind = "rule"
 
 
-@dataclass(frozen=True)
-class CarrierCert:
+class CarrierCert(Record):
     """For spaces carrying the full diffeology of their carrier: landing
     in the carrier is the whole proof."""
 
     kind = "carrier"
 
 
-@dataclass(frozen=True)
-class ChecksCert:
+class ChecksCert(Record):
     """Evidence from named sub-checks that all hold; the summary says what
     they establish together."""
 
@@ -271,16 +256,14 @@ class ChecksCert:
     kind = "checks"
 
 
-@dataclass(frozen=True)
-class Obstruction:
+class Obstruction(Record):
     kind: str
     component: str = ""
     point: Point | None = None
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     status: str  # "yes" | "no" | "unknown"
     certificate: object = None
     obstruction: Obstruction | None = None
@@ -288,15 +271,15 @@ class Verdict:
 
     @staticmethod
     def yes(certificate, detail: str = "") -> "Verdict":
-        return Verdict("yes", certificate=certificate, detail=detail)
+        return Verdict("yes", certificate, None, detail)
 
     @staticmethod
     def no(obstruction: Obstruction, detail: str = "") -> "Verdict":
-        return Verdict("no", obstruction=obstruction, detail=detail)
+        return Verdict("no", None, obstruction, detail)
 
     @staticmethod
     def unknown(detail: str = "") -> "Verdict":
-        return Verdict("unknown", detail=detail)
+        return Verdict("unknown", None, None, detail)
 
     @property
     def is_yes(self) -> bool:
@@ -928,8 +911,7 @@ def _quotient_membership(space: DiffSpace, candidate: Plot, budget: int) -> Verd
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SmoothMap:
+class SmoothMap(Record):
     """A map between spaces, given per source component in ambient form."""
 
     source: DiffSpace

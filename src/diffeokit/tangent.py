@@ -36,12 +36,12 @@ search confirms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .domains import Box, Domain, Interval, Point, image_within
 from .expr import (
-    Expr, ExprVec, _add_into, _const, _constant_value, _is_constant, _mul, _subst_poly, _var,
+    Expr, ExprVec, Record, _add_into, _const, _constant_value, _is_constant, _mul, _subst_poly,
+    _var,
 )
 from .linalg import affine_parts, solve_rational
 from .spaces import DEFAULT_BUDGET, DiffSpace, Obstruction, Plot, is_plot
@@ -58,8 +58,7 @@ LINE_STEPS = 4
 PREIMAGE_SAMPLES = 60
 
 
-@dataclass(frozen=True)
-class PathGerm:
+class PathGerm(Record):
     """A certified plot on an interval around 0 with prescribed 1-jet."""
 
     path: ExprVec
@@ -71,8 +70,7 @@ class PathGerm:
         return tuple(c.differentiate(0).eval((Fraction(0),)) for c in self.path.components)
 
 
-@dataclass(frozen=True)
-class ConeVerdict:
+class ConeVerdict(Record):
     vector: Point
     status: str  # "in" | "out" | "unknown"
     germ: PathGerm | None = None

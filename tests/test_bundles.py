@@ -1,6 +1,5 @@
 """Bundle assembly, fiber charts, morphism inversion, deformation to zero."""
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -10,6 +9,7 @@ from diffeokit.bundles import (
     BundleMorphism,
     InvariantViolation,
     NoInverseFound,
+    PseudoBundle,
     build_bundle,
     check_morphism,
     fiber_at,
@@ -64,6 +64,12 @@ def line_bundle():
         scale=["x1", "x0*x2"],
         zero=["x0", "0"],
     )
+
+
+def fresh_copy(b):
+    """An equal bundle built from b's fields, with empty verdict memos."""
+    return PseudoBundle(b.name, b.total, b.base, b.base_dim, b.projection, b.add, b.scale,
+                        b.zero, b.pairs)
 
 
 def cross_space():
@@ -146,7 +152,7 @@ class TestConstruction:
 
     def test_open_check_is_unknown_and_still_refused(self, monkeypatch):
         # a copy of the built bundle has an empty memo, so the checks rerun
-        b = dataclasses.replace(line_bundle())
+        b = fresh_copy(line_bundle())
         monkeypatch.setattr(bundles, "is_subduction", lambda *a, **k: Verdict.unknown("planted"))
         verdict = validate_bundle(b)
         assert verdict.is_unknown
@@ -177,7 +183,7 @@ class TestConstruction:
         # a difference neither certified zero nor separated at a sample
         # point leaves the fiberwise check open, not refuted; a copy of the
         # built bundle has an empty memo, so the checks rerun
-        b = dataclasses.replace(line_bundle())
+        b = fresh_copy(line_bundle())
         monkeypatch.setattr(
             bundles, "difference_witness",
             lambda *a, **k: "component 0 not certified equal",

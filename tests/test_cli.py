@@ -247,9 +247,13 @@ class TestExitCodes:
         assert message in err
 
     def test_malformed_point(self, capsys):
-        code, _, err = run(capsys, "tangent-cone", "cross", "0,zebra")
-        assert code == 2
-        assert "bad point" in err
+        for point, reason in [
+            ("0,zebra", "Invalid literal for Fraction: 'zebra'"),
+            ("1/0,0", "zero denominator"),
+        ]:
+            code, _, err = run(capsys, "tangent-cone", "cross", point)
+            assert code == 2
+            assert f"bad point {point!r}: {reason}" in err
 
     def test_group_bundle_mismatch(self, capsys):
         code, _, err = run(capsys, "exact-sequence", "line-bundle", "axis-swap")

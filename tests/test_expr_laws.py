@@ -406,6 +406,24 @@ class TestIntegerAddition:
         assert all(_stored(c) and c for c in total.values())
 
 
+class TestEquality:
+    @_property
+    @given(exprs(), exprs(), st.sampled_from(["drawn", "round-trip", "lifted", "zero", "self"]))
+    def test_equality_is_equality_of_canonical_keys(self, a, c, how):
+        # `==` compares the stored dicts; the canonical keys sort them
+        b = {
+            "drawn": lambda: c,
+            "round-trip": lambda: (a + c) - c,
+            "lifted": lambda: a.lift(ARITY + 1),
+            "zero": lambda: Expr.zero(ARITY + 1) if a.is_zero() else Expr.zero(ARITY),
+            "self": lambda: Expr(ARITY, dict(reversed(a.num.items()))) if a.is_polynomial else a,
+        }[how]()
+        assert (a == b) is (a.canonical_key() == b.canonical_key())
+        assert (b == a) is (a == b)
+        if a == b:
+            assert hash(a) == hash(b)
+
+
 def _split_witness(e: Expr) -> Expr:
     """e with a second witness for the same denominator: each square is
     written as two halves, so the terms agree and the witnesses do not."""

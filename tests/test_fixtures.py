@@ -231,9 +231,10 @@ class TestJsonLoading:
             load_file(builtin_registry(), write(tmp_path, {"frame_model": doc}))
 
     def test_bad_rational_is_diagnosed(self, tmp_path):
-        doc = {"frame_model": dict(SAMPLE["frame_model"], samples=[[["zebra"]]])}
-        with pytest.raises(FixtureError, match="bad rational"):
-            load_file(builtin_registry(), write(tmp_path, doc))
+        for value, reason in [("zebra", "Invalid literal for Fraction"), ("1/0", "zero denominator")]:
+            doc = {"frame_model": dict(SAMPLE["frame_model"], samples=[[[value]]])}
+            with pytest.raises(FixtureError, match=f"bad rational '{value}': {reason}"):
+                load_file(builtin_registry(), write(tmp_path, doc))
 
     @pytest.mark.parametrize(
         "fine, coarse", [(-1, 0), (True, False)], ids=["negative", "bool"]
