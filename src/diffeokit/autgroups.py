@@ -427,8 +427,8 @@ class Frame(Record):
 
 
 def frame(bundle: PseudoBundle, x, rows) -> Frame:
-    x = tuple(Fraction(c) for c in x)
     chart = fiber_at(bundle, x)
+    x = chart.basepoint
     rows = tuple(tuple(Fraction(v) for v in row) for row in rows)
     if len(rows) != chart.dim or any(len(r) != chart.dim for r in rows):
         raise ValueError(f"a frame at {format_point(x)} is a {chart.dim} by {chart.dim} matrix")
@@ -439,7 +439,7 @@ def frame(bundle: PseudoBundle, x, rows) -> Frame:
 
 
 def random_frame(bundle: PseudoBundle, x, rng) -> Frame:
-    chart = fiber_at(bundle, tuple(Fraction(c) for c in x))
+    chart = fiber_at(bundle, x)
     while True:
         rows = [
             [Fraction(rng.randint(-4, 4)) for _ in range(chart.dim)]

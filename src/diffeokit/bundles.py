@@ -97,13 +97,15 @@ class PseudoBundle(Record):
     # verdict memos kept on the bundle, by the budget rule of
     # `spaces.memoised`: `check_morphism` with this bundle as the source (an
     # entry holds the target bundle and the maps' spaces), and the
-    # construction checks by sample_count.  Slots, not fields, so no memo
-    # takes part in equality, hashing or repr.
-    __slots__ = ("_morphisms", "_validated")
+    # construction checks by sample_count.  `_charts` keeps `fiber_at`'s
+    # chart for each base point it has charted.  Slots, not fields, so no
+    # memo takes part in equality, hashing or repr.
+    __slots__ = ("_morphisms", "_validated", "_charts")
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_morphisms", {})
         object.__setattr__(self, "_validated", {})
+        object.__setattr__(self, "_charts", {})
 
     @property
     def ambient_dim(self) -> int:
@@ -392,9 +394,18 @@ def fiber_at(bundle: PseudoBundle, x) -> FiberChart:
     """Exact chart of the fiber over a base point.
 
     Substitutes the base point into the total-space equations; what is
-    left must be affine in the fiber block.
+    left must be affine in the fiber block.  The chart is kept on the
+    bundle, keyed by the point; a point refused with `InvariantViolation`
+    is not kept, so it is refused again on the next call.
     """
     x = tuple(Fraction(c) for c in x)
+    chart = bundle._charts.get(x)
+    if chart is None:
+        chart = bundle._charts[x] = _fiber_chart(bundle, x)
+    return chart
+
+
+def _fiber_chart(bundle: PseudoBundle, x: Point) -> FiberChart:
     d, n = bundle.ambient_dim, bundle.base_dim
     k = d - n
     _, zero_vec = bundle.zero.piece("")

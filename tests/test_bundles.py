@@ -20,6 +20,8 @@ from diffeokit.bundles import (
 )
 from diffeokit.domains import Domain
 from diffeokit.expr import ExprVec
+from diffeokit.fixtures import load_registry
+from diffeokit.linalg import rank
 from diffeokit.spaces import (
     AlgebraicCarrier,
     Plot,
@@ -67,7 +69,7 @@ def line_bundle():
 
 
 def fresh_copy(b):
-    """An equal bundle built from b's fields, with empty verdict memos."""
+    """An equal bundle built from b's fields, with empty memos."""
     return PseudoBundle(b.name, b.total, b.base, b.base_dim, b.projection, b.add, b.scale,
                         b.zero, b.pairs)
 
@@ -274,6 +276,52 @@ class TestVerdictMemos:
         flat = smooth_map(euclidean_space(3), total, ["x1", "x0*x2"])
         with pytest.raises(ValueError, match="scale must act on R times"):
             build_bundle("flat", total, base, scale=flat, **texts)
+
+
+@pytest.fixture(scope="module")
+def registry_charts():
+    """Each registry bundle with its frame points and 30 base samples."""
+    reg = load_registry()
+    return [
+        (bundle, [*reg.frame_points.get(name, ()), *bundle.base.sample_carrier_points("", 30)])
+        for name, bundle in reg.bundles.items()
+    ]
+
+
+class TestChartMemo:
+    def test_a_kept_chart_is_the_chart_computed_afresh(self, registry_charts):
+        for bundle, points in registry_charts:
+            fresh = fresh_copy(bundle)
+            assert fresh._charts == {}
+            for p in points:
+                chart = fiber_at(bundle, p)
+                assert chart == fiber_at(fresh, p)
+                assert fiber_at(bundle, p) is chart
+                assert bundle._charts[chart.basepoint] is chart
+
+    def test_a_refused_point_is_refused_again_and_not_kept(self):
+        bundle = load_registry().bundle("cross-bundle")
+        kept = dict(bundle._charts)
+        for _ in range(2):
+            with pytest.raises(InvariantViolation) as err:
+                fiber_at(bundle, (1, 1))
+            assert err.value.check == "fiber-chart"
+            assert err.value.witness == "zero section misses the fiber at (1, 1)"
+        assert bundle._charts == kept
+
+    def test_fiber_dimension_is_k_minus_the_rank_of_the_fiber_jacobian(self, registry_charts):
+        # every registry bundle is affine in the fiber block v, so the
+        # fiber over p is cut out by A(p) v + b(p) = 0 with A = d eq / d v
+        for bundle, points in registry_charts:
+            n, k = bundle.base_dim, bundle.fiber_block
+            eqs = bundle.total.carrier.equations("")
+            for p in points:
+                chart = fiber_at(bundle, p)
+                jacobian = [[eq.differentiate(n + j).eval(chart.origin) for j in range(k)]
+                            for eq in eqs]
+                assert chart.dim == k - rank(jacobian)
+                if bundle.name == "cross-bundle":
+                    assert (chart.dim == 2) == (chart.basepoint == (0, 0))
 
 
 PLANTED = Verdict.unknown("planted")

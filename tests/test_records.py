@@ -145,13 +145,18 @@ class TestFrozen:
                          add=["x0", "x1 + x3"], scale=["x1", "x0*x2"], zero=["x0", "0"])
         b = PseudoBundle(a.name, a.total, a.base, a.base_dim, a.projection, a.add, a.scale,
                          a.zero, a.pairs)
-        assert a._validated and b._validated == {} and b._morphisms == {}
-        assert a._morphisms is not b._morphisms
+        assert a._validated and a._charts
+        assert b._validated == {} and b._morphisms == {} and b._charts == {}
+        assert a._morphisms is not b._morphisms and a._charts is not b._charts
         b._morphisms["planted"] = None
-        assert "planted" not in a._morphisms
-        # memos take no part in equality, hashing or repr
+        b._charts["planted"] = None
+        assert "planted" not in a._morphisms and "planted" not in a._charts
+        # memos take no part in equality, hashing or repr, and stay out of
+        # the instance dict
         assert a == b and hash(a) == hash(b)
-        assert repr(a) == repr(b) and "_validated" not in repr(a)
+        assert repr(a) == repr(b)
+        for memo in ("_morphisms", "_validated", "_charts"):
+            assert memo not in repr(a) and memo not in vars(a)
 
 
 class TestRepr:
