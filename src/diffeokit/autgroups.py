@@ -429,7 +429,7 @@ class Frame(Record):
 def frame(bundle: PseudoBundle, x, rows) -> Frame:
     chart = fiber_at(bundle, x)
     x = chart.basepoint
-    rows = tuple(tuple(Fraction(v) for v in row) for row in rows)
+    rows = tuple(tuple(v if type(v) is Fraction else Fraction(v) for v in row) for row in rows)
     if len(rows) != chart.dim or any(len(r) != chart.dim for r in rows):
         raise ValueError(f"a frame at {format_point(x)} is a {chart.dim} by {chart.dim} matrix")
     inverse = invert_rational(rows)

@@ -398,9 +398,12 @@ def fiber_at(bundle: PseudoBundle, x) -> FiberChart:
     bundle, keyed by the point; a point refused with `InvariantViolation`
     is not kept, so it is refused again on the next call.
     """
-    x = tuple(Fraction(c) for c in x)
+    # an int and the equal Fraction hash and compare alike, so only a miss
+    # needs the point in Fractions
+    x = tuple(x)
     chart = bundle._charts.get(x)
     if chart is None:
+        x = tuple(Fraction(c) for c in x)
         chart = bundle._charts[x] = _fiber_chart(bundle, x)
     return chart
 

@@ -38,11 +38,18 @@ enters through `Expr._poly`, which checks nothing: its arity, zero-free
 terms and coefficients are already right.  A polynomial's denominator is
 1, and it skips normalisation.
 
-`Expr.parse` tokenises its text in one pass of one regular expression
-(ASCII digits only) and folds the tokens on raw terms.  A product of
-integers and variables, each to an integer power and under unary minuses,
-is one (monomial, int) pair, and a sum adds its terms in place into one
-dict it owns (`_add_into`, as `_add` adds);
+`Expr.parse` splits its text with one regular expression (ASCII digits
+only) and maps each piece through a per-arity token table: the operator
+characters and the in-range variable names met so far, so at most
+7 + arity entries and no numbers; a miss builds the int or the monomial.
+One loop then folds the tokens on raw terms, the classic operator-precedence
+loop (Pratt, 1973) with an explicit stack of open parentheses in place of
+recursion, so nesting depth is not bounded by Python's recursion limit.
+After each atom or closed group come its `^`, its unary minuses, the
+product step and the sum step.  A product of integers and variables, each
+to an integer power and under unary minuses, is one (monomial, int) pair,
+and a sum adds its terms in place into one dict it owns (`_add_into`, as
+`_add` adds);
 every other step is the `_neg`, `_mul` or `_pow` an Expr operator runs on a
 polynomial, and a division by a constant is the `_scale` normalisation
 runs, so the terms and their dict order are those of the Expr fold.  Only a
@@ -1402,50 +1409,69 @@ def _format_terms(terms: Terms, arity: int, names: Sequence[str] | None) -> str:
     return " ".join(pieces)
 
 
-# one token: an integer literal, a variable's index, an operator, or any
-# other character, which is an error; whitespace matches nothing.  Digits
-# are ASCII only.
-_TOKEN = re.compile(r"([0-9]+)|x([0-9]+)|([-+*/^()])|(\S)")
+# one token: a variable, an integer literal, an operator, or any other
+# character, which is an error; whitespace matches nothing.  Digits are
+# ASCII only.
+_TOKEN = re.compile(r"x[0-9]+|[0-9]+|[-+*/^()]|\S")
+
+# per arity, each operator character and each in-range variable name met
+# so far ("x1", never "x01") to its token; at most 7 + arity entries
+_TOKEN_TABLES: dict[int, dict[str, object]] = {}
 
 
 def _tokens(text: str, arity: int) -> list:
     """The tokens of text in one pass: an int literal, the monomial of a
     variable, or an operator character; None marks the end."""
-    out: list = []
-    for number, var, op, other in _TOKEN.findall(text):
-        if op:
-            out.append(op)
-        elif number:
-            out.append(int(number))
-        elif var:
-            index = int(var)
-            if index >= arity:
-                raise ExprError(f"variable x{var} out of range for arity {arity}")
-            out.append((0,) * index + (1,) + (0,) * (arity - index - 1))
-        else:
-            raise ExprError(f"unexpected character {other!r} in {text!r}")
+    table = _TOKEN_TABLES.get(arity)
+    if table is None:
+        table = _TOKEN_TABLES[arity] = {op: op for op in "+-*/^()"}
+    get = table.get
+    # a table token is never falsy, so `or` builds exactly the misses
+    out = [get(s) or _new_token(s, text, arity, table) for s in _TOKEN.findall(text)]
     out.append(None)
     return out
+
+
+def _new_token(s: str, text: str, arity: int, table: dict[str, object]):
+    """The token a table miss stands for: an int for a run of digits, the
+    monomial of a variable (kept in the table under its plain name), or an
+    `ExprError` for any other character."""
+    if s[0] == "x" and len(s) > 1:
+        index = int(s[1:])
+        if index >= arity:
+            raise ExprError(f"variable x{s[1:]} out of range for arity {arity}")
+        mono = (0,) * index + (1,) + (0,) * (arity - index - 1)
+        if s == f"x{index}":
+            table[s] = mono
+        return mono
+    if "0" <= s[0] <= "9":
+        return int(s)
+    raise ExprError(f"unexpected character {s!r} in {text!r}")
 
 
 _EXPR_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 def _parse_expr(text: str, arity: int) -> Expr:
-    """Recursive descent on raw terms whose integer coefficients are plain
-    ints.  A product of plain factors (integers and variables, to integer
-    powers, under unary minuses; a parenthesised such product counts as one)
-    is one (monomial, int) pair: exponents add and ints multiply, as `_mul`
-    and `_pow` do on one-term dicts.  A sum adds its terms in place into one
-    dict it owns, by `_add`'s rules, so its dict order is that of the `_add`
-    fold.  Any other step takes a pair as a one-term dict (`{}` when its int
-    is 0) and is the `_neg`/`_mul`/`_pow` that the Expr operator would run on
-    a polynomial, or for a division by a constant the `_scale` that
-    normalisation would run, so the terms (and their order) are those of the
-    Expr fold.  A division by a non-constant is done in Expr arithmetic, as
-    is every later step that takes its result."""
+    """One loop over the tokens, folding on raw terms whose integer
+    coefficients are plain ints.  Each open parenthesis keeps a frame on an
+    explicit stack: the enclosing sum and its pending `+`/`-`, the product
+    and its pending `*`/`/`, and the count of unary minuses before the
+    group.  After each atom (or closed group) come its `^`, its minuses, the
+    product step and, when the product ends, the sum step.
+
+    A product of plain factors (integers and variables, to integer powers,
+    under unary minuses; a parenthesised such product counts as one) is one
+    (monomial, int) pair: exponents add and ints multiply, as `_mul` and
+    `_pow` do on one-term dicts.  A sum adds its terms in place into one
+    dict it owns, by `_add`'s rules, so its dict order is that of the
+    `_add` fold.  Any other step takes a pair as a one-term dict (`{}` when
+    its int is 0) and is the `_neg`/`_mul`/`_pow` that the Expr operator
+    would run on a polynomial, or for a division by a constant the `_scale`
+    that normalisation would run, so the terms (and their order) are those
+    of the Expr fold.  A division by a non-constant is done in Expr
+    arithmetic, as is every later step that takes its result."""
     toks = _tokens(text, arity)
-    pos = 0
     constant = (0,) * arity
 
     def terms(value):
@@ -1471,86 +1497,103 @@ def _parse_expr(text: str, arity: int) -> Expr:
                 return a if c == 1 else _scale(a, _quo(1, c))
         return _EXPR_OPS[op](expr(a), expr(b))
 
-    def parse_sum():
-        nonlocal pos
-        value = parse_product()
-        if toks[pos] not in ("+", "-"):
-            return value
-        # every dict here was built by this parse and is held once, so the
-        # sum adds its terms into the first one in place
-        if type(value) is tuple:
-            value = terms(value)
-        while toks[pos] in ("+", "-"):
-            op = toks[pos]
-            pos += 1
-            right = parse_product()
-            if type(value) is Expr or type(right) is Expr:
-                value = _EXPR_OPS[op](expr(value), expr(right))
-                continue
-            if type(right) is tuple:  # a pair is its own one item
-                _add_into(value, ((right[0], -right[1] if op == "-" else right[1]),))
-            else:
-                _add_into(value, _neg(right).items() if op == "-" else right.items())
-        return value
-
-    def parse_product():
-        nonlocal pos
-        value = parse_factor()
-        while toks[pos] in ("*", "/"):
-            op = toks[pos]
-            pos += 1
-            right = parse_factor()
-            if op == "*" and type(value) is tuple and type(right) is tuple:
-                value = (tuple(map(operator.add, value[0], right[0])), value[1] * right[1])
-            else:
-                value = combine(op, value, right)
-        return value
-
-    def parse_factor():
-        nonlocal pos
-        if toks[pos] == "-":
-            pos += 1
-            value = parse_factor()
-            if type(value) is tuple:
-                return value[0], -value[1]
-            return _neg(value) if type(value) is dict else -value
-        return parse_power()
-
-    def parse_power():
-        nonlocal pos
-        base = parse_atom()
-        if toks[pos] != "^":
-            return base
-        exp = toks[pos + 1]
-        if type(exp) is not int:
-            raise ExprError(f"expected integer exponent in {text!r}")
-        pos += 2
-        if type(base) is tuple:
-            return tuple([e * exp for e in base[0]]), base[1] ** exp
-        return _pow(base, exp, arity) if type(base) is dict else base ** exp
-
-    def parse_atom():
-        nonlocal pos
+    stack: list[tuple] = []
+    # the open sum and product of the innermost group, their pending
+    # operators (None before the first operand), and the pending minuses
+    total = sum_op = prod = prod_op = None
+    minuses = pos = 0
+    while True:
         tok = toks[pos]
-        if tok is None:
-            raise ExprError(f"unexpected end of input in {text!r}")
-        pos += 1
+        while tok == "-":
+            minuses += 1
+            pos += 1
+            tok = toks[pos]
         if tok == "(":
-            value = parse_sum()
-            if toks[pos] != ")":
+            stack.append((total, sum_op, prod, prod_op, minuses))
+            total = sum_op = prod = prod_op = None
+            minuses = 0
+            pos += 1
+            continue
+        if type(tok) is tuple:
+            value = tok, 1
+        elif type(tok) is int:
+            value = constant, tok
+        elif tok is None:
+            raise ExprError(f"unexpected end of input in {text!r}")
+        else:
+            raise ExprError(f"unexpected token {tok!r} in {text!r}")
+        pos += 1
+        # close the factor, then every group and product it ends
+        while True:
+            tok = toks[pos]
+            if tok == "^":
+                exp = toks[pos + 1]
+                if type(exp) is not int:
+                    raise ExprError(f"expected integer exponent in {text!r}")
+                pos += 2
+                tok = toks[pos]
+                if type(value) is tuple:
+                    value = tuple([e * exp for e in value[0]]), value[1] ** exp
+                elif type(value) is dict:
+                    value = _pow(value, exp, arity)
+                else:
+                    value = value ** exp
+            if minuses:
+                if type(value) is Expr:
+                    for _ in range(minuses):
+                        value = -value
+                elif minuses & 1:
+                    value = (value[0], -value[1]) if type(value) is tuple else _neg(value)
+                minuses = 0
+            if prod_op is None:
+                prod = value
+            elif prod_op == "*" and type(prod) is tuple and type(value) is tuple:
+                prod = tuple(map(operator.add, prod[0], value[0])), prod[1] * value[1]
+            else:
+                prod = combine(prod_op, prod, value)
+            if tok == "*" or tok == "/":
+                prod_op = tok
+                pos += 1
+                break
+            # the product ends here: add it into the sum
+            if sum_op is None:
+                total = prod
+            elif type(total) is Expr or type(prod) is Expr:
+                total = _EXPR_OPS[sum_op](expr(total), expr(prod))
+            elif type(prod) is tuple:
+                # `_add_into` of one pair, inline: its int added to an int
+                # is an int, and to a non-integer Fraction is not an integer
+                mono, c = prod
+                prev = total.get(mono)
+                if sum_op == "-":
+                    c = -c
+                if prev is not None:
+                    c += prev
+                if c:
+                    total[mono] = c
+                else:
+                    total.pop(mono, None)
+            else:
+                _add_into(total, _neg(prod).items() if sum_op == "-" else prod.items())
+            if tok == "+" or tok == "-":
+                # every dict here was built by this parse and is held once,
+                # so the sum adds its terms into the first one in place
+                if type(total) is tuple:
+                    total = terms(total)
+                sum_op = tok
+                prod_op = None
+                pos += 1
+                break
+            # the sum ends here: it is the whole text or a group's value
+            if not stack:
+                if tok is not None:
+                    raise ExprError(f"trailing input after expression in {text!r}")
+                return expr(total)
+            if tok != ")":
                 raise ExprError(f"missing closing parenthesis in {text!r}")
             pos += 1
-            return value
-        if type(tok) is int:
-            return constant, tok
-        if type(tok) is tuple:
-            return tok, 1
-        raise ExprError(f"unexpected token {tok!r} in {text!r}")
-
-    value = parse_sum()
-    if toks[pos] is not None:
-        raise ExprError(f"trailing input after expression in {text!r}")
-    return expr(value)
+            value = total
+            total, sum_op, prod, prod_op, minuses = stack.pop()
 
 
 # ---------------------------------------------------------------------------

@@ -260,6 +260,24 @@ class TestExitCodes:
         assert code == 2
         assert "acts on bundle" in err
 
+    def test_deeply_nested_group_map_is_read(self, tmp_path):
+        deep = "(" * 300 + "x0" + ")" * 300
+        doc = {"group": {"name": "deep-shift", "bundle": "line-bundle", "generators": [
+            {"phi": [deep + " + 1", "x1"], "varphi": ["x0 + 1"],
+             "phi_inverse": ["x0 - 1", "x1"], "varphi_inverse": ["x0 - 1"]}]}}
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "diffeokit", "exact-sequence", "line-bundle", "deep-shift",
+             "--fixtures", str(path)],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "Traceback" not in done.stderr
+        assert "yes      exact-sequence:line-bundle:deep-shift" in done.stdout
+
     def test_malformed_fixture_file(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{", encoding="utf-8")

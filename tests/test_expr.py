@@ -255,6 +255,11 @@ class TestParser:
     def test_nested_parentheses(self):
         assert E("((x0 + 1))*(x0 - 1)", 1) == E("x0^2 - 1", 1)
 
+    @pytest.mark.parametrize("text", ["(" * 300 + "x0" + ")" * 300, "-" * 1200 + "x0"],
+                             ids=["parentheses", "minuses"])
+    def test_nesting_is_not_bounded_by_the_recursion_limit(self, text):
+        assert E(text, 1) == E("x0", 1)
+
     def test_bad_input(self):
         for text in ["x0 +", "x9", "x0^(2)", "y0", "(x0", "x0 x0"]:
             with pytest.raises(ExprError):

@@ -23,6 +23,7 @@ import importlib.util
 import operator
 import random
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -589,11 +590,146 @@ class TestRawTermParser:
         assert _render(_CANCEL_AND_RETURN[1]) == "(x0 + x1 + x0*x1 + 1/2)*(x1 - x0 + 1)"
 
 
+# the tokenizer and the recursive-descent parser that the token table and
+# the parse loop replaced, kept as their references
+_REFERENCE_TOKEN = re.compile(r"([0-9]+)|x([0-9]+)|([-+*/^()])|(\S)")
+
+
+def _reference_tokens(text: str, arity: int) -> list:
+    """The tokens of text in one pass: an int literal, the monomial of a
+    variable, or an operator character; None marks the end."""
+    out: list = []
+    for number, var, op, other in _REFERENCE_TOKEN.findall(text):
+        if op:
+            out.append(op)
+        elif number:
+            out.append(int(number))
+        elif var:
+            index = int(var)
+            if index >= arity:
+                raise ExprError(f"variable x{var} out of range for arity {arity}")
+            out.append((0,) * index + (1,) + (0,) * (arity - index - 1))
+        else:
+            raise ExprError(f"unexpected character {other!r} in {text!r}")
+    out.append(None)
+    return out
+
+
+def _recursive_parse(text: str, arity: int) -> Expr:
+    """Recursive descent on the pair fold: one call per sum, product,
+    factor, power and atom, with the value steps of `expr._parse_expr`."""
+    toks = _reference_tokens(text, arity)
+    pos = 0
+    constant = (0,) * arity
+
+    def terms(value):
+        if type(value) is tuple:
+            mono, c = value
+            return {mono: c} if c else {}
+        return value
+
+    def to_expr(value) -> Expr:
+        if type(value) is Expr:
+            return value
+        return Expr._poly(arity, terms(value))
+
+    def combine(op: str, a, b):
+        a, b = terms(a), terms(b)
+        if type(a) is dict and type(b) is dict:
+            if op == "*":
+                return _mul(a, b)
+            if expr._is_constant(b):
+                if not b:
+                    raise ExprError("division by zero")
+                c = expr._constant_value(b)
+                return a if c == 1 else expr._scale(a, expr._quo(1, c))
+        return expr._EXPR_OPS[op](to_expr(a), to_expr(b))
+
+    def parse_sum():
+        nonlocal pos
+        value = parse_product()
+        if toks[pos] not in ("+", "-"):
+            return value
+        if type(value) is tuple:
+            value = terms(value)
+        while toks[pos] in ("+", "-"):
+            op = toks[pos]
+            pos += 1
+            right = parse_product()
+            if type(value) is Expr or type(right) is Expr:
+                value = expr._EXPR_OPS[op](to_expr(value), to_expr(right))
+                continue
+            if type(right) is tuple:
+                expr._add_into(value, ((right[0], -right[1] if op == "-" else right[1]),))
+            else:
+                expr._add_into(value, expr._neg(right).items() if op == "-" else right.items())
+        return value
+
+    def parse_product():
+        nonlocal pos
+        value = parse_factor()
+        while toks[pos] in ("*", "/"):
+            op = toks[pos]
+            pos += 1
+            right = parse_factor()
+            if op == "*" and type(value) is tuple and type(right) is tuple:
+                value = (tuple(map(operator.add, value[0], right[0])), value[1] * right[1])
+            else:
+                value = combine(op, value, right)
+        return value
+
+    def parse_factor():
+        nonlocal pos
+        if toks[pos] == "-":
+            pos += 1
+            value = parse_factor()
+            if type(value) is tuple:
+                return value[0], -value[1]
+            return expr._neg(value) if type(value) is dict else -value
+        return parse_power()
+
+    def parse_power():
+        nonlocal pos
+        base = parse_atom()
+        if toks[pos] != "^":
+            return base
+        exp = toks[pos + 1]
+        if type(exp) is not int:
+            raise ExprError(f"expected integer exponent in {text!r}")
+        pos += 2
+        if type(base) is tuple:
+            return tuple([e * exp for e in base[0]]), base[1] ** exp
+        return expr._pow(base, exp, arity) if type(base) is dict else base ** exp
+
+    def parse_atom():
+        nonlocal pos
+        tok = toks[pos]
+        if tok is None:
+            raise ExprError(f"unexpected end of input in {text!r}")
+        pos += 1
+        if tok == "(":
+            value = parse_sum()
+            if toks[pos] != ")":
+                raise ExprError(f"missing closing parenthesis in {text!r}")
+            pos += 1
+            return value
+        if type(tok) is int:
+            return constant, tok
+        if type(tok) is tuple:
+            return tok, 1
+        raise ExprError(f"unexpected token {tok!r} in {text!r}")
+
+    value = parse_sum()
+    if toks[pos] is not None:
+        raise ExprError(f"trailing input after expression in {text!r}")
+    return to_expr(value)
+
+
 def _dict_fold_parse(text: str, arity: int) -> Expr:
     """The parser before products became (monomial, int) pairs: every atom
     is a term dict, products run `_mul`, and each `+` copies the running
     sum in `_add`.  The reference for the pair fold."""
-    toks = expr._tokens(text, arity)
+    toks = _reference_tokens(text, arity)
     pos = 0
 
     def to_expr(value) -> Expr:
@@ -798,6 +934,106 @@ class TestPairFoldParser:
         parsed = Expr.parse(text, 2)
         assert calls == []
         assert parsed.to_str() == text
+
+
+# deeper than the recursive descent could go at Python's default limit
+_DEEP = ["(" * 300 + "x0" + ")" * 300, "-" * 1200 + "x0"]
+
+_FUZZ_ATOMS = ["x0", "x1", "x2", "x01", "0", "3/2", "(x0^2+1)"]
+_FUZZ_OPERATORS = ["+", " - ", "*", "/"]
+_FUZZ_STRAYS = ["(", ")", "-", "^", "^-", "^2", "^3", "\u0663", "\u00b2", "x\u0663", " "]
+
+
+def _fuzz_texts(count=24000, seed=30):
+    """(text, arity) drawn from atoms, operators, unary minuses, groups,
+    stray parentheses, powers and Unicode digits: mostly in the grammar,
+    with a stray piece in about one text in three, and variables out of
+    range at arities 1 and 2."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        pieces, operand, depth = [], True, 0
+        for _ in range(rng.randint(1, 9)):
+            roll = rng.random()
+            if roll < 0.06:
+                pieces.append(rng.choice(_FUZZ_STRAYS))
+            elif operand and roll < 0.2:
+                pieces.append(rng.choice(["-", "("]))
+                depth += pieces[-1] == "("
+            elif operand:
+                pieces.append(rng.choice(_FUZZ_ATOMS))
+                operand = False
+            elif depth and roll < 0.3:
+                pieces.append(")")
+                depth -= 1
+            elif roll < 0.38:
+                pieces.append(rng.choice(["^2", "^3", "^0"]))
+            else:
+                pieces.append(rng.choice(_FUZZ_OPERATORS))
+                operand = True
+        if operand and rng.random() < 0.8:
+            pieces.append(rng.choice(_FUZZ_ATOMS))
+        pieces.append(")" * depth)
+        out.append(("".join(pieces), rng.choice([1, 2, 3, 3, 3])))
+    return out
+
+
+def _parse_law_texts():
+    return (_bench_texts() + _fixture_texts() + [(t, 1) for t in _MALFORMED + _DEEP]
+            + _fuzz_texts())
+
+
+def _token_outcome(tokens, text, arity):
+    try:
+        toks = tokens(text, arity)
+    except ExprError as err:
+        return "error", str(err)
+    return toks, [type(t) for t in toks]
+
+
+def _parse_outcome(parse, text, arity):
+    try:
+        e = parse(text, arity)
+    except ExprError as err:
+        return "error", str(err)
+    return (e.arity, list(e.num.items()), [type(c) for c in e.num.values()],
+            list(e.den.items()), [type(c) for c in e.den.values()], e.den_witness)
+
+
+class TestParseLoop:
+    """The token table and the parse loop against the regular-expression
+    tokenizer and the recursive descent they replaced: the same tokens,
+    and the same num and den terms in order, coefficient types and witness,
+    or the same error text, on the benchmark's and the fixtures' texts,
+    the malformed and deep ones, and a seeded fuzz."""
+
+    def test_the_fuzz_reaches_both_outcomes(self):
+        texts = _fuzz_texts()
+        valid = sum(_parse_outcome(Expr.parse, t, a)[0] != "error" for t, a in texts)
+        assert len(texts) >= 20000
+        assert 8000 < valid < len(texts) - 8000
+
+    def test_tokens_equal_the_reference_tokens(self):
+        for text, arity in _parse_law_texts():
+            assert (_token_outcome(expr._tokens, text, arity)
+                    == _token_outcome(_reference_tokens, text, arity)), (text, arity)
+
+    def test_parse_equals_the_recursive_descent(self):
+        limit = sys.getrecursionlimit()
+        # the reference needs about one frame per minus and five per group
+        sys.setrecursionlimit(10000)
+        try:
+            for text, arity in _parse_law_texts():
+                assert (_parse_outcome(Expr.parse, text, arity)
+                        == _parse_outcome(_recursive_parse, text, arity)), (text, arity)
+        finally:
+            sys.setrecursionlimit(limit)
+
+    @pytest.mark.parametrize("text", _DEEP, ids=["parentheses", "minuses"])
+    def test_deep_texts_exceed_the_reference_at_the_default_limit(self, text):
+        with pytest.raises(RecursionError):
+            _recursive_parse(text, 1)
+        assert Expr.parse(text, 1) == Expr.variable(1, 0)
 
 
 def _reference_eval(terms, point) -> Fraction:
