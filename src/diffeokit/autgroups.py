@@ -99,11 +99,11 @@ def bundle_group(
     bundle: PseudoBundle,
     pairs: Sequence[tuple[BundleMorphism, BundleMorphism]],
     families: Sequence[ExprVec] = (),
-    budget: int = DEFAULT_BUDGET,
 ) -> FinGenGroup:
-    """Validate generator/inverse pairs and assemble the group."""
+    """Validate generator/inverse pairs, each at the default budget, and
+    assemble the group."""
     for k, (gen, inv) in enumerate(pairs):
-        v = _certify_pair(bundle, k, gen, inv, budget, f" of {name}")
+        v = _certify_pair(bundle, k, gen, inv, DEFAULT_BUDGET, f" of {name}")
         if not v.is_yes:
             raise ValueError(v.detail if v.is_unknown else v.obstruction.detail)
     n = bundle.base_dim
@@ -319,9 +319,7 @@ def typical_fiber_check(
 # ---------------------------------------------------------------------------
 
 
-def group_diffeology(
-    name: str, base: DiffSpace, families: Sequence[ExprVec] = (), complete: bool = True
-) -> DiffSpace:
+def group_diffeology(name: str, base: DiffSpace, families: Sequence[ExprVec] = ()) -> DiffSpace:
     """Plots pushed forward from the group onto the base.
 
     A word group contributes only constants; each one-parameter family
@@ -332,7 +330,7 @@ def group_diffeology(
     for f in families:
         _check_family(f, n)
         gens.append(Plot(Domain.full(1 + n), f))
-    return generated_space(name, base.carrier, tuple(gens), complete=complete)
+    return generated_space(name, base.carrier, tuple(gens))
 
 
 def aut_diffeology(

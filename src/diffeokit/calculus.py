@@ -117,7 +117,6 @@ def pullback_coefficients(
     coefficients: Mapping[Key, ExprVec],
     factor: ExprVec,
     degree: int,
-    value_dim: int,
 ) -> dict[Key, ExprVec]:
     """g* in coordinates: values compose with g, keys contract the Jacobian."""
     fine_dim = factor.arity
@@ -174,9 +173,7 @@ def _overlap_problems(
         except KeyError:
             problems.append(f"pair {idx}: a plot of the pair is not stored")
             continue
-        expected = pullback_coefficients(
-            coarse_c, pair.factor, form.degree, form.value_dim
-        )
+        expected = pullback_coefficients(coarse_c, pair.factor, form.degree)
         for key in sorted(set(expected) | set(fine_c)):
             i = _first_difference(expected.get(key), fine_c.get(key))
             if i is not None:

@@ -1093,11 +1093,11 @@ class Expr:
 
     # -- display ------------------------------------------------------------
 
-    def to_str(self, names: Sequence[str] | None = None) -> str:
-        num = _format_terms(self.num, self.arity, names)
+    def to_str(self) -> str:
+        num = _format_terms(self.num)
         if self.is_polynomial:
             return num
-        den = _format_terms(self.den, self.arity, names)
+        den = _format_terms(self.den)
         return f"({num})/({den})"
 
     def __repr__(self) -> str:
@@ -1150,7 +1150,7 @@ def _normalize(
     if witness is None:
         raise ExprError(
             "denominator admits no positivity certificate: "
-            + _format_terms(den, arity, None)
+            + _format_terms(den)
         )
     lead = _leading(den)[1]
     if lead != 1:
@@ -1380,20 +1380,18 @@ def _composed_witness(
 # ---------------------------------------------------------------------------
 
 
-def _format_terms(terms: Terms, arity: int, names: Sequence[str] | None) -> str:
+def _format_terms(terms: Terms) -> str:
     if not terms:
         return "0"
-    if names is None:
-        names = [f"x{i}" for i in range(arity)]
     pieces: list[str] = []
     for mono in _sorted_monomials(terms):
         coeff = terms[mono]
         factors = []
         for i, e in enumerate(mono):
             if e == 1:
-                factors.append(names[i])
+                factors.append(f"x{i}")
             elif e > 1:
-                factors.append(f"{names[i]}^{e}")
+                factors.append(f"x{i}^{e}")
         body = "*".join(factors)
         mag = abs(coeff)
         if not body:
@@ -1691,8 +1689,8 @@ class ExprVec:
     def canonical_key(self) -> tuple:
         return tuple(c.canonical_key() for c in self.components)
 
-    def to_str(self, names: Sequence[str] | None = None) -> str:
-        return "(" + ", ".join(c.to_str(names) for c in self.components) + ")"
+    def to_str(self) -> str:
+        return "(" + ", ".join(c.to_str() for c in self.components) + ")"
 
     def __repr__(self) -> str:
         return f"ExprVec({self.to_str()!r})"

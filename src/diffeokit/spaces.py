@@ -564,7 +564,7 @@ def _generated_membership(space: DiffSpace, candidate: Plot, budget: int) -> Ver
             return Verdict.yes(pieces[0][1])
         return Verdict.yes(GlueCert(tuple(pieces)))
 
-    refutation = _refute_generated(space, gens, candidate, budget)
+    refutation = _refute_generated(gens, candidate)
     if refutation is not None:
         return refutation
     return Verdict.unknown(
@@ -698,12 +698,7 @@ def _factor_forced(gen: Plot, candidate: Plot, budget: int) -> ExprVec | None:
 # -- refutations -------------------------------------------------------------
 
 
-def _refute_generated(
-    space: DiffSpace,
-    gens: Sequence[tuple[int, Plot]],
-    candidate: Plot,
-    budget: int,
-) -> Verdict | None:
+def _refute_generated(gens: Sequence[tuple[int, Plot]], candidate: Plot) -> Verdict | None:
     # discreteness: only constant generators, nonconstant candidate
     if all(g.is_constant() for _, g in gens):
         return Verdict.no(
@@ -747,34 +742,16 @@ def _refute_generated(
 # -- quotients ----------------------------------------------------------------
 
 
-def _relation_rewrites(space: DiffSpace):
-    """Rewriting moves induced by the relation pairs.
-
-    Returns (moves, complete).  A move takes a representative map and
-    returns (rewritten map | None, lossless).  lossless=True with None
-    means the move provably has nothing to contribute for that map (off
-    the source image except on a thin set, where a rational map cannot
-    differ).  complete is False when some relation pair could not be
-    turned into moves at all, so refutations must back off to unknown.
-    """
-    carrier = space.carrier
-    if not isinstance(carrier, QuotientCarrier):
-        return [], True
-    return _moves_from_pairs(carrier.relations)
-
-
 def _chain_rewrites(carrier: QuotientCarrier):
     """The moves of every quotient down a chain of quotients, which
     together generate the chain's identifications.  complete is False
     also when a quotient hides below the chain, inside a product or a
     union part: its relations act on a block these moves do not see."""
-    moves = []
-    complete = True
+    relations: list[RelationPair] = []
     while isinstance(carrier, QuotientCarrier):
-        level_moves, level_complete = _moves_from_pairs(carrier.relations)
-        moves.extend(level_moves)
-        complete = complete and level_complete
+        relations.extend(carrier.relations)
         carrier = carrier.base
+    moves, complete = _moves_from_pairs(relations)
     return moves, complete and not _has_quotient(carrier)
 
 
@@ -789,6 +766,15 @@ def _has_quotient(carrier: Carrier) -> bool:
 
 
 def _moves_from_pairs(relations: Sequence[RelationPair]):
+    """Rewriting moves induced by the relation pairs.
+
+    Returns (moves, complete).  A move takes a representative map and
+    returns (rewritten map | None, lossless).  lossless=True with None
+    means the move provably has nothing to contribute for that map (off
+    the source image except on a thin set, where a rational map cannot
+    differ).  complete is False when some relation pair could not be
+    turned into moves at all, so refutations must back off to unknown.
+    """
     moves = []
     complete = True
     for rel in relations:
@@ -876,7 +862,7 @@ def _quotient_membership(space: DiffSpace, candidate: Plot, budget: int) -> Verd
     """Test each representative against the base as the rewrite closure
     reaches it; the closure is finished only when no representative lifts."""
     base: DiffSpace = space.provenance[1]
-    moves, complete = _relation_rewrites(space)
+    moves, complete = _moves_from_pairs(space.carrier.relations)
     closure = _rewrite_closure(moves, candidate.component, candidate.map, budget)
     tried = unknowns = 0
     while True:
@@ -982,12 +968,12 @@ def _component_dim(space: DiffSpace, comp: str, map_name: str) -> int:
     return space.carrier.ambient_dim(comp)
 
 
-def compose_maps(outer: SmoothMap, inner: SmoothMap, name: str = "") -> SmoothMap:
+def compose_maps(outer: SmoothMap, inner: SmoothMap) -> SmoothMap:
     pieces = []
     for src, mid, vec in inner.pieces:
         dst, outer_vec = outer.piece(mid)
         pieces.append((src, dst, outer_vec.compose(vec.components)))
-    return SmoothMap(inner.source, outer.target, tuple(pieces), name)
+    return SmoothMap(inner.source, outer.target, tuple(pieces))
 
 
 def identity_map(space: DiffSpace, name: str = "id") -> SmoothMap:
@@ -1207,26 +1193,24 @@ def _map_carrier_violation(f: SmoothMap) -> Obstruction | None:
     return None
 
 
-def maps_equal(f: SmoothMap, g: SmoothMap) -> bool:
-    return f.key() == g.key()
-
-
 def maps_equal_mod_relation(f: SmoothMap, g: SmoothMap, budget: int = DEFAULT_BUDGET) -> Verdict:
-    """Equality of maps into a quotient target, up to the rewrites of its
-    whole quotient chain: no only when every rewrite closure is complete
-    and misses the other map."""
-    pending = ""
+    """Equality of maps into a quotient target: `_same_point` on each
+    source piece, so a no comes only from a complete rewrite closure that
+    misses the other map, and what the rewrites leave open falls back on
+    the quotient's base.  The first refuted piece wins; else the first
+    open one."""
+    pending = None
     for src, dst, vec in f.pieces:
         try:
             dst_g, vec_g = g.piece(src)
         except KeyError:
             return Verdict.no(Obstruction("component", component=src))
-        met = _rewrites_meet(f.target.carrier, dst, vec, dst_g, vec_g, budget)
-        if met is False:
-            return Verdict.no(Obstruction("rewrite", src, detail="no rewrite meets the other map"))
-        if met is None:
-            pending = pending or f"quotient rewrites from {src!r}: depth cap {budget} hit or a move undecided"
-    return Verdict.unknown(pending) if pending else Verdict.yes(None)
+        v = _same_point(f.target.carrier, dst, vec, dst_g, vec_g, Domain.full(vec.arity), budget)
+        if v.is_no:
+            return v
+        if v.is_unknown and pending is None:
+            pending = v
+    return pending or Verdict.yes(None)
 
 
 def _rewrites_meet(
@@ -1538,17 +1522,14 @@ def intersection_space(
     name: str,
     carrier: Carrier,
     parts: Sequence[tuple[DiffSpace, Pieces]],
-    generators: Sequence[Plot] = (),
-    complete: bool = False,
 ) -> DiffSpace:
     packed = tuple((other, tuple(pieces)) for other, pieces in parts)
     return DiffSpace(
         name,
         carrier,
-        generators=generators,
         provenance=("initial", "intersection", packed),
         standard=False,
-        generators_complete=complete,
+        generators_complete=False,
     )
 
 

@@ -181,6 +181,18 @@ class TestConstruction:
         assert err.value.check == "fibered-product"
         assert err.value.witness == "fibered product over a quotient not modelled"
 
+    def test_zero_section_equal_on_the_carrier_builds(self):
+        # (x0, x1 + x0*x1) is the identity on the cross x0*x1 = 0, though
+        # not as a formula
+        b = cross_bundle()
+        bent = build_bundle(
+            "cross-bent-zero", b.total, b.base,
+            add=["x0", "x1", "x2 + x6", "x3 + x7"],
+            scale=["x1", "x2", "x0*x3", "x0*x4"],
+            zero=["x0", "x1 + x0*x1", "0", "0"],
+        )
+        assert validate_bundle(bent).is_yes
+
     def test_uncertified_difference_is_unknown(self, monkeypatch):
         # a difference neither certified zero nor separated at a sample
         # point leaves the fiberwise check open, not refuted; a copy of the
@@ -439,6 +451,25 @@ class TestMorphisms:
         )
         with pytest.raises(NoInverseFound):
             invert_isomorphism(stretch, b, b, supplied=wrong)
+
+    def test_base_inverse_equal_on_the_carrier_is_accepted(self):
+        # (x0 + x0*x1, x1) restricts the identity to the cross x0*x1 = 0,
+        # though not as a formula
+        b = cross_bundle()
+        ident = BundleMorphism(identity_map(b.total), identity_map(b.base))
+        bent = BundleMorphism(
+            identity_map(b.total), smooth_map(b.base, b.base, ["x0 + x0*x1", "x1"])
+        )
+        assert check_morphism(bent, b, b).is_yes
+        assert invert_isomorphism(ident, b, b, supplied=bent) is bent
+
+    def test_base_inverse_off_the_restriction_is_refused(self):
+        b = line_bundle()
+        ident = BundleMorphism(identity_map(b.total), identity_map(b.base))
+        shifted = BundleMorphism(identity_map(b.total), smooth_map(b.base, b.base, ["x0 + 1"]))
+        with pytest.raises(NoInverseFound) as err:
+            invert_isomorphism(ident, b, b, supplied=shifted)
+        assert err.value.reason == "base inverse is not the zero-section restriction"
 
     def test_uncertified_round_trip_is_not_an_inverse(self, monkeypatch):
         b = line_bundle()

@@ -65,6 +65,53 @@ AWAITING_CALLER = {
 MODULES = (diffeokit, autgroups, bundles, calculus, cli, domains, expr, fixtures, linalg,
            spaces, tangent)
 
+# parameters that no function body under src/ reads, each with the reason
+# it stays
+UNREAD_PARAMETERS = {
+    **dict.fromkeys(
+        ["cli._cone_checks(seed)", "cli._connection_laws(budget)", "cli._forms_checks(seed)",
+         "cli._affine_checks(seed)"],
+        "the Command runner signature: every check runner takes the budget and the seed",
+    ),
+    **dict.fromkeys(
+        [f"spaces.{carrier}.{method}(component)"
+         for carrier in ("Carrier", "EuclideanCarrier", "AlgebraicCarrier", "ProductCarrier")
+         for method in ("ambient_dim", "equations")],
+        "a Carrier method: a union carrier reads the component, a one-part carrier ignores it",
+    ),
+    "fixtures._load_document.load_carrier(reg)":
+        "the loader table calls every loader with the registry and the block",
+    "expr.Record.__init_subclass__.values(d)":
+        "stands in for operator.itemgetter on a record with no fields",
+    **dict.fromkeys(
+        ["calculus.validate_covariant(rng)", "calculus.validate_covariant(trials)",
+         "autgroups.frame_bundle_check(bundle)"],
+        "bench/worker.py passes it; it goes with the benchmark revision of ROADMAP item 6",
+    ),
+}
+
+
+def unread_parameters(tree, qualname):
+    """'qualname.function(parameter)' for each parameter of a def in tree
+    that the def's body never reads.  self and cls are skipped, and so are
+    the parameters of dunder methods, whose signatures the data model
+    fixes; a def nested in another is named through it."""
+    found = set()
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            name = f"{qualname}.{node.name}"
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("__"):
+                a = node.args
+                params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+                          if p and p.arg not in ("self", "cls")]
+                read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                found.update(f"{name}({p})" for p in params if p not in read)
+            found |= unread_parameters(node, name)
+        else:
+            found |= unread_parameters(node, qualname)
+    return found
+
 
 def public_names(module):
     """The module's __all__, or else its top-level definitions and
@@ -637,6 +684,16 @@ class TestReports:
         assert sorted(checked - reached) == []
         # every exemption still names a public name that needs it
         assert set(ACCEPTANCE_ONLY) | set(AWAITING_CALLER) <= checked
+
+    def test_every_parameter_is_read(self):
+        # a parameter no body reads decides nothing; each exemption is
+        # still needed
+        package = Path(__file__).resolve().parent.parent / "src" / "diffeokit"
+        unread = set()
+        for path in sorted(package.glob("*.py")):
+            unread |= unread_parameters(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+        assert sorted(unread - set(UNREAD_PARAMETERS)) == []
+        assert sorted(set(UNREAD_PARAMETERS) - unread) == []
 
     def test_timings_flag_adds_elapsed(self, capsys):
         _, out, _ = run(capsys, "smooth", "line-projection", "--timings")

@@ -708,6 +708,22 @@ class TestMapEqualityModRelation:
         assert "depth cap 3" in capped.detail
         assert maps_equal_mod_relation(f, far, budget=4).is_yes
 
+    def test_open_rewrites_fall_back_on_the_base(self):
+        # T = (R/(x ~ -x) x R)/((x, y) ~ (x, y + 1)): the sign flip is a
+        # rewrite of the base's first factor, which T's own moves never
+        # reach; a flip and a shift together stay open
+        sign = RelationPair("", ExprVec.identity(1), "", ExprVec.parse(["-x0"], 1), R1)
+        q, _ = quotient_space("half-line", euclidean_space(1), [sign])
+        p = product_space("half-line*R", q, euclidean_space(1))
+        shift = RelationPair("", ExprVec.identity(2), "", ExprVec.parse(["x0", "x1 + 1"], 2), R2)
+        t, _ = quotient_space("half-cylinder", p, [shift])
+        plane = euclidean_space(2)
+        f = smooth_map(plane, t, ["x0", "x1"])
+        assert maps_equal_mod_relation(f, smooth_map(plane, t, ["-x0", "x1"])).is_yes
+        both = maps_equal_mod_relation(f, smooth_map(plane, t, ["-x0", "x1 + 1"]))
+        assert both.is_unknown
+        assert "depth cap 4" in both.detail
+
 
 class TestAllHold:
     def test_names_the_refuted_check_and_draws_no_further(self):
@@ -772,10 +788,10 @@ class TestCarrierSamples:
 def _eager_quotient_membership(space, candidate, budget):
     """Quotient membership with the whole rewrite closure built before any
     representative is tested: the order the lazy search must reproduce."""
-    from diffeokit.spaces import _relation_rewrites
+    from diffeokit.spaces import _moves_from_pairs
 
     base = space.provenance[1]
-    moves, complete = _relation_rewrites(space)
+    moves, complete = _moves_from_pairs(space.carrier.relations)
     reached = {(candidate.component, candidate.map.canonical_key()):
                (candidate.component, candidate.map)}
     frontier = [(candidate.component, candidate.map)]
