@@ -32,6 +32,7 @@ from .spaces import (
     RuleCert,
     SmoothMap,
     Verdict,
+    VerdictMemo,
     all_hold,
     compose_maps,
     conjunction,
@@ -41,7 +42,6 @@ from .spaces import (
     is_smooth,
     is_subduction,
     maps_equal_mod_relation,
-    memoised,
     product_space,
     pullback_space,
     quotient_space,
@@ -93,17 +93,17 @@ class PseudoBundle(Record):
     scale: SmoothMap
     zero: SmoothMap
     pairs: DiffSpace
-    # verdict memos kept on the bundle, by the budget rule of
-    # `spaces.memoised`: `check_morphism` with this bundle as the source (an
-    # entry holds the target bundle and the maps' spaces), and the
-    # construction checks by sample_count.  `_charts` keeps `fiber_at`'s
-    # chart for each base point it has charted.  Slots, not fields, so no
-    # memo takes part in equality, hashing or repr.
+    # verdict memos kept on the bundle, each a `spaces.VerdictMemo`:
+    # `check_morphism` with this bundle as the source (an entry holds the
+    # target bundle and the maps' spaces), and the construction checks by
+    # sample_count.  `_charts` keeps `fiber_at`'s chart for each base point
+    # it has charted, with no bound.  Slots, not fields, so no memo takes
+    # part in equality, hashing or repr.
     __slots__ = ("_morphisms", "_validated", "_charts")
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_morphisms", {})
-        object.__setattr__(self, "_validated", {})
+        object.__setattr__(self, "_morphisms", VerdictMemo())
+        object.__setattr__(self, "_validated", VerdictMemo())
         object.__setattr__(self, "_charts", {})
 
     @property
@@ -209,7 +209,7 @@ def validate_bundle(
     """The construction-time checks of a built bundle: yes when all hold,
     otherwise the first refutation or the first check left open, named as
     `all_hold` names it.  The verdict is memoised on the bundle by
-    sample_count and the budget rule of `spaces.memoised`, so with the
+    sample_count and the budget rule of `spaces.VerdictMemo`, so with the
     sample count `build_bundle` used, a bundle it accepted answers yes at
     its budget and every larger one without running the checks again."""
     return _validate(bundle, budget, sample_count)
@@ -291,8 +291,8 @@ def _used_vars(components) -> set[int]:
 
 
 def _validate(bundle: PseudoBundle, budget: int, sample_count: int) -> Verdict:
-    return memoised(
-        bundle._validated.setdefault(sample_count, []), budget,
+    return bundle._validated.verdict(
+        sample_count, budget,
         lambda: all_hold(
             "construction checks replayed", _construction_checks(bundle, budget, sample_count)
         ),
@@ -509,15 +509,17 @@ def check_morphism(
 
     Memoised on the source bundle by the canonical keys of phi and varphi,
     the source and target spaces of both maps and the target bundle (all
-    three by identity), with the budget rule of `spaces.memoised`.  No
-    verdict reads a map's name, so names are not in the key."""
+    three by identity), in a `spaces.VerdictMemo`: by its budget rule, for
+    the last MEMO_ENTRIES questions.  No verdict reads a map's name, so
+    names are not in the key."""
     key = (
         m.phi.key(), m.varphi.key(), m.phi.source, m.phi.target,
         m.varphi.source, m.varphi.target, id(dst),
     )
     # the entry holds dst, so its id is not reused while the entry lives
-    _, entries = src._morphisms.setdefault(key, (dst, []))
-    return memoised(entries, budget, lambda: _check_morphism_uncached(m, src, dst, budget))
+    return src._morphisms.verdict(
+        key, budget, lambda: _check_morphism_uncached(m, src, dst, budget), held=dst
+    )
 
 
 def _check_morphism_uncached(

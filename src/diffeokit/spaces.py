@@ -371,9 +371,9 @@ class DiffSpace:
         self.standard = standard
         self.generators_complete = generators_complete
         # is_plot verdicts by candidate key
-        self._memo: dict = {}
+        self._memo = VerdictMemo()
         # is_smooth verdicts of maps out of this space, by target and then
-        # map key; an entry goes when its target does
+        # map key; a target's memo goes when the target does
         self._smooth: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         for g in self.generators:
             if g.component not in carrier.components():
@@ -412,31 +412,69 @@ class DiffSpace:
 # ---------------------------------------------------------------------------
 
 
-def memoised(
-    entries: list[tuple[int, Verdict]], budget: int, run: Callable[[], Verdict]
-) -> Verdict:
-    """The verdict at this budget from a memo's (budget, verdict) entries,
-    else `run()`, stored at this budget.
+# keys a `VerdictMemo` keeps before it drops its least recently used one
+MEMO_ENTRIES = 64
+
+
+class _Question:
+    """A memo key with its hash computed once.  Keys hold `Fraction`s,
+    whose hash runs in Python, and the memo looks a key up two or three
+    times per question."""
+
+    __slots__ = ("key", "hash")
+
+    def __init__(self, key):
+        self.key = key
+        self.hash = hash(key)
+
+    def __hash__(self) -> int:
+        return self.hash
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _Question) and self.key == other.key
+
+
+class VerdictMemo(dict):
+    """A bounded verdict memo: each key maps to the (budget, verdict, held)
+    entries found for one question, where held is the object the key
+    names by identity, kept so that its id is not reused while the entry
+    lives.  Keys run from least to most recently used, and a memo holding
+    more than MEMO_ENTRIES keys drops the oldest: a question dropped is
+    asked afresh, and answered alike, on its next use.
 
     A yes or no found at budget b serves every budget >= b: its certificate
     or obstruction does not depend on how far a search was allowed to go.
     An unknown found at b serves every budget <= b, which searches less.
     `is_plot`, `is_smooth`, `check_morphism` and the bundle construction
     checks keep their verdicts by this rule."""
-    for stored, verdict in entries:
-        if stored >= budget if verdict.is_unknown else stored <= budget:
-            return verdict
-    verdict = run()
-    entries.append((budget, verdict))
-    return verdict
+
+    __slots__ = ()
+
+    def verdict(self, key, budget: int, run: Callable[[], Verdict], held=None) -> Verdict:
+        """The verdict stored for key at this budget, else `run()`, stored
+        at this budget."""
+        key = _Question(key)
+        entries = self.pop(key, None)
+        if entries is not None:
+            self[key] = entries  # a dict keeps insertion order: now the newest
+            for stored, verdict, _ in entries:
+                if stored >= budget if verdict.is_unknown else stored <= budget:
+                    return verdict
+        verdict = run()
+        # run() may ask this memo other questions, which can drop key
+        entries = self.get(key)
+        if entries is None:
+            entries = self[key] = []
+            if len(self) > MEMO_ENTRIES:
+                del self[next(iter(self))]
+        entries.append((budget, verdict, held))
+        return verdict
 
 
 def is_plot(space: DiffSpace, candidate: Plot, budget: int = DEFAULT_BUDGET) -> Verdict:
     """Decide membership of the candidate in the space's diffeology."""
-    # one lookup: the key is a tuple of Fraction keys, rehashed on each use
-    return memoised(
-        space._memo.setdefault(candidate.key(), []), budget,
-        lambda: _is_plot_uncached(space, candidate, budget),
+    return space._memo.verdict(
+        candidate.key(), budget, lambda: _is_plot_uncached(space, candidate, budget)
     )
 
 
@@ -997,15 +1035,15 @@ def is_smooth(f: SmoothMap, budget: int = DEFAULT_BUDGET) -> Verdict:
     generated targets, composites with a complete generator family must
     all be plots.
 
-    Memoised on the source space by target and map key, by the budget rule
-    of `memoised`: the target by identity and held weakly, so an entry
-    lives as long as both spaces.  The map's name is not in the key; no
-    verdict reads it.
+    Memoised on the source space in one `VerdictMemo` per target, by map
+    key: the target by identity and held weakly, so its memo lives as long
+    as both spaces, and holds the last MEMO_ENTRIES maps asked about.  The
+    map's name is not in the key; no verdict reads it.
     """
-    memo = f.source._smooth.setdefault(f.target, {})
-    return memoised(
-        memo.setdefault(f.key(), []), budget, lambda: _is_smooth_uncached(f, budget)
-    )
+    memo = f.source._smooth.get(f.target)
+    if memo is None:
+        memo = f.source._smooth[f.target] = VerdictMemo()
+    return memo.verdict(f.key(), budget, lambda: _is_smooth_uncached(f, budget))
 
 
 def _is_smooth_uncached(f: SmoothMap, budget: int) -> Verdict:
@@ -1138,39 +1176,49 @@ def respects_relation(f: SmoothMap, rel: RelationPair, budget: int = DEFAULT_BUD
 
 def _same_point(
     carrier: Carrier, comp_a: str, a: ExprVec, comp_b: str, b: ExprVec,
-    domain: Domain, budget: int,
+    within: Domain | Sequence[Point], budget: int,
 ) -> Verdict:
-    """Do two maps of domain into the carrier name one point everywhere?
+    """Do two maps into the carrier name one point everywhere they are read?
 
-    A quotient compares by the rewrites of its whole chain, and by its
-    base where they do not settle it, a product block by block, a union
-    part by part; elsewhere the maps must be equal, and a no of kind
-    relation holds a domain point where they differ."""
+    `within` is an open domain, where two maps that agree are one formula,
+    or the sample points of a carrier with equations, where two formulas
+    can name one map.  A quotient compares by the rewrites of its whole
+    chain, and by its base where they do not settle it; a complete rewrite
+    closure that misses the other map is a no only on an open domain.  A
+    product compares block by block, a union part by part; elsewhere the
+    maps must be equal, and a no of kind relation holds a point of
+    `within` where they differ."""
     if comp_a == comp_b and a == b:
         return Verdict.yes(None)
     if isinstance(carrier, QuotientCarrier):
         met = _rewrites_meet(carrier, comp_a, a, comp_b, b, budget)
         # what the base identifies, the quotient identifies too
-        if met is None and _same_point(carrier.base, comp_a, a, comp_b, b, domain, budget).is_yes:
+        if met is None and _same_point(carrier.base, comp_a, a, comp_b, b, within, budget).is_yes:
             met = True
         if met is None:
             return Verdict.unknown(f"quotient rewrites from {comp_a!r}: depth cap {budget} hit or a move undecided")
         if not met:
+            if not isinstance(within, Domain):
+                return Verdict.unknown(
+                    "no rewrite meets the other map as a formula, and the source carrier can identify them")
             return Verdict.no(Obstruction("rewrite", comp_a, detail="no rewrite meets the other map"))
         return Verdict.yes(None)
     if isinstance(carrier, ProductCarrier):
         n = carrier.left.ambient_dim("")
         return conjunction("same point", [
-            _same_point(carrier.left, "", a.slice(0, n), "", b.slice(0, n), domain, budget),
-            _same_point(carrier.right, "", a.slice(n, len(a)), "", b.slice(n, len(b)), domain, budget),
+            _same_point(carrier.left, "", a.slice(0, n), "", b.slice(0, n), within, budget),
+            _same_point(carrier.right, "", a.slice(n, len(a)), "", b.slice(n, len(b)), within, budget),
         ])
     if isinstance(carrier, UnionCarrier) and comp_a == comp_b:
-        return _same_point(carrier.part(comp_a), "", a, "", b, domain, budget)
+        return _same_point(carrier.part(comp_a), "", a, "", b, within, budget)
     # images in different components differ everywhere
     residuals = [] if comp_a != comp_b else [
         next(x - y for x, y in zip(a.components, b.components) if x != y)
     ]
-    p = nonzero_sample(residuals, domain, 200)
+    if isinstance(within, Domain):
+        p = nonzero_sample(residuals, within, 200)
+    else:
+        p = next((pt for pt in within if all(r.eval(pt) != 0 for r in residuals)), None)
     if p is None:
         return Verdict.unknown("relation: the two sides differ as maps but at no sample point")
     return Verdict.no(Obstruction("relation", point=p))
@@ -1196,16 +1244,26 @@ def _map_carrier_violation(f: SmoothMap) -> Obstruction | None:
 def maps_equal_mod_relation(f: SmoothMap, g: SmoothMap, budget: int = DEFAULT_BUDGET) -> Verdict:
     """Equality of maps into a quotient target: `_same_point` on each
     source piece, so a no comes only from a complete rewrite closure that
-    misses the other map, and what the rewrites leave open falls back on
-    the quotient's base.  The first refuted piece wins; else the first
-    open one."""
+    misses the other map, or from a source point the two maps send apart,
+    and what the rewrites leave open falls back on the quotient's base.
+    On a source component with carrier equations, pieces whose difference
+    vanishes on the carrier agree, and points are read on the carrier.
+    The first refuted piece wins; else the first open one."""
     pending = None
     for src, dst, vec in f.pieces:
         try:
             dst_g, vec_g = g.piece(src)
         except KeyError:
             return Verdict.no(Obstruction("component", component=src))
-        v = _same_point(f.target.carrier, dst, vec, dst_g, vec_g, Domain.full(vec.arity), budget)
+        within = Domain.full(vec.arity)
+        if f.source.carrier.equations(src):
+            if dst == dst_g and all(
+                vanishes_on_carrier(f.source, x - y, src, budget)
+                for x, y in zip(vec.components, vec_g.components)
+            ):
+                continue
+            within = f.source.sample_carrier_points(src, 24)
+        v = _same_point(f.target.carrier, dst, vec, dst_g, vec_g, within, budget)
         if v.is_no:
             return v
         if v.is_unknown and pending is None:

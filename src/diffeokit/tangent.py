@@ -44,7 +44,9 @@ from .expr import (
     _var,
 )
 from .linalg import affine_parts, solve_rational
-from .spaces import DEFAULT_BUDGET, DiffSpace, Obstruction, Plot, is_plot
+from .spaces import (
+    DEFAULT_BUDGET, DiffSpace, FactoredCert, Obstruction, Plot, is_plot, verify_certificate,
+)
 
 __all__ = [
     "PathGerm",
@@ -145,7 +147,9 @@ def _find_germ(
     space: DiffSpace, x: Point, v: Point, budget: int
 ) -> tuple[PathGerm | None, int]:
     """A certified germ through x with velocity v, or None, with the number
-    of generator preimages of x the jet search tried."""
+    of generator preimages of x the jet search tried.  A jet path gen o jet
+    that `is_plot` leaves unknown is certified by the factor the search
+    built, once `verify_certificate` replays it."""
     line = ExprVec(
         [Expr.constant(1, a) + Expr.constant(1, b) * Expr.variable(1, 0)
          for a, b in zip(x, v)]
@@ -157,7 +161,7 @@ def _find_germ(
             return PathGerm(line, dom, x, verdict.certificate), 0
 
     found = 0
-    for _, gen in space.component_generators(""):
+    for idx, gen in space.component_generators(""):
         preimages = _preimages(gen, x)
         found += len(preimages)
         for u0 in preimages:
@@ -168,9 +172,13 @@ def _find_germ(
             if dom is None:
                 continue
             path = gen.map.compose(jet)
-            verdict = is_plot(space, Plot(dom, path), budget)
+            candidate = Plot(dom, path)
+            verdict = is_plot(space, candidate, budget)
             if verdict.is_yes:
                 return PathGerm(path, dom, x, verdict.certificate), found
+            factored = FactoredCert(idx, jet)
+            if verdict.is_unknown and verify_certificate(space, candidate, factored, budget):
+                return PathGerm(path, dom, x, factored), found
     return None, found
 
 

@@ -1,8 +1,11 @@
 """Bundle assembly, fiber charts, morphism inversion, deformation to zero."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffeokit import autgroups, bundles, spaces
 from diffeokit.bundles import (
@@ -18,7 +21,7 @@ from diffeokit.bundles import (
     validate_bundle,
     zero_bundle,
 )
-from diffeokit.domains import Domain
+from diffeokit.domains import Box, Domain, Interval
 from diffeokit.expr import ExprVec
 from diffeokit.fixtures import load_registry
 from diffeokit.linalg import rank
@@ -36,7 +39,9 @@ from diffeokit.spaces import (
     quotient_space,
     smooth_map,
     subset_space,
+    verify_certificate,
 )
+from diffeokit.tangent import cone_membership
 
 
 def plant_uncertified(monkeypatch):
@@ -341,23 +346,28 @@ PLANTED = Verdict.unknown("planted")
 
 def memo_user(name):
     """(module, the helper that runs behind the memo, a verdict it can be
-    planted to return, ask) for one verdict memo; ask(budget) puts one
-    question that nothing has asked yet to the public function."""
+    planted to return, ask) for one verdict memo; ask(budget, i) puts the
+    i-th of a run of distinct questions that nothing has asked yet, all
+    kept in one memo, to the public function (i = 0 by default)."""
     b = line_bundle()
     if name == "is_plot":
-        candidate = Plot(Domain.full(1), ExprVec.parse(["x0^3", "x0^5"], 1))
-        return spaces, "_is_plot_uncached", PLANTED, lambda k: is_plot(b.total, candidate, k)
+        def ask(k, i=0):
+            candidate = Plot(Domain.full(1), ExprVec.parse([f"x0^3 + {i}", "x0^5"], 1))
+            return is_plot(b.total, candidate, k)
+        return spaces, "_is_plot_uncached", PLANTED, ask
     if name == "is_smooth":
-        f = smooth_map(b.total, b.base, ["2*x0"])
-        return spaces, "_is_smooth_uncached", PLANTED, lambda k: is_smooth(f, k)
+        return (spaces, "_is_smooth_uncached", PLANTED,
+                lambda k, i=0: is_smooth(smooth_map(b.total, b.base, [f"{i + 2}*x0"]), k))
     if name == "check_morphism":
-        stretch = BundleMorphism(
-            smooth_map(b.total, b.total, ["x0", "(x0^2 + 1)*x1"]), identity_map(b.base)
-        )
-        return (bundles, "_check_morphism_uncached", PLANTED,
-                lambda k: check_morphism(stretch, b, b, k))
+        def ask(k, i=0):
+            stretch = BundleMorphism(
+                smooth_map(b.total, b.total, ["x0", f"(x0^2 + {i + 1})*x1"]),
+                identity_map(b.base),
+            )
+            return check_morphism(stretch, b, b, k)
+        return bundles, "_check_morphism_uncached", PLANTED, ask
     return (bundles, "_construction_checks", [("planted", PLANTED)],
-            lambda k: validate_bundle(b, k, sample_count=3))
+            lambda k, i=0: validate_bundle(b, k, sample_count=7 + i))
 
 
 @pytest.mark.parametrize(
@@ -385,6 +395,118 @@ def test_every_verdict_memo_follows_the_one_budget_rule(monkeypatch, name):
     assert len(runs) == 3
     ask_planted(5)  # a larger budget runs afresh
     assert len(runs) == 4
+
+
+@pytest.mark.parametrize(
+    "name", ["is_plot", "is_smooth", "check_morphism", "validate_bundle"])
+def test_every_verdict_memo_drops_its_least_recently_used_question(monkeypatch, name):
+    # after MEMO_ENTRIES newer distinct questions the first runs afresh,
+    # to an equal verdict; one asked again in between stays a hit
+    module, helper, _, ask = memo_user(name)
+    runs = []
+    real = getattr(module, helper)
+    monkeypatch.setattr(module, helper, lambda *a: runs.append(a) or real(*a))
+    first = ask(4)
+    kept = ask(4, 1)
+    for i in range(2, spaces.MEMO_ENTRIES + 1):
+        ask(4, i)
+        assert ask(4, 1) is kept
+    assert len(runs) == spaces.MEMO_ENTRIES + 1
+    again = ask(4)
+    assert len(runs) == spaces.MEMO_ENTRIES + 2
+    assert again == first and again is not first
+    assert ask(4, 1) is kept
+    assert len(runs) == spaces.MEMO_ENTRIES + 2
+
+
+def test_distinct_candidates_leave_at_most_the_bound_of_keys():
+    cross = load_registry().space("cross")
+    for i in range(5 * spaces.MEMO_ENTRIES):
+        assert is_plot(cross, Plot(Domain.full(1), ExprVec.parse([f"{i + 1}*x0", "0"], 1))).is_yes
+        assert len(cross._memo) <= spaces.MEMO_ENTRIES
+    assert len(cross._memo) == spaces.MEMO_ENTRIES
+
+
+@st.composite
+def _poly(draw, arity):
+    """A small polynomial text of degree at most 2."""
+    coeffs = draw(st.lists(st.integers(-2, 2), min_size=arity + 2, max_size=arity + 2))
+    monos = ["1", *(f"x{j}" for j in range(arity)), "x0^2"]
+    return " + ".join(f"({c})*{m}" for c, m in zip(coeffs, monos))
+
+
+@st.composite
+def _plot_question(draw):
+    """A membership-benchmark-shaped plot question: a plot by construction
+    (an axis, a sign flip, or an axis times a line), or for the carrier
+    spaces a map through a point off the cross, on R^1 or R^2 or a box."""
+    space = draw(st.sampled_from(["cross", "quotient-sign", "product-cross-line"]))
+    arity = draw(st.integers(1, 2))
+    p = draw(_poly(arity))
+    if space != "quotient-sign" and draw(st.booleans()):
+        a, b = draw(st.sampled_from([-2, -1, 1, 2])), draw(st.sampled_from([-2, -1, 1, 2]))
+        u = draw(st.integers(-2, 2))
+        texts = [f"{a} + (x0 - ({u}))*({p})", f"{b} + (x0 - ({u}))*({draw(_poly(arity))})"]
+    elif space == "quotient-sign":
+        texts = [p if draw(st.booleans()) else f"-({p})"]
+    else:
+        texts = [p, "0"] if draw(st.booleans()) else ["0", p]
+    if space == "product-cross-line":
+        texts.append(draw(_poly(arity)))
+    box = None
+    if draw(st.booleans()):
+        box = tuple((lo, lo + draw(st.integers(1, 3))) for lo in draw(
+            st.lists(st.integers(-3, 2), min_size=arity, max_size=arity)))
+    return ("plot", space, arity, tuple(texts), box)
+
+
+@st.composite
+def _cone_question(draw):
+    """A tangent-cone probe at a carrier point, with a velocity in
+    {-1, 0, 1}^n other than 0."""
+    space = draw(st.sampled_from(["cross", "quotient-sign", "product-cross-line"]))
+    a = draw(st.sampled_from([-2, -1, 1, 2]))
+    if space == "quotient-sign":
+        point = (draw(st.sampled_from([0, a])),)
+    else:
+        point = draw(st.sampled_from([(0, 0), (a, 0), (0, a)]))
+        if space == "product-cross-line":
+            point += (draw(st.integers(-2, 2)),)
+    vector = draw(st.lists(st.integers(-1, 1), min_size=len(point), max_size=len(point))
+                  .filter(any))
+    return ("cone", space, tuple(map(Fraction, point)), tuple(map(Fraction, vector)))
+
+
+def _answers(stream, bound):
+    """(status, obstruction kind) of each question of the stream, asked in
+    order of one fresh registry with memos of `bound` keys."""
+    out = []
+    with mock.patch.object(spaces, "MEMO_ENTRIES", bound):
+        reg = load_registry()
+        for question in stream:
+            space = reg.space(question[1])
+            if question[0] == "cone":
+                v = cone_membership(space, question[2], question[3], 6)
+            else:
+                _, _, arity, texts, box = question
+                domain = Domain.full(arity) if box is None else Domain(arity, [
+                    Box(tuple(Interval(Fraction(lo), Fraction(hi)) for lo, hi in box))])
+                candidate = Plot(domain, ExprVec.parse(list(texts), arity))
+                v = is_plot(space, candidate, 6)
+                assert not v.is_yes or verify_certificate(space, candidate, v.certificate, 6)
+            out.append((v.status, v.obstruction.kind if v.obstruction else None))
+    return out
+
+
+@settings(max_examples=15)
+@given(st.data())
+def test_no_verdict_depends_on_the_memo_bound(data):
+    pool = data.draw(st.lists(st.one_of(_plot_question(), _cone_question()),
+                              min_size=1, max_size=5))
+    stream = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10))
+    unbounded = _answers(stream, 10**6)
+    for bound in (1, 2, 3):
+        assert _answers(stream, bound) == unbounded, bound
 
 
 class TestMorphisms:

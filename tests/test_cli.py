@@ -52,6 +52,17 @@ POINTS_DOC = {
     },
 }
 
+# sha256 of the pinned reports: `all --budget 4 --format json` by seed,
+# and `exact-sequence line-bundle scale-translate` by budget
+ALL_DIGESTS = {
+    "0": "606a4d51dc64c8dd1dbe13b2a603de46d37640f6bd42e3197a60e0e0298c031f",
+    "7": "90c4cb7fd92249b22434da71e053d844f640cf587b46daf9e05511d4e11a490d",
+}
+EXACT_SEQUENCE_DIGESTS = {
+    "4": "fc25066be4ca267dcb89708f07684ab39825dc4305750991d7cb4a5b926f817c",
+    "5": "8f475b8e1910f2b3157ab7129ea9d118edac4b9ffdf89370e62d9c5987bab4de",
+}
+
 # public names that wait for the ROADMAP item named to give them a caller
 AWAITING_CALLER = {
     "frame_space": "item 2",
@@ -560,10 +571,7 @@ class TestReports:
                            "--format", "json")
         assert first == second
 
-    @pytest.mark.parametrize("seed, digest", [
-        ("0", "606a4d51dc64c8dd1dbe13b2a603de46d37640f6bd42e3197a60e0e0298c031f"),
-        ("7", "90c4cb7fd92249b22434da71e053d844f640cf587b46daf9e05511d4e11a490d"),
-    ])
+    @pytest.mark.parametrize("seed, digest", sorted(ALL_DIGESTS.items()))
     def test_full_suite_report_bytes_are_pinned(self, capsys, seed, digest):
         # a change that alters any verdict, witness or ordering changes the
         # digest and has to say why
@@ -592,8 +600,7 @@ class TestReports:
         code, out, _ = run(capsys, "exact-sequence", "line-bundle", "scale-translate",
                            "--budget", "4")
         assert code == 0
-        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
-            "fc25066be4ca267dcb89708f07684ab39825dc4305750991d7cb4a5b926f817c")
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == EXACT_SEQUENCE_DIGESTS["4"]
 
     def test_exact_sequence_report_bytes_are_pinned_at_budget_5(self, capsys):
         # a larger budget only widens the certificate searches, so only the
@@ -601,8 +608,20 @@ class TestReports:
         code, out, _ = run(capsys, "exact-sequence", "line-bundle", "scale-translate",
                            "--budget", "5")
         assert code == 0
-        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
-            "8f475b8e1910f2b3157ab7129ea9d118edac4b9ffdf89370e62d9c5987bab4de")
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == EXACT_SEQUENCE_DIGESTS["5"]
+
+    @pytest.mark.parametrize("argv, digest", [
+        *((["all", "--budget", "4", "--format", "json", "--seed", seed], digest)
+          for seed, digest in sorted(ALL_DIGESTS.items())),
+        *((["exact-sequence", "line-bundle", "scale-translate", "--budget", budget], digest)
+          for budget, digest in sorted(EXACT_SEQUENCE_DIGESTS.items())),
+    ], ids=["all-0", "all-7", "exact-sequence-4", "exact-sequence-5"])
+    def test_memos_of_one_key_keep_the_pinned_bytes(self, capsys, monkeypatch, argv, digest):
+        # the memo bound sets what a verdict costs, never the verdict
+        monkeypatch.setattr(spaces, "MEMO_ENTRIES", 1)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
     def test_out_writes_the_report_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"

@@ -725,6 +725,26 @@ class TestMapEqualityModRelation:
         assert "depth cap 4" in both.detail
 
 
+    def test_one_map_on_a_singular_source_is_not_refuted(self):
+        # x0 and x0 + x0*x1 are one map on the cross x0*x1 = 0: neither a
+        # rewrite miss nor a point off the cross may refute that
+        from diffeokit.fixtures import load_registry
+
+        reg = load_registry()
+        cross, sign, r1 = axes_cross(), reg.space("quotient-sign"), reg.space("r1")
+        for target in (sign, r1):
+            f = smooth_map(cross, target, ["x0"])
+            assert maps_equal_mod_relation(f, smooth_map(cross, target, ["x0 + x0*x1"])).is_yes
+        # on a singular source, a rewrite miss alone stays open, and a no
+        # names a carrier point
+        f = smooth_map(cross, sign, ["x0"])
+        missed = maps_equal_mod_relation(f, smooth_map(cross, sign, ["x0 + x1"]))
+        assert missed.is_unknown
+        apart = maps_equal_mod_relation(
+            smooth_map(cross, r1, ["x0"]), smooth_map(cross, r1, ["x0 + x1"]))
+        assert apart.is_no
+        assert cross.carrier.contains_point(apart.obstruction.point)
+
 class TestAllHold:
     def test_names_the_refuted_check_and_draws_no_further(self):
         drawn = []

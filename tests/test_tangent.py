@@ -12,12 +12,15 @@ from diffeokit.spaces import (
     DEFAULT_BUDGET,
     AlgebraicCarrier,
     EuclideanCarrier,
+    FactoredCert,
     Obstruction,
     Plot,
     Verdict,
     euclidean_space,
     generated_space,
+    is_plot,
     plot,
+    verify_certificate,
 )
 from diffeokit.linalg import affine_parts
 from diffeokit.tangent import (
@@ -344,6 +347,20 @@ class TestGeneratorJets:
         assert miss.is_out
         assert miss.obstruction.kind == "gradient"
 
+
+    def test_a_jet_through_a_nonaffine_generator_keeps_its_factor(self):
+        # is_plot leaves t -> ((1 + t)^2, (1 + t)^3) unknown on the space the
+        # cusp map generates; the factor 1 + t the jet search built
+        # certifies it, and the certificate replays
+        cusp = _cusp()
+        for x, v in [((1, 1), (2, 3)), ((1, -1), (-2, 3))]:
+            x, v = tuple(map(F, x)), tuple(map(F, v))
+            hit = cone_membership(cusp, x, v, budget=6)
+            assert hit.is_in and hit.germ.velocity() == v
+            germ = Plot(hit.germ.domain, hit.germ.path)
+            assert is_plot(cusp, germ, 6).is_unknown
+            assert isinstance(hit.germ.certificate, FactoredCert)
+            assert verify_certificate(cusp, germ, hit.germ.certificate, 6)
 
 def _fresh_samples(gen):
     """The generator's first PREIMAGE_SAMPLES sample points, computed past
