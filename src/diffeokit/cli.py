@@ -134,15 +134,20 @@ def _fmt_point(point) -> str:
 
 
 def _random_poly(rng: random.Random, arity: int, degree: int) -> Expr:
-    total = Expr.zero(arity)
+    """c_0 + c_1 m_1 + ... + c_degree m_degree, each c_k drawn from -3..3
+    and m_k a product of k variables drawn one at a time, also when c_k is
+    0, so the stream of draws never depends on a coefficient.  Terms of
+    different degrees never meet, so each nonzero one is its own term, in
+    degree order; an all-zero draw gives the constant 1."""
+    terms = {}
     for k in range(degree + 1):
-        term = Expr.constant(arity, rng.randint(-3, 3))
+        coeff = rng.randint(-3, 3)
+        mono = [0] * arity
         for _ in range(k):
-            term = term * Expr.variable(arity, rng.randrange(arity))
-        total = total + term
-    if total.is_zero():
-        total = Expr.constant(arity, 1)
-    return total
+            mono[rng.randrange(arity)] += 1
+        if coeff:
+            terms[tuple(mono)] = coeff
+    return Expr._poly(arity, terms) if terms else Expr.constant(arity, 1)
 
 
 def _constants(space):

@@ -140,7 +140,7 @@ class Matrix:
             row_poly = all(a.is_polynomial for a in row)
             out.append([
                 _poly_dot(row, col, self.arity) if row_poly and poly
-                else sum((a * b for a, b in zip(row, col)), Expr.zero(self.arity))
+                else _dot(row, col, self.arity)
                 for col, poly in zip(cols, col_poly)
             ])
         return Matrix(out)
@@ -158,7 +158,7 @@ class Matrix:
             poly_rows = [False] * len(self.rows)
         return tuple(
             _poly_dot(row, vec, self.arity) if poly
-            else sum((a * v for a, v in zip(row, vec)), Expr.zero(self.arity))
+            else _dot(row, vec, self.arity)
             for row, poly in zip(self.rows, poly_rows)
         )
 
@@ -245,6 +245,14 @@ def _poly_dot(xs: Sequence[Expr], ys: Sequence[Expr], arity: int) -> Expr:
         if x.num and y.num:
             total = _add(total, _mul(x.num, y.num))
     return Expr._poly(arity, total)
+
+
+def _dot(xs: Sequence[Expr], ys: Sequence, arity: int) -> Expr:
+    """sum x * y folded from the first product, so no entry pays for the
+    normalisation of 0 + r; the zero of the arity when there is no pair."""
+    products = (x * y for x, y in zip(xs, ys))
+    first = next(products, None)
+    return Expr.zero(arity) if first is None else sum(products, first)
 
 
 # ---------------------------------------------------------------------------
