@@ -47,8 +47,8 @@ from .spaces import (
     quotient_space,
     smooth_map,
     union_space,
-    vanishes_on_carrier,
     _has_quotient,
+    _separating_point,
 )
 
 __all__ = [
@@ -350,27 +350,16 @@ def _construction_checks(bundle: PseudoBundle, budget: int, sample_count: int):
 def difference_witness(
     space: DiffSpace, lhs: ExprVec, rhs: ExprVec, budget: int
 ) -> str | None:
-    """None when lhs == rhs canonically or modulo the carrier equations;
-    otherwise a description, with a carrier sample point when one
-    separates the two sides."""
-    if lhs == rhs:
+    """None when lhs and rhs agree on the carrier of space; otherwise
+    `_separating_point`'s answer as text, with a carrier sample point when
+    one separates the two sides."""
+    found = _separating_point(lhs, rhs, (space, ""), budget)
+    if found is None:
         return None
-    pending = []
-    for i, (a, b) in enumerate(zip(lhs.components, rhs.components)):
-        diff = a - b
-        if diff.is_zero():
-            continue
-        # denominators never vanish, so compare numerators
-        numerator = Expr(diff.arity, dict(diff.num))
-        if not vanishes_on_carrier(space, numerator, "", budget):
-            pending.append((i, numerator))
-    if not pending:
-        return None
-    for pt in space.sample_carrier_points("", 24):
-        for i, diff in pending:
-            if diff.eval(pt) != 0:
-                return f"component {i} differs at {format_point(pt)}"
-    return f"component {pending[0][0]} not certified equal"
+    i, pt = found
+    if pt is None:
+        return f"component {i} not certified equal"
+    return f"component {i} differs at {format_point(pt)}"
 
 
 def _difference_verdict(

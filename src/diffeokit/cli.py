@@ -52,22 +52,10 @@ class CheckResult(Record):
 
 
 def _describe_certificate(cert) -> str:
-    kind = getattr(cert, "kind", "")
-    if kind == "constant":
-        return "constant at (" + ", ".join(str(v) for v in cert.point) + ")"
-    if kind == "generator":
-        return f"generator {cert.index}"
-    if kind == "factored":
-        return f"factored through generator {cert.index}"
-    if kind == "glue":
-        return f"glued over {len(cert.parts)} pieces"
-    if kind == "rule":
-        return f"rule {cert.rule}"
-    if kind == "carrier":
-        return "carrier membership"
-    if kind == "checks":
+    """A command's yes carries a `RuleCert` or a `ChecksCert`."""
+    if cert.kind == "checks":
         return cert.summary
-    return "certificate"
+    return f"rule {cert.rule}"
 
 
 def _describe_obstruction(ob) -> str:

@@ -293,29 +293,26 @@ def _axis_breaks(boxes: Sequence[Box], axis: int, lo, hi) -> list[Fraction]:
     return sorted(vals)
 
 
-def _axis_cells_open(iv: Interval, breaks: list[Fraction]) -> list[tuple]:
+def _axis_cells_open(lo, hi, breaks: list[Fraction]) -> list[tuple]:
+    """The cells of the open interval (lo, hi) cut at the breaks."""
     cells: list[tuple] = []
-    prev = iv.lo
-    for p in breaks:
-        cells.append(("open", prev, p))
-        cells.append(("pt", p))
-        prev = p
-    cells.append(("open", prev, iv.hi))
-    return cells
-
-
-def _axis_cells_closed(lo, hi, breaks: list[Fraction]) -> list[tuple]:
-    if lo is not None and hi is not None and lo == hi:
-        return [("pt", lo)]
-    cells: list[tuple] = []
-    if lo is not None:
-        cells.append(("pt", lo))
     prev = lo
     for p in breaks:
         cells.append(("open", prev, p))
         cells.append(("pt", p))
         prev = p
     cells.append(("open", prev, hi))
+    return cells
+
+
+def _axis_cells_closed(lo, hi, breaks: list[Fraction]) -> list[tuple]:
+    """The open cells with each finite endpoint as a point cell around
+    them; a degenerate lo == hi is that one point."""
+    if lo is not None and hi is not None and lo == hi:
+        return [("pt", lo)]
+    cells = _axis_cells_open(lo, hi, breaks)
+    if lo is not None:
+        cells.insert(0, ("pt", lo))
     if hi is not None:
         cells.append(("pt", hi))
     return cells
@@ -348,7 +345,7 @@ def _box_covered(box: Box, cover: Sequence[Box]) -> bool:
     if box.dim == 0:
         return bool(cover)
     axis_cells = [
-        _axis_cells_open(iv, _axis_breaks(cover, i, iv.lo, iv.hi))
+        _axis_cells_open(iv.lo, iv.hi, _axis_breaks(cover, i, iv.lo, iv.hi))
         for i, iv in enumerate(box.intervals)
     ]
     return _cells_covered(axis_cells, cover)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import weakref
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .domains import Box, Domain, format_point, image_within
 from .expr import Expr, ExprError, ExprVec, Record
@@ -389,15 +389,10 @@ class DiffSpace:
 
     def sample_carrier_points(self, component: str = "", count: int = 12) -> list[Point]:
         """Points guaranteed to lie on the carrier, via generator images."""
-        eqs = self.carrier.equations(component)
+        if not self.carrier.equations(component):
+            return Domain.full(self.carrier.ambient_dim(component)).sample_points(count)
         out: list[Point] = []
         seen: set[Point] = set()
-        if not eqs:
-            for p in Domain.full(self.carrier.ambient_dim(component)).sample_points(count):
-                if p not in seen:
-                    seen.add(p)
-                    out.append(p)
-            return out[:count]
         for _, g in self.component_generators(component):
             for u in g.domain.sample_points(max(2, count // max(1, len(self.generators)))):
                 p = g.map.eval(u)
@@ -653,14 +648,10 @@ def _factor_affine(
     base = ExprVec(tuple(sol.particular))
     if base.degree() > budget:
         return None
-    candidates = [base]
-    # shift along the null space to pull the image into the generator's
-    # domain: aim the factor at sampled anchor points of that domain
-    if sol.null_basis:
-        candidates.extend(
-            _null_shift_candidates(sol, gen.domain, candidate.domain, arity)
-        )
-    for cand in candidates:
+    # then shift along the null space to pull the image into the
+    # generator's domain: aim the factor at sampled anchor points of it
+    shifts = _null_shift_candidates(sol, gen.domain, candidate.domain, arity)
+    for cand in itertools.chain((base,), shifts):
         if image_within(cand, candidate.domain, gen.domain):
             if _compose_matches(gen.map, cand, candidate.map):
                 return cand
@@ -669,11 +660,12 @@ def _factor_affine(
 
 def _null_shift_candidates(
     sol, gen_domain: Domain, candidate_domain: Domain, arity: int
-) -> list[ExprVec]:
-    out = []
-    base_pts = candidate_domain.sample_points(1)
+) -> Iterator[ExprVec]:
+    """Shifts of the particular solution along the null space, one per
+    anchor point of the generator's domain, drawn only when asked for."""
+    base_pts = candidate_domain.sample_points(1) if sol.null_basis else ()
     if not base_pts:
-        return out
+        return
     x0 = base_pts[0]
     value0 = [e.eval(x0) for e in sol.particular]
     k = len(sol.particular)
@@ -689,8 +681,7 @@ def _null_shift_candidates(
             )
             for i, e in enumerate(sol.particular)
         ]
-        out.append(ExprVec(tuple(shifted)))
-    return out
+        yield ExprVec(tuple(shifted))
 
 
 def _compose_matches(gen_map: ExprVec, factor: ExprVec, target: ExprVec) -> bool:
@@ -1176,33 +1167,33 @@ def respects_relation(f: SmoothMap, rel: RelationPair, budget: int = DEFAULT_BUD
 
 def _same_point(
     carrier: Carrier, comp_a: str, a: ExprVec, comp_b: str, b: ExprVec,
-    within: Domain | Sequence[Point], budget: int,
+    within: Domain | tuple[DiffSpace, str], budget: int,
 ) -> Verdict:
     """Do two maps into the carrier name one point everywhere they are read?
 
     `within` is an open domain, where two maps that agree are one formula,
-    or the sample points of a carrier with equations, where two formulas
-    can name one map.  A quotient compares by the rewrites of its whole
-    chain, and by its base where they do not settle it; a complete rewrite
-    closure that misses the other map is a no only on an open domain.  A
-    product compares block by block, a union part by part; elsewhere the
-    maps must be equal, and a no of kind relation holds a point of
-    `within` where they differ."""
+    or a source space and component with carrier equations, where two
+    formulas can name one map (see `_separating_point`).  A quotient
+    compares by the rewrites of its whole chain, and by its base where
+    they do not settle it; a complete rewrite closure that misses the other
+    map is a no only on an open domain.  A product compares block by
+    block, a union part by part; elsewhere the maps must agree, and a no of
+    kind relation holds a point of `within` where they differ."""
     if comp_a == comp_b and a == b:
         return Verdict.yes(None)
     if isinstance(carrier, QuotientCarrier):
         met = _rewrites_meet(carrier, comp_a, a, comp_b, b, budget)
+        if met:
+            return Verdict.yes(None)
+        if met is False and isinstance(within, Domain):
+            return Verdict.no(Obstruction("rewrite", comp_a, detail="no rewrite meets the other map"))
         # what the base identifies, the quotient identifies too
-        if met is None and _same_point(carrier.base, comp_a, a, comp_b, b, within, budget).is_yes:
-            met = True
+        if _same_point(carrier.base, comp_a, a, comp_b, b, within, budget).is_yes:
+            return Verdict.yes(None)
         if met is None:
             return Verdict.unknown(f"quotient rewrites from {comp_a!r}: depth cap {budget} hit or a move undecided")
-        if not met:
-            if not isinstance(within, Domain):
-                return Verdict.unknown(
-                    "no rewrite meets the other map as a formula, and the source carrier can identify them")
-            return Verdict.no(Obstruction("rewrite", comp_a, detail="no rewrite meets the other map"))
-        return Verdict.yes(None)
+        return Verdict.unknown(
+            "no rewrite meets the other map as a formula, and the source carrier can identify them")
     if isinstance(carrier, ProductCarrier):
         n = carrier.left.ambient_dim("")
         return conjunction("same point", [
@@ -1211,17 +1202,47 @@ def _same_point(
         ])
     if isinstance(carrier, UnionCarrier) and comp_a == comp_b:
         return _same_point(carrier.part(comp_a), "", a, "", b, within, budget)
-    # images in different components differ everywhere
-    residuals = [] if comp_a != comp_b else [
-        next(x - y for x, y in zip(a.components, b.components) if x != y)
-    ]
-    if isinstance(within, Domain):
-        p = nonzero_sample(residuals, within, 200)
-    else:
-        p = next((pt for pt in within if all(r.eval(pt) != 0 for r in residuals)), None)
-    if p is None:
+    if comp_a != comp_b:
+        # images in different components differ everywhere: read 1 against 0
+        a, b = ExprVec.constant(a.arity, (1,)), ExprVec.constant(a.arity, (0,))
+    found = _separating_point(a, b, within, budget)
+    if found is None:
+        return Verdict.yes(None)
+    if found[1] is None:
         return Verdict.unknown("relation: the two sides differ as maps but at no sample point")
-    return Verdict.no(Obstruction("relation", point=p))
+    return Verdict.no(Obstruction("relation", point=found[1]))
+
+
+def _separating_point(
+    a: ExprVec, b: ExprVec, within: Domain | tuple[DiffSpace, str], budget: int
+) -> tuple[int, Point | None] | None:
+    """Where do two maps of one source differ?  None when they agree on
+    `within`; otherwise a differing component and a point where it is
+    nonzero, or that component and None when no sample separates them.
+
+    On an open domain `within`, the first component whose difference is
+    not zero is read at 200 sample points.  On the carrier of a source
+    space and component, each component whose difference numerator
+    vanishes there (`vanishes_on_carrier`) is dropped, and the rest are
+    read at 24 carrier points: the first point where one is nonzero, with
+    the first such component, else the first remaining component."""
+    pending = []
+    for i, (x, y) in enumerate(zip(a.components, b.components)):
+        if x == y or (diff := x - y).is_zero():
+            continue
+        if isinstance(within, Domain):
+            return i, nonzero_sample([diff], within, 200)
+        # denominators never vanish, so compare numerators
+        numerator = Expr(diff.arity, dict(diff.num))
+        if not vanishes_on_carrier(within[0], numerator, within[1], budget):
+            pending.append((i, numerator))
+    if not pending:
+        return None
+    for pt in within[0].sample_carrier_points(within[1], 24):
+        for i, diff in pending:
+            if diff.eval(pt) != 0:
+                return i, pt
+    return pending[0][0], None
 
 
 def _map_carrier_violation(f: SmoothMap) -> Obstruction | None:
@@ -1246,8 +1267,7 @@ def maps_equal_mod_relation(f: SmoothMap, g: SmoothMap, budget: int = DEFAULT_BU
     source piece, so a no comes only from a complete rewrite closure that
     misses the other map, or from a source point the two maps send apart,
     and what the rewrites leave open falls back on the quotient's base.
-    On a source component with carrier equations, pieces whose difference
-    vanishes on the carrier agree, and points are read on the carrier.
+    A source component with carrier equations is read on its carrier.
     The first refuted piece wins; else the first open one."""
     pending = None
     for src, dst, vec in f.pieces:
@@ -1255,14 +1275,7 @@ def maps_equal_mod_relation(f: SmoothMap, g: SmoothMap, budget: int = DEFAULT_BU
             dst_g, vec_g = g.piece(src)
         except KeyError:
             return Verdict.no(Obstruction("component", component=src))
-        within = Domain.full(vec.arity)
-        if f.source.carrier.equations(src):
-            if dst == dst_g and all(
-                vanishes_on_carrier(f.source, x - y, src, budget)
-                for x, y in zip(vec.components, vec_g.components)
-            ):
-                continue
-            within = f.source.sample_carrier_points(src, 24)
+        within = (f.source, src) if f.source.carrier.equations(src) else Domain.full(vec.arity)
         v = _same_point(f.target.carrier, dst, vec, dst_g, vec_g, within, budget)
         if v.is_no:
             return v
@@ -1380,9 +1393,10 @@ def is_subduction(
 ) -> Verdict:
     """Smooth and locally lifts every target plot through f.
 
-    The lift search tries declared sections first, then solves affinely
-    through f's ambient formula per generator.  Requires the target's
-    generator family to be complete for the Yes direction.
+    The lift search tries declared sections first, then factors each
+    generator through f's ambient formula by the plot factor search
+    (`_factor_through`).  Requires the target's generator family to be
+    complete for the Yes direction.
     """
     smooth = is_smooth(f, budget)
     if not smooth.is_yes:
@@ -1413,25 +1427,17 @@ def _lift_plot(
             sub = is_plot(f.source, candidate, budget)
             if sub.is_yes:
                 return ("section", s.name, candidate, sub.certificate)
-    # affine solve through each source component mapping onto g's component
+    # factor g through each source piece mapping onto g's component
     for src, dst, vec in f.pieces:
         if dst != g.component:
             continue
-        parts = affine_parts(vec)
-        if parts is None:
-            continue
-        sol = parts.preimage(g.map.components)
-        if sol is None:
-            continue
-        lift_vec = ExprVec(tuple(sol.particular))
-        if lift_vec.degree() > budget:
+        lift_vec = _factor_through(Plot(Domain.full(vec.arity), vec, dst), g, budget)
+        if lift_vec is None:
             continue
         candidate = Plot(g.domain, lift_vec, src)
-        composed = f.compose_plot(candidate)
-        if composed.map == g.map:
-            sub = is_plot(f.source, candidate, budget)
-            if sub.is_yes:
-                return ("solve", src, candidate, sub.certificate)
+        sub = is_plot(f.source, candidate, budget)
+        if sub.is_yes:
+            return ("solve", src, candidate, sub.certificate)
     return None
 
 

@@ -70,3 +70,39 @@ def test_tracer_layers_resolve_and_tracing_keeps_the_report(tmp_path):
         plain = (tmp_path / f"{name}.plain").read_bytes()
         assert b'"verdict": "yes"' in plain, name
         assert (tmp_path / f"{name}.traced").read_bytes() == plain, name
+
+
+UNCERTIFIED = textwrap.dedent(
+    """
+    import sys
+    from pathlib import Path
+
+    root = Path(sys.argv[1])
+    sys.path[:0] = [str(root / "src"), str(root / "bench")]
+    import diffeokit.cli  # Tracer.install looks up every layer's module
+    from diffeokit import bundles
+    from diffeokit.expr import ExprVec
+    from diffeokit.fixtures import load_registry
+    from tracer import Tracer
+
+    cross = load_registry().space("cross")
+    tracer = Tracer()
+    tracer.install()
+    # x0^2*x1 vanishes on the cross only with a multiplier of degree 1
+    text = bundles.difference_witness(
+        cross, ExprVec.parse(["x0^2*x1"], 2), ExprVec.parse(["0"], 2), 0)
+    assert isinstance(text, str), text
+    assert text == "component 0 not certified equal", text
+    summary = tracer.summarise()
+    assert summary["bundles.difference_witness.calls"] == 1, summary
+    assert summary["bundles.difference_witness.uncertified_ratio"] == 1.0, summary
+    """
+)
+
+
+def test_the_tracer_tags_an_uncertified_difference():
+    done = subprocess.run(
+        [sys.executable, "-c", UNCERTIFIED, str(ROOT)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr

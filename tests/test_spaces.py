@@ -1,11 +1,15 @@
 """Membership, smoothness, and subduction checks on small spaces."""
 
+import functools
 from fractions import Fraction
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffeokit import domains, spaces
+from diffeokit.bundles import _difference_verdict
 from diffeokit.domains import SAMPLE_MAX_DEN, Box, Domain, Interval, _domain_samples, format_point
 from diffeokit.expr import Expr, ExprError, ExprVec
 from diffeokit.spaces import (
@@ -681,6 +685,17 @@ class TestSubduction:
         v = is_subduction(incl)
         assert not v.is_yes
 
+    def test_a_graph_map_onto_a_saddle_lifts_through_a_forced_factor(self):
+        # the saddle x2 = x0*x1 is generated by (u, v, u*v); the graph map
+        # is not affine, so its lift is the factor its coordinates force
+        carrier = AlgebraicCarrier(3, (Expr.parse("x2 - x0*x1", 3),))
+        saddle = generated_space("saddle", carrier, (plot(R2, ["x0", "x1", "x0*x1"]),), complete=True)
+        graph = smooth_map(euclidean_space(2), saddle, ["x0", "x1", "x0*x1"])
+        v = is_subduction(graph)
+        assert v.is_yes
+        ((how, _, lift, _),) = v.certificate.parts
+        assert how == "solve" and lift.map == ExprVec.identity(2)
+
 
 class TestMapEqualityModRelation:
     def test_sign_flip_maps_agree(self):
@@ -744,6 +759,93 @@ class TestMapEqualityModRelation:
             smooth_map(cross, r1, ["x0"]), smooth_map(cross, r1, ["x0 + x1"]))
         assert apart.is_no
         assert cross.carrier.contains_point(apart.obstruction.point)
+
+    def test_a_difference_that_vanishes_on_the_carrier_does_not_hide_another(self):
+        # component 0 differs by x0*x1, which is 0 on the cross; component
+        # 1 differs by 1 everywhere
+        cross, r2 = axes_cross(), euclidean_space(2)
+        v = maps_equal_mod_relation(
+            smooth_map(cross, r2, ["x0*x1", "x0"]), smooth_map(cross, r2, ["0", "x0 + 1"]))
+        assert v.is_no
+        assert v.obstruction.point == (0, 0)
+
+    def test_a_block_that_vanishes_on_the_carrier_agrees(self):
+        from diffeokit.fixtures import load_registry
+
+        cross = axes_cross()
+        target = product_space("sign*R", load_registry().space("quotient-sign"), euclidean_space(1))
+        v = maps_equal_mod_relation(
+            smooth_map(cross, target, ["x0", "x0*x1"]), smooth_map(cross, target, ["-x0", "0"]))
+        assert v.is_yes
+
+    def test_a_fold_of_a_thin_set_stays_open(self):
+        # in R^2/((x, 0) ~ (-x, 0)), (x0, x1) and (-x0, x1) are one map out
+        # of the cross, yet the complete closure {(x0, x1)} misses (-1, 0)
+        # at (1, 0), so reading the closure at carrier points cannot refute
+        fold = RelationPair("", ExprVec.parse(["x0", "0"], 1), "", ExprVec.parse(["-x0", "0"], 1), R1)
+        folded, _ = quotient_space("folded-plane", euclidean_space(2), [fold])
+        cross = axes_cross()
+        v = maps_equal_mod_relation(
+            smooth_map(cross, folded, ["x0", "x1"]), smooth_map(cross, folded, ["-x0", "x1"]))
+        assert v.is_unknown
+
+
+def _cusp():
+    """The cusp x0^3 = x1^2, generated by t -> (t^2, t^3)."""
+    carrier = AlgebraicCarrier(2, (Expr.parse("x0^3 - x1^2", 2),))
+    return generated_space("cusp", carrier, (plot(R1, ["x0^2", "x0^3"]),))
+
+
+@functools.lru_cache(maxsize=None)
+def _law_source(name):
+    from diffeokit.fixtures import load_registry
+
+    return _cusp() if name == "cusp" else load_registry().space(name)
+
+
+@st.composite
+def _polys(draw, arity):
+    """A polynomial of degree at most 3 with at most three terms."""
+    out = Expr.zero(arity)
+    for _ in range(draw(st.integers(0, 3))):
+        term = Expr.constant(arity, draw(st.integers(-2, 2)))
+        for _ in range(draw(st.integers(0, 3))):
+            term = term * Expr.parse(f"x{draw(st.integers(0, arity - 1))}", arity)
+        out = out + term
+    return out
+
+
+@st.composite
+def _map_pairs(draw):
+    """Two polynomial maps of a source with carrier equations into R^1 or
+    R^2: each component of the second is the first's plus a multiple of
+    the carrier equation plus a polynomial that is often zero."""
+    source = _law_source(draw(st.sampled_from(["cross", "product-cross-line", "cusp"])))
+    n = source.carrier.ambient_dim("")
+    (eq,) = source.carrier.equations("")
+    lhs, rhs = [], []
+    for _ in range(draw(st.integers(1, 2))):
+        f = draw(_polys(n))
+        lhs.append(f)
+        rhs.append(f + draw(_polys(n)) * eq + draw(st.one_of(st.just(Expr.zero(n)), _polys(n))))
+    return source, ExprVec(lhs), ExprVec(rhs), draw(st.integers(0, 2))
+
+
+class TestOneSeparatingPoint:
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(_map_pairs())
+    def test_map_equality_and_the_bundle_identities_agree(self, case):
+        # both read where two maps of a source differ through one function
+        source, lhs, rhs, budget = case
+        target = euclidean_space(len(lhs))
+        by_maps = maps_equal_mod_relation(
+            smooth_map(source, target, lhs), smooth_map(source, target, rhs), budget)
+        by_identity = _difference_verdict(source, lhs, rhs, budget)
+        assert by_maps.status == by_identity.status
+        if by_maps.is_no:
+            assert by_identity.obstruction.detail.endswith(
+                f"differs at {format_point(by_maps.obstruction.point)}")
+
 
 class TestAllHold:
     def test_names_the_refuted_check_and_draws_no_further(self):
