@@ -8,7 +8,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .autgroups import exact_sequence_check, frame_bundle_check, random_frame
 from .bundles import validate_bundle
@@ -42,8 +42,15 @@ class CheckResult(Record):
     anchor: str
     verdict: str
     witnesses: tuple[str, ...]
-    budget: int
     elapsed: float
+
+
+class Run(Record):
+    """What a check runner reads besides its subject."""
+
+    reg: FixtureRegistry
+    budget: int
+    seed: int
 
 
 # ---------------------------------------------------------------------------
@@ -80,27 +87,15 @@ def _verdict_witnesses(v: Verdict) -> tuple[str, ...]:
     return tuple(out)
 
 
-def _from_verdict(check_id: str, anchor: str, budget: int, check, *args) -> list[CheckResult]:
-    """Time the one verdict `check(*args)` and report it as one check."""
-    t0 = time.perf_counter()
-    v = check(*args)
-    elapsed = time.perf_counter() - t0
-    return [CheckResult(check_id, anchor, v.status, _verdict_witnesses(v), budget, elapsed)]
-
-
-def _tally(
-    check_id: str, anchor: str, failures, passed, budget: int, t0: float
-) -> CheckResult:
-    """A check made of sub-checks.  `failures` pairs the status of each
-    sub-check that did not hold ("no" or "unknown") with its witness: the
-    check is no when one failed, otherwise unknown when one is still open,
-    otherwise yes with the `passed` witnesses."""
+def _tally(failures, passed) -> tuple[str, tuple[str, ...]]:
+    """The status and witnesses of a check made of sub-checks.  `failures`
+    pairs the status of each sub-check that did not hold ("no" or
+    "unknown") with its witness: the check is no when one failed, otherwise
+    unknown when one is still open, otherwise yes with the `passed`
+    witnesses."""
     statuses = {status for status, _ in failures}
     verdict = "no" if "no" in statuses else ("unknown" if statuses else "yes")
-    witnesses = tuple(text for _, text in failures) or tuple(passed)
-    return CheckResult(
-        check_id, anchor, verdict, witnesses, budget, time.perf_counter() - t0
-    )
+    return verdict, tuple(text for _, text in failures) or tuple(passed)
 
 
 def _parse_point(text: str) -> tuple[Fraction, ...]:
@@ -169,40 +164,30 @@ def _restrictions(space):
             yield Plot(sub, gen.map, gen.component), lambda: f"restriction of generator {idx}"
 
 
-def _axioms_checks(
-    reg: FixtureRegistry, name: str, budget: int, seed: int, trials: int = 10
-) -> list[CheckResult]:
+def _axioms_checks(run: Run, name: str, trials: int = 10):
     """One check per plot-family law: each candidate must be certified a plot,
     and under locality its certificate must replay.  A candidate's label
     function runs only on a failure, before the law's generator moves on."""
-    space = reg.space(name)
-    rng = random.Random(f"{seed}:axioms:{name}")
+    space = run.reg.space(name)
+    rng = random.Random(f"{run.seed}:axioms:{name}")
     laws = (
         ("covering", "constant parametrisations certified", _constants(space)),
         ("precompose", "random precompositions certified",
          _precompositions(space, rng, trials)),
         ("locality", "restrictions certified and replayed", _restrictions(space)),
     )
-    out = []
     for law, passed, candidates in laws:
-        t0 = time.perf_counter()
         failures, count = [], 0
         for candidate, label in candidates:
             count += 1
-            v = is_plot(space, candidate, budget)
+            v = is_plot(space, candidate, run.budget)
             if not v.is_yes:
                 failures.append((v.status, f"{label()} -> {v.status}"))
             elif law == "locality" and not verify_certificate(
-                space, candidate, v.certificate, budget
+                space, candidate, v.certificate, run.budget
             ):
                 failures.append(("no", f"{label()}: certificate replay failed"))
-        out.append(
-            _tally(
-                f"axioms:{name}:{law}", "plot-family-axioms", failures,
-                (f"{count} {passed}",), budget, t0,
-            )
-        )
-    return out
+        yield law, "plot-family-axioms", _tally(failures, (f"{count} {passed}",))
 
 
 def _default_probes(dim: int) -> list[tuple[Fraction, ...]]:
@@ -218,15 +203,10 @@ def _default_probes(dim: int) -> list[tuple[Fraction, ...]]:
     return probes
 
 
-def _cone_checks(reg, name, x, budget, seed) -> list[CheckResult]:
-    space = reg.space(name)
-    out = []
+def _cone_checks(run: Run, name, x):
+    space = run.reg.space(name)
     for v in _default_probes(len(x)):
-        t0 = time.perf_counter()
-        try:
-            cv = cone_membership(space, x, v, budget)
-        except ValueError as err:
-            raise FixtureError(str(err)) from err
+        cv = cone_membership(space, x, v, run.budget)
         witnesses = []
         if cv.germ is not None:
             witnesses.append(f"path ({', '.join(c.to_str() for c in cv.germ.path.components)})")
@@ -234,87 +214,67 @@ def _cone_checks(reg, name, x, budget, seed) -> list[CheckResult]:
             witnesses.append(_describe_obstruction(cv.obstruction))
         if cv.detail:
             witnesses.append(cv.detail)
-        out.append(
-            CheckResult(
-                f"tangent-cone:{name}:{_fmt_point(x)}:{_fmt_point(v)}",
-                "tangent-cone-membership", cv.status, tuple(witnesses), budget,
-                time.perf_counter() - t0,
-            )
-        )
-    return out
+        yield _fmt_point(v), "tangent-cone-membership", (cv.status, tuple(witnesses))
 
 
-def _exact_sequence(reg, bundle_name, group_name, budget) -> Verdict:
-    bundle = reg.bundle(bundle_name)
-    group = reg.group(group_name)
+def _exact_sequence(run: Run, bundle_name, group_name) -> Verdict:
+    bundle = run.reg.bundle(bundle_name)
+    group = run.reg.group(group_name)
     if group.bundle is not bundle:
         raise FixtureError(
             f"group {group_name!r} acts on bundle {group.bundle.name!r}, not {bundle_name!r}"
         )
-    return exact_sequence_check(bundle, group, budget)
+    return exact_sequence_check(bundle, group, run.budget)
 
 
-def _connection_laws(reg, name, budget) -> Verdict:
-    fx = reg.connection(name)
+def _connection_laws(run: Run, name) -> Verdict:
+    fx = run.reg.connection(name)
     return validate_covariant(fx.nabla, fx.overlaps)
 
 
-def _frame_checks(reg, name, budget, seed) -> list[CheckResult]:
-    bundle = reg.bundle(name)
-    points = reg.frame_points.get(name)
+def _frame_checks(run: Run, name):
+    bundle = run.reg.bundle(name)
+    points = run.reg.frame_points.get(name)
     if not points:
         raise FixtureError(f"no frame base points registered for bundle {name!r}")
-    rng = random.Random(f"{seed}:frame-check:{name}")
-    t0 = time.perf_counter()
+    rng = random.Random(f"{run.seed}:frame-check:{name}")
     pairs = [
         (random_frame(bundle, x, rng), random_frame(bundle, x, rng))
         for x in points for _ in range(10)
     ]
     report = frame_bundle_check(bundle, pairs)
-    return [
-        _tally(
-            f"frame-check:{name}", "frame-action-free-transitive",
-            [("no", failure) for failure in report.failures],
-            (f"{report.pairs} frame pairs free and transitive",), budget, t0,
-        )
-    ]
+    yield "", "frame-action-free-transitive", _tally(
+        [("no", failure) for failure in report.failures],
+        (f"{report.pairs} frame pairs free and transitive",),
+    )
 
 
-def _forms_checks(reg, name, budget, seed) -> list[CheckResult]:
+def _forms_checks(run: Run, name):
     """A form's overlap compatibility, or a frame model's connection-form
     equivariance: the two kinds share one namespace on the command line."""
-    check_id = f"forms-validate:{name}"
+    reg = run.reg
     if name in reg.forms:
         fx = reg.forms[name]
-        return _from_verdict(
-            check_id, "form-overlap-compatibility", budget, validate_form, fx.form, fx.overlaps
-        )
-    if name in reg.frame_models:
+        yield "", "form-overlap-compatibility", validate_form(fx.form, fx.overlaps)
+    elif name in reg.frame_models:
         fm = reg.frame_models[name]
-        try:
-            return _from_verdict(
-                check_id, "connection-form-equivariance", budget,
-                check_connection_form, fm.theta, fm.plots, fm.samples,
-            )
-        except ValueError as err:
-            raise FixtureError(str(err)) from err
-    known = ", ".join(sorted([*reg.forms, *reg.frame_models])) or "none"
-    raise FixtureError(f"unknown form or frame model fixture {name!r} (available: {known})")
+        yield "", "connection-form-equivariance", check_connection_form(
+            fm.theta, fm.plots, fm.samples
+        )
+    else:
+        known = ", ".join(sorted([*reg.forms, *reg.frame_models])) or "none"
+        raise FixtureError(f"unknown form or frame model fixture {name!r} (available: {known})")
 
 
-def _affine_checks(reg, name, budget, seed) -> list[CheckResult]:
-    fx = reg.affine_pair(name)
-    t0 = time.perf_counter()
+def _affine_checks(run: Run, name):
+    fx = run.reg.affine_pair(name)
     # each sub-check: (status, witness when it holds, witness when it does not)
     subs = []
     for label, nabla in (("first", fx.first), ("second", fx.second)):
         v = validate_covariant(nabla, fx.overlaps)
         subs.append((v.status, f"{label} connection satisfies the derivative laws",
                      f"{label} connection: " + "; ".join(_verdict_witnesses(v))))
-    try:
-        diff = affine_structure(fx.first, fx.second)
-    except ValueError as err:
-        raise FixtureError(str(err)) from err
+    diff = affine_structure(fx.first, fx.second)
     v = validate_form(diff, fx.overlaps)
     subs.append((v.status, "difference is a compatible matrix-valued 1-form",
                  "difference form: " + "; ".join(_verdict_witnesses(v))))
@@ -330,10 +290,14 @@ def _affine_checks(reg, name, budget, seed) -> list[CheckResult]:
         subs.append(("yes" if holds else "no", text, miss))
     failures = [(status, miss) for status, _, miss in subs if status != "yes"]
     witnesses = [text for status, text, _ in subs if status == "yes"]
-    return [
-        _tally(f"affine-check:{name}", "connection-affine-structure", failures, witnesses,
-               budget, t0)
-    ]
+    yield "", "connection-affine-structure", _tally(failures, witnesses)
+
+
+def _verdict(anchor: str, decide: Callable[..., Verdict]):
+    """The runner of a command that is the one verdict `decide(run, *subject)`."""
+    def runner(run: Run, *subject):
+        yield "", anchor, decide(run, *subject)
+    return runner
 
 
 # ---------------------------------------------------------------------------
@@ -345,24 +309,39 @@ class Command(Record):
     """One subcommand, read by the parser, the dispatch and `all`.  `args`
     name fixtures, and the report's fixture field joins them with "/"; with
     `point_help` a base point follows them.  `all` runs the command on each
-    of `subjects(reg)`.  It runs `checks(reg, *subject, budget, seed)`, or
-    is the one verdict `verdict(reg, *subject, budget)` under `anchor`."""
+    of `subjects(reg)`.  `runner(run, *subject)` yields one (id suffix,
+    anchor, outcome) per check, where the outcome is a `Verdict` or a
+    (status, witnesses) pair."""
 
     name: str
     args: tuple[str, ...]
     help: str
     subjects: Callable[[FixtureRegistry], Iterable[tuple]]
-    checks: Callable[..., list[CheckResult]] | None = None
-    verdict: Callable[..., Verdict] | None = None
-    anchor: str = ""
+    runner: Callable[..., Iterator[tuple[str, str, object]]]
     point_help: str | None = None
     description: str | None = None
 
-    def run(self, reg, subject: tuple, budget: int, seed: int) -> list[CheckResult]:
-        if self.checks is not None:
-            return self.checks(reg, *subject, budget, seed)
-        check_id = ":".join((self.name, *subject))
-        return _from_verdict(check_id, self.anchor, budget, self.verdict, reg, *subject, budget)
+    def run(self, run: Run, subject: tuple) -> list[CheckResult]:
+        """The runner's checks.  An id joins the command's name, the subject
+        and a nonempty suffix with ":"; elapsed is the time the runner took
+        to yield the check, and a `Verdict` is rendered after the clock
+        stops.  A `ValueError` from the library is a fixture error."""
+        prefix = ":".join(
+            (self.name, *(s if isinstance(s, str) else _fmt_point(s) for s in subject))
+        )
+        results = []
+        try:
+            t0 = time.perf_counter()
+            for suffix, anchor, outcome in self.runner(run, *subject):
+                elapsed = time.perf_counter() - t0
+                if isinstance(outcome, Verdict):
+                    outcome = outcome.status, _verdict_witnesses(outcome)
+                check_id = f"{prefix}:{suffix}" if suffix else prefix
+                results.append(CheckResult(check_id, anchor, *outcome, elapsed))
+                t0 = time.perf_counter()
+        except ValueError as err:
+            raise FixtureError(str(err)) from err
+        return results
 
 
 def _each(names) -> list[tuple[str]]:
@@ -371,49 +350,40 @@ def _each(names) -> list[tuple[str]]:
 
 COMMANDS = (
     Command("axioms", ("space",), "plot family axioms of a space",
-            lambda reg: _each(reg.spaces), checks=_axioms_checks),
+            lambda reg: _each(reg.spaces), _axioms_checks),
     Command("smooth", ("map",), "smoothness of a named map", lambda reg: _each(reg.maps),
-            verdict=lambda reg, name, budget: is_smooth(reg.map(name), budget),
-            anchor="smooth-map-membership"),
+            _verdict("smooth-map-membership",
+                     lambda run, name: is_smooth(run.reg.map(name), run.budget))),
     Command("subduction", ("map",), "subduction property of a named map",
             lambda reg: _each(reg.maps),
-            verdict=lambda reg, name, budget: is_subduction(reg.map(name), budget),
-            anchor="subduction-lifting"),
+            _verdict("subduction-lifting",
+                     lambda run, name: is_subduction(run.reg.map(name), run.budget))),
     Command("tangent-cone", ("space",), "cone membership at a base point",
             lambda reg: [(name, x) for name, points in sorted(reg.cone_points.items())
                          for x in points],
-            checks=_cone_checks, point_help="rational coordinates, e.g. 0,0 or 1/2,-3"),
+            _cone_checks, point_help="rational coordinates, e.g. 0,0 or 1/2,-3"),
     Command("bundle-validate", ("bundle",), "bundle construction checks",
             lambda reg: _each(reg.bundles),
-            verdict=lambda reg, name, budget: validate_bundle(reg.bundle(name), budget),
-            anchor="bundle-operations"),
+            _verdict("bundle-operations",
+                     lambda run, name: validate_bundle(run.reg.bundle(name), run.budget))),
     Command("exact-sequence", ("bundle", "group"), "kernel = fiberwise linear part",
             lambda reg: [(reg.groups[name].bundle.name, name) for name in sorted(reg.groups)],
-            verdict=_exact_sequence, anchor="automorphism-exact-sequence",
+            _verdict("automorphism-exact-sequence", _exact_sequence),
             description="Prove kernel = fiberwise linear part on every word from the "
             "generator, inverse and projection certificates. --budget bounds the membership "
             f"searches behind those certificates (never below {DEFAULT_BUDGET}), not word "
             "length."),
     Command("frame-check", ("bundle",), "free transitive frame action",
             lambda reg: _each(name for name in reg.bundles if reg.frame_points.get(name)),
-            checks=_frame_checks),
+            _frame_checks),
     Command("forms-validate", ("fixture",), "form storage and overlap compatibility",
-            lambda reg: _each([*reg.forms, *reg.frame_models]), checks=_forms_checks),
+            lambda reg: _each([*reg.forms, *reg.frame_models]), _forms_checks),
     Command("connection-validate", ("fixture",), "covariant derivative laws",
-            lambda reg: _each(reg.connections), verdict=_connection_laws,
-            anchor="covariant-derivative-laws"),
+            lambda reg: _each(reg.connections),
+            _verdict("covariant-derivative-laws", _connection_laws)),
     Command("affine-check", ("fixture",), "difference-form and translation laws",
-            lambda reg: _each(reg.affine), checks=_affine_checks),
+            lambda reg: _each(reg.affine), _affine_checks),
 )
-
-
-def _all_checks(reg, budget, seed) -> list[CheckResult]:
-    return [
-        check
-        for command in COMMANDS
-        for subject in command.subjects(reg)
-        for check in command.run(reg, subject, budget, seed)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +403,7 @@ def render_json(fixture: str, budget: int, seed: int, checks) -> str:
                 "anchor": c.anchor,
                 "verdict": c.verdict,
                 "witnesses": list(c.witnesses),
-                "budget": c.budget,
+                "budget": budget,
                 "elapsed": None,
             }
             for c in checks
@@ -516,12 +486,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_command(args, reg: FixtureRegistry) -> tuple[str, list[CheckResult]]:
     """The report's fixture field and its checks."""
+    run = Run(reg, args.budget, args.seed)
     if args.command == "all":
-        return "all", _all_checks(reg, args.budget, args.seed)
+        return "all", [check for command in COMMANDS for subject in command.subjects(reg)
+                       for check in command.run(run, subject)]
     command = next(c for c in COMMANDS if c.name == args.command)
     names = tuple(getattr(args, arg) for arg in command.args)
     point = (_parse_point(args.point),) if command.point_help else ()
-    return "/".join(names), command.run(reg, names + point, args.budget, args.seed)
+    return "/".join(names), command.run(run, names + point)
 
 
 def main(argv=None) -> int:

@@ -689,9 +689,7 @@ def _load_bundle(reg: FixtureRegistry, block: dict) -> None:
             projection=projection,
             pairs_complete=_flag(block, "pairs_complete", where),
         )
-    except InvariantViolation as err:
-        raise FixtureError(f"{where}: {err.check}: {err.witness}") from err
-    except (ExprError, ValueError) as err:
+    except (ExprError, InvariantViolation, ValueError) as err:
         raise FixtureError(f"{where}: {err}") from err
     reg._add(reg.bundles, name, bundle, "bundle")
     reg.frame_points[name] = _points(block, "frame_points", base, where)

@@ -393,8 +393,9 @@ class DiffSpace:
             return Domain.full(self.carrier.ambient_dim(component)).sample_points(count)
         out: list[Point] = []
         seen: set[Point] = set()
-        for _, g in self.component_generators(component):
-            for u in g.domain.sample_points(max(2, count // max(1, len(self.generators)))):
+        gens = self.component_generators(component)
+        for _, g in gens:
+            for u in g.domain.sample_points(max(2, count // max(1, len(gens)))):
                 p = g.map.eval(u)
                 if p not in seen:
                     seen.add(p)

@@ -37,7 +37,7 @@ from diffeokit.calculus import (
     validate_covariant,
     validate_form,
 )
-from diffeokit.cli import _axioms_checks, main as cli_main
+from diffeokit.cli import Run, _axioms_checks, main as cli_main
 from diffeokit.domains import Domain
 from diffeokit.expr import Expr, ExprVec
 from diffeokit.fixtures import builtin_registry
@@ -163,8 +163,9 @@ class TestAcceptance:
     def test_01_axiom_closure_on_every_builtin_space(self, reg):
         started = time.monotonic()
         for name in sorted(reg.spaces):
-            for entry in _axioms_checks(reg, name, budget=4, seed=7, trials=100):
-                assert entry.verdict == "yes", (entry.check_id, entry.witnesses)
+            laws = _axioms_checks(Run(reg, 4, 7), name, trials=100)
+            for law, _, (verdict, witnesses) in laws:
+                assert verdict == "yes", (name, law, witnesses)
         assert time.monotonic() - started < 60.0
 
     def test_02_identity_towers_and_product_projections(self, reg):

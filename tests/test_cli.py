@@ -9,6 +9,7 @@ import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -80,11 +81,6 @@ MODULES = (diffeokit, autgroups, bundles, calculus, cli, domains, expr, fixtures
 # parameters that no function body under src/ reads, each with the reason
 # it stays
 UNREAD_PARAMETERS = {
-    **dict.fromkeys(
-        ["cli._cone_checks(seed)", "cli._connection_laws(budget)", "cli._forms_checks(seed)",
-         "cli._affine_checks(seed)"],
-        "the Command runner signature: every check runner takes the budget and the seed",
-    ),
     **dict.fromkeys(
         [f"spaces.{carrier}.{method}(component)"
          for carrier in ("Carrier", "EuclideanCarrier", "AlgebraicCarrier", "ProductCarrier")
@@ -770,3 +766,65 @@ class TestReports:
     def test_timings_flag_adds_elapsed(self, capsys):
         _, out, _ = run(capsys, "smooth", "line-projection", "--timings")
         assert "s)" in out
+
+
+class FakeClock:
+    """A stand-in for `time.perf_counter` that moves only when told to."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self):
+        return self.now
+
+    def spend(self, seconds):
+        self.now += seconds
+
+
+class TestCommandRun:
+    """`Command.run` names, times and records what a runner yields."""
+
+    @pytest.fixture
+    def clock(self, monkeypatch):
+        clock = FakeClock()
+        monkeypatch.setattr(cli.time, "perf_counter", clock)
+        return clock
+
+    @staticmethod
+    def stub(clock, fail=False):
+        def runner(run, name, *point):
+            clock.spend(1.0)
+            yield "first", "stub-law", ("yes", (f"{name} at budget {run.budget}",))
+            clock.spend(2.0)
+            if fail:
+                raise ValueError("the library refused the second check")
+            yield "", "stub-law", spaces.Verdict("no", detail="second failed")
+        return cli.Command("stub", ("fixture",), "a stub command", lambda reg: [("x",)], runner)
+
+    def test_ids_carry_the_command_name(self, clock):
+        run = cli.Run(None, 4, 0)
+        ids = [c.check_id for c in self.stub(clock).run(run, ("x",))]
+        assert ids == ["stub:x:first", "stub:x"]
+        point = (Fraction(1, 2), Fraction(0))
+        assert [c.check_id for c in self.stub(clock).run(run, ("x", point))] == \
+            ["stub:x:1/2,0:first", "stub:x:1/2,0"]
+
+    def test_elapsed_covers_only_the_check_itself(self, clock, monkeypatch):
+        render = cli._verdict_witnesses
+
+        def slow_render(v):
+            clock.spend(10.0)
+            return render(v)
+
+        monkeypatch.setattr(cli, "_verdict_witnesses", slow_render)
+        first, second = self.stub(clock).run(cli.Run(None, 4, 0), ("x",))
+        assert (first.verdict, first.witnesses, first.elapsed) == ("yes", ("x at budget 4",), 1.0)
+        assert (second.verdict, second.witnesses, second.elapsed) == \
+            ("no", ("second failed",), 2.0)
+        assert clock.now == 13.0
+
+    def test_a_library_value_error_exits_2(self, clock, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "COMMANDS", (self.stub(clock, fail=True),))
+        code, out, err = run(capsys, "stub", "x")
+        assert (code, out) == (2, "")
+        assert err == "fixture error: the library refused the second check\n"

@@ -906,6 +906,15 @@ class TestCarrierSamples:
         second.append((Fraction(5), Fraction(5)))
         assert cross.sample_carrier_points("", 8) == expected
 
+    def test_a_union_part_samples_as_its_own_space(self):
+        # the count is split among the asked component's generators, not
+        # among every generator of the union
+        cross = axes_cross()
+        union = union_space("u", [("a", cross), ("b", cross)])
+        for count in (4, 12, 24):
+            assert union.sample_carrier_points("a", count) == \
+                cross.sample_carrier_points("", count)
+
 
 def _eager_quotient_membership(space, candidate, budget):
     """Quotient membership with the whole rewrite closure built before any
